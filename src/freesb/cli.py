@@ -7,7 +7,9 @@ Every subcommand emits a versioned JSON report on stdout:
 
 Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
-verification command exceeds an asserted tolerance, 1 on usage errors.
+verification command exceeds an asserted tolerance, 1 on usage errors
+and on computations that fail (a malformed FREESB_SEED, a semigroup
+series that does not converge, a norm that comes out non-real).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -297,11 +299,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     t0 = time.perf_counter()
     seed = None
-    if args.command in _SEEDED:
-        env = os.environ.get("FREESB_SEED")
-        seed = int(env) if env is not None else args.seed
-
     try:
+        if args.command in _SEEDED:
+            env = os.environ.get("FREESB_SEED")
+            try:
+                seed = int(env) if env is not None else args.seed
+            except ValueError:
+                raise ValueError(f"FREESB_SEED must be an integer, got {env!r}") from None
         if args.command == "heat-apply":
             results, code = _cmd_heat_apply(args)
         elif args.command == "transform":
@@ -326,7 +330,9 @@ def main(argv=None) -> int:
             results, code = _cmd_norm(args)
         else:  # pragma: no cover - argparse enforces the choices
             return 1
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ArithmeticError, RuntimeError) as e:
+        # bad input, a non-real or negative norm, a Taylor series that
+        # does not converge: one line on stderr, never a traceback
         print(f"freesb: error: {e}", file=sys.stderr)
         return 1
 

@@ -7,13 +7,16 @@ combinations
     D   = -N - 2Z - 2Y          (N = N0 + N1)
     D_N = D - (1/N^2) L
 
-together with semigroup application e^{theta G} by adaptive truncated
-Taylor series and dense matrix representations on the trace-degree
-filtration C_n[u, u^-1; v].
+together with semigroup application e^{theta G} and dense matrix
+representations on the trace-degree filtration C_n[u, u^-1; v].
 
 All operators preserve the filtration (trace degree can only stay or
-drop), so every Taylor series below lives in a fixed finite-dimensional
-subspace and converges.
+drop), so the monomials reachable from a polynomial p span a finite-
+dimensional invariant subspace.  ``exp_series`` finds that closure by a
+breadth-first search, compiles the operator on it to a sparse matrix in
+coordinate (COO) form, and runs a truncated Taylor series on p's
+coordinate vector.  The same kernel serves the word engine in
+:mod:`freesb.words`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tracepoly import CLEANUP_EPS, Mono, TracePoly, mono, mono_degree, mono_mul
+from .tracepoly import Mono, TracePoly, mono, mono_mul
 
 MAX_TERMS = 500
 MAX_DEGREE = 12
@@ -228,54 +231,91 @@ class GeneratorSpec:
 
 
 # ======================================================================
-# semigroup application: adaptive truncated Taylor with sub-stepping
+# semigroup application: Taylor series on the compiled reachable closure
 # ======================================================================
+
+
+def _compile(apply_fn, make, seed):
+    """Compile a linear map to a sparse matrix on the closure of ``seed``.
+
+    ``basis`` starts as the monomials ``seed`` and grows breadth first:
+    column j holds the image of ``basis[j]`` under ``apply_fn`` (applied
+    to ``make({basis[j]: 1.0})``), and every monomial it reaches that is
+    not yet in ``basis`` is appended, so the loop visits it in turn.
+    Returns ``basis`` and the COO arrays ``rows, cols, vals`` with
+    ``vals[e]`` the coefficient of ``basis[rows[e]]`` in the image of
+    ``basis[cols[e]]``.
+    """
+    basis = list(seed)
+    index = {m: i for i, m in enumerate(basis)}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[complex] = []
+    for j, m in enumerate(basis):  # basis grows as the search goes
+        for mi, c in apply_fn(make({m: 1.0})).terms.items():
+            i = index.get(mi)
+            if i is None:
+                i = index[mi] = len(basis)
+                basis.append(mi)
+            rows.append(i)
+            cols.append(j)
+            vals.append(c)
+    return (basis, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=complex))
 
 
 def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
                step_norm: float = 2.0):
     """e^G p for a linear map G given as ``apply_fn``, by truncated Taylor.
 
-    Works for any polynomial-like value supporting +, scalar *, and
-    ``coeff_l1``.  The series is evaluated in stages e^G = (e^{G/m})^m with
-    m chosen so each stage's amplification stays near ``e^step_norm``;
-    within a stage, summation stops once three consecutive term norms drop
-    below tol * (norm of the accumulated sum).  This keeps intermediate
-    terms from dwarfing the result (catastrophic cancellation) while
-    honoring the stated termination rule stage by stage.
-    """
-    n0 = p.coeff_l1()
-    if n0 == 0.0:
-        return p
-    g1 = apply_fn(p)
-    lam = g1.coeff_l1() / n0
-    if g1.coeff_l1() > 0:
-        g2 = apply_fn(g1)
-        lam = max(lam, g2.coeff_l1() / g1.coeff_l1())
-    m = max(1, math.ceil(lam / step_norm))
-    stage_tol = tol / m
-    inv_m = 1.0 / m
+    Works for any polynomial type whose instances hold a ``terms`` dict
+    from monomial keys to coefficients and are built from such a dict
+    (``TracePoly``, ``WordPoly``); ``apply_fn`` must map the span of the
+    monomials reachable from ``p`` into itself.
 
-    out = p
+    G is compiled on that closure to a sparse matrix A in COO form (see
+    :func:`_compile`), so each Taylor term costs one sparse product,
+    O(nnz) time and memory.  The series runs in m stages,
+    e^A = (e^{A/m})^m, with m = ceil(||A||_1 / step_norm) from the exact
+    1-norm of A.  Within a stage, ||A/m||_1 <= step_norm bounds the tail
+    after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
+    summation stops once that bound is below (tol / m) * ||sum||_1.  The
+    rule is relative only, so the result is homogeneous in p at any
+    scale.  A stage that needs more than ``max_terms`` terms raises
+    RuntimeError.
+    """
+    if not p.terms:
+        return p
+    basis, rows, cols, vals = _compile(apply_fn, type(p), p.terms)
+    n = len(basis)
+    x = np.zeros(n, dtype=complex)
+    x[:len(p.terms)] = list(p.terms.values())
+    norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
+    m = max(1, math.ceil(norm / step_norm))
+    stage_norm = norm / m
+    vals = vals / m
+    stage_tol = tol / m
+
+    def matvec(y: np.ndarray) -> np.ndarray:
+        prod = vals * y[cols]
+        return (np.bincount(rows, weights=prod.real, minlength=n)
+                + 1j * np.bincount(rows, weights=prod.imag, minlength=n))
+
     for _ in range(m):
-        acc = out
-        term = out
-        small = 0
+        acc = x.copy()
+        term = x
         for k in range(1, max_terms + 1):
-            term = apply_fn(term) * (inv_m / k)
-            acc = acc + term
-            if term.coeff_l1() < stage_tol * max(acc.coeff_l1(), CLEANUP_EPS):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
+            term = matvec(term) / k
+            acc += term
+            r = stage_norm / (k + 1)
+            if r < 1.0 and np.abs(term).sum() * r / (1.0 - r) <= stage_tol * np.abs(acc).sum():
+                break
         else:
             raise RuntimeError(
                 f"semigroup Taylor series did not converge within {max_terms} terms"
             )
-        out = acc
-    return out
+        x = acc
+    return type(p)(dict(zip(basis, x.tolist())))
 
 
 def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,
@@ -347,11 +387,7 @@ class OperatorMatrix:
 
 
 def operator_matrix(gen: GeneratorSpec, n: int) -> OperatorMatrix:
-    basis = monomial_basis(n)
-    idx = {m: i for i, m in enumerate(basis)}
+    basis, rows, cols, vals = _compile(gen.apply, TracePoly, monomial_basis(n))
     entries = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, m in enumerate(basis):
-        image = gen.apply(TracePoly({m: 1.0}))
-        for mi, c in image.terms.items():
-            entries[idx[mi], j] = c
+    entries[rows, cols] = vals
     return OperatorMatrix(n=n, basis=basis, entries=entries)

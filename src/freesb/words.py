@@ -153,9 +153,6 @@ class WordPoly:
     def coeff(self, m: WordKey) -> complex:
         return self.terms.get(m, 0j)
 
-    def coeff_l1(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
-
     def coeff_max(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 

@@ -11,8 +11,10 @@ import math
 import pytest
 
 import freesb.cli as cli
+import freesb.words as words
 from freesb import __version__
 from freesb.matrixlab import RNG_NAME
+from freesb.operators import exp_series
 
 
 def run(capsys, *argv):
@@ -155,6 +157,42 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["norm", "--p", "u", "--measure", "rho", "--s", "1.0",
                      "--t", "0.5", "--N", "3"]) == 1
     capsys.readouterr()
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("freesb: error: "), captured.err
+    return lines[0]
+
+
+def test_malformed_env_seed_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("FREESB_SEED", "abc")
+    code = cli.main(["mc", "--f", "v1", "--N", "3", "--s", "1.0",
+                     "--steps", "5", "--samples", "4"])
+    assert code == 1
+    assert "FREESB_SEED" in _one_line_error(capsys)
+
+
+def test_nonconvergent_series_exits_1(capsys, monkeypatch):
+    # the real exp_series with too few terms allowed per stage
+    def short_exp_apply(gen, theta, p, tol):
+        return exp_series(lambda q: theta * gen.apply(q), p, tol=tol, max_terms=2)
+
+    monkeypatch.setattr(cli, "exp_apply", short_exp_apply)
+    code = cli.main(["heat-apply", "--gen", "D", "--t", "1.0", "--f", "u^3"])
+    assert code == 1
+    assert "did not converge" in _one_line_error(capsys)
+
+
+def test_nonreal_norm_exits_1(capsys, monkeypatch):
+    # l2_norm_sq rejects an expectation that is not real
+    monkeypatch.setattr(words, "expectation", lambda *a, **k: 1.0 + 1.0j)
+    code = cli.main(["norm", "--p", "u", "--measure", "rho", "--s", "1.0",
+                     "--N", "3"])
+    assert code == 1
+    assert "non-real" in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------- csv
