@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .tracepoly import TracePoly, format_poly, parse
+from .tracepoly import TracePoly, format_poly, mono_factors, parse
 from .operators import GeneratorSpec, exp_apply
 from .moments import b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
@@ -40,13 +40,6 @@ INTERTWINE_TOL = 1e-8
 GEN_FN_TOL = 1e-8
 PDE_TOL = 1e-8
 MAGIC_TOL = 1e-11
-
-
-def _cnum(z) -> object:
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
 
 
 def _cpair(z) -> list:
@@ -64,14 +57,7 @@ def _write_csv(path: str, rows) -> None:
 
 
 def _poly_json(p: TracePoly) -> dict:
-    coeffs = {}
-    for (k0, ve), c in p.terms.items():
-        parts = []
-        if k0 != 0:
-            parts.append(f"u^{k0}" if k0 != 1 else "u")
-        for j, e in ve:
-            parts.append(f"v{j}^{e}" if e != 1 else f"v{j}")
-        coeffs[" ".join(parts) if parts else "1"] = _cpair(c)
+    coeffs = {" ".join(mono_factors(m)) or "1": _cpair(c) for m, c in p.terms.items()}
     return {"text": format_poly(p), "coeffs": coeffs}
 
 
@@ -89,8 +75,15 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help_):
-        p = sub.add_parser(name, help=help_)
-        return p
+        return sub.add_parser(name, help=help_)
+
+    def sampling(p, samples):
+        # the Monte Carlo options of concentration and mc
+        p.add_argument("--steps", type=int, default=200)
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=os.cpu_count())
+        p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
 
     p = add("heat-apply", "apply the heat semigroup e^{(t/2) gen} to a polynomial")
     p.add_argument("--gen", choices=["D", "DN"], required=True)
@@ -139,22 +132,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--Ns", default="4,8,16,32", help="comma-separated, ascending")
     p.add_argument("--mode", choices=["symbolic", "mc"], default="symbolic")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
-    p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
+    sampling(p, samples=400)
 
     p = add("mc", "Monte Carlo expectation of a scalar observable")
     p.add_argument("--f", required=True, help="u-free trace polynomial, e.g. 'v1'")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
-    p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
+    sampling(p, samples=1000)
 
     p = add("norm", "L^2 norm of a trace polynomial under rho_s^N or mu_{s,t}^N")
     p.add_argument("--p", required=True)
@@ -171,7 +156,7 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------------
 
 
-def _cmd_heat_apply(a):
+def _cmd_heat_apply(a, seed):
     f = parse(a.f)
     if a.gen == "DN":
         if a.N is None:
@@ -183,19 +168,19 @@ def _cmd_heat_apply(a):
     return {"poly": _poly_json(out), "tol": a.tol}, 0
 
 
-def _cmd_transform(a):
+def _cmd_transform(a, seed):
     f = parse(a.f)
     fn = G if a.dir == "G" else H
     out = fn(f, a.s, a.t, tol=a.tol)
     return {"poly": _poly_json(out), "dir": a.dir, "tol": a.tol}, 0
 
 
-def _cmd_biane(a):
+def _cmd_biane(a, seed):
     out = biane(a.k, a.s, a.t)
     return {"k": a.k, "poly": _poly_json(out), "tol": 1e-13}, 0
 
 
-def _cmd_moments(a):
+def _cmd_moments(a, seed):
     k = a.k
     if k < 1:
         raise ValueError("moments requires --k >= 1")
@@ -211,19 +196,20 @@ def _cmd_moments(a):
     }, 0
 
 
-def _cmd_gen_fn_check(a):
-    resid = verify_gen_fn(a.s, a.t, K=a.K)
-    ok = resid < GEN_FN_TOL
-    return {"residual": resid, "tol": GEN_FN_TOL, "pass": ok}, 0 if ok else 2
+def _verdict(resid: float, tol: float):
+    ok = resid < tol
+    return {"residual": resid, "tol": tol, "pass": ok}, 0 if ok else 2
 
 
-def _cmd_pde_check(a):
-    resid = pde_residual(a.s, K=a.K)
-    ok = resid < PDE_TOL
-    return {"residual": resid, "tol": PDE_TOL, "pass": ok}, 0 if ok else 2
+def _cmd_gen_fn_check(a, seed):
+    return _verdict(verify_gen_fn(a.s, a.t, K=a.K), GEN_FN_TOL)
 
 
-def _cmd_verify_magic(a):
+def _cmd_pde_check(a, seed):
+    return _verdict(pde_residual(a.s, K=a.K), PDE_TOL)
+
+
+def _cmd_verify_magic(a, seed):
     rep = verify_magic(a.N, tol=MAGIC_TOL)
     return {**rep, "tol": MAGIC_TOL}, 0 if rep["pass"] else 2
 
@@ -278,7 +264,7 @@ def _cmd_mc(a, seed):
     return results, 0
 
 
-def _cmd_norm(a):
+def _cmd_norm(a, seed):
     p = parse(a.p)
     if a.measure == "mu":
         meas = Measure.mu(a.s, a.t, a.N)
@@ -289,7 +275,19 @@ def _cmd_norm(a):
     return {"value": l2_norm_sq(p, meas), "measure": a.measure, "tol": 1e-12}, 0
 
 
-_SEEDED = {"intertwine-check", "concentration", "mc"}
+_COMMANDS = {
+    "heat-apply": _cmd_heat_apply,
+    "transform": _cmd_transform,
+    "biane": _cmd_biane,
+    "moments": _cmd_moments,
+    "gen-fn-check": _cmd_gen_fn_check,
+    "pde-check": _cmd_pde_check,
+    "verify-magic": _cmd_verify_magic,
+    "intertwine-check": _cmd_intertwine_check,
+    "concentration": _cmd_concentration,
+    "mc": _cmd_mc,
+    "norm": _cmd_norm,
+}
 
 
 def main(argv=None) -> int:
@@ -300,36 +298,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     seed = None
     try:
-        if args.command in _SEEDED:
+        if "seed" in vars(args):  # the randomized commands
             env = os.environ.get("FREESB_SEED")
             try:
                 seed = int(env) if env is not None else args.seed
             except ValueError:
                 raise ValueError(f"FREESB_SEED must be an integer, got {env!r}") from None
-        if args.command == "heat-apply":
-            results, code = _cmd_heat_apply(args)
-        elif args.command == "transform":
-            results, code = _cmd_transform(args)
-        elif args.command == "biane":
-            results, code = _cmd_biane(args)
-        elif args.command == "moments":
-            results, code = _cmd_moments(args)
-        elif args.command == "gen-fn-check":
-            results, code = _cmd_gen_fn_check(args)
-        elif args.command == "pde-check":
-            results, code = _cmd_pde_check(args)
-        elif args.command == "verify-magic":
-            results, code = _cmd_verify_magic(args)
-        elif args.command == "intertwine-check":
-            results, code = _cmd_intertwine_check(args, seed)
-        elif args.command == "concentration":
-            results, code = _cmd_concentration(args, seed)
-        elif args.command == "mc":
-            results, code = _cmd_mc(args, seed)
-        elif args.command == "norm":
-            results, code = _cmd_norm(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            return 1
+        results, code = _COMMANDS[args.command](args, seed)
     except (ValueError, TypeError, ArithmeticError, RuntimeError) as e:
         # bad input, a non-real or negative norm, a Taylor series that
         # does not converge: one line on stderr, never a traceback

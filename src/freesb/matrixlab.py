@@ -120,19 +120,27 @@ class _PowerCache:
         return self.cache[k]
 
 
+def _has_inverse(p: TracePoly) -> bool:
+    return any(k0 < 0 or any(j < 0 for j, _ in ve) for k0, ve in p.terms)
+
+
+def _trace_product(c: complex, ve, pw: _PowerCache, N: int) -> complex:
+    # c * prod_j tr(Z^j)^e_j over the v-part of a monomial
+    for j, e in ve:
+        c *= (np.trace(pw[j]) / N) ** e
+    return c
+
+
 def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
     """P_N(Z): substitute u = Z and v_k = tr(Z^k) (normalized trace)."""
     Z = np.asarray(Z, dtype=complex)
     N = Z.shape[0]
-    if any(m[0] < 0 or any(j < 0 for j, _ in m[1]) for m in p.terms):
+    if _has_inverse(p):
         _check_invertible(Z)
     pw = _PowerCache(Z)
     acc = np.zeros((N, N), dtype=complex)
     for (k0, ve), c in p.terms.items():
-        val = c
-        for j, e in ve:
-            val *= (np.trace(pw[j]) / N) ** e
-        acc += val * pw[k0]
+        acc += _trace_product(c, ve, pw, N) * pw[k0]
     return acc
 
 
@@ -196,7 +204,7 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     U = np.asarray(U, dtype=complex)
     if U.shape != (N, N):
         raise ValueError(f"U has shape {U.shape}, expected ({N}, {N})")
-    if any(m[0] < 0 or any(j < 0 for j, _ in m[1]) for m in p.terms):
+    if _has_inverse(p):
         _check_invertible(U)
     Ui = np.linalg.inv(U)
     acc = np.zeros((N, N), dtype=complex)
@@ -367,21 +375,36 @@ def _eval_scalar(f, Z: np.ndarray) -> complex:
     if isinstance(f, WordPoly):
         return evaluate_word(f, Z)
     if isinstance(f, TracePoly):
-        N = Z.shape[0]
-        for m in f.terms:
-            if m[0] != 0:
-                raise ValueError("mc scalar evaluation needs a u-free polynomial")
-        pw = _PowerCache(Z)
-        if any(j < 0 for m in f.terms for j, _ in m[1]):
+        if not f.is_scalar():
+            raise ValueError("mc scalar evaluation needs a u-free polynomial")
+        if _has_inverse(f):
             _check_invertible(Z)
+        pw = _PowerCache(Z)
         tot = 0j
         for (_, ve), c in f.terms.items():
-            val = complex(c)
-            for j, e in ve:
-                val *= (np.trace(pw[j]) / N) ** e
-            tot += val
+            tot += _trace_product(c, ve, pw, Z.shape[0])
         return tot
     raise TypeError(f"cannot evaluate {type(f).__name__} as a scalar observable")
+
+
+def _map_samples(cfg: SamplerCfg, nsamples: int, fn, threads: int | None) -> list:
+    """[fn(Z_0), ..., fn(Z_{nsamples-1})] over sampled endpoints, in index order.
+
+    Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a thread
+    pool when ``threads`` > 1; neither changes any value.
+    """
+    chunks = [list(range(lo, min(lo + _CHUNK, nsamples)))
+              for lo in range(0, nsamples, _CHUNK)]
+
+    def run(chunk: list[int]) -> list:
+        return [fn(Z) for Z in _sample_batch(cfg, chunk)]
+
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, chunks))
+    else:
+        results = [run(chunk) for chunk in chunks]
+    return [x for res in results for x in res]
 
 
 def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
@@ -395,21 +418,8 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
     """
     if nsamples < 2:
         raise ValueError("nsamples must be >= 2")
-    chunks = [list(range(lo, min(lo + _CHUNK, nsamples)))
-              for lo in range(0, nsamples, _CHUNK)]
-
-    def run(chunk: list[int]) -> list[complex]:
-        Zs = _sample_batch(cfg, chunk)
-        return [_eval_scalar(f, Zs[i]) for i in range(len(chunk))]
-
-    vals = np.empty(nsamples, dtype=complex)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk, res in zip(chunks, pool.map(run, chunks)):
-                vals[chunk[0]:chunk[-1] + 1] = res
-    else:
-        for chunk in chunks:
-            vals[chunk[0]:chunk[-1] + 1] = run(chunk)
+    vals = np.array(_map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads),
+                    dtype=complex)
     mean = complex(vals.sum() / nsamples)  # fixed-order accumulation
     resid = np.abs(vals - mean) ** 2
     stderr = math.sqrt(float(resid.sum()) / (nsamples * (nsamples - 1)))
@@ -438,26 +448,12 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
             meas = Measure.mu(s, t, N) if t != 0.0 else Measure.rho(s, N)
             val = l2_norm_sq(dev, meas)
         else:
+            def sq_norm(Z: np.ndarray) -> float:
+                D = evaluate(dev, Z)
+                return float(np.trace(D @ D.conj().T).real) / N
+
             cfg = SamplerCfg(N=N, s=s, t=t, steps=steps, seed=seed)
-            chunks = [list(range(lo, min(lo + _CHUNK, samples)))
-                      for lo in range(0, samples, _CHUNK)]
-
-            def run(chunk: list[int]) -> list[float]:
-                Zs = _sample_batch(cfg, chunk)
-                out = []
-                for i in range(len(chunk)):
-                    D = evaluate(dev, Zs[i])
-                    out.append(float(np.trace(D @ D.conj().T).real) / N)
-                return out
-
-            acc: list[float] = []
-            if threads and threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for res in pool.map(run, chunks):
-                        acc.extend(res)
-            else:
-                for chunk in chunks:
-                    acc.extend(run(chunk))
+            acc = _map_samples(cfg, samples, sq_norm, threads)
             val = float(sum(acc) / len(acc))
             stderr = math.sqrt(sum((x - val) ** 2 for x in acc)
                                / (len(acc) * (len(acc) - 1)))

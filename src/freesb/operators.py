@@ -27,27 +27,78 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tracepoly import Mono, TracePoly, mono, mono_mul
+from .tracepoly import Mono, TracePoly, first_partials, linear, mono, second_partials
 
 MAX_TERMS = 500
+MAX_STAGES = 100_000  # Taylor stages of one exp_series call
 MAX_DEGREE = 12
 BASIS_CAP = 200_000
 
 # ======================================================================
 # named first/second order operators, monomial by monomial
 # ======================================================================
+#
+# Each operator is a column function: it maps one monomial to its image
+# as (monomial, weight) pairs, and ``linear`` extends it to polynomials.
 
 
-def _apply_diag(p: TracePoly, weight: Callable[[Mono], float]) -> TracePoly:
-    return TracePoly({m: c * weight(m) for m, c in p.terms.items()})
+def _vdeg(m: Mono) -> int:
+    return sum(abs(j) * e for j, e in m[1])
+
+
+def _col_Y(m: Mono) -> list[tuple[Mono, float]]:
+    """Y(u^n q(v)) = Y(u^n) q(v), where
+
+    Y(u^n) = sum_{k=1}^{n-1} (n-k) v_k u^{n-k}          for n >= 0,
+    Y(u^n) = sum_{k=n+1}^{-1} (k-n) v_k u^{n-k}         for n < 0,
+
+    and Y annihilates u^{-1}, 1, u.
+    """
+    n, ve = m
+    ks = range(1, n) if n >= 0 else range(n + 1, 0)
+    return [(mono(n - k, ve + ((k, 1),)), float(abs(n - k))) for k in ks]
+
+
+def _col_Z(m: Mono) -> list[tuple[Mono, float]]:
+    """The v-derivation with Z(v_k) = sum_{j=1}^{k-1} j v_j v_{k-j} (k >= 2)
+    and sum_{j=k+1}^{-1} |j| v_j v_{k-j} (k <= -2)."""
+    k0, ve = m
+    return [(mono(k0, rest + ((j, 1), (k - j, 1))), float(e * abs(j)))
+            for k, e, rest in first_partials(ve)
+            for j in (range(1, k) if k > 0 else range(k + 1, 0))]
+
+
+def _col_L(m: Mono) -> list[tuple[Mono, float]]:
+    """L = sum_{j,k != 0} jk v_{j+k} d2/dv_j dv_k + 2 sum_{k != 0} k u^{k+1} d2/dv_k du,
+
+    with v_0 understood as the constant 1.
+    """
+    k0, ve = m
+    out = [(mono(k0, rest + ((j1 + j2, 1),)), float(w * j1 * j2))
+           for j1, j2, w, rest in second_partials(ve)]
+    if k0 != 0:
+        out += [(mono(k0 + j, rest), float(2 * j * k0 * e))
+                for j, e, rest in first_partials(ve)]
+    return out
+
+
+def _col_D(m: Mono) -> list[tuple[Mono, float]]:
+    """D = -N0 - N1 - 2Z - 2Y."""
+    return [(m, -float(_vdeg(m) + abs(m[0])))] + [
+        (mi, -2.0 * w) for mi, w in _col_Z(m) + _col_Y(m)]
+
+
+def _col_pi(m: Mono) -> list[tuple[Mono, float]]:
+    """PI_GEN = N0 + 2Z."""
+    return [(m, float(_vdeg(m)))] + [(mi, 2.0 * w) for mi, w in _col_Z(m)]
 
 
 def _apply_N0(p: TracePoly) -> TracePoly:
-    return _apply_diag(p, lambda m: float(sum(abs(j) * e for j, e in m[1])))
+    return linear(lambda m: [(m, float(_vdeg(m)))], p)
 
 
 def _apply_N1(p: TracePoly) -> TracePoly:
-    return _apply_diag(p, lambda m: float(abs(m[0])))
+    return linear(lambda m: [(m, float(abs(m[0])))], p)
 
 
 def _apply_Aplus(p: TracePoly) -> TracePoly:
@@ -60,95 +111,23 @@ def _apply_Aminus(p: TracePoly) -> TracePoly:
 
 def _apply_sgn(p: TracePoly) -> TracePoly:
     # sgn(u^k) = u^k for k >= 0 and -u^k for k <= -1  (sgn(0) = 1)
-    return _apply_diag(p, lambda m: 1.0 if m[0] >= 0 else -1.0)
+    return linear(lambda m: [(m, 1.0 if m[0] >= 0 else -1.0)], p)
 
 
 def _apply_Mu(p: TracePoly, k: int) -> TracePoly:
     return TracePoly({(m[0] + k, m[1]): c for m, c in p.terms.items()})
 
 
-def _y_of_upower(n: int) -> list[tuple[Mono, float]]:
-    """Closed-form Y(u^n) as (monomial, coefficient) pairs.
-
-    Y(u^n) = sum_{k=1}^{n-1} (n-k) v_k u^{n-k}          for n >= 0,
-    Y(u^n) = sum_{k=n+1}^{-1} (k-n) v_k u^{n-k}         for n < 0,
-
-    and Y annihilates u^{-1}, 1, u.
-    """
-    out: list[tuple[Mono, float]] = []
-    if n >= 0:
-        for k in range(1, n):
-            out.append((mono(n - k, [(k, 1)]), float(n - k)))
-    else:
-        for k in range(n + 1, 0):
-            out.append((mono(n - k, [(k, 1)]), float(k - n)))
-    return out
-
-
 def _apply_Y(p: TracePoly) -> TracePoly:
-    # Y(P * q(v)) = Y(P) * q(v): act on the u-power, carry the v-part along
-    acc: dict[Mono, complex] = {}
-    for (k0, ve), c in p.terms.items():
-        for m, w in _y_of_upower(k0):
-            key = mono_mul(m, (0, ve))
-            acc[key] = acc.get(key, 0j) + c * w
-    return TracePoly(acc)
-
-
-def _z_of_vindex(k: int) -> list[tuple[Mono, float]]:
-    """Z(v_k): sum_{j=1}^{k-1} j v_j v_{k-j} (k>=2), sum_{j=k+1}^{-1} |j| v_j v_{k-j} (k<=-2)."""
-    out: list[tuple[Mono, float]] = []
-    if k >= 2:
-        for j in range(1, k):
-            out.append((mono(0, [(j, 1), (k - j, 1)]), float(j)))
-    elif k <= -2:
-        for j in range(k + 1, 0):
-            out.append((mono(0, [(j, 1), (k - j, 1)]), float(-j)))
-    return out
+    return linear(_col_Y, p)
 
 
 def _apply_Z(p: TracePoly) -> TracePoly:
-    # first-order derivation in the v variables only
-    acc: dict[Mono, complex] = {}
-    for (k0, ve), c in p.terms.items():
-        for i, (j, e) in enumerate(ve):
-            rest = ve[:i] + ((j, e - 1),) + ve[i + 1:]
-            for m, w in _z_of_vindex(j):
-                key = mono_mul(m, mono(k0, rest))
-                acc[key] = acc.get(key, 0j) + c * e * w
-    return TracePoly(acc)
+    return linear(_col_Z, p)
 
 
 def _apply_L(p: TracePoly) -> TracePoly:
-    """L = sum_{j,k != 0} jk v_{j+k} d2/dv_j dv_k + 2 sum_{k != 0} k u^{k+1} d2/dv_k du,
-
-    with v_0 understood as the constant 1.
-    """
-    acc: dict[Mono, complex] = {}
-    for (k0, ve), c in p.terms.items():
-        # second derivatives in two v-slots (ordered pairs, including equal)
-        for i1, (j1, e1) in enumerate(ve):
-            for i2, (j2, e2) in enumerate(ve):
-                if i1 == i2:
-                    factor = e1 * (e1 - 1)
-                    if factor == 0:
-                        continue
-                    rest = list(ve)
-                    rest[i1] = (j1, e1 - 2)
-                else:
-                    factor = e1 * e2
-                    rest = list(ve)
-                    rest[i1] = (j1, e1 - 1)
-                    rest[i2] = (j2, e2 - 1)
-                key = mono_mul(mono(0, [(j1 + j2, 1)]), mono(k0, rest))
-                acc[key] = acc.get(key, 0j) + c * factor * j1 * j2
-        # mixed u/v second derivative
-        if k0 != 0:
-            for i, (j, e) in enumerate(ve):
-                rest = ve[:i] + ((j, e - 1),) + ve[i + 1:]
-                key = mono(k0 + j, rest)
-                acc[key] = acc.get(key, 0j) + c * 2.0 * j * k0 * e
-    return TracePoly(acc)
+    return linear(_col_L, p)
 
 
 _NAMED: dict[str, Callable[[TracePoly], TracePoly]] = {
@@ -178,7 +157,7 @@ def apply_named(name: str, p: TracePoly, aux: int | None = None) -> TracePoly:
 
 def apply_D(p: TracePoly) -> TracePoly:
     """D = -N0 - N1 - 2Z - 2Y (first order; preserves trace degree)."""
-    return -(_apply_N0(p) + _apply_N1(p) + 2.0 * _apply_Z(p) + 2.0 * _apply_Y(p))
+    return linear(_col_D, p)
 
 
 def apply_DN(p: TracePoly, N: int) -> TracePoly:
@@ -224,7 +203,7 @@ class GeneratorSpec:
             if name == "D":
                 out = out + w * apply_D(p)
             elif name == "PI_GEN":
-                out = out + w * (_apply_N0(p) + 2.0 * _apply_Z(p))
+                out = out + w * linear(_col_pi, p)
             else:
                 out = out + w * apply_named(name, p)
         return out
@@ -281,7 +260,8 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
     after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
     summation stops once that bound is below (tol / m) * ||sum||_1.  The
     rule is relative only, so the result is homogeneous in p at any
-    scale.  A stage that needs more than ``max_terms`` terms raises
+    scale.  More than ``MAX_STAGES`` stages raise ValueError before any
+    stage runs; a stage that needs more than ``max_terms`` terms raises
     RuntimeError.
     """
     if not p.terms:
@@ -291,6 +271,9 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
+    if not norm / step_norm <= MAX_STAGES:
+        raise ValueError(f"the generator's 1-norm on the closure is {norm:.3g}: the "
+                         f"series would need more than MAX_STAGES={MAX_STAGES} stages")
     m = max(1, math.ceil(norm / step_norm))
     stage_norm = norm / m
     vals = vals / m
@@ -323,6 +306,8 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,
     """e^{theta G} p for a GeneratorSpec G; theta may have either sign."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(theta):
+        raise ValueError(f"non-finite time {theta!r}")
     if theta == 0.0:
         return p
     return exp_series(lambda q: theta * gen.apply(q), p, tol=tol)

@@ -18,11 +18,20 @@ coefficients.  A key is ``(u_exp, v_exps)`` where ``v_exps`` is a tuple of
 ``(index, exponent)`` pairs sorted by index.  Coefficients of magnitude
 below ``CLEANUP_EPS`` are pruned after every operation; equality is
 termwise within relative tolerance ``EQ_EPS`` (on the larger magnitude).
+
+The word engine (:mod:`freesb.words`) shares this module's core: the
+base class ``SparsePoly`` (construction, ring operations, comparison),
+``linear``, which extends an operator given one monomial at a time to
+polynomials, and the partial-derivative iterators over sorted
+``(variable, exponent)`` tuples, the shape of both a v-part and a word
+monomial.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Union
+import cmath
+import re
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 CLEANUP_EPS = 1e-14
 EQ_EPS = 1e-12
@@ -32,6 +41,50 @@ Mono = tuple[int, tuple[tuple[int, int], ...]]
 
 Scalar = Union[int, float, complex]
 
+#: sorted ((variable, exponent), ...): a Mono's v-part, or a word monomial
+Factors = tuple[tuple[Hashable, int], ...]
+
+
+def merge_factors(pairs: Iterable[tuple[Hashable, int]], unit: Hashable) -> Factors:
+    """Sorted factor tuple with repeated variables merged.
+
+    The variable ``unit`` (identically 1) and zero exponents drop out;
+    a negative exponent raises ValueError.
+    """
+    acc: dict = {}
+    for x, e in pairs:
+        if x != unit:
+            acc[x] = acc.get(x, 0) + e
+    for x, e in acc.items():
+        if e < 0:
+            raise ValueError(f"negative exponent {e} for variable {x!r}")
+    return tuple(sorted((x, e) for x, e in acc.items() if e))
+
+
+def first_partials(factors: Factors) -> Iterator[tuple[Hashable, int, Factors]]:
+    """d/dx over the factors: ``(x, e, rest)`` for each factor x^e, where
+    ``rest`` is ``factors`` with that exponent lowered by one."""
+    for i, (x, e) in enumerate(factors):
+        yield x, e, factors[:i] + ((x, e - 1),) + factors[i + 1:]
+
+
+def second_partials(factors: Factors) -> Iterator[tuple[Hashable, Hashable, int, Factors]]:
+    """d2/dx dy over ordered pairs of factors, a factor with itself included:
+    ``(x, y, weight, rest)`` with weight e_x e_y (e (e - 1) when x is y)."""
+    for i, (x, ex) in enumerate(factors):
+        for j, (y, ey) in enumerate(factors):
+            rest = list(factors)
+            if i == j:
+                if ex < 2:
+                    continue
+                weight = ex * (ex - 1)
+                rest[i] = (x, ex - 2)
+            else:
+                weight = ex * ey
+                rest[i] = (x, ex - 1)
+                rest[j] = (y, ey - 1)
+            yield x, y, weight, tuple(rest)
+
 
 def mono(u_exp: int = 0, v: Iterable[tuple[int, int]] = ()) -> Mono:
     """Build a normalized monomial key.
@@ -39,16 +92,7 @@ def mono(u_exp: int = 0, v: Iterable[tuple[int, int]] = ()) -> Mono:
     Merges repeated v-indices, drops v_0 factors (v_0 == 1) and zero
     exponents, and sorts.  Raises on negative exponents.
     """
-    acc: dict[int, int] = {}
-    for j, e in v:
-        if j == 0:
-            continue
-        acc[j] = acc.get(j, 0) + e
-    for j, e in acc.items():
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for v_{j}")
-    ve = tuple(sorted((j, e) for j, e in acc.items() if e != 0))
-    return (int(u_exp), ve)
+    return (int(u_exp), merge_factors(v, 0))
 
 
 def mono_degree(m: Mono) -> int:
@@ -62,44 +106,121 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return mono(a[0] + b[0], a[1] + b[1])
 
 
-class TracePoly:
-    """Immutable sparse trace polynomial.
+def linear(column: Callable[[Hashable], Iterable[tuple[Hashable, Scalar]]],
+           p: "SparsePoly") -> "SparsePoly":
+    """The linear extension to ``p`` of ``column``, which maps one
+    monomial to its image as (monomial, weight) pairs."""
+    acc: dict = {}
+    for m, c in p.terms.items():
+        for mi, w in column(m):
+            acc[mi] = acc.get(mi, 0j) + c * w
+    return type(p)(acc)
 
-    Values are treated as immutable after construction: every operation
-    returns a new instance, so values can be shared freely (including
-    across threads).
+
+class SparsePoly:
+    """Immutable sparse polynomial: ``terms`` maps monomial keys to complex
+    coefficients.
+
+    A subclass fixes its keys: ``_UNIT`` is the key of the constant
+    monomial and ``_mono_mul`` multiplies two keys.  A coefficient that is
+    not finite raises ValueError; one below ``CLEANUP_EPS`` in magnitude
+    is dropped.  Every operation returns a new instance, so values can be
+    shared freely (including across threads).
     """
 
     __slots__ = ("terms",)
+    _UNIT: Hashable
+    _mono_mul: Callable[[Hashable, Hashable], Hashable]
 
-    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        cleaned: dict[Mono, complex] = {}
+    def __init__(self, terms: Mapping[Hashable, Scalar] | None = None):
+        cleaned: dict = {}
         if terms:
             for m, c in terms.items():
                 c = complex(c)
-                if c != c or abs(c.real) == float("inf") or abs(c.imag) == float("inf"):
+                if not cmath.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r} for monomial {m!r}")
                 if abs(c) >= CLEANUP_EPS:
                     cleaned[m] = c
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("TracePoly is immutable")
-
-    # ------------------------------------------------------------------
-    # constructors
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "TracePoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def const(cls, c: Scalar) -> "TracePoly":
-        return cls({mono(): complex(c)})
+    def const(cls, c: Scalar):
+        return cls({cls._UNIT: complex(c)})
 
     @classmethod
-    def one(cls) -> "TracePoly":
+    def one(cls):
         return cls.const(1.0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, m) -> complex:
+        return self.terms.get(m, 0j)
+
+    def coeff_max(self) -> float:
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    # the ring operations; each subclass binds them as its own __add__ and
+    # __mul__ (and reflected forms), so every class keeps distinct operator
+    # functions that profiling and tracing can wrap class by class
+
+    def _add(self, other):
+        if not isinstance(other, type(self)):
+            other = self.const(other)
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
+            acc[m] = acc.get(m, 0j) + c
+        return type(self)(acc)
+
+    def _mul(self, other):
+        if not isinstance(other, type(self)):
+            c = complex(other)
+            return type(self)({m: a * c for m, a in self.terms.items()})
+        key = self._mono_mul
+        acc: dict = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = key(ma, mb)
+                acc[m] = acc.get(m, 0j) + ca * cb
+        return type(self)(acc)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            other = self.const(other)
+        return self + (-other)
+
+    def __rsub__(self, other: Scalar):
+        return self.const(other) + (-self)
+
+    def allclose(self, other: "SparsePoly", rel: float = EQ_EPS) -> bool:
+        """Termwise comparison, relative on the larger coefficient magnitude.
+
+        Differences below CLEANUP_EPS (the storage floor) always pass.
+        """
+        for m in set(self.terms) | set(other.terms):
+            ca, cb = self.coeff(m), other.coeff(m)
+            if abs(ca - cb) > max(CLEANUP_EPS, rel * max(abs(ca), abs(cb))):
+                return False
+        return True
+
+
+class TracePoly(SparsePoly):
+    """Immutable sparse trace polynomial in C[u, u^-1; v]."""
+
+    __slots__ = ()
+    _UNIT = mono()
+    _mono_mul = staticmethod(mono_mul)
 
     @classmethod
     def u(cls, k: int = 1) -> "TracePoly":
@@ -116,30 +237,18 @@ class TracePoly:
     # ------------------------------------------------------------------
     # basic queries
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def trace_degree(self) -> int:
         """Max trace degree over monomials; 0 for the zero polynomial.
 
         The zero polynomial is flagged by ``is_zero`` rather than by a
         sentinel degree.
         """
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
+        return max((mono_degree(m) for m in self.terms), default=0)
 
     def iter_terms(self) -> Iterator[tuple[Mono, complex]]:
         """Terms in canonical order: ascending u_exp, then v-factor tuples."""
         for m in sorted(self.terms):
             yield m, self.terms[m]
-
-    def coeff(self, m: Mono) -> complex:
-        return self.terms.get(m, 0j)
-
-    def coeff_max(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def is_laurent(self) -> bool:
         """True when no v-variable occurs (pure Laurent polynomial in u)."""
@@ -153,38 +262,12 @@ class TracePoly:
     # ring structure
 
     def __add__(self, other: "TracePoly | Scalar") -> "TracePoly":
-        if not isinstance(other, TracePoly):
-            other = TracePoly.const(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0j) + c
-        return TracePoly(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TracePoly":
-        return TracePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TracePoly | Scalar") -> "TracePoly":
-        if not isinstance(other, TracePoly):
-            other = TracePoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "TracePoly":
-        return TracePoly.const(other) + (-self)
+        return self._add(other)
 
     def __mul__(self, other: "TracePoly | Scalar") -> "TracePoly":
-        if not isinstance(other, TracePoly):
-            c = complex(other)
-            return TracePoly({m: a * c for m, a in self.terms.items()})
-        acc: dict[Mono, complex] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                acc[m] = acc.get(m, 0j) + ca * cb
-        return TracePoly(acc)
+        return self._mul(other)
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __truediv__(self, other: Scalar) -> "TracePoly":
         if isinstance(other, TracePoly):
@@ -213,11 +296,7 @@ class TracePoly:
         The image lies in C[v] (all u-exponents 0); tr(Z^0) = 1 makes the
         k=0 case consistent.
         """
-        acc: dict[Mono, complex] = {}
-        for (k0, ve), c in self.terms.items():
-            m = mono(0, ve + ((k0, 1),)) if k0 != 0 else (0, ve)
-            acc[m] = acc.get(m, 0j) + c
-        return TracePoly(acc)
+        return linear(lambda m: [(mono(0, m[1] + ((m[0], 1),)), 1.0)], self)
 
     def substitute_v(
         self, assign: Mapping[int, Scalar] | Callable[[int], Scalar]
@@ -245,32 +324,14 @@ class TracePoly:
 
     def invert_u(self) -> "TracePoly":
         """u^k -> u^{-k} on a pure Laurent polynomial (error if any v occurs)."""
-        acc: dict[Mono, complex] = {}
-        for (k0, ve), c in self.terms.items():
+        for _, ve in self.terms:
             if ve:
-                raise ValueError(
-                    "invert_u is only defined on Laurent polynomials in u "
-                    f"(found v-factors {ve})"
-                )
-            acc[(-k0, ())] = c
-        return TracePoly(acc)
+                raise ValueError("invert_u is only defined on Laurent polynomials in u "
+                                 f"(found v-factors {ve})")
+        return TracePoly({(-k0, ()): c for (k0, _), c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # comparison / display
-
-    def allclose(self, other: "TracePoly", rel: float = EQ_EPS) -> bool:
-        """Termwise comparison, relative on the larger coefficient magnitude.
-
-        Differences below CLEANUP_EPS (the storage floor) always pass.
-        """
-        keys = set(self.terms) | set(other.terms)
-        for m in keys:
-            ca = self.terms.get(m, 0j)
-            cb = other.terms.get(m, 0j)
-            d = abs(ca - cb)
-            if d > max(CLEANUP_EPS, rel * max(abs(ca), abs(cb))):
-                return False
-        return True
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, float, complex)):
@@ -309,19 +370,20 @@ def _signed_num_str(x: float) -> str:
     return _num_str(x) if x < 0 else "+" + _num_str(x)
 
 
+def mono_factors(m: Mono) -> list[str]:
+    """The factors of a monomial as text: ``u``, ``u^k``, ``vj``, ``vj^e``."""
+    k0, ve = m
+    out = [] if k0 == 0 else ["u" if k0 == 1 else f"u^{k0}"]
+    return out + [f"v{j}" if e == 1 else f"v{j}^{e}" for j, e in ve]
+
+
 def format(p: TracePoly) -> str:  # noqa: A001 - module-level op name
     """Canonical text form; ``parse(format(p))`` reproduces ``p`` exactly."""
     if p.is_zero:
         return "0"
     pieces: list[str] = []
-    for (k0, ve), c in p.iter_terms():
-        factors: list[str] = []
-        if k0 == 1:
-            factors.append("u")
-        elif k0 != 0:
-            factors.append(f"u^{k0}")
-        for j, e in ve:
-            factors.append(f"v{j}" if e == 1 else f"v{j}^{e}")
+    for m, c in p.iter_terms():
+        factors = mono_factors(m)
         if c.imag == 0.0:
             sign = "-" if c.real < 0 else "+"
             mag = abs(c.real)
@@ -342,6 +404,10 @@ def format(p: TracePoly) -> str:  # noqa: A001 - module-level op name
 
 
 format_poly = format
+
+
+_UINT = re.compile(r"\d+")
+_FLOAT = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class _Scanner:
@@ -365,14 +431,16 @@ class _Scanner:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def read_uint(self) -> int:
+    def _read(self, pattern: re.Pattern, what: str) -> str:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            raise self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group()
+
+    def read_uint(self) -> int:
+        return int(self._read(_UINT, "an integer"))
 
     def read_int(self) -> int:
         sign = 1
@@ -384,35 +452,8 @@ class _Scanner:
         return sign * self.read_uint()
 
     def read_float(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        n = len(t)
-        if self.pos < n and t[self.pos] in "+-":
-            self.pos += 1
-        digits = False
-        while self.pos < n and t[self.pos].isdigit():
-            self.pos += 1
-            digits = True
-        if self.pos < n and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and t[self.pos].isdigit():
-                self.pos += 1
-                digits = True
-        if not digits:
-            self.pos = start
-            raise self.error("expected a number")
-        if self.pos < n and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and t[self.pos].isdigit():
-                while self.pos < n and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # bare 'e' belongs to something else
-        return float(t[start:self.pos])
+        # a bare 'e' after the digits is left to the next factor
+        return float(self._read(_FLOAT, "a number"))
 
 
 def _parse_coeff(sc: _Scanner) -> complex:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import TPoly, _varrho_coeffs, b_poly, c_poly, nu, pi_eval
+from .moments import _varrho_coeffs, b_poly, c_poly, nu, pi_eval, varrho
 from .operators import GeneratorSpec, exp_apply
 from .tracepoly import TracePoly
 
@@ -89,21 +90,18 @@ class TPolySeries:
     def identity(cls, order: int) -> "TPolySeries":
         return cls.build(order, [0.0, 1.0])
 
-    def __add__(self, other) -> "TPolySeries":
+    def _termwise(self, op, other) -> "TPolySeries":
         if not isinstance(other, TPolySeries):
             other = TPolySeries.build(self.order, [other])
         if other.order != self.order:
             raise ValueError("series orders differ")
-        return TPolySeries(self.order, tuple(a + b for a, b in
-                                             zip(self.coeffs, other.coeffs)))
+        return TPolySeries(self.order, tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other) -> "TPolySeries":
+        return self._termwise(operator.add, other)
 
     def __sub__(self, other) -> "TPolySeries":
-        if not isinstance(other, TPolySeries):
-            other = TPolySeries.build(self.order, [other])
-        if other.order != self.order:
-            raise ValueError("series orders differ")
-        return TPolySeries(self.order, tuple(a - b for a, b in
-                                             zip(self.coeffs, other.coeffs)))
+        return self._termwise(operator.sub, other)
 
     def __mul__(self, other) -> "TPolySeries":
         if not isinstance(other, TPolySeries):
@@ -124,15 +122,16 @@ class TPolySeries:
 
     __rmul__ = __mul__
 
-    def _scalar_constant(self, what: str) -> complex:
-        c0 = self.coeffs[0]
-        if not c0.is_scalar:
-            raise ValueError(f"{what} requires a scalar constant term")
-        return c0.coeff((0, ()))
+    def _number(self, k: int, what: str) -> complex:
+        # the z^k coefficient, which must be a constant (no u, no v)
+        ck = self.coeffs[k]
+        if any(m != (0, ()) for m in ck.terms):
+            raise ValueError(f"{what} requires a constant z^{k} coefficient, got {ck}")
+        return ck.coeff((0, ()))
 
     def exp(self) -> "TPolySeries":
         """e^A: factor out the (scalar) constant term, then a finite sum."""
-        c0 = self._scalar_constant("series exp")
+        c0 = self._number(0, "series exp")
         B = TPolySeries(self.order,
                         (TracePoly.zero(),) + self.coeffs[1:])
         out = TPolySeries.build(self.order, [1.0])
@@ -144,7 +143,7 @@ class TPolySeries:
 
     def recip(self) -> "TPolySeries":
         """1/A; needs an invertible scalar constant term."""
-        c0 = self._scalar_constant("series recip")
+        c0 = self._number(0, "series recip")
         if c0 == 0:
             raise ValueError("series recip requires nonzero constant term")
         K = self.order
@@ -176,10 +175,7 @@ class TPolySeries:
         """
         if not self.coeffs[0].is_zero:
             raise ValueError("series revert requires zero constant term")
-        c1 = self.coeffs[1]
-        if not c1.is_scalar:
-            raise ValueError("series revert requires a scalar linear coefficient")
-        a1 = c1.coeff((0, ()))
+        a1 = self._number(1, "series revert")
         if a1 == 0:
             raise ValueError("series revert requires invertible linear coefficient")
         K = self.order
@@ -190,21 +186,6 @@ class TPolySeries:
             comp = self.compose(TPolySeries(K, tuple(g)))
             g[n] = g[n] - comp.coeffs[n] * (1.0 / a1)
         return TPolySeries(K, tuple(g))
-
-
-def series_arith(op: str, *args) -> TPolySeries:
-    """Dispatch {add|mul|exp|recip|compose|revert} on TPolySeries values."""
-    ops = {
-        "add": lambda a, b: a + b,
-        "mul": lambda a, b: a * b,
-        "exp": lambda a: a.exp(),
-        "recip": lambda a: a.recip(),
-        "compose": lambda a, b: a.compose(b),
-        "revert": lambda a: a.revert(),
-    }
-    if op not in ops:
-        raise ValueError(f"unknown series op {op!r}")
-    return ops[op](*args)
 
 
 # ----------------------------------------------------------------------
@@ -256,38 +237,12 @@ def verify_gen_fn(s: float, t: float, K: int = 8, tol: float = 1e-13) -> float:
 # ----------------------------------------------------------------------
 
 
-def psi_series(s: float, t: float, K: int) -> TPolySeries:
-    """psi^s(t,z) = sum_{k>=1} c_k(s,t) z^k to order K."""
-    return TPolySeries.build(
-        K, [0.0] + [c_poly(k, s).eval(t) for k in range(1, K + 1)])
-
-
-def phi_series(s: float, t: float, K: int) -> TPolySeries:
-    """phi^{s,u}(t,z) = sum_{k>=1} b_k(s,t,u) z^k to order K."""
-    return TPolySeries(K, (TracePoly.zero(),) + tuple(
-        b_poly(k, s).eval(t) for k in range(1, K + 1)))
-
-
-def varrho_series(s: float, K: int) -> TPolySeries:
-    """varrho(s,z) = sum_{k>=1} e^{ks/2} nu_k(s) z^k to order K."""
-    from .moments import varrho as _vr
-    return TPolySeries.build(K, [0.0] + [_vr(k, s) for k in range(1, K + 1)])
-
-
-def _tpoly_dt(tp: TPoly, t: float) -> complex:
-    acc = 0j
-    for j in range(len(tp.coeffs) - 1, 0, -1):
-        acc = acc * t + j * tp.coeffs[j]
-    return math.exp(tp.prefactor_exp) * acc
-
-
-def _varrho_ds(k: int, s: float) -> float:
-    cs = _varrho_coeffs(k)
-    acc = Fraction(0)
-    sf = Fraction(float(s))
+def _deriv(cs, x):
+    # d/dx sum_j cs[j] x^j by Horner's rule; exact on Fractions
+    acc = 0 * cs[0]
     for j in range(len(cs) - 1, 0, -1):
-        acc = acc * sf + j * cs[j]
-    return float(acc)
+        acc = acc * x + j * cs[j]
+    return acc
 
 
 def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8,
@@ -305,17 +260,17 @@ def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8,
     """
     resid = 0.0
     for t in t_grid:
-        c = [0j] + [c_poly(k, s).eval(t) for k in range(1, K + 1)]
-        c_dt = [0j] + [_tpoly_dt(c_poly(k, s), t) for k in range(1, K + 1)]
+        cps = [c_poly(k, s) for k in range(1, K + 1)]
+        c = [0j] + [cp.eval(t) for cp in cps]
+        c_dt = [0j] + [math.exp(cp.prefactor_exp) * _deriv(cp.coeffs, t) for cp in cps]
         b = [TracePoly.zero()] + [b_poly(k, s).eval(t) for k in range(1, K + 1)]
         b_dt = [TracePoly.zero()] + [
             sum((j * b_poly(k, s).coeffs[j] * t ** (j - 1)
                  for j in range(1, len(b_poly(k, s).coeffs))), TracePoly.zero())
             for k in range(1, K + 1)]
-        vr = [0.0] + [float(sum(cf * Fraction(float(t)) ** j
-                                for j, cf in enumerate(_varrho_coeffs(k))))
-                      for k in range(1, K + 1)]
-        vr_ds = [0.0] + [_varrho_ds(k, t) for k in range(1, K + 1)]
+        vr = [0.0] + [varrho(k, t) for k in range(1, K + 1)]
+        vr_ds = [0.0] + [float(_deriv(_varrho_coeffs(k), Fraction(float(t))))
+                         for k in range(1, K + 1)]
         for k in range(1, K + 1):
             # psi: d/dt c_k = sum_{m+j=k} c_m j c_j
             rhs = sum(c[m] * ((k - m) * c[k - m]) for m in range(1, k))

@@ -20,12 +20,14 @@ Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .operators import MAX_DEGREE, exp_series
-from .tracepoly import CLEANUP_EPS, EQ_EPS, TracePoly
+from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_factors,
+                        second_partials)
 
 MAX_WORD_LEN = 2 * MAX_DEGREE
 
@@ -93,114 +95,42 @@ WordKey = tuple[tuple[str, int], ...]  # sorted ((canonical word, exponent), ...
 
 def wmono(pairs: Iterable[tuple[str, int]]) -> WordKey:
     """Normalize a factor list into a monomial key (empty words drop out)."""
-    acc: dict[str, int] = {}
-    for w, e in pairs:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for word {w!r}")
-        if e and w:
-            acc[w] = acc.get(w, 0) + e
-    return tuple(sorted((w, e) for w, e in acc.items() if e))
+    return merge_factors(pairs, "")
 
 
 def _wmono_mul(a: WordKey, b: WordKey) -> WordKey:
-    return wmono(tuple(a) + tuple(b))
+    return merge_factors(a + b, "")
 
 
 def wmono_degree(m: WordKey) -> int:
     return sum(len(w) * e for w, e in m)
 
 
-class WordPoly:
+class WordPoly(SparsePoly):
     """Sparse polynomial in the word variables v_eps."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[WordKey, complex] | None = None):
-        clean: dict[WordKey, complex] = {}
-        if terms:
-            for m, c in terms.items():
-                c = complex(c)
-                if abs(c.real) + abs(c.imag) > CLEANUP_EPS:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WordPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "WordPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c) -> "WordPoly":
-        return cls({(): complex(c)})
-
-    @classmethod
-    def one(cls) -> "WordPoly":
-        return cls.const(1.0)
+    __slots__ = ()
+    _UNIT = ()
+    _mono_mul = staticmethod(_wmono_mul)
 
     @classmethod
     def var(cls, word, exp: int = 1) -> "WordPoly":
         return cls({wmono([(canonicalize(word), exp)]): 1.0})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def trace_degree(self) -> int:
         return max((wmono_degree(m) for m in self.terms), default=0)
-
-    def coeff(self, m: WordKey) -> complex:
-        return self.terms.get(m, 0j)
-
-    def coeff_max(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def evaluate_ones(self) -> complex:
         """Value with every v_eps set to 1."""
         return sum(self.terms.values(), 0j)
 
     def __add__(self, other) -> "WordPoly":
-        if not isinstance(other, WordPoly):
-            other = WordPoly.const(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0j) + c
-        return WordPoly(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "WordPoly":
-        return WordPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "WordPoly":
-        if not isinstance(other, WordPoly):
-            other = WordPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "WordPoly":
-        return WordPoly.const(other) + (-self)
+        return self._add(other)
 
     def __mul__(self, other) -> "WordPoly":
-        if not isinstance(other, WordPoly):
-            c = complex(other)
-            return WordPoly({m: a * c for m, a in self.terms.items()})
-        acc: dict[WordKey, complex] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _wmono_mul(ma, mb)
-                acc[m] = acc.get(m, 0j) + ca * cb
-        return WordPoly(acc)
+        return self._mul(other)
 
-    __rmul__ = __mul__
-
-    def allclose(self, other: "WordPoly", rel: float = EQ_EPS) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        for m in keys:
-            ca, cb = self.terms.get(m, 0j), other.terms.get(m, 0j)
-            if abs(ca - cb) > max(CLEANUP_EPS, rel * max(abs(ca), abs(cb))):
-                return False
-        return True
+    __radd__, __rmul__ = __add__, __mul__
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -227,29 +157,20 @@ def _eps_word(j: int, k: int) -> str:
 
 
 def _require_u_free(q: TracePoly, who: str) -> None:
-    for m in q.terms:
-        if m[0] != 0:
-            raise ValueError(f"{who} requires an element of C[v] (no powers of u)")
+    if not q.is_scalar():
+        raise ValueError(f"{who} requires an element of C[v] (no powers of u)")
 
 
 def iota(q: TracePoly) -> WordPoly:
-    """The linear inclusion C[v] -> W, v_k -> v_{eps(k,0)}."""
+    """The linear inclusion C[v] -> W, v_k -> v_{eps(k,0)}; iota(q) = B(q, 1)."""
     _require_u_free(q, "iota")
-    acc: dict[WordKey, complex] = {}
-    for (_, ve), c in q.terms.items():
-        m = wmono([(_eps_word(j, 0), e) for j, e in ve])
-        acc[m] = acc.get(m, 0j) + c
-    return WordPoly(acc)
+    return sesq_B(q, TracePoly.one())
 
 
 def iota_star(q: TracePoly) -> WordPoly:
-    """The conjugate-linear inclusion, v_k -> v_{eps(0,k)}."""
+    """The conjugate-linear inclusion, v_k -> v_{eps(0,k)}; iota*(q) = B(1, q)."""
     _require_u_free(q, "iota_star")
-    acc: dict[WordKey, complex] = {}
-    for (_, ve), c in q.terms.items():
-        m = wmono([(_eps_word(0, j), e) for j, e in ve])
-        acc[m] = acc.get(m, 0j) + c.conjugate()
-    return WordPoly(acc)
+    return sesq_B(TracePoly.one(), q)
 
 
 def sesq_B(p: TracePoly, q: TracePoly) -> WordPoly:
@@ -260,10 +181,9 @@ def sesq_B(p: TracePoly, q: TracePoly) -> WordPoly:
     """
     acc: dict[WordKey, complex] = {}
     for (k, pve), cp in p.terms.items():
-        mp = wmono([(_eps_word(j, 0), e) for j, e in pve])
+        mp = [(_eps_word(j, 0), e) for j, e in pve]
         for (l, qve), cq in q.terms.items():
-            mq = wmono([(_eps_word(0, j), e) for j, e in qve])
-            m = _wmono_mul(wmono([(_eps_word(k, l), 1)]), _wmono_mul(mp, mq))
+            m = wmono([(_eps_word(k, l), 1), *mp, *((_eps_word(0, j), e) for j, e in qve)])
             acc[m] = acc.get(m, 0j) + cp * cq.conjugate()
     return WordPoly(acc)
 
@@ -314,49 +234,44 @@ def _contract_cross(tokens: str) -> str:
 @lru_cache(maxsize=None)
 def _q_family(eps: str, fam: int) -> WordPoly:
     sigma, fam2 = _FAMILY[fam]
-    n = len(eps)
     acc: dict[WordKey, complex] = {}
 
-    def add(m: WordKey, c: float) -> None:
-        acc[m] = acc.get(m, 0j) + c
-
-    # doubled-letter terms: each contributes fam2 * v_eps
-    for j in range(n):
-        tokens = eps[:j] + _SECOND[eps[j]] + eps[j + 1:]
+    def add(tokens: str, c: float) -> None:
         tokens, star_sign = _resolve_stars(tokens, sigma)
         s1, s2 = _contract_same(tokens)
         m = wmono([(canonicalize(s1), 1), (canonicalize(s2), 1)])
-        add(m, fam2 * star_sign)
+        acc[m] = acc.get(m, 0j) + c * star_sign * fam2
+
+    # doubled-letter terms: each contributes fam2 * v_eps
+    for j in range(len(eps)):
+        add(eps[:j] + _SECOND[eps[j]] + eps[j + 1:], 1.0)
     # pair terms, weight 2 each
-    for j in range(n):
+    for j in range(len(eps)):
         tj, sj = _FIRST[eps[j]]
-        for k in range(j + 1, n):
+        for k in range(j + 1, len(eps)):
             tk, sk = _FIRST[eps[k]]
-            tokens = (eps[:j] + tj + eps[j + 1:k] + tk + eps[k + 1:])
-            tokens, star_sign = _resolve_stars(tokens, sigma)
-            s1, s2 = _contract_same(tokens)
-            m = wmono([(canonicalize(s1), 1), (canonicalize(s2), 1)])
-            add(m, 2.0 * sj * sk * star_sign * fam2)
+            add(eps[:j] + tj + eps[j + 1:k] + tk + eps[k + 1:], 2.0 * sj * sk)
     return WordPoly(acc)
 
 
 @lru_cache(maxsize=None)
 def _r_family(eps: str, delta: str, fam: int) -> WordPoly:
     sigma, fam2 = _FAMILY[fam]
+
+    def cuts(word: str) -> list[tuple[str, float]]:
+        # each letter differentiated once: the trace opened at xi, and its sign
+        out = []
+        for j, ch in enumerate(word):
+            tj, sj = _FIRST[ch]
+            tokens, star_sign = _resolve_stars(word[:j] + tj + word[j + 1:], sigma)
+            out.append((_contract_cross(tokens), sj * star_sign))
+        return out
+
     acc: dict[WordKey, complex] = {}
-    for j in range(len(eps)):
-        tj, sj = _FIRST[eps[j]]
-        t1 = eps[:j] + tj + eps[j + 1:]
-        for k in range(len(delta)):
-            tk, sk = _FIRST[delta[k]]
-            t2 = delta[:k] + tk + delta[k + 1:]
-            tokens1, sign1 = _resolve_stars(t1, sigma)
-            tokens2, sign2 = _resolve_stars(t2, sigma)
-            a = _contract_cross(tokens1)
-            b = _contract_cross(tokens2)
+    for a, sa in cuts(eps):
+        for b, sb in cuts(delta):
             m = wmono([(canonicalize(a + b), 1)])
-            c = sj * sk * sign1 * sign2 * fam2
-            acc[m] = acc.get(m, 0j) + c
+            acc[m] = acc.get(m, 0j) + sa * sb * fam2
     return WordPoly(acc)
 
 
@@ -368,16 +283,12 @@ def derive_generators(eps, delta=None, s: float = 0.0, t: float = 0.0) -> WordPo
     of trace degree |eps| (resp. |eps| + |delta|).  The beta_+ family is
     weighted by (s - t/2) and the beta_- family by t/2.
     """
-    e = canonicalize(eps)
-    if len(e) > MAX_WORD_LEN:
-        raise ValueError(f"word length {len(e)} exceeds {MAX_WORD_LEN}")
-    wp, wm = s - t / 2.0, t / 2.0
-    if delta is None:
-        return wp * _q_family(e, +1) + wm * _q_family(e, -1)
-    d = canonicalize(delta)
-    if len(d) > MAX_WORD_LEN:
-        raise ValueError(f"word length {len(d)} exceeds {MAX_WORD_LEN}")
-    return wp * _r_family(e, d, +1) + wm * _r_family(e, d, -1)
+    words = [canonicalize(w) for w in (eps, delta) if w is not None]
+    for w in words:
+        if len(w) > MAX_WORD_LEN:
+            raise ValueError(f"word length {len(w)} exceeds {MAX_WORD_LEN}")
+    family = _q_family if delta is None else _r_family
+    return (s - t / 2.0) * family(*words, +1) + (t / 2.0) * family(*words, -1)
 
 
 # ----------------------------------------------------------------------
@@ -388,34 +299,18 @@ def derive_generators(eps, delta=None, s: float = 0.0, t: float = 0.0) -> WordPo
 def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
     """Apply Dt_{s,t} (gen="Dst") or Lt_{s,t} (gen="Lst") to p."""
     if gen == "Dst":
-        acc = WordPoly.zero()
-        for m, c in p.terms.items():
-            for i, (w, e) in enumerate(m):
-                rest = m[:i] + ((w, e - 1),) + m[i + 1:]
-                q = derive_generators(w, None, s, t)
-                acc = acc + (0.5 * c * e) * (q * WordPoly({wmono(rest): 1.0}))
-        return acc
-    if gen == "Lst":
-        acc = WordPoly.zero()
-        for m, c in p.terms.items():
-            for i1, (w1, e1) in enumerate(m):
-                for i2, (w2, e2) in enumerate(m):
-                    if i1 == i2:
-                        factor = e1 * (e1 - 1)
-                        if not factor:
-                            continue
-                        rest = list(m)
-                        rest[i1] = (w1, e1 - 2)
-                    else:
-                        factor = e1 * e2
-                        rest = list(m)
-                        rest[i1] = (w1, e1 - 1)
-                        rest[i2] = (w2, e2 - 1)
-                    r = derive_generators(w1, w2, s, t)
-                    acc = acc + (0.5 * c * factor) * (
-                        r * WordPoly({wmono(rest): 1.0}))
-        return acc
-    raise ValueError(f"unknown generator {gen!r} (want 'Dst' or 'Lst')")
+        def column(m: WordKey):
+            return [(_wmono_mul(qm, rest), 0.5 * e * qc)
+                    for w, e, rest in first_partials(m)
+                    for qm, qc in derive_generators(w, None, s, t).terms.items()]
+    elif gen == "Lst":
+        def column(m: WordKey):
+            return [(_wmono_mul(rm, rest), 0.5 * f * rc)
+                    for w1, w2, f, rest in second_partials(m)
+                    for rm, rc in derive_generators(w1, w2, s, t).terms.items()]
+    else:
+        raise ValueError(f"unknown generator {gen!r} (want 'Dst' or 'Lst')")
+    return linear(column, p)
 
 
 def expectation(p: WordPoly, s: float, t: float, N: int,
@@ -427,6 +322,8 @@ def expectation(p: WordPoly, s: float, t: float, N: int,
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError(f"non-finite time s={s!r}, t={t!r}")
     inv_n2 = 1.0 / (N * N)
 
     def gen(q: WordPoly) -> WordPoly:

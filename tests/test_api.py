@@ -1,0 +1,36 @@
+"""The public surface: the names ``freesb`` exports and the CLI's
+subcommands.  Refactors must leave both unchanged."""
+
+import argparse
+
+import freesb
+from freesb import cli
+
+PUBLIC = [
+    "TracePoly", "format_poly", "parse",
+    "GeneratorSpec", "apply_D", "apply_DN", "exp_apply", "operator_matrix",
+    "b_poly", "c_poly", "catalan", "nu", "pi_eval", "varrho",
+    "G", "H", "Pi_series", "biane", "pde_residual", "verify_gen_fn",
+    "Measure", "WordPoly", "canonicalize", "expectation", "iota", "iota_star",
+    "l2_norm_sq", "sesq_B",
+    "SamplerCfg", "basis_uN", "concentration_experiment", "evaluate",
+    "evaluate_word", "expm", "laplacian_eval", "mc_expectation",
+    "sample_mu", "sample_rho", "verify_magic", "zero_test",
+    "__version__",
+]
+
+SUBCOMMANDS = {"heat-apply", "transform", "biane", "moments", "gen-fn-check",
+               "pde-check", "verify-magic", "intertwine-check", "concentration",
+               "mc", "norm"}
+
+
+def test_all_is_pinned():
+    assert freesb.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(freesb, name), name
+
+
+def test_command_table_matches_parser():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli._COMMANDS) == SUBCOMMANDS

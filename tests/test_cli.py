@@ -7,6 +7,7 @@ captured stdout.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -210,3 +211,23 @@ def test_concentration_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 3
     assert abs(float(first[1]) - rep["results"]["rows"][0]["value"]) < 1e-15
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--p", "u", "--measure", "rho", "--s", "nan", "--N", "3"],
+    ["heat-apply", "--gen", "D", "--t", "nan", "--f", "1"],
+])
+def test_nan_time_exits_1(capsys, argv):
+    # both results are exact constants (1) at any finite time; a NaN time
+    # is still an error, not a generator that acts as zero
+    assert cli.main(argv) == 1
+    assert "non-finite" in _one_line_error(capsys)
+
+
+def test_too_many_taylor_stages_exits_1(capsys):
+    # |t| * ||D||_1 on the closure of u^6 would need 900,000 stages
+    t0 = time.perf_counter()
+    code = cli.main(["heat-apply", "--gen", "D", "--t", "1e5", "--f", "u^6"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "MAX_STAGES" in _one_line_error(capsys)

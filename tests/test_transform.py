@@ -8,8 +8,7 @@ import pytest
 from freesb.tracepoly import TracePoly, mono, parse
 from freesb.moments import nu
 from freesb.transform import (MAX_SERIES_ORDER, G, H, Pi_series, TPolySeries,
-                              biane, exp_curve, pde_residual, series_arith,
-                              verify_gen_fn)
+                              biane, exp_curve, pde_residual, verify_gen_fn)
 
 u = TracePoly.u
 
@@ -71,6 +70,9 @@ def test_series_geometric_recip():
     inv = ones.recip()
     for k in range(7):
         assert (inv.coeffs[k] - TracePoly.one()).coeff_max() < 1e-14
+    a = TPolySeries.build(3, [1.0, 1.0])
+    assert (a + a).coeffs[0] == TracePoly.const(2.0)
+    assert (a * a).coeffs[1] == TracePoly.const(2.0)
 
 
 def test_series_exp_scalar():
@@ -107,14 +109,15 @@ def test_series_guards():
         f + TPolySeries.build(5, [0.0, 1.0])               # order mismatch
     with pytest.raises(ValueError):
         Pi_series(1.0, 1.0, MAX_SERIES_ORDER + 1)
-
-
-def test_series_arith_dispatch():
-    a = TPolySeries.build(3, [1.0, 1.0])
-    assert series_arith("add", a, a).coeffs[0] == TracePoly.const(2.0)
-    assert series_arith("mul", a, a).coeffs[1] == TracePoly.const(2.0)
-    with pytest.raises(ValueError):
-        series_arith("log", a)
+    # exp and recip need a constant term free of u and v, revert a
+    # constant z-coefficient
+    for c in (u(1), TracePoly.v(1), u(1) + 2.0):
+        with pytest.raises(ValueError):
+            TPolySeries.build(3, [c, 1.0]).exp()
+        with pytest.raises(ValueError):
+            TPolySeries.build(3, [c, 1.0]).recip()
+        with pytest.raises(ValueError):
+            TPolySeries.build(3, [0.0, c]).revert()
 
 
 def test_exp_curve_numeric():

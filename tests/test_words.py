@@ -231,6 +231,22 @@ def test_expectation_eigenvalue_observables():
         assert abs(e2 - math.exp(0.8)) < 1e-12
 
 
+@pytest.mark.parametrize("cls,key", [(WordPoly, ()), (TracePoly, (0, ()))])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_nonfinite_coefficients_raise(cls, key, bad):
+    # both polynomial types share one constructor
+    with pytest.raises(ValueError, match="non-finite"):
+        cls({key: bad})
+
+
+def test_nan_generators_raise():
+    # a NaN time makes NaN generators, which must not act as zero
+    with pytest.raises(ValueError):
+        derive_generators("a", None, float("nan"), 0.0)
+    with pytest.raises(ValueError):
+        expectation(iota(v(1)), float("nan"), 0.0, 4)
+
+
 def test_expectation_linear():
     p, q = iota(v(1)), WordPoly.var("as")
     s, t, N = 1.2, 0.6, 4
