@@ -30,6 +30,7 @@ from .moments import pi_eval
 RNG_NAME = "philox4x64"
 MAX_SAMPLER_N = 128
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
+_DRAW_BYTES = 32 << 20  # noise one chunk draws at once (whole steps, at least one)
 
 CMatrix = np.ndarray
 
@@ -238,7 +239,7 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
 # ----------------------------------------------------------------------
 
 
-def expm(M: CMatrix, tol: float = 1e-14, polar_correct: bool = False) -> CMatrix:
+def expm(M: CMatrix, polar_correct: bool = False) -> CMatrix:
     """e^M by scaling-and-squaring with a truncated Taylor series.
 
     Anti-Hermitian M yields a unitary result to roundoff; setting
@@ -246,14 +247,14 @@ def expm(M: CMatrix, tol: float = 1e-14, polar_correct: bool = False) -> CMatrix
     iteration for the polar factor (off by default).
     """
     M = np.asarray(M, dtype=complex)
-    out = _expm_batch(M[np.newaxis], tol=tol)[0]
+    out = _expm_batch(M[np.newaxis])[0]
     if polar_correct:
         for _ in range(3):
             out = 0.5 * (out + np.linalg.inv(out).conj().T)
     return out
 
 
-def _expm_batch(Ms: np.ndarray, tol: float = 1e-14, terms: int = 18) -> np.ndarray:
+def _expm_batch(Ms: np.ndarray) -> np.ndarray:
     """Batched e^M over the leading axis.
 
     Scaling and the (fixed) Taylor term count are chosen per matrix, so
@@ -272,7 +273,7 @@ def _expm_batch(Ms: np.ndarray, tol: float = 1e-14, terms: int = 18) -> np.ndarr
     N = Ms.shape[-1]
     acc = np.broadcast_to(np.eye(N, dtype=complex), Ms.shape).copy()
     term = acc.copy()
-    for k in range(1, terms + 1):
+    for k in range(1, 19):  # 18 terms
         term = term @ A / k
         acc += term
     for r in range(int(nsq.max())):
@@ -336,19 +337,23 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
             raise ValueError("rho sampler requires s >= 0")
         delta = cfg.s / steps
         n_noise = 1
-    draws = np.stack([
-        _stream(cfg.seed, i).standard_normal((steps, n_noise, 2, N, N))
-        for i in indices])
+    # each sample's stream fills its draws in order, so drawing a block of
+    # steps at a time gives the same numbers as drawing all steps at once
+    streams = [_stream(cfg.seed, i) for i in indices]
+    block = max(1, _DRAW_BYTES // (len(indices) * n_noise * 2 * N * N * 8))
     U = np.broadcast_to(np.eye(N, dtype=complex), (len(indices), N, N)).copy()
-    for step in range(steps):
-        G1 = _gaussian_uN(draws[:, step, 0], N)
-        if is_mu:
-            G2 = _gaussian_uN(draws[:, step, 1], N)
-            A = math.sqrt(delta) * (math.sqrt(cfg.s - cfg.t / 2.0) * G1
-                                    + 1j * math.sqrt(cfg.t / 2.0) * G2)
-        else:
-            A = math.sqrt(delta) * G1
-        U = U @ _expm_batch(A)
+    for lo in range(0, steps, block):
+        shape = (min(block, steps - lo), n_noise, 2, N, N)
+        draws = np.stack([g.standard_normal(shape) for g in streams])
+        for step in range(shape[0]):
+            G1 = _gaussian_uN(draws[:, step, 0], N)
+            if is_mu:
+                G2 = _gaussian_uN(draws[:, step, 1], N)
+                A = math.sqrt(delta) * (math.sqrt(cfg.s - cfg.t / 2.0) * G1
+                                        + 1j * math.sqrt(cfg.t / 2.0) * G2)
+            else:
+                A = math.sqrt(delta) * G1
+            U = U @ _expm_batch(A)
     return U
 
 

@@ -82,8 +82,6 @@ def pi_via_semigroup(p: TracePoly, s: float, tol: float = 1e-13) -> TracePoly:
     Independent of :func:`pi_eval`; the two routes agreeing is one of the
     library's cross-checks.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q = exp_apply(GeneratorSpec.pi_gen(), -s / 2.0, p, tol=tol)
     return q.substitute_v(lambda j: 1.0)
 
@@ -150,10 +148,7 @@ def _c_hat(k: int, s: float) -> tuple[float, ...]:
     # of every product c_{k-m} c_m combine to the same e^{-ks/2}, so the
     # deflated recursion never touches an exponential:
     #   chat_k = nuhat_k(s) + sum_m m * int_0^t chat_{k-m} chat_m
-    if k == 1:
-        return (float(_nu_hat_exact(1, s)),)
-    acc = [0.0] * k
-    acc[0] = float(_nu_hat_exact(k, s))
+    acc = [float(_nu_hat_exact(k, s))] + [0.0] * (k - 1)
     for m in range(1, k):
         prod = _poly_mul(list(_c_hat(k - m, s)), list(_c_hat(m, s)))
         for j, pj in enumerate(_poly_int(prod)):
@@ -176,19 +171,11 @@ def c_poly(k: int, s: float) -> TPoly:
 
 @lru_cache(maxsize=None)
 def _b_table(k: int, s: float) -> tuple[TracePoly, ...]:
-    if k == 1:
-        return (TracePoly.u(1),)
-    acc = [TracePoly.zero() for _ in range(k)]
-    acc[0] = TracePoly.u(k)
+    acc = [TracePoly.u(k)] + [TracePoly.zero()] * (k - 1)
     for m in range(1, k):
-        c_coeffs = c_poly(k - m, s).materialize()
-        bm = _b_table(m, s)
-        prod = [TracePoly.zero()] * (len(c_coeffs) + len(bm) - 1)
-        for i, ci in enumerate(c_coeffs):
-            for j, bj in enumerate(bm):
-                prod[i + j] = prod[i + j] + ci * bj
+        prod = _poly_mul(c_poly(k - m, s).materialize(), list(_b_table(m, s)))
         for j, pj in enumerate(_poly_int(prod)):
-            acc[j] = acc[j] + float(m) * pj
+            acc[j] += m * pj
     return tuple(acc)
 
 
@@ -208,10 +195,7 @@ def b_poly(k: int, s: float) -> TLaurentPoly:
 def _varrho_coeffs(k: int) -> tuple[Fraction, ...]:
     # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m};
     # rational coefficients, kept exact.
-    if k == 1:
-        return (Fraction(1),)
-    acc = [Fraction(0)] * k
-    acc[0] = Fraction(1)
+    acc = [Fraction(1)] + [Fraction(0)] * (k - 1)
     half_k = Fraction(k, 2)
     for m in range(1, k):
         prod = _poly_mul(list(_varrho_coeffs(m)), list(_varrho_coeffs(k - m)))

@@ -29,8 +29,10 @@ import numpy as np
 
 from .tracepoly import Mono, TracePoly, first_partials, linear, mono, second_partials
 
-MAX_TERMS = 500
-MAX_STAGES = 100_000  # Taylor stages of one exp_series call
+MAX_TERMS = 500  # Taylor terms of one stage
+STEP_NORM = 2.0  # largest 1-norm of a stage's generator
+STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
+MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
 MAX_DEGREE = 12
 BASIS_CAP = 200_000
 
@@ -40,6 +42,7 @@ BASIS_CAP = 200_000
 #
 # Each operator is a column function: it maps one monomial to its image
 # as (monomial, weight) pairs, and ``linear`` extends it to polynomials.
+# ``_COLUMNS`` names them all; a GeneratorSpec is a weighted sum of them.
 
 
 def _vdeg(m: Mono) -> int:
@@ -93,71 +96,44 @@ def _col_pi(m: Mono) -> list[tuple[Mono, float]]:
     return [(m, float(_vdeg(m)))] + [(mi, 2.0 * w) for mi, w in _col_Z(m)]
 
 
-def _apply_N0(p: TracePoly) -> TracePoly:
-    return linear(lambda m: [(m, float(_vdeg(m)))], p)
-
-
-def _apply_N1(p: TracePoly) -> TracePoly:
-    return linear(lambda m: [(m, float(abs(m[0])))], p)
-
-
-def _apply_Aplus(p: TracePoly) -> TracePoly:
-    return TracePoly({m: c for m, c in p.terms.items() if m[0] >= 0})
-
-
-def _apply_Aminus(p: TracePoly) -> TracePoly:
-    return TracePoly({m: c for m, c in p.terms.items() if m[0] <= -1})
-
-
-def _apply_sgn(p: TracePoly) -> TracePoly:
+_COLUMNS: dict[str, Callable[[Mono], list[tuple[Mono, float]]]] = {
+    "N0": lambda m: [(m, float(_vdeg(m)))],
+    "N1": lambda m: [(m, float(abs(m[0])))],
+    "Y": _col_Y,
+    "Z": _col_Z,
+    "L": _col_L,
+    "D": _col_D,
+    "PI_GEN": _col_pi,
+    "Aplus": lambda m: [(m, 1.0)] if m[0] >= 0 else [],
+    "Aminus": lambda m: [(m, 1.0)] if m[0] <= -1 else [],
     # sgn(u^k) = u^k for k >= 0 and -u^k for k <= -1  (sgn(0) = 1)
-    return linear(lambda m: [(m, 1.0 if m[0] >= 0 else -1.0)], p)
-
-
-def _apply_Mu(p: TracePoly, k: int) -> TracePoly:
-    return TracePoly({(m[0] + k, m[1]): c for m, c in p.terms.items()})
-
-
-def _apply_Y(p: TracePoly) -> TracePoly:
-    return linear(_col_Y, p)
-
-
-def _apply_Z(p: TracePoly) -> TracePoly:
-    return linear(_col_Z, p)
-
-
-def _apply_L(p: TracePoly) -> TracePoly:
-    return linear(_col_L, p)
-
-
-_NAMED: dict[str, Callable[[TracePoly], TracePoly]] = {
-    "N0": _apply_N0,
-    "N1": _apply_N1,
-    "Y": _apply_Y,
-    "Z": _apply_Z,
-    "L": _apply_L,
-    "Aplus": _apply_Aplus,
-    "Aminus": _apply_Aminus,
-    "sgn": _apply_sgn,
+    "sgn": lambda m: [(m, 1.0 if m[0] >= 0 else -1.0)],
 }
 
 
+def _column(name: str):
+    try:
+        return _COLUMNS[name]
+    except KeyError:
+        raise ValueError(f"unknown operator name {name!r}") from None
+
+
 def apply_named(name: str, p: TracePoly, aux: int | None = None) -> TracePoly:
-    """Apply a named operator; ``Mu`` needs ``aux`` = the power k of u."""
+    """Apply an operator of ``_COLUMNS``, or ``Mu`` = multiplication by u^aux."""
     if name == "Mu":
         if aux is None:
             raise ValueError("Mu requires aux = k (multiply by u^k)")
-        return _apply_Mu(p, aux)
-    try:
-        fn = _NAMED[name]
-    except KeyError:
-        raise ValueError(f"unknown operator name {name!r}") from None
-    return fn(p)
+        return TracePoly({(m[0] + aux, m[1]): c for m, c in p.terms.items()})
+    return linear(_column(name), p)
 
 
 def apply_D(p: TracePoly) -> TracePoly:
     """D = -N0 - N1 - 2Z - 2Y (first order; preserves trace degree)."""
     return linear(_col_D, p)
+
+
+def _apply_L(p: TracePoly) -> TracePoly:
+    return linear(_col_L, p)
 
 
 def apply_DN(p: TracePoly, N: int) -> TracePoly:
@@ -176,9 +152,9 @@ def apply_DN(p: TracePoly, N: int) -> TracePoly:
 class GeneratorSpec:
     """A weighted combination of named generators.
 
-    ``terms`` maps generator names from {D, L, N0, N1, Y, Z, PI_GEN} to
-    complex weights; PI_GEN denotes N0 + 2Z (the generator whose
-    semigroup realizes the evaluation map pi_s).
+    ``terms`` maps names of ``_COLUMNS`` to complex weights; PI_GEN
+    denotes N0 + 2Z (the generator whose semigroup realizes the
+    evaluation map pi_s).
     """
 
     terms: tuple[tuple[str, complex], ...]
@@ -198,15 +174,8 @@ class GeneratorSpec:
         return cls((("PI_GEN", 1.0),))
 
     def apply(self, p: TracePoly) -> TracePoly:
-        out = TracePoly.zero()
-        for name, w in self.terms:
-            if name == "D":
-                out = out + w * apply_D(p)
-            elif name == "PI_GEN":
-                out = out + w * linear(_col_pi, p)
-            else:
-                out = out + w * apply_named(name, p)
-        return out
+        cols = [(_column(name), w) for name, w in self.terms]
+        return linear(lambda m: [(mi, w * c) for col, w in cols for mi, c in col(m)], p)
 
 
 # ======================================================================
@@ -243,8 +212,7 @@ def _compile(apply_fn, make, seed):
             np.array(vals, dtype=complex))
 
 
-def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
-               step_norm: float = 2.0):
+def exp_series(apply_fn, p, tol: float = 1e-13):
     """e^G p for a linear map G given as ``apply_fn``, by truncated Taylor.
 
     Works for any polynomial type whose instances hold a ``terms`` dict
@@ -255,15 +223,17 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
     G is compiled on that closure to a sparse matrix A in COO form (see
     :func:`_compile`), so each Taylor term costs one sparse product,
     O(nnz) time and memory.  The series runs in m stages,
-    e^A = (e^{A/m})^m, with m = ceil(||A||_1 / step_norm) from the exact
-    1-norm of A.  Within a stage, ||A/m||_1 <= step_norm bounds the tail
+    e^A = (e^{A/m})^m, with m = ceil(||A||_1 / STEP_NORM) from the exact
+    1-norm of A.  Within a stage, ||A/m||_1 <= STEP_NORM bounds the tail
     after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
     summation stops once that bound is below (tol / m) * ||sum||_1.  The
     rule is relative only, so the result is homogeneous in p at any
-    scale.  More than ``MAX_STAGES`` stages raise ValueError before any
-    stage runs; a stage that needs more than ``max_terms`` terms raises
-    RuntimeError.
+    scale.  A series whose work m * (nnz + STAGE_COST) exceeds
+    ``MAX_WORK`` raises ValueError before any stage runs; a stage that
+    needs more than ``MAX_TERMS`` terms raises RuntimeError.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if not p.terms:
         return p
     basis, rows, cols, vals = _compile(apply_fn, type(p), p.terms)
@@ -271,10 +241,10 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
-    if not norm / step_norm <= MAX_STAGES:
-        raise ValueError(f"the generator's 1-norm on the closure is {norm:.3g}: the "
-                         f"series would need more than MAX_STAGES={MAX_STAGES} stages")
-    m = max(1, math.ceil(norm / step_norm))
+    if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
+        raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
+                         f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
+    m = max(1, math.ceil(norm / STEP_NORM))
     stage_norm = norm / m
     vals = vals / m
     stage_tol = tol / m
@@ -287,7 +257,7 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
     for _ in range(m):
         acc = x.copy()
         term = x
-        for k in range(1, max_terms + 1):
+        for k in range(1, MAX_TERMS + 1):
             term = matvec(term) / k
             acc += term
             r = stage_norm / (k + 1)
@@ -295,7 +265,7 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
                 break
         else:
             raise RuntimeError(
-                f"semigroup Taylor series did not converge within {max_terms} terms"
+                f"semigroup Taylor series did not converge within {MAX_TERMS} terms"
             )
         x = acc
     return type(p)(dict(zip(basis, x.tolist())))
@@ -304,8 +274,6 @@ def exp_series(apply_fn, p, tol: float = 1e-13, max_terms: int = MAX_TERMS,
 def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,
               tol: float = 1e-13) -> TracePoly:
     """e^{theta G} p for a GeneratorSpec G; theta may have either sign."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not math.isfinite(theta):
         raise ValueError(f"non-finite time {theta!r}")
     if theta == 0.0:

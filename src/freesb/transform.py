@@ -245,8 +245,7 @@ def _deriv(cs, x):
     return acc
 
 
-def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8,
-                 tol: float = 1e-13) -> float:
+def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8) -> float:
     """Max coefficientwise residual of the quasilinear PDE system.
 
     Checks, at each t in ``t_grid`` and to order K:

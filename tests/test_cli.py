@@ -12,10 +12,10 @@ import time
 import pytest
 
 import freesb.cli as cli
+import freesb.operators as operators
 import freesb.words as words
 from freesb import __version__
 from freesb.matrixlab import RNG_NAME
-from freesb.operators import exp_series
 
 
 def run(capsys, *argv):
@@ -178,10 +178,7 @@ def test_malformed_env_seed_exits_1(capsys, monkeypatch):
 
 def test_nonconvergent_series_exits_1(capsys, monkeypatch):
     # the real exp_series with too few terms allowed per stage
-    def short_exp_apply(gen, theta, p, tol):
-        return exp_series(lambda q: theta * gen.apply(q), p, tol=tol, max_terms=2)
-
-    monkeypatch.setattr(cli, "exp_apply", short_exp_apply)
+    monkeypatch.setattr(operators, "MAX_TERMS", 2)
     code = cli.main(["heat-apply", "--gen", "D", "--t", "1.0", "--f", "u^3"])
     assert code == 1
     assert "did not converge" in _one_line_error(capsys)
@@ -230,4 +227,14 @@ def test_too_many_taylor_stages_exits_1(capsys):
     code = cli.main(["heat-apply", "--gen", "D", "--t", "1e5", "--f", "u^6"])
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
-    assert "MAX_STAGES" in _one_line_error(capsys)
+    assert "MAX_WORK" in _one_line_error(capsys)
+
+
+def test_too_much_taylor_work_exits_1(capsys):
+    # 98,700 stages on an 8,661-nonzero closure: few stages, but each costly
+    t0 = time.perf_counter()
+    code = cli.main(["heat-apply", "--gen", "DN", "--N", "4", "--t", "4700", "--f",
+                     "u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "MAX_WORK" in _one_line_error(capsys)

@@ -3,12 +3,15 @@ the finite-N Laplacian, the two diffusion samplers, and the Monte
 Carlo estimator with its determinism contract.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import freesb.matrixlab as matrixlab
 from freesb.tracepoly import TracePoly, parse
 from freesb.operators import GeneratorSpec, apply_DN, exp_apply
 from freesb.words import Measure, WordPoly, expectation, iota, l2_norm_sq
@@ -150,6 +153,23 @@ def test_sampler_chunk_invariance():
     batch = _sample_batch(cfg, np.arange(4))
     for idx in range(4):
         assert np.array_equal(batch[idx], sample_rho(cfg, idx))
+
+
+def test_sampler_draws_blocks_of_steps(monkeypatch):
+    # blocks of 7 steps do not divide 50 and leave every bit unchanged;
+    # the noise held at once no longer grows with the number of steps
+    cfg = SamplerCfg(N=4, s=1.0, t=0.6, steps=50, seed=2)
+    whole = _sample_batch(cfg, list(range(8)))
+    step_bytes = 8 * 2 * 2 * 4 * 4 * 8  # samples, noises, re/im, N x N, float64
+    monkeypatch.setattr(matrixlab, "_DRAW_BYTES", 7 * step_bytes)
+    assert np.array_equal(_sample_batch(cfg, list(range(8))), whole)
+    peaks = []
+    for steps in (50, 400):
+        tracemalloc.start()
+        _sample_batch(dataclasses.replace(cfg, steps=steps), list(range(8)))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------- monte carlo

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import freesb.operators as operators
 from freesb.tracepoly import TracePoly, mono, parse
 from freesb.operators import (GeneratorSpec, apply_D, apply_DN, apply_named,
                               exp_apply, exp_series, monomial_basis,
@@ -143,6 +144,39 @@ def test_degree_preservation(seed):
             assert q.trace_degree() <= d, name
 
 
+@pytest.mark.parametrize("name", sorted(operators._COLUMNS))
+def test_every_named_column(name):
+    # apply_named, a one-term GeneratorSpec and the compiled matrix all
+    # read the same column of the table
+    p = _rand_poly(np.random.default_rng(5), 4)
+    spec = GeneratorSpec(((name, 1.0),))
+    assert spec.apply(p) == apply_named(name, p)
+    M = operator_matrix(spec, 3)
+    for j, m in enumerate(M.basis):
+        col = M.coords(apply_named(name, TracePoly({m: 1.0})))
+        assert np.array_equal(M.entries[:, j], col), m
+
+
+def test_spec_sums_overlapping_images():
+    # p holds monomials together with their Y, Z and L images, so the
+    # images of N0, Y, Z and L under one spec share monomials
+    rng = np.random.default_rng(8)
+    weights = {"N0": 0.3 - 1.2j, "Y": -2.0 + 0.5j, "Z": 1.7j, "L": -0.04 + 0.9j}
+    spec = GeneratorSpec(tuple(weights.items()))
+    for _ in range(10):
+        q = _rand_poly(rng, 5)
+        p = q + sum((complex(rng.normal(), 1.0) * apply_named(name, q)
+                     for name in ("Y", "Z", "L")), TracePoly.zero())
+        images = [w * apply_named(name, p) for name, w in weights.items()]
+        monos = [m for img in images for m in img.terms]
+        assert len(monos) > len(set(monos))
+        want = sum(images, TracePoly.zero())
+        assert (spec.apply(p) - want).coeff_max() <= 1e-15 * want.coeff_max()
+    for bad in ("Q", "Mu"):
+        with pytest.raises(ValueError):
+            GeneratorSpec(((bad, 1.0),)).apply(p)
+
+
 # ---------------------------------------------------------------- semigroups
 
 
@@ -183,12 +217,13 @@ def test_triangular_diagonal_action():
             assert abs(diag - want) < 1e-10, (k, sign)
 
 
-def test_exp_series_rejects_runaway():
+def test_exp_series_rejects_runaway(monkeypatch):
     # an operator that doubles the coefficient of a fixed monomial never
     # converges termwise if we forbid enough terms
+    monkeypatch.setattr(operators, "MAX_TERMS", 5)
     p = TracePoly.one()
     with pytest.raises(RuntimeError):
-        exp_series(lambda q: 40.0 * q, p, max_terms=5)
+        exp_series(lambda q: 40.0 * q, p)
 
 
 # ---------------------------------------------------------------- matrices

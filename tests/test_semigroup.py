@@ -110,7 +110,7 @@ def test_DN_semigroup_at_degree_12():
 
 def test_stage_bound_raises_before_any_stage():
     # ||(t/2) D||_1 on the closure of u^6 is 1.8e6 at t = 1e5: 900,000 stages
-    with pytest.raises(ValueError, match="MAX_STAGES"):
+    with pytest.raises(ValueError, match="MAX_WORK"):
         exp_apply(GeneratorSpec.D(), 0.5e5, u(6))
     # 900 stages run (e^{50 D} u^6 decays below the storage floor)
     assert exp_apply(GeneratorSpec.D(), 50.0, u(6)).is_zero

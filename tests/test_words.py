@@ -247,6 +247,14 @@ def test_nan_generators_raise():
         expectation(iota(v(1)), float("nan"), 0.0, 4)
 
 
+def test_nonpositive_tol_raises():
+    # exp_series checks tol for both engines, before any work
+    with pytest.raises(ValueError, match="tol"):
+        expectation(iota(v(2)), 1.0, 0.0, 4, tol=-1.0)
+    with pytest.raises(ValueError, match="tol"):
+        l2_norm_sq(u(1), Measure.rho(1.0, 4), tol=-1.0)
+
+
 def test_expectation_linear():
     p, q = iota(v(1)), WordPoly.var("as")
     s, t, N = 1.2, 0.6, 4
