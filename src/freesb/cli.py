@@ -9,7 +9,8 @@ Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
 verification command exceeds an asserted tolerance, 1 on usage errors
 and on computations that fail (a malformed FREESB_SEED, a semigroup
-series that does not converge, a norm that comes out non-real).
+series that does not converge, a norm that comes out non-real, a --csv
+file that cannot be written).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -32,14 +33,13 @@ from .operators import GeneratorSpec, exp_apply
 from .moments import b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
 from .words import Measure, l2_norm_sq
-from .matrixlab import (RNG_NAME, SamplerCfg, concentration_experiment,
+from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, concentration_experiment,
                         evaluate, laplacian_eval, mc_expectation, verify_magic)
 from .operators import apply_DN
 
 INTERTWINE_TOL = 1e-8
 GEN_FN_TOL = 1e-8
 PDE_TOL = 1e-8
-MAGIC_TOL = 1e-11
 
 
 def _cpair(z) -> list:
@@ -210,7 +210,7 @@ def _cmd_pde_check(a, seed):
 
 
 def _cmd_verify_magic(a, seed):
-    rep = verify_magic(a.N, tol=MAGIC_TOL)
+    rep = verify_magic(a.N)
     return {**rep, "tol": MAGIC_TOL}, 0 if rep["pass"] else 2
 
 
@@ -305,9 +305,10 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValueError(f"FREESB_SEED must be an integer, got {env!r}") from None
         results, code = _COMMANDS[args.command](args, seed)
-    except (ValueError, TypeError, ArithmeticError, RuntimeError) as e:
+    except (ValueError, TypeError, ArithmeticError, RuntimeError, OSError) as e:
         # bad input, a non-real or negative norm, a Taylor series that
-        # does not converge: one line on stderr, never a traceback
+        # does not converge, a --csv path that cannot be written: one
+        # line on stderr, never a traceback
         print(f"freesb: error: {e}", file=sys.stderr)
         return 1
 

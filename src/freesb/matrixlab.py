@@ -31,6 +31,7 @@ RNG_NAME = "philox4x64"
 MAX_SAMPLER_N = 128
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
 _DRAW_BYTES = 32 << 20  # noise one chunk draws at once (whole steps, at least one)
+MAGIC_TOL = 1e-11  # verify_magic passes when every residual is below this
 
 CMatrix = np.ndarray
 
@@ -67,13 +68,14 @@ def basis_uN(N: int) -> BasisUN:
     return BasisUN(N=N, elements=tuple(out))
 
 
-def verify_magic(N: int, tol: float = 1e-11, seed: int = 7) -> dict:
+def verify_magic(N: int) -> dict:
     """Numerically verify the four magic formulas at random A, B in M_N.
 
     sum X^2 = -I,  sum X A X = -tr(A) I,  sum tr(XA) X = -A/N^2,
-    sum tr(XA) tr(XB) = -tr(AB)/N^2.
+    sum tr(XA) tr(XB) = -tr(AB)/N^2.  A and B are drawn with seed 7;
+    ``pass`` means every residual is below MAGIC_TOL.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     basis = basis_uN(N).elements
@@ -91,7 +93,7 @@ def verify_magic(N: int, tol: float = 1e-11, seed: int = 7) -> dict:
         "m4": float(abs(s4 + tr(A @ B) / N**2)),
     }
     residuals["max"] = max(residuals.values())
-    residuals["pass"] = residuals["max"] < tol
+    residuals["pass"] = residuals["max"] < MAGIC_TOL
     return residuals
 
 
@@ -239,19 +241,13 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
 # ----------------------------------------------------------------------
 
 
-def expm(M: CMatrix, polar_correct: bool = False) -> CMatrix:
+def expm(M: CMatrix) -> CMatrix:
     """e^M by scaling-and-squaring with a truncated Taylor series.
 
-    Anti-Hermitian M yields a unitary result to roundoff; setting
-    ``polar_correct`` post-projects onto the unitary group by Newton
-    iteration for the polar factor (off by default).
+    Anti-Hermitian M yields a unitary result to roundoff.
     """
     M = np.asarray(M, dtype=complex)
-    out = _expm_batch(M[np.newaxis])[0]
-    if polar_correct:
-        for _ in range(3):
-            out = 0.5 * (out + np.linalg.inv(out).conj().T)
-    return out
+    return _expm_batch(M[np.newaxis])[0]
 
 
 def _expm_batch(Ms: np.ndarray) -> np.ndarray:
@@ -495,15 +491,16 @@ def equivariance_check(p: TracePoly, N: int, seed: int = 0, trials: int = 5) -> 
     return worst
 
 
-def zero_test(p: TracePoly, N: int, trials: int = 8, seed: int = 0) -> float:
-    """max entrywise |P_N(D)| over random diagonal D with distinct phases.
+def zero_test(p: TracePoly, N: int) -> float:
+    """max entrywise |P_N(D)| over 8 random diagonal D with distinct phases.
 
     Trace polynomials that vanish on U_N vanish here too; nonvanishing
     ones are typically bounded well away from zero at such witnesses.
+    The witnesses are drawn with seed 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(8):
         while True:
             theta = rng.uniform(0.0, 2.0 * math.pi, size=N)
             if N == 1 or np.abs(np.subtract.outer(theta, theta))[

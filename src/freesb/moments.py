@@ -5,9 +5,15 @@ and an independent semigroup route), and the exact-in-t recursions for
 the coefficient functions c_k(s,t), the Laurent polynomials b_k(s,t,u),
 and the normalized moments varrho_k(t).
 
-Everything here keeps the time variable t symbolic: the recursions only
-ever integrate polynomials in tau, so integration is an exact
-coefficient shift, never quadrature.
+Everything here keeps the time variable t symbolic.  The three sequences
+come from one quadratic recursion (:func:`_recursion`),
+
+    x_k = x_k(0) +- sum_{m=1}^{k-1} m int_0^t y_{k-m} x_m,   y = x (y = c for b),
+
+which only ever integrates polynomials in tau, so integration is an
+exact coefficient shift, never quadrature.  Each result is a
+:class:`TPoly`, one container whose coefficients are numbers (c_k),
+Laurent polynomials in u (b_k) or Fractions (varrho_k).
 """
 
 from __future__ import annotations
@@ -76,18 +82,18 @@ def pi_eval(p: TracePoly, s: float) -> TracePoly:
     return p.substitute_v(lambda j: nu(j, s))
 
 
-def pi_via_semigroup(p: TracePoly, s: float, tol: float = 1e-13) -> TracePoly:
+def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:
     """pi_s as (e^{-(s/2)(N0 + 2Z)} p) followed by setting every v_k to 1.
 
     Independent of :func:`pi_eval`; the two routes agreeing is one of the
     library's cross-checks.
     """
-    q = exp_apply(GeneratorSpec.pi_gen(), -s / 2.0, p, tol=tol)
+    q = exp_apply(GeneratorSpec.pi_gen(), -s / 2.0, p)
     return q.substitute_v(lambda j: 1.0)
 
 
 # ----------------------------------------------------------------------
-# exact-in-t polynomial containers
+# exact-in-t polynomials and the one recursion behind c_k, b_k, varrho_k
 # ----------------------------------------------------------------------
 
 
@@ -105,41 +111,39 @@ def _poly_int(a: list) -> list:
     return [0 * a[0]] + [a[j] / (j + 1) for j in range(len(a))]
 
 
+def _recursion(k: int, first, left, right, sign: int) -> tuple:
+    # coefficients in t of first + sign sum_{m=1}^{k-1} m int_0^t left(k-m) right(m),
+    # where left, right give coefficient lists (numbers, Fractions or TracePolys)
+    acc = [first] + [first - first] * (k - 1)  # a zero of first's type, never -0.0
+    for m in range(1, k):
+        for j, pj in enumerate(_poly_int(_poly_mul(left(k - m), right(m)))):
+            acc[j] += sign * m * pj
+    return tuple(acc)
+
+
 @dataclass(frozen=True)
 class TPoly:
-    """e^{prefactor_exp} * (polynomial in t), coefficients ascending."""
+    """e^{prefactor_exp} * (polynomial in t), coefficients ascending.
 
-    coeffs: tuple[complex, ...]
+    The coefficients may be numbers (c_k), Fractions (varrho_k) or
+    trace polynomials in u (b_k); :meth:`eval` works for each.
+    """
+
+    coeffs: tuple
     prefactor_exp: float = 0.0
 
-    def eval(self, t: float) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
+    def eval(self, t):
+        """The value at t; with prefactor 0 it keeps the coefficients' type,
+        so Fraction coefficients at a Fraction t evaluate exactly."""
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * t + c
-        return math.exp(self.prefactor_exp) * acc
+        return acc if self.prefactor_exp == 0 else math.exp(self.prefactor_exp) * acc
 
-    def materialize(self) -> list[complex]:
+    def materialize(self) -> list:
         """Coefficient list with the prefactor folded in."""
         f = math.exp(self.prefactor_exp)
         return [f * c for c in self.coeffs]
-
-
-@dataclass(frozen=True)
-class TLaurentPoly:
-    """Polynomial in t whose coefficients are Laurent polynomials in u."""
-
-    coeffs: tuple[TracePoly, ...]
-
-    def eval(self, t: float) -> TracePoly:
-        acc = TracePoly.zero()
-        for c in reversed(self.coeffs):
-            acc = t * acc + c
-        return acc
-
-
-# ----------------------------------------------------------------------
-# recursions for c_k, b_k, varrho_k
-# ----------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -148,12 +152,8 @@ def _c_hat(k: int, s: float) -> tuple[float, ...]:
     # of every product c_{k-m} c_m combine to the same e^{-ks/2}, so the
     # deflated recursion never touches an exponential:
     #   chat_k = nuhat_k(s) + sum_m m * int_0^t chat_{k-m} chat_m
-    acc = [float(_nu_hat_exact(k, s))] + [0.0] * (k - 1)
-    for m in range(1, k):
-        prod = _poly_mul(list(_c_hat(k - m, s)), list(_c_hat(m, s)))
-        for j, pj in enumerate(_poly_int(prod)):
-            acc[j] += m * pj
-    return tuple(acc)
+    return _recursion(k, float(_nu_hat_exact(k, s)),
+                      lambda j: _c_hat(j, s), lambda j: _c_hat(j, s), 1)
 
 
 def c_poly(k: int, s: float) -> TPoly:
@@ -171,52 +171,36 @@ def c_poly(k: int, s: float) -> TPoly:
 
 @lru_cache(maxsize=None)
 def _b_table(k: int, s: float) -> tuple[TracePoly, ...]:
-    acc = [TracePoly.u(k)] + [TracePoly.zero()] * (k - 1)
-    for m in range(1, k):
-        prod = _poly_mul(c_poly(k - m, s).materialize(), list(_b_table(m, s)))
-        for j, pj in enumerate(_poly_int(prod)):
-            acc[j] += m * pj
-    return tuple(acc)
+    return _recursion(k, TracePoly.u(k), lambda j: c_poly(j, s).materialize(),
+                      lambda j: _b_table(j, s), 1)
 
 
-def b_poly(k: int, s: float) -> TLaurentPoly:
+def b_poly(k: int, s: float) -> TPoly:
     """b_k(s, ., u) with b_1 = u, by exact integration of
 
         b_k = u^k + sum_{m=1}^{k-1} int_0^t m c_{k-m}(s,tau) b_m(s,tau,u) dtau.
 
-    e^{kt/2} b_k(s,t,u) is the Biane polynomial p_k^{s,t}(u).
+    A TPoly with prefactor 0 whose coefficients are Laurent polynomials
+    in u.  e^{kt/2} b_k(s,t,u) is the Biane polynomial p_k^{s,t}(u).
     """
     if k < 1:
         raise ValueError(f"b_poly needs k >= 1, got {k}")
-    return TLaurentPoly(coeffs=_b_table(k, float(s)))
+    return TPoly(coeffs=_b_table(k, float(s)))
 
 
 @lru_cache(maxsize=None)
-def _varrho_coeffs(k: int) -> tuple[Fraction, ...]:
-    # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m};
-    # rational coefficients, kept exact.
-    acc = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    half_k = Fraction(k, 2)
-    for m in range(1, k):
-        prod = _poly_mul(list(_varrho_coeffs(m)), list(_varrho_coeffs(k - m)))
-        for j, pj in enumerate(_poly_int(prod)):
-            acc[j] -= half_k * pj
-    return tuple(acc)
-
-
 def varrho_coeffs(k: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients of varrho_k as a polynomial in t."""
     if k < 1:
         raise ValueError(f"varrho_coeffs needs k >= 1, got {k}")
-    return _varrho_coeffs(k)
+    # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m},
+    # and (k/2) sum_m f_m f_{k-m} = sum_m m f_{k-m} f_m by the symmetry
+    # m <-> k-m
+    return _recursion(k, Fraction(1), varrho_coeffs, varrho_coeffs, -1)
 
 
 def varrho(k: int, t: float) -> float:
     """varrho_k(t) = e^{kt/2} nu_k(t), via its self-contained recursion."""
     if k < 1:
         raise ValueError(f"varrho needs k >= 1, got {k}")
-    acc = Fraction(0)
-    tf = Fraction(float(t))
-    for c in reversed(_varrho_coeffs(k)):
-        acc = acc * tf + c
-    return float(acc)
+    return float(TPoly(varrho_coeffs(k)).eval(Fraction(float(t))))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -326,13 +327,15 @@ class OperatorMatrix:
     entries: np.ndarray  # entries[i, j] = coefficient of basis[i] in G(basis[j])
 
     def index(self, m: Mono) -> int:
-        return self._index_map()[m]
+        return self._index_map[m]
 
+    @cached_property
     def _index_map(self) -> dict[Mono, int]:
+        # built once per matrix: a set of lookups stays O(basis size)
         return {m: i for i, m in enumerate(self.basis)}
 
     def coords(self, p: TracePoly) -> np.ndarray:
-        idx = self._index_map()
+        idx = self._index_map
         vec = np.zeros(len(self.basis), dtype=complex)
         for m, c in p.terms.items():
             vec[idx[m]] = c

@@ -8,7 +8,9 @@ identity
     Pi(s, t, u, z e^{(1/2)(s-t)(1+z)/(1-z)}) = (1 - u z e^{(s/2)(1+z)/(1-z)})^{-1} - 1
 
 together with the quasilinear PDEs satisfied by the generating functions
-psi^s, phi^{s,u} and varrho.
+psi^s, phi^{s,u} and varrho.  The PDE check reads c_k, b_k and varrho_k
+from :mod:`freesb.moments`, each a polynomial in t (a ``TPoly``), and
+differentiates all three in t with one Horner rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import _varrho_coeffs, b_poly, c_poly, nu, pi_eval, varrho
+from .moments import b_poly, c_poly, nu, pi_eval, varrho, varrho_coeffs
 from .operators import GeneratorSpec, exp_apply
 from .tracepoly import TracePoly
 
@@ -45,7 +47,7 @@ def H(f: TracePoly, s: float, t: float, tol: float = 1e-13) -> TracePoly:
     return pi_eval(exp_apply(GeneratorSpec.D(), -t / 2.0, f, tol=tol), s)
 
 
-def biane(k: int, s: float, t: float, tol: float = 1e-13) -> TracePoly:
+def biane(k: int, s: float, t: float) -> TracePoly:
     """The Biane polynomial p_k^{s,t} = H_{s,t}(u^k); p_0 = 1.
 
     For k >= 0 a polynomial in u, for k < 0 the same polynomial in u^-1
@@ -53,7 +55,7 @@ def biane(k: int, s: float, t: float, tol: float = 1e-13) -> TracePoly:
     """
     if k == 0:
         return TracePoly.one()
-    return H(TracePoly.u(k), s, t, tol=tol)
+    return H(TracePoly.u(k), s, t)
 
 
 # ----------------------------------------------------------------------
@@ -81,10 +83,6 @@ class TPolySeries:
         cs = [_as_tp(c) for c in coeffs]
         cs += [TracePoly.zero()] * (order + 1 - len(cs))
         return cls(order=order, coeffs=tuple(cs[: order + 1]))
-
-    @classmethod
-    def zero(cls, order: int) -> "TPolySeries":
-        return cls.build(order, [])
 
     @classmethod
     def identity(cls, order: int) -> "TPolySeries":
@@ -167,51 +165,27 @@ class TPolySeries:
             out = out * inner + TPolySeries.build(self.order, [self.coeffs[k]])
         return out
 
-    def revert(self) -> "TPolySeries":
-        """Compositional inverse: B with A(B(z)) = z + O(z^{K+1}).
-
-        Requires zero constant term and an invertible scalar linear
-        coefficient.
-        """
-        if not self.coeffs[0].is_zero:
-            raise ValueError("series revert requires zero constant term")
-        a1 = self._number(1, "series revert")
-        if a1 == 0:
-            raise ValueError("series revert requires invertible linear coefficient")
-        K = self.order
-        g = [TracePoly.zero()] * (K + 1)
-        if K >= 1:
-            g[1] = TracePoly.const(1.0 / a1)
-        for n in range(2, K + 1):
-            comp = self.compose(TPolySeries(K, tuple(g)))
-            g[n] = g[n] - comp.coeffs[n] * (1.0 / a1)
-        return TPolySeries(K, tuple(g))
-
 
 # ----------------------------------------------------------------------
 # generating functions
 # ----------------------------------------------------------------------
 
 
-def _moebius_exponent(a: float, K: int) -> TPolySeries:
-    # a*(1+w)/(1-w) = a*(1 + 2w + 2w^2 + ...)
-    return TPolySeries.build(K, [a] + [2.0 * a] * K)
-
-
 def exp_curve(a: float, K: int) -> TPolySeries:
     """The series of e^{a(1+w)/(1-w)} to order K (constant term e^a)."""
-    return _moebius_exponent(a, K).exp()
+    # a*(1+w)/(1-w) = a*(1 + 2w + 2w^2 + ...)
+    return TPolySeries.build(K, [a] + [2.0 * a] * K).exp()
 
 
-def Pi_series(s: float, t: float, K: int, tol: float = 1e-13) -> TPolySeries:
+def Pi_series(s: float, t: float, K: int) -> TPolySeries:
     """Pi(s,t,u,z) = sum_{k>=1} p_k^{s,t}(u) z^k, truncated at order K."""
     if K > MAX_SERIES_ORDER:
         raise ValueError(f"series order {K} exceeds {MAX_SERIES_ORDER}")
     return TPolySeries(K, (TracePoly.zero(),) + tuple(
-        biane(k, s, t, tol=tol) for k in range(1, K + 1)))
+        biane(k, s, t) for k in range(1, K + 1)))
 
 
-def verify_gen_fn(s: float, t: float, K: int = 8, tol: float = 1e-13) -> float:
+def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     """Check the implicit generating-function identity to order K.
 
     Substitutes z(w) = w e^{(1/2)(s-t)(1+w)/(1-w)} into Pi(s,t,u,.) and
@@ -219,7 +193,7 @@ def verify_gen_fn(s: float, t: float, K: int = 8, tol: float = 1e-13) -> float:
     in u), with (1 - u w e^{(s/2)(1+w)/(1-w)})^{-1} - 1.  Returns the
     largest absolute coefficient residual over w^1..w^K.
     """
-    lhs = Pi_series(s, t, K, tol=tol).compose(
+    lhs = Pi_series(s, t, K).compose(
         TPolySeries.identity(K) * exp_curve((s - t) / 2.0, K))
     curve = exp_curve(s / 2.0, K)
     u = TracePoly.u(1)
@@ -238,46 +212,44 @@ def verify_gen_fn(s: float, t: float, K: int = 8, tol: float = 1e-13) -> float:
 
 
 def _deriv(cs, x):
-    # d/dx sum_j cs[j] x^j by Horner's rule; exact on Fractions
+    # d/dx sum_j cs[j] x^j by Horner's rule, for numbers, Fractions (exact)
+    # and trace polynomials alike
     acc = 0 * cs[0]
     for j in range(len(cs) - 1, 0, -1):
         acc = acc * x + j * cs[j]
     return acc
 
 
-def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8) -> float:
+def pde_residual(s: float, K: int = 8) -> float:
     """Max coefficientwise residual of the quasilinear PDE system.
 
-    Checks, at each t in ``t_grid`` and to order K:
+    Checks, at t = 0.3 and t = 0.7 and to order K:
       - d(psi)/dt   = z psi d(psi)/dz        (t-derivatives exact from TPoly)
       - d(phi)/dt   = z psi d(phi)/dz
-      - d(varrho)/ds = -z varrho d(varrho)/dz   (at s-values from the grid)
+      - d(varrho)/ds = -z varrho d(varrho)/dz   (at s = 0.3 and s = 0.7)
     plus the initial-condition identities
       - varrho(0,z) = z/(1-z)               (all coefficients 1)
       - phi^{s,u}(0,z) = uz/(1-uz)          (coefficient k is u^k)
       - psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)   (implicit level-curve form)
     """
     resid = 0.0
-    for t in t_grid:
-        cps = [c_poly(k, s) for k in range(1, K + 1)]
+    cps = [c_poly(k, s) for k in range(1, K + 1)]
+    bps = [b_poly(k, s) for k in range(1, K + 1)]  # prefactor 0
+    for t in (0.3, 0.7):
         c = [0j] + [cp.eval(t) for cp in cps]
         c_dt = [0j] + [math.exp(cp.prefactor_exp) * _deriv(cp.coeffs, t) for cp in cps]
-        b = [TracePoly.zero()] + [b_poly(k, s).eval(t) for k in range(1, K + 1)]
-        b_dt = [TracePoly.zero()] + [
-            sum((j * b_poly(k, s).coeffs[j] * t ** (j - 1)
-                 for j in range(1, len(b_poly(k, s).coeffs))), TracePoly.zero())
-            for k in range(1, K + 1)]
+        b = [TracePoly.zero()] + [bp.eval(t) for bp in bps]
+        b_dt = [TracePoly.zero()] + [_deriv(bp.coeffs, t) for bp in bps]
         vr = [0.0] + [varrho(k, t) for k in range(1, K + 1)]
-        vr_ds = [0.0] + [float(_deriv(_varrho_coeffs(k), Fraction(float(t))))
+        vr_ds = [0.0] + [float(_deriv(varrho_coeffs(k), Fraction(float(t))))
                          for k in range(1, K + 1)]
         for k in range(1, K + 1):
             # psi: d/dt c_k = sum_{m+j=k} c_m j c_j
             rhs = sum(c[m] * ((k - m) * c[k - m]) for m in range(1, k))
             resid = max(resid, abs(c_dt[k] - rhs))
             # phi: d/dt b_k = sum_{m+j=k} c_m j b_j
-            rhs_b = TracePoly.zero()
-            for m in range(1, k):
-                rhs_b = rhs_b + c[m] * float(k - m) * b[k - m]
+            rhs_b = sum((c[m] * float(k - m) * b[k - m] for m in range(1, k)),
+                        TracePoly.zero())
             resid = max(resid, (b_dt[k] - rhs_b).coeff_max())
             # varrho (in the s variable): d/ds vr_k = -sum_{m+j=k} vr_m j vr_j
             rhs_v = -sum(vr[m] * ((k - m) * vr[k - m]) for m in range(1, k))
@@ -285,11 +257,10 @@ def pde_residual(s: float, t_grid=(0.3, 0.7), K: int = 8) -> float:
 
     # varrho(0, z) = z/(1-z): all coefficients exactly 1
     for k in range(1, K + 1):
-        resid = max(resid, abs(float(sum(_varrho_coeffs(k)[:1])) - 1.0))
+        resid = max(resid, abs(float(sum(varrho_coeffs(k)[:1])) - 1.0))
     # phi(0, z) coefficients are u^k
-    for k in range(1, K + 1):
-        resid = max(resid,
-                    (b_poly(k, s).eval(0.0) - TracePoly.u(k)).coeff_max())
+    for k, bp in enumerate(bps, 1):
+        resid = max(resid, (bp.eval(0.0) - TracePoly.u(k)).coeff_max())
     # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)
     psi0 = TPolySeries.build(K, [0.0] + [nu(k, s) for k in range(1, K + 1)])
     lhs = psi0.compose(TPolySeries.identity(K) * exp_curve(s / 2.0, K))

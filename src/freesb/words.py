@@ -313,8 +313,7 @@ def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
     return linear(column, p)
 
 
-def expectation(p: WordPoly, s: float, t: float, N: int,
-                tol: float = 1e-13) -> complex:
+def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
     Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with
@@ -329,7 +328,7 @@ def expectation(p: WordPoly, s: float, t: float, N: int,
     def gen(q: WordPoly) -> WordPoly:
         return apply_tilde("Dst", q, s, t) + inv_n2 * apply_tilde("Lst", q, s, t)
 
-    return exp_series(gen, p, tol=tol).evaluate_ones()
+    return exp_series(gen, p).evaluate_ones()
 
 
 @dataclass(frozen=True)
@@ -350,13 +349,13 @@ class Measure:
         return cls("mu", s, t, N)
 
 
-def l2_norm_sq(p: TracePoly, measure: Measure, tol: float = 1e-13) -> float:
+def l2_norm_sq(p: TracePoly, measure: Measure) -> float:
     """The squared L^2 norm of P_N under the given measure.
 
     expectation(B(p,p)); the result is real up to roundoff, and tiny
     negative values (>= -1e-10) are clipped to 0.
     """
-    val = expectation(sesq_B(p, p), measure.s, measure.t, measure.N, tol=tol)
+    val = expectation(sesq_B(p, p), measure.s, measure.t, measure.N)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"norm came out non-real: {val}")
     out = val.real

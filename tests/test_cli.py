@@ -137,7 +137,7 @@ def test_threads_do_not_change_results(capsys):
 def test_verification_failure_exits_2(capsys, monkeypatch):
     bad = {"m1": 1.0, "m2": 1.0, "m3": 1.0, "m4": 1.0, "max": 1.0,
            "pass": False}
-    monkeypatch.setattr(cli, "verify_magic", lambda N, tol=1e-11: bad)
+    monkeypatch.setattr(cli, "verify_magic", lambda N: bad)
     code, rep = run(capsys, "verify-magic", "--N", "3")
     assert code == 2
     assert rep["results"]["pass"] is False
@@ -208,6 +208,24 @@ def test_concentration_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 3
     assert abs(float(first[1]) - rep["results"]["rows"][0]["value"]) < 1e-15
+
+
+@pytest.mark.parametrize("argv", [
+    ["concentration", "--p", "v1", "--s", "1.0", "--Ns", "3,4,6"],
+    ["mc", "--f", "v1", "--N", "3", "--s", "1.0", "--steps", "5", "--samples", "4"],
+])
+def test_unwritable_csv_exits_1(capsys, tmp_path, argv):
+    # the rows are computed, then the file cannot be opened
+    path = tmp_path / "no-such-dir" / "rows.csv"
+    assert cli.main(argv + ["--csv", str(path)]) == 1
+    assert "No such file" in _one_line_error(capsys)
+
+
+def test_nonpositive_tol_exits_1(capsys):
+    code = cli.main(["heat-apply", "--gen", "D", "--t", "1.0", "--f", "u^2",
+                     "--tol", "-1"])
+    assert code == 1
+    assert "tol" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

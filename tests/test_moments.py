@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (b_poly, c_poly, catalan, nu, pi_eval,
+from freesb.moments import (_c_hat, b_poly, c_poly, catalan, nu, pi_eval,
                             pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
@@ -172,3 +172,70 @@ def test_varrho_coeffs_exact():
     assert varrho_coeffs(2) == (Fraction(1), Fraction(-1))
     with pytest.raises(ValueError):
         varrho_coeffs(0)
+
+
+# ---------------------------------------------------------------- exact oracles
+
+# dyadic times: exact in binary, so sympy and mpmath see the same s
+DYADIC_S = (0.25, 0.5, 1.0, 1.75, 2.5)
+
+
+def _c_hat_exact(sympy, k, s, t):
+    # e^{ks/2} c_k(s,t) = sum_j (t-s)^j/j! k^{j-1} binom(k, j+1), over the rationals
+    return sum((t - s) ** j / sympy.factorial(j) * sympy.Integer(k) ** (j - 1)
+               * sympy.binomial(k, j + 1) for j in range(k))
+
+
+def test_c_hat_matches_exact_polynomial():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for s in DYADIC_S:
+        for k in range(1, 13):
+            exact = sympy.Poly(_c_hat_exact(sympy, k, sympy.Rational(s), t), t)
+            want = [float(c) for c in reversed(exact.all_coeffs())]
+            got = _c_hat(k, s)
+            assert len(got) == len(want) == k
+            scale = max(map(abs, want))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale, (k, s)
+
+
+def test_b_poly_matches_exact_recursion():
+    # the b recursion run over the rationals, with q = e^{-s/2} kept as a
+    # symbol: c_k = q^k chat_k(t), b_k = u^k + sum_m m int_0^t c_{k-m} b_m
+    sympy = pytest.importorskip("sympy")
+    t, u0, q = sympy.symbols("t u q")
+    K = 9
+    for s in DYADIC_S:
+        sq = sympy.Rational(s)
+        qs = sympy.exp(-sq / 2)
+        c = {k: sympy.Poly(q ** k * _c_hat_exact(sympy, k, sq, t), t, u0, q)
+             for k in range(1, K + 1)}
+        b = {}
+        for k in range(1, K + 1):
+            b[k] = sympy.Poly(u0 ** k, t, u0, q) + sum(
+                (m * (c[k - m] * b[m]).integrate(t) for m in range(1, k)),
+                sympy.Poly(0, t, u0, q))
+            got = b_poly(k, s)
+            assert len(got.coeffs) == k
+            want = {}
+            for (i, j, e), coef in b[k].terms():
+                want[i, j] = want.get(i, 0) + coef * qs ** e
+            want = {ij: complex(sympy.N(w, 30)) for ij, w in want.items()}
+            scale = max(map(abs, want.values()))
+            for i, coeff_i in enumerate(got.coeffs):
+                for j in range(1, k + 1):
+                    err = abs(coeff_i.coeff((j, ())) - want.get((i, j), 0))
+                    assert err <= 1e-14 * scale, (k, s, i, j)
+                assert all(m[1] == () and 1 <= m[0] <= k for m in coeff_i.terms)
+
+
+def test_nu_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        for s in (*DYADIC_S, 0.3, 1.7, 4.0, -1.5):
+            x = mpmath.mpf(s)
+            for k in range(1, 65):
+                want = mpmath.exp(-k * x / 2) * mpmath.fsum(
+                    (-x) ** j / mpmath.factorial(j) * mpmath.mpf(k) ** (j - 1)
+                    * mpmath.binomial(k, j + 1) for j in range(k))
+                assert abs(nu(k, s) - want) <= 1e-14 * abs(want), (k, s)

@@ -248,6 +248,25 @@ def test_operator_matrix_DN_span_example():
     assert np.abs(sub - want).max() < 1e-14
 
 
+class _CountingBasis(list):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_operator_matrix_lookups_build_one_map():
+    # index and coords share one basis-to-index map, built on first use
+    M0 = operator_matrix(GeneratorSpec.D(), 4)
+    basis = _CountingBasis(M0.basis)
+    M = operators.OperatorMatrix(M0.n, basis, M0.entries)
+    for i, m in enumerate(M0.basis):
+        assert M.index(m) == i
+        assert M.coords(TracePoly({m: 2.0}))[i] == 2.0
+    assert basis.iterations == 1
+
+
 def test_operator_matrix_number_operator_diagonal():
     gen = GeneratorSpec((("N0", 1.0), ("N1", 1.0)))
     M = operator_matrix(gen, 3)

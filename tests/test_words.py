@@ -250,9 +250,9 @@ def test_nan_generators_raise():
 def test_nonpositive_tol_raises():
     # exp_series checks tol for both engines, before any work
     with pytest.raises(ValueError, match="tol"):
-        expectation(iota(v(2)), 1.0, 0.0, 4, tol=-1.0)
+        exp_apply(GeneratorSpec.D(), 0.5, u(1), tol=-1.0)
     with pytest.raises(ValueError, match="tol"):
-        l2_norm_sq(u(1), Measure.rho(1.0, 4), tol=-1.0)
+        exp_series(lambda q: apply_tilde("Dst", q, 1.0, 0.0), iota(v(2)), tol=-1.0)
 
 
 def test_expectation_linear():
