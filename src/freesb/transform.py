@@ -21,7 +21,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import b_poly, c_poly, nu, pi_eval, varrho, varrho_coeffs
+from .moments import (_nu_hat_exact, b_poly, c_poly, pi_eval, varrho,
+                      varrho_coeffs)
 from .operators import GeneratorSpec, exp_apply
 from .tracepoly import TracePoly
 
@@ -230,7 +231,8 @@ def pde_residual(s: float, K: int = 8) -> float:
     plus the initial-condition identities
       - varrho(0,z) = z/(1-z)               (all coefficients 1)
       - phi^{s,u}(0,z) = uz/(1-uz)          (coefficient k is u^k)
-      - psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)   (implicit level-curve form)
+      - psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)   (implicit level-curve form,
+        checked exactly over the rationals)
     """
     resid = 0.0
     cps = [c_poly(k, s) for k in range(1, K + 1)]
@@ -261,10 +263,17 @@ def pde_residual(s: float, K: int = 8) -> float:
     # phi(0, z) coefficients are u^k
     for k, bp in enumerate(bps, 1):
         resid = max(resid, (bp.eval(0.0) - TracePoly.u(k)).coeff_max())
-    # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)
-    psi0 = TPolySeries.build(K, [0.0] + [nu(k, s) for k in range(1, K + 1)])
-    lhs = psi0.compose(TPolySeries.identity(K) * exp_curve(s / 2.0, K))
-    target = TPolySeries.build(K, [0.0] + [1.0] * K)
-    for k in range(1, K + 1):
-        resid = max(resid, (lhs.coeffs[k] - target.coeffs[k]).coeff_max())
+    # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w), exactly over the rationals:
+    # nu_k z^k = nu_hat_k(s) w^k e^{ksw/(1-w)} and e^{xw/(1-w)} = sum_m a_m(x) w^m
+    # with a_0 = 1, a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j/j!, so the w^n
+    # coefficient is sum_k nu_hat_k(s) a_{n-k}(ks)
+    def a(m: int, x: Fraction) -> Fraction:
+        return sum((math.comb(m - 1, j - 1) * x ** j / math.factorial(j)
+                    for j in range(1, m + 1)), Fraction(1 if m == 0 else 0))
+
+    s = float(s)
+    for n in range(1, K + 1):
+        coeff = sum(_nu_hat_exact(k, s) * a(n - k, k * Fraction(s))
+                    for k in range(1, n + 1))
+        resid = max(resid, abs(float(coeff - 1)))
     return resid

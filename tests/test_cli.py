@@ -88,6 +88,9 @@ def test_norm_and_verification_commands(capsys):
     assert abs(rep["results"]["value"] - math.exp(0.8)) < 1e-9
     for argv in (("gen-fn-check", "--s", "1.0", "--t", "1.0", "--K", "6"),
                  ("pde-check", "--s", "0.7", "--K", "6"),
+                 # the level-curve identity is checked over the rationals:
+                 # composed in floats, its roundoff here was 1.2e-7
+                 ("pde-check", "--s", "2.25", "--K", "16"),
                  ("verify-magic", "--N", "3"),
                  ("intertwine-check", "--N", "3", "--degree", "3",
                   "--trials", "3", "--seed", "1")):
@@ -231,10 +234,17 @@ def test_nonpositive_tol_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["norm", "--p", "u", "--measure", "rho", "--s", "nan", "--N", "3"],
     ["heat-apply", "--gen", "D", "--t", "nan", "--f", "1"],
+    ["mc", "--f", "v1", "--N", "4", "--s", "nan"],
+    ["mc", "--f", "v1", "--N", "4", "--s", "inf"],
+    ["mc", "--f", "v1", "--N", "4", "--s", "1", "--t", "nan"],
+    ["concentration", "--p", "u", "--s", "inf", "--mode", "mc", "--Ns", "2,3,4",
+     "--steps", "5", "--samples", "4"],
 ])
 def test_nan_time_exits_1(capsys, argv):
-    # both results are exact constants (1) at any finite time; a NaN time
-    # is still an error, not a generator that acts as zero
+    # the first two results are exact constants (1) at any finite time; a
+    # NaN time is still an error, not a generator that acts as zero.  The
+    # samplers refuse NaN and infinite times rather than report NaN, or
+    # zeros for u - pi(u) = 0
     assert cli.main(argv) == 1
     assert "non-finite" in _one_line_error(capsys)
 

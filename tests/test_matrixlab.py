@@ -73,6 +73,42 @@ def test_expm_is_unitary():
     assert np.max(np.abs(U @ U.conj().T - np.eye(5))) < 1e-13
 
 
+def _with_norm(M, norm):
+    return M * (norm / np.abs(M).sum(axis=0).max())
+
+
+def test_expm_batch_matches_scipy_across_theta():
+    # 1-norms over (0, 1], either side of the scaling threshold 0.78
+    la = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(5)
+    norms = (1e-3, 0.1, 0.5, 0.78 * (1 - 1e-12), 0.78 * (1 + 1e-12), 0.9, 1.0)
+    for N in (2, 5, 8, 16):
+        for norm in norms:
+            X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            for M in (_with_norm(X - X.conj().T, norm), _with_norm(X, norm)):
+                got = matrixlab._expm_batch(M[np.newaxis])[0]
+                want = la.expm(M)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_expm_batch_slices_are_independent():
+    # slices needing 0, 1 and 3 squarings: batched bits equal lone bits
+    rng = np.random.default_rng(6)
+    Ms = np.array([_with_norm(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), r)
+                   for r in (0.5, 1.2, 5.0, 0.7, 4.0)])
+    batch = matrixlab._expm_batch(Ms)
+    for M, E in zip(Ms, batch):
+        assert np.array_equal(matrixlab._expm_batch(M[np.newaxis])[0], E)
+
+
+def test_expm_batch_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        M = np.zeros((2, 3, 3), dtype=complex)
+        M[1, 0, 2] = bad
+        with pytest.raises(ValueError):
+            matrixlab._expm_batch(M)
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -125,12 +161,23 @@ def test_sampler_cfg_guards():
         sample_mu(SamplerCfg(N=4, s=0.5, t=1.2), 0)  # needs s > t/2
     with pytest.raises(ValueError):
         sample_rho(SamplerCfg(N=4, s=1.0, t=0.8), 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SamplerCfg(N=4, s=bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            SamplerCfg(N=4, s=1.0, t=bad)
 
 
 def test_sampler_unitarity():
     cfg = SamplerCfg(N=6, s=1.3, steps=50, seed=2)
     U = sample_rho(cfg, 0)
     assert np.max(np.abs(U @ U.conj().T - np.eye(6))) < 1e-8
+
+
+def test_sampler_unitarity_after_many_steps():
+    cfg = SamplerCfg(N=8, s=1.0, steps=200, seed=1)
+    U = _sample_batch(cfg, list(range(16)))
+    assert np.max(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(8))) <= 1e-13
 
 
 def test_sampler_zero_time_is_identity():
@@ -155,6 +202,18 @@ def test_sampler_chunk_invariance():
         assert np.array_equal(batch[idx], sample_rho(cfg, idx))
 
 
+class _FreshDraws:
+    """A stream that draws each block into a new array and copies it out,
+    as stacking per-stream draws does."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_normal(self, size, out):
+        out[...] = self.gen.standard_normal(size)
+        return out
+
+
 def test_sampler_draws_blocks_of_steps(monkeypatch):
     # blocks of 7 steps do not divide 50 and leave every bit unchanged;
     # the noise held at once no longer grows with the number of steps
@@ -170,6 +229,18 @@ def test_sampler_draws_blocks_of_steps(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0]
+    # each stream draws straight into its slice of one block: a chunk holds
+    # little beyond that block (stacking per-stream draws held two copies)
+    monkeypatch.setattr(matrixlab, "_DRAW_BYTES", 40 * step_bytes)
+    cfg = dataclasses.replace(cfg, steps=160)
+    tracemalloc.start()
+    in_place = _sample_batch(cfg, list(range(8)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * 40 * step_bytes
+    stream = matrixlab._stream
+    monkeypatch.setattr(matrixlab, "_stream", lambda *key: _FreshDraws(stream(*key)))
+    assert np.array_equal(_sample_batch(cfg, list(range(8))), in_place)
 
 
 # ---------------------------------------------------------------- monte carlo
