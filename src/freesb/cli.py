@@ -8,9 +8,10 @@ Every subcommand emits a versioned JSON report on stdout:
 Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
 verification command exceeds an asserted tolerance, 1 on usage errors
-and on computations that fail (a malformed FREESB_SEED, a semigroup
-series that does not converge, a norm that comes out non-real, a --csv
-file that cannot be written).
+and on computations that fail (a malformed FREESB_SEED, a series order K
+outside 1..16, a semigroup series that does not converge, a sampler path
+that overflows, a norm that comes out non-real, a --csv file that cannot
+be written).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -111,11 +112,11 @@ def _build_parser() -> _Parser:
     p = add("gen-fn-check", "verify the Biane generating function identity")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--K", type=int, default=8)
+    p.add_argument("--K", type=int, default=8, help="series order, 1..16")
 
     p = add("pde-check", "verify the PDEs for psi, phi, varrho and initial conditions")
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--K", type=int, default=8)
+    p.add_argument("--K", type=int, default=8, help="series order, 1..16")
 
     p = add("verify-magic", "numerically verify the magic formulas on u(N)")
     p.add_argument("--N", type=int, required=True)

@@ -259,9 +259,12 @@ def expm(M: CMatrix) -> CMatrix:
 
 # Taylor coefficients 1/k! of the degree-16 polynomial, and the 1-norm
 # each slice is scaled to: the forward tail sum_{k>16} theta^k/k! is at
-# most theta^17/17! / (1 - theta/18) ~ 4.3e-17, below half a unit roundoff
+# most theta^17/17! / (1 - theta/18) ~ 4.3e-17, below half a unit roundoff.
+# Each squaring doubles the relative error of its factor, so s squarings leave
+# about 2^s u (u = 2^-53); at most 26 keep that below sqrt(u), half the digits
 _EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(17))
 _EXPM_THETA = 0.78
+_EXPM_MAX_SQUARINGS = 26
 
 
 def _expm_batch(Ms: np.ndarray) -> np.ndarray:
@@ -274,16 +277,17 @@ def _expm_batch(Ms: np.ndarray) -> np.ndarray:
     is below 4.3e-17 relative, under half a unit roundoff; s squarings
     undo the scaling.  The scaling and every operation are per slice, so
     a slice gets bitwise the same arithmetic however the batch is
-    assembled.  Non-finite input raises ValueError.
+    assembled.  Non-finite input or more than 26 squarings: ValueError.
     """
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.shape[0] == 0:
         return Ms.copy()
-    norms = np.abs(Ms).sum(axis=-2).max(axis=-1)
-    if not np.isfinite(norms).all():
-        raise ValueError("matrix exponential of a non-finite matrix")
-    # frexp: norms/theta = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
-    nsq = np.maximum(np.frexp(norms / _EXPM_THETA)[1], 0)
+    scaled = np.abs(Ms).sum(axis=-2).max(axis=-1) / _EXPM_THETA
+    if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
+        raise ValueError("matrix exponential needs a finite 1-norm below "
+                         f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
+    # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
+    nsq = np.maximum(np.frexp(scaled)[1], 0)
     A = Ms * np.ldexp(1.0, -nsq)[:, np.newaxis, np.newaxis] if nsq.any() else Ms
     A2 = A @ A
     A3 = A2 @ A
@@ -367,19 +371,21 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     noise = np.empty((n, min(block, steps), n_noise, 2, N, N))
     A = np.empty((n, N, N), dtype=complex)
     U = np.broadcast_to(np.eye(N, dtype=complex), (n, N, N)).copy()
-    for lo in range(0, steps, block):
-        nb = min(block, steps - lo)
-        for g, out in zip(streams, noise[:, :nb]):
-            g.standard_normal(out.shape, out=out)
-        for step in range(nb):
-            x, y = noise[:, step, 0, 0], noise[:, step, 0, 1]
-            np.multiply(wa, x - np.swapaxes(x, -1, -2), out=A.real)
-            np.multiply(wa, y + np.swapaxes(y, -1, -2), out=A.imag)
-            if is_mu:
-                x, y = noise[:, step, 1, 0], noise[:, step, 1, 1]
-                A.real -= wb * (y + np.swapaxes(y, -1, -2))
-                A.imag += wb * (x - np.swapaxes(x, -1, -2))
-            U = U @ _expm_batch(A)
+    # a large finite t can overflow mu's GL_N path: raise, never return inf/NaN
+    with np.errstate(over="raise", invalid="raise"):
+        for lo in range(0, steps, block):
+            nb = min(block, steps - lo)
+            for g, out in zip(streams, noise[:, :nb]):
+                g.standard_normal(out.shape, out=out)
+            for step in range(nb):
+                x, y = noise[:, step, 0, 0], noise[:, step, 0, 1]
+                np.multiply(wa, x - np.swapaxes(x, -1, -2), out=A.real)
+                np.multiply(wa, y + np.swapaxes(y, -1, -2), out=A.imag)
+                if is_mu:
+                    x, y = noise[:, step, 1, 0], noise[:, step, 1, 1]
+                    A.real -= wb * (y + np.swapaxes(y, -1, -2))
+                    A.imag += wb * (x - np.swapaxes(x, -1, -2))
+                U = U @ _expm_batch(A)
     return U
 
 
@@ -411,10 +417,8 @@ def _eval_scalar(f, Z: np.ndarray) -> complex:
         if _has_inverse(f):
             _check_invertible(Z)
         pw = _PowerCache(Z)
-        tot = 0j
-        for (_, ve), c in f.terms.items():
-            tot += _trace_product(c, ve, pw, Z.shape[0])
-        return tot
+        return sum((_trace_product(c, ve, pw, Z.shape[0])
+                    for (_, ve), c in f.terms.items()), 0j)
     raise TypeError(f"cannot evaluate {type(f).__name__} as a scalar observable")
 
 
@@ -490,10 +494,7 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
                                / (len(acc) * (len(acc) - 1)))
         rows.append({"N": N, "value": val, "stderr": stderr})
     vals = [r["value"] for r in rows]
-    if min(vals) <= 0.0:
-        slope = None
-    else:
-        slope = float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])
+    slope = None if min(vals) <= 0.0 else float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])
     return {"rows": rows, "slope": slope}
 
 

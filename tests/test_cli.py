@@ -8,6 +8,7 @@ captured stdout.
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -247,6 +248,33 @@ def test_nan_time_exits_1(capsys, argv):
     # zeros for u - pi(u) = 0
     assert cli.main(argv) == 1
     assert "non-finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-fn-check", "--s", "1", "--t", "1", "--K", "0"],
+    ["gen-fn-check", "--s", "1", "--t", "1", "--K", "-2"],
+    ["gen-fn-check", "--s", "1", "--t", "1", "--K", "17"],
+    ["pde-check", "--s", "1", "--K", "0"],
+    ["pde-check", "--s", "1", "--K", "-2"],
+    ["pde-check", "--s", "1", "--K", "30"],
+])
+def test_series_order_out_of_range_exits_1(capsys, argv):
+    # an empty order is not a passing check, and neither check runs past 16
+    assert cli.main(argv) == 1
+    assert "1..16" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["mc", "--f", "v1", "--N", "4", "--s", "1e300"], "1-norm"),
+    (["mc", "--f", "v1", "--N", "4", "--s", "1e6", "--t", "1.9e6"], "overflow"),
+])
+def test_huge_sampler_time_exits_1(capsys, argv, what):
+    # finite times whose paths no double can carry: an error before any
+    # warning, not a NaN mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--samples", "8", "--steps", "5"]) == 1
+    assert what in _one_line_error(capsys)
 
 
 def test_too_many_taylor_stages_exits_1(capsys):

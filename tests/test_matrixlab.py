@@ -109,6 +109,20 @@ def test_expm_batch_rejects_non_finite():
             matrixlab._expm_batch(M)
 
 
+def test_expm_batch_bounds_squarings():
+    # 26 squarings run (error about 2^26 u); a 1-norm that needs 27 raises
+    # before any squaring, for the whole batch
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    X = X - X.conj().T
+    limit = matrixlab._EXPM_THETA * 2.0 ** matrixlab._EXPM_MAX_SQUARINGS
+    U = expm(_with_norm(X, limit * (1 - 1e-12)))
+    assert np.max(np.abs(U @ U.conj().T - np.eye(4))) < 1e-6
+    for norm in (limit, 1e150):
+        with pytest.raises(ValueError, match="1-norm"):
+            matrixlab._expm_batch(np.array([_with_norm(X, 0.5), _with_norm(X, norm)]))
+
+
 # ---------------------------------------------------------------- evaluate
 
 

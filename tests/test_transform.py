@@ -1,15 +1,17 @@
-"""The transform pair G/H, Biane polynomials, truncated series algebra,
-the generating-function identity, and the characteristic PDEs."""
+"""The transform pair G/H, Biane polynomials, the closed-form
+generating-function identity, and the characteristic PDEs."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+import freesb.transform as transform
 from freesb.tracepoly import TracePoly, mono, parse
-from freesb.cli import PDE_TOL
+from freesb.cli import GEN_FN_TOL, PDE_TOL
 from freesb.moments import nu
-from freesb.transform import (MAX_SERIES_ORDER, G, H, Pi_series, TPolySeries,
-                              biane, exp_curve, pde_residual, verify_gen_fn)
+from freesb.transform import (MAX_SERIES_ORDER, G, H, Pi_series, TPolySeries, _a,
+                              biane, pde_residual, verify_gen_fn)
 
 u = TracePoly.u
 
@@ -66,54 +68,31 @@ def test_H_reciprocal_equivariance():
 # ---------------------------------------------------------------- series
 
 
-def test_series_geometric_recip():
-    ones = TPolySeries.build(6, [1.0] + [-1.0] + [0.0] * 5)  # 1 - z
-    inv = ones.recip()
-    for k in range(7):
-        assert (inv.coeffs[k] - TracePoly.one()).coeff_max() < 1e-14
-    a = TPolySeries.build(3, [1.0, 1.0])
-    assert (a + a).coeffs[0] == TracePoly.const(2.0)
-    assert (a * a).coeffs[1] == TracePoly.const(2.0)
-
-
-def test_series_exp_scalar():
-    zs = TPolySeries.build(6, [0.0, 1.0])
-    e = zs.exp()
-    for k in range(7):
-        assert abs(complex(e.coeffs[k].coeff(mono(0))) - 1.0 / math.factorial(k)) < 1e-14
-
-
-def test_series_compose_pair():
-    K = 8
-    f = TPolySeries.build(K, [0.0] + [1.0] * K)               # z/(1-z)
-    g = TPolySeries.build(K, [0.0] + [(-1.0) ** (j - 1) for j in range(1, K + 1)])
-    comp = f.compose(g)
-    assert (comp.coeffs[1] - TracePoly.one()).coeff_max() < 1e-12
-    for k in (0, *range(2, K + 1)):
-        assert comp.coeffs[k].coeff_max() < 1e-12
-
-
 def test_series_guards():
-    f = TPolySeries.build(4, [0.0, 1.0])
+    for K in (0, -2, MAX_SERIES_ORDER + 1):
+        for check in (lambda: Pi_series(1.0, 1.0, K), lambda: verify_gen_fn(1.0, 1.0, K=K),
+                      lambda: pde_residual(1.0, K=K)):
+            with pytest.raises(ValueError, match=f"1..{MAX_SERIES_ORDER}"):
+                check()
     with pytest.raises(ValueError):
-        TPolySeries.build(4, [0.0, 1.0]).recip()           # constant 0
-    with pytest.raises(ValueError):
-        f.compose(TPolySeries.build(4, [1.0, 1.0]))        # inner constant != 0
-    with pytest.raises(ValueError):
-        f + TPolySeries.build(5, [0.0, 1.0])               # order mismatch
-    with pytest.raises(ValueError):
-        Pi_series(1.0, 1.0, MAX_SERIES_ORDER + 1)
-    # exp and recip need a constant term free of u and v
-    for c in (u(1), TracePoly.v(1), u(1) + 2.0):
-        with pytest.raises(ValueError):
-            TPolySeries.build(3, [c, 1.0]).exp()
-        with pytest.raises(ValueError):
-            TPolySeries.build(3, [c, 1.0]).recip()
+        TPolySeries(2, (TracePoly.zero(),))                 # coeffs too short
+
+
+def test_a_matches_ode_recurrence():
+    # f = e^{xw/(1-w)} solves (1-w)^2 f' = x f, so its coefficients obey
+    # a_{m+1} = ((2m + x) a_m - (m-1) a_{m-1}) / (m+1), a_{-1} = 0, a_0 = 1
+    for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2),
+              Fraction(9, 4), Fraction(0.45), Fraction(-1.9)):
+        prev, cur = Fraction(0), Fraction(1)
+        for m in range(17):
+            assert _a(m, x) == cur, (m, x)
+            prev, cur = cur, ((2 * m + x) * cur - (m - 1) * prev) / (m + 1)
 
 
 def test_exp_curve_numeric():
+    # e^{a(1+w)/(1-w)} = e^a e^{2aw/(1-w)} = e^a sum_m a_m(2a) w^m
     a, K, w = 0.45, 12, 0.08
-    series_val = sum(complex(exp_curve(a, K).coeffs[k].coeff(mono(0))) * w**k
+    series_val = sum(math.exp(a) * float(_a(k, 2 * Fraction(a))) * w**k
                      for k in range(K + 1))
     exact = math.exp(a * (1 + w) / (1 - w))
     assert abs(series_val - exact) < 1e-10
@@ -126,16 +105,23 @@ def test_generating_function_identity():
     assert verify_gen_fn(1.0, 1.0, K=8) < 1e-8
 
 
-def test_generating_function_s_equals_t_direct():
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_generating_function_detects_a_wrong_biane_polynomial(monkeypatch, k):
+    # p_k off by 1e-6 u^k must fail the check (the residual is then >= 3e-7)
+    exact = transform.biane
+    monkeypatch.setattr(transform, "biane", lambda j, s, t: exact(j, s, t)
+                        + (1e-6 * u(j) if j == k else TracePoly.zero()))
+    assert verify_gen_fn(1.0, 1.0, K=8) >= GEN_FN_TOL
+
+
+def test_generating_function_s_equals_t_direct(s_eq_t_series):
     # at s=t the curve substitution is trivial and Pi must equal the
     # direct expansion of (1 - u z e^{(t/2)(1+z)/(1-z)})^{-1} - 1
-    t, K = 1.1, 8
-    lhs = Pi_series(t, t, K)
-    curve = exp_curve(t / 2.0, K)
-    uz = TPolySeries.identity(K) * TracePoly.u(1)
-    rhs = (TPolySeries.build(K, [1.0]) - uz * curve).recip() - TPolySeries.build(K, [1.0])
+    K = 8
+    want = s_eq_t_series(Fraction(11, 10), K)
+    lhs = Pi_series(1.1, 1.1, K)
     for k in range(1, K + 1):
-        assert (lhs.coeffs[k] - rhs.coeffs[k]).coeff_max() < 1e-9, k
+        assert (lhs.coeffs[k] - want[k]).coeff_max() < 1e-9, k
 
 
 def test_pde_residuals():
