@@ -11,7 +11,8 @@ verification command exceeds an asserted tolerance, 1 on usage errors
 and on computations that fail (a malformed FREESB_SEED, a series order K
 outside 1..16, a semigroup series that does not converge, a sampler path
 that overflows, a norm that comes out non-real, a --csv file that cannot
-be written).
+be written, a stdout closed before the report is written; the last
+prints nothing).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -71,6 +73,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing keeps no state between calls: build once per process
 def _build_parser() -> _Parser:
     top = _Parser(prog="freesb", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -324,7 +327,11 @@ def main(argv=None) -> int:
         "seed": seed,
         "wall_time_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:  # stdout closed early: let devnull take the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

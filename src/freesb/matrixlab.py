@@ -10,9 +10,11 @@ Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
 with G drawn from the Gaussian measure on u(N) determined by the basis;
 the scheme is weak order 1 and the Ito drift is produced automatically by
 the exponential because sum_X X^2 = -I.  A chunk of samples takes each
-step together: G is written from the chunk's standard-normal draws, which
-every stream fills in place, a block of steps at a time, and the batched
-exponential is a degree-16 Taylor polynomial under scaling and squaring.
+step together: G is written from one N x N standard-normal block per
+noise (N^2 normals, the dimension of u(N)), which every stream fills in
+place, a block of steps at a time, and the batched exponential is a
+degree-16 Taylor polynomial under scaling and squaring, evaluated in
+buffers the chunk allocates once.  RNG_NAME names this draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
 """
@@ -30,10 +32,10 @@ from .tracepoly import TracePoly
 from .words import Measure, WordPoly, l2_norm_sq
 from .moments import pi_eval
 
-RNG_NAME = "philox4x64"
+RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
-_DRAW_BYTES = 32 << 20  # noise one chunk draws at once (whole steps, at least one)
+_DRAW_BYTES = 16 << 20  # noise one chunk draws at once (whole steps, at least one)
 MAGIC_TOL = 1e-11  # verify_magic passes when every residual is below this
 
 CMatrix = np.ndarray
@@ -267,7 +269,7 @@ _EXPM_THETA = 0.78
 _EXPM_MAX_SQUARINGS = 26
 
 
-def _expm_batch(Ms: np.ndarray) -> np.ndarray:
+def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     """Batched e^M over the leading axis.
 
     Each slice is scaled by 2^-s, with s >= 0 the least power that brings
@@ -278,6 +280,9 @@ def _expm_batch(Ms: np.ndarray) -> np.ndarray:
     undo the scaling.  The scaling and every operation are per slice, so
     a slice gets bitwise the same arithmetic however the batch is
     assembled.  Non-finite input or more than 26 squarings: ValueError.
+
+    ``work``, six C-contiguous complex arrays shaped like Ms (fresh ones if
+    not given), holds every intermediate; the result is one of them.
     """
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.shape[0] == 0:
@@ -286,21 +291,23 @@ def _expm_batch(Ms: np.ndarray) -> np.ndarray:
     if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
+    A, A2, A3, A4, E, T = work or np.empty((6,) + Ms.shape, dtype=complex)
     # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
     nsq = np.maximum(np.frexp(scaled)[1], 0)
-    A = Ms * np.ldexp(1.0, -nsq)[:, np.newaxis, np.newaxis] if nsq.any() else Ms
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A2 @ A2
+    A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=A) if nsq.any() else Ms
+    np.matmul(A, A, out=A2)
+    np.matmul(A2, A, out=A3)
+    np.matmul(A2, A2, out=A4)
     N, c = Ms.shape[-1], _EXPM_COEFFS
-    E = c[16] * A4
-    # Horner in A^4: E <- A^4 E + c_{4j} I + c_{4j+1} A + c_{4j+2} A^2 + c_{4j+3} A^3
+    np.multiply(c[16], A4, out=E)
+    # Horner in A^4: E <- A^4 E + c_{4j} I + c_{4j+1} A + c_{4j+2} A^2 + c_{4j+3} A^3;
+    # E and T swap roles, the spare one holding each scaled term
     for j in (3, 2, 1, 0):
         if j < 3:
-            E = A4 @ E
-        E += c[4 * j + 1] * A
-        E += c[4 * j + 2] * A2
-        E += c[4 * j + 3] * A3
+            np.matmul(A4, E, out=T)
+            E, T = T, E
+        for i, P in ((1, A), (2, A2), (3, A3)):
+            E += np.multiply(c[4 * j + i], P, out=T)
         E.reshape(-1, N * N)[:, ::N + 1] += c[4 * j]
     for r in range(int(nsq.max())):
         m = nsq > r
@@ -340,10 +347,14 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     """Endpoints of the Euler paths for the given sample indices.
 
-    A Gaussian on u(N), sum_b xi_b X_b over the basis, is written from a
-    standard-normal pair (x, y) as (x - x^T + i(y + y^T)) / (2 sqrt(N)).  The
-    step sqrt(d)(sqrt(a) G1 + i sqrt(b) G2), with (a, b) = (1, 0) for rho, is
-    built in real arithmetic with sqrt(d a / 4N) and sqrt(d b / 4N) folded.
+    A Gaussian on u(N), sum_b xi_b X_b over the basis, is written from one
+    standard-normal N x N block z as (z - z^T + i(z + z^T)) / (2 sqrt(N)):
+    for j < k, (z_jk - z_kj, z_jk + z_kj) is sqrt(2) times a 45-degree
+    rotation of the iid pair (z_jk, z_kj), so iid N(0, 2) as the basis sum
+    requires, and the diagonal is 2i z_jj; so N^2 normals per noise.  The
+    step sqrt(d)(sqrt(a) G1 + i sqrt(b) G2), with (a, b) = (1, 0) for rho,
+    is built in real arithmetic with sqrt(d a / 4N) and sqrt(d b / 4N)
+    folded in.  The exponential and U E run in buffers made once per chunk.
     """
     N, steps = cfg.N, cfg.steps
     is_mu = cfg.t != 0.0
@@ -367,10 +378,11 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     # all steps at once
     streams = [_stream(cfg.seed, i) for i in indices]
     n = len(streams)
-    block = max(1, _DRAW_BYTES // (n * n_noise * 2 * N * N * 8))
-    noise = np.empty((n, min(block, steps), n_noise, 2, N, N))
+    block = max(1, _DRAW_BYTES // (n * n_noise * N * N * 8))
+    noise = np.empty((n, min(block, steps), n_noise, N, N))
     A = np.empty((n, N, N), dtype=complex)
-    U = np.broadcast_to(np.eye(N, dtype=complex), (n, N, N)).copy()
+    U, U_next = np.broadcast_to(np.eye(N, dtype=complex), (2, n, N, N)).copy()
+    work = np.empty((6, n, N, N), dtype=complex)
     # a large finite t can overflow mu's GL_N path: raise, never return inf/NaN
     with np.errstate(over="raise", invalid="raise"):
         for lo in range(0, steps, block):
@@ -378,14 +390,15 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
             for g, out in zip(streams, noise[:, :nb]):
                 g.standard_normal(out.shape, out=out)
             for step in range(nb):
-                x, y = noise[:, step, 0, 0], noise[:, step, 0, 1]
-                np.multiply(wa, x - np.swapaxes(x, -1, -2), out=A.real)
-                np.multiply(wa, y + np.swapaxes(y, -1, -2), out=A.imag)
+                z = noise[:, step, 0]
+                np.multiply(wa, z - np.swapaxes(z, -1, -2), out=A.real)
+                np.multiply(wa, z + np.swapaxes(z, -1, -2), out=A.imag)
                 if is_mu:
-                    x, y = noise[:, step, 1, 0], noise[:, step, 1, 1]
-                    A.real -= wb * (y + np.swapaxes(y, -1, -2))
-                    A.imag += wb * (x - np.swapaxes(x, -1, -2))
-                U = U @ _expm_batch(A)
+                    z = noise[:, step, 1]
+                    A.real -= wb * (z + np.swapaxes(z, -1, -2))
+                    A.imag += wb * (z - np.swapaxes(z, -1, -2))
+                np.matmul(U, _expm_batch(A, *work), out=U_next)
+                U, U_next = U_next, U
     return U
 
 

@@ -1,14 +1,18 @@
 """Command-line interface: report schema, exit codes, determinism,
 and the documented worked examples.
 
-All tests drive main() in-process and parse the JSON report from
-captured stdout.
+All tests but the closed-pipe one drive main() in-process and parse the
+JSON report from captured stdout.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,21 @@ def test_threads_do_not_change_results(capsys):
     assert r1["results"]["stderr"] == r4["results"]["stderr"]
 
 
+def test_parser_keeps_no_options_between_calls(capsys, monkeypatch):
+    # one parser serves every call: an option given once is not remembered
+    monkeypatch.delenv("FREESB_SEED", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    transform = ("transform", "--s", "1.0", "--t", "0.5", "--f", "u")
+    _, given = run(capsys, *transform, "--tol", "1e-10")
+    _, default = run(capsys, *transform)
+    assert given["results"]["tol"] == 1e-10
+    assert default["results"]["tol"] == default["params"]["tol"] == 1e-13
+    check = ("intertwine-check", "--N", "2", "--trials", "1")
+    _, given = run(capsys, *check, "--seed", "5")
+    _, default = run(capsys, *check)
+    assert (given["seed"], default["seed"]) == (5, 0)
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -162,6 +181,18 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["norm", "--p", "u", "--measure", "rho", "--s", "1.0",
                      "--t", "0.5", "--N", "3"]) == 1
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader closes the pipe before the report is written
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "freesb.cli", "gen-fn-check",
+                             "--s", "1", "--t", "1", "--K", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def _one_line_error(capsys) -> str:

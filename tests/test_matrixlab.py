@@ -101,6 +101,31 @@ def test_expm_batch_slices_are_independent():
         assert np.array_equal(matrixlab._expm_batch(M[np.newaxis])[0], E)
 
 
+def test_expm_batch_in_buffers_matches_fresh():
+    # caller buffers give the bits of fresh arrays, with or without squarings,
+    # whatever the buffers held before, and leave the input alone
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    work = np.full((6,) + X.shape, np.nan, dtype=complex)
+    for norms in ((0.5, 1.2, 5.0, 0.7, 4.0), (0.1, 0.2, 0.3, 0.4, 0.5)):
+        Ms = np.array([_with_norm(M, r) for M, r in zip(X, norms)])
+        keep = Ms.copy()
+        fresh = matrixlab._expm_batch(Ms)
+        for _ in range(2):
+            assert np.array_equal(matrixlab._expm_batch(Ms, *work), fresh)
+        assert np.array_equal(Ms, keep)
+
+
+def test_expm_result_outlives_later_calls():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    E = expm(X)
+    keep = E.copy()
+    expm(2.0 * X)
+    _sample_batch(SamplerCfg(N=3, s=1.0, t=0.5, steps=3, seed=1), [0, 1])
+    assert np.array_equal(E, keep)
+
+
 def test_expm_batch_rejects_non_finite():
     for bad in (np.nan, np.inf):
         M = np.zeros((2, 3, 3), dtype=complex)
@@ -216,6 +241,23 @@ def test_sampler_chunk_invariance():
         assert np.array_equal(batch[idx], sample_rho(cfg, idx))
 
 
+def test_sampler_stream_layout():
+    # the draw layout that RNG_NAME names: each step draws one N x N block z
+    # per noise from the sample's stream, and the step generator is
+    # wa (z - z^T + i(z + z^T)) + i wb (z2 - z2^T + i(z2 + z2^T))
+    assert matrixlab.RNG_NAME == "philox4x64-2"
+    N, index = 2, 5
+    herm = lambda z: z - z.T + 1j * (z + z.T)
+    # (sampler, cfg, a, b): step weights s for rho, (s - t/2, t/2) for mu
+    cases = ((sample_rho, SamplerCfg(N=N, s=0.7, steps=1, seed=4), 0.7, 0.0),
+             (sample_mu, SamplerCfg(N=N, s=1.3, t=0.8, steps=1, seed=4), 1.3 - 0.4, 0.4))
+    for sample, cfg, a, b in cases:
+        z = matrixlab._stream(cfg.seed, index).standard_normal((2, N, N))
+        wa, wb = math.sqrt(a / (4 * N)), math.sqrt(b / (4 * N))
+        want = expm(wa * herm(z[0]) + 1j * wb * herm(z[1]))
+        assert np.max(np.abs(sample(cfg, index) - want)) < 1e-14
+
+
 class _FreshDraws:
     """A stream that draws each block into a new array and copies it out,
     as stacking per-stream draws does."""
@@ -233,7 +275,7 @@ def test_sampler_draws_blocks_of_steps(monkeypatch):
     # the noise held at once no longer grows with the number of steps
     cfg = SamplerCfg(N=4, s=1.0, t=0.6, steps=50, seed=2)
     whole = _sample_batch(cfg, list(range(8)))
-    step_bytes = 8 * 2 * 2 * 4 * 4 * 8  # samples, noises, re/im, N x N, float64
+    step_bytes = 8 * 2 * 4 * 4 * 8  # samples, noises, N x N, float64
     monkeypatch.setattr(matrixlab, "_DRAW_BYTES", 7 * step_bytes)
     assert np.array_equal(_sample_batch(cfg, list(range(8))), whole)
     peaks = []
