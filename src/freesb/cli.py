@@ -9,10 +9,10 @@ Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
 verification command exceeds an asserted tolerance, 1 on usage errors
 and on computations that fail (a malformed FREESB_SEED, a series order K
-outside 1..16, a semigroup series that does not converge, a sampler path
-that overflows, a norm that comes out non-real, a --csv file that cannot
-be written, a stdout closed before the report is written; the last
-prints nothing).
+outside 1..16, a semigroup series that does not converge, a semigroup
+or sampler path that overflows, a norm that comes out non-real, a --csv
+file that cannot be written, a stdout closed before the report is
+written; the last prints nothing).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.

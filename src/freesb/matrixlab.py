@@ -14,7 +14,9 @@ step together: G is written from one N x N standard-normal block per
 noise (N^2 normals, the dimension of u(N)), which every stream fills in
 place, a block of steps at a time, and the batched exponential is a
 degree-16 Taylor polynomial under scaling and squaring, evaluated in
-buffers the chunk allocates once.  RNG_NAME names this draw layout.
+buffers the chunk allocates once.  That kernel, ``_expm_batch``, lives in
+:mod:`freesb.operators`, whose semigroups use it on small closures.
+RNG_NAME names this draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
 """
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch  # noqa: F401
 from .tracepoly import TracePoly
 from .words import Measure, WordPoly, l2_norm_sq
 from .moments import pi_eval
@@ -253,66 +256,15 @@ def expm(M: CMatrix) -> CMatrix:
     at most 0.78, where the Taylor tail is below 4.3e-17 relative; the
     polynomial takes six matrix products (Paterson-Stockmeyer) and s
     squarings follow.  Anti-Hermitian M yields a unitary result to
-    roundoff.
+    roundoff.  M must be a square 2-D array (ValueError otherwise); 0 x 0
+    gives 0 x 0.
     """
     M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expm needs a square 2-D array, got shape {M.shape}")
+    if M.size == 0:
+        return M.copy()
     return _expm_batch(M[np.newaxis])[0]
-
-
-# Taylor coefficients 1/k! of the degree-16 polynomial, and the 1-norm
-# each slice is scaled to: the forward tail sum_{k>16} theta^k/k! is at
-# most theta^17/17! / (1 - theta/18) ~ 4.3e-17, below half a unit roundoff.
-# Each squaring doubles the relative error of its factor, so s squarings leave
-# about 2^s u (u = 2^-53); at most 26 keep that below sqrt(u), half the digits
-_EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(17))
-_EXPM_THETA = 0.78
-_EXPM_MAX_SQUARINGS = 26
-
-
-def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
-    """Batched e^M over the leading axis.
-
-    Each slice is scaled by 2^-s, with s >= 0 the least power that brings
-    its 1-norm to at most 0.78, and the degree-16 Taylor polynomial is
-    evaluated by Paterson-Stockmeyer: A^2, A^3, A^4, then three Horner
-    products in A^4 (six batched matmuls in all).  The truncation tail
-    is below 4.3e-17 relative, under half a unit roundoff; s squarings
-    undo the scaling.  The scaling and every operation are per slice, so
-    a slice gets bitwise the same arithmetic however the batch is
-    assembled.  Non-finite input or more than 26 squarings: ValueError.
-
-    ``work``, six C-contiguous complex arrays shaped like Ms (fresh ones if
-    not given), holds every intermediate; the result is one of them.
-    """
-    Ms = np.asarray(Ms, dtype=complex)
-    if Ms.shape[0] == 0:
-        return Ms.copy()
-    scaled = np.abs(Ms).sum(axis=-2).max(axis=-1) / _EXPM_THETA
-    if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
-        raise ValueError("matrix exponential needs a finite 1-norm below "
-                         f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
-    A, A2, A3, A4, E, T = work or np.empty((6,) + Ms.shape, dtype=complex)
-    # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
-    nsq = np.maximum(np.frexp(scaled)[1], 0)
-    A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=A) if nsq.any() else Ms
-    np.matmul(A, A, out=A2)
-    np.matmul(A2, A, out=A3)
-    np.matmul(A2, A2, out=A4)
-    N, c = Ms.shape[-1], _EXPM_COEFFS
-    np.multiply(c[16], A4, out=E)
-    # Horner in A^4: E <- A^4 E + c_{4j} I + c_{4j+1} A + c_{4j+2} A^2 + c_{4j+3} A^3;
-    # E and T swap roles, the spare one holding each scaled term
-    for j in (3, 2, 1, 0):
-        if j < 3:
-            np.matmul(A4, E, out=T)
-            E, T = T, E
-        for i, P in ((1, A), (2, A2), (3, A3)):
-            E += np.multiply(c[4 * j + i], P, out=T)
-        E.reshape(-1, N * N)[:, ::N + 1] += c[4 * j]
-    for r in range(int(nsq.max())):
-        m = nsq > r
-        E[m] = E[m] @ E[m]
-    return E
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ representations on the trace-degree filtration C_n[u, u^-1; v].
 All operators preserve the filtration (trace degree can only stay or
 drop), so the monomials reachable from a polynomial p span a finite-
 dimensional invariant subspace.  ``exp_series`` finds that closure by a
-breadth-first search, compiles the operator on it to a sparse matrix in
-coordinate (COO) form, and runs a truncated Taylor series on p's
-coordinate vector.  The same kernel serves the word engine in
-:mod:`freesb.words`.
+breadth-first search and compiles the operator on it to a sparse matrix
+in coordinate (COO) form.  A small closure is exponentiated densely by
+the degree-16 Paterson-Stockmeyer kernel that the sampler in
+:mod:`freesb.matrixlab` also uses; a large one runs a truncated Taylor
+series of sparse products on p's coordinate vector.  The same two
+kernels serve the word engine in :mod:`freesb.words`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ MAX_TERMS = 500  # Taylor terms of one stage
 STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
 MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
+DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit of work
+DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 160 n^2 B, 10 MiB
+DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff exceeds the Taylor kernel's
 MAX_DEGREE = 12
 BASIS_CAP = 200_000
 
@@ -180,7 +185,67 @@ class GeneratorSpec:
 
 
 # ======================================================================
-# semigroup application: Taylor series on the compiled reachable closure
+# dense matrix exponential, shared with the sampler in matrixlab
+# ======================================================================
+
+# Taylor coefficients 1/k! of the degree-16 polynomial, and the 1-norm
+# each slice is scaled to: the forward tail sum_{k>16} theta^k/k! is at
+# most theta^17/17! / (1 - theta/18) ~ 4.3e-17, below half a unit roundoff.
+# Each squaring doubles the relative error of its factor, so s squarings leave
+# about 2^s u (u = 2^-53); at most 26 keep that below sqrt(u), half the digits
+_EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(17))
+_EXPM_THETA = 0.78
+_EXPM_MAX_SQUARINGS = 26
+
+
+def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
+    """Batched e^M over the leading axis.
+
+    Each slice is scaled by 2^-s, with s >= 0 the least power that brings
+    its 1-norm to at most 0.78, and the degree-16 Taylor polynomial is
+    evaluated by Paterson-Stockmeyer: A^2, A^3, A^4, then three Horner
+    products in A^4 (six batched matmuls in all).  The truncation tail
+    is below 4.3e-17 relative, under half a unit roundoff; s squarings
+    undo the scaling.  The scaling and every operation are per slice, so
+    a slice gets bitwise the same arithmetic however the batch is
+    assembled.  Non-finite input or more than 26 squarings: ValueError.
+
+    ``work``, six C-contiguous complex arrays shaped like Ms (fresh ones if
+    not given), holds every intermediate; the result is one of them.
+    """
+    Ms = np.asarray(Ms, dtype=complex)
+    if Ms.shape[0] == 0:
+        return Ms.copy()
+    scaled = np.abs(Ms).sum(axis=-2).max(axis=-1) / _EXPM_THETA
+    if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
+        raise ValueError("matrix exponential needs a finite 1-norm below "
+                         f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
+    A, A2, A3, A4, E, T = work or np.empty((6,) + Ms.shape, dtype=complex)
+    # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
+    nsq = np.maximum(np.frexp(scaled)[1], 0)
+    A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=A) if nsq.any() else Ms
+    np.matmul(A, A, out=A2)
+    np.matmul(A2, A, out=A3)
+    np.matmul(A2, A2, out=A4)
+    N, c = Ms.shape[-1], _EXPM_COEFFS
+    np.multiply(c[16], A4, out=E)
+    # Horner in A^4: E <- A^4 E + c_{4j} I + c_{4j+1} A + c_{4j+2} A^2 + c_{4j+3} A^3;
+    # E and T swap roles, the spare one holding each scaled term
+    for j in (3, 2, 1, 0):
+        if j < 3:
+            np.matmul(A4, E, out=T)
+            E, T = T, E
+        for i, P in ((1, A), (2, A2), (3, A3)):
+            E += np.multiply(c[4 * j + i], P, out=T)
+        E.reshape(-1, N * N)[:, ::N + 1] += c[4 * j]
+    for r in range(int(nsq.max())):
+        m = nsq > r
+        E[m] = E[m] @ E[m]
+    return E
+
+
+# ======================================================================
+# semigroup application on the compiled reachable closure
 # ======================================================================
 
 
@@ -214,29 +279,32 @@ def _compile(apply_fn, make, seed):
 
 
 def exp_series(apply_fn, p, tol: float = 1e-13):
-    """e^G p for a linear map G given as ``apply_fn``, by truncated Taylor.
+    """e^G p for a linear map G given as ``apply_fn``.
 
     Works for any polynomial type whose instances hold a ``terms`` dict
     from monomial keys to coefficients and are built from such a dict
     (``TracePoly``, ``WordPoly``); ``apply_fn`` must map the span of the
     monomials reachable from ``p`` into itself.
 
-    G is compiled on that closure to a sparse matrix A in COO form (see
-    :func:`_compile`), so each Taylor term costs one sparse product,
-    O(nnz) time and memory.  The series runs in m stages,
-    e^A = (e^{A/m})^m, with m = ceil(||A||_1 / STEP_NORM) from the exact
-    1-norm of A.  Within a stage, ||A/m||_1 <= STEP_NORM bounds the tail
-    after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
-    summation stops once that bound is below (tol / m) * ||sum||_1.  The
-    rule is relative only, so the result is homogeneous in p at any
-    scale.  A series whose work m * (nnz + STAGE_COST) exceeds
-    ``MAX_WORK`` raises ValueError before any stage runs; a stage that
-    needs more than ``MAX_TERMS`` terms raises RuntimeError.
+    G is compiled on that closure to an n x n COO matrix A (see
+    :func:`_compile`).  With m = ceil(||A||_1 / STEP_NORM) Taylor stages
+    and s squarings for the dense kernel, :func:`_expm_dense` runs when
+    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
+    (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
+    :func:`_taylor_sparse` otherwise.  The dense kernel is accurate to
+    roundoff whatever ``tol`` is; ``tol`` sets the Taylor kernel's stop
+    rule.  ValueError, before the closure is built: ``tol <= 0``, or a
+    ``p`` of trace degree above 2 * MAX_DEGREE (the longest word); before
+    either kernel runs: work m * (nnz + STAGE_COST) above ``MAX_WORK``.
+    Overflow in either kernel raises FloatingPointError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not p.terms:
         return p
+    if p.trace_degree() > 2 * MAX_DEGREE:
+        raise ValueError(f"trace degree {p.trace_degree()} exceeds {2 * MAX_DEGREE}: "
+                         "the semigroup's closure would be too large")
     basis, rows, cols, vals = _compile(apply_fn, type(p), p.terms)
     n = len(basis)
     x = np.zeros(n, dtype=complex)
@@ -245,6 +313,36 @@ def exp_series(apply_fn, p, tol: float = 1e-13):
     if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
                          f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
+    stages = max(1, math.ceil(norm / STEP_NORM))
+    squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
+    dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
+        (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
+    with np.errstate(over="raise", invalid="raise"):
+        x = (_expm_dense(rows, cols, vals, x) if dense
+             else _taylor_sparse(rows, cols, vals, x, norm, tol))
+    return type(p)(dict(zip(basis, x.tolist())))
+
+
+def _expm_dense(rows, cols, vals, x):
+    """e^A x with A the n x n COO matrix (rows, cols, vals), n = len(x): one
+    :func:`_expm_batch` on the dense A, then one matrix-vector product."""
+    A = np.zeros((1, len(x), len(x)), dtype=complex)
+    A[0, rows, cols] = vals
+    return _expm_batch(A)[0] @ x
+
+
+def _taylor_sparse(rows, cols, vals, x, norm, tol):
+    """e^A x by truncated Taylor on the COO matrix A = (rows, cols, vals).
+
+    Each term costs one sparse product, O(nnz) time and memory.  The
+    series runs in m stages, e^A = (e^{A/m})^m, m = ceil(norm / STEP_NORM)
+    with ``norm`` = ||A||_1.  Within a stage, ||A/m||_1 <= STEP_NORM bounds
+    the tail after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
+    summation stops once that bound is below (tol / m) * ||sum||_1.  The
+    rule is relative only, so the result is homogeneous in x at any scale.
+    A stage that needs more than ``MAX_TERMS`` terms raises RuntimeError.
+    """
+    n = len(x)
     m = max(1, math.ceil(norm / STEP_NORM))
     stage_norm = norm / m
     vals = vals / m
@@ -269,7 +367,7 @@ def exp_series(apply_fn, p, tol: float = 1e-13):
                 f"semigroup Taylor series did not converge within {MAX_TERMS} terms"
             )
         x = acc
-    return type(p)(dict(zip(basis, x.tolist())))
+    return x
 
 
 def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,

@@ -212,9 +212,11 @@ def test_malformed_env_seed_exits_1(capsys, monkeypatch):
 
 
 def test_nonconvergent_series_exits_1(capsys, monkeypatch):
-    # the real exp_series with too few terms allowed per stage
+    # the real exp_series with too few terms allowed per stage, on an
+    # 846-monomial closure that the Taylor kernel takes
     monkeypatch.setattr(operators, "MAX_TERMS", 2)
-    code = cli.main(["heat-apply", "--gen", "D", "--t", "1.0", "--f", "u^3"])
+    code = cli.main(["heat-apply", "--gen", "DN", "--N", "4", "--t", "1.0", "--f",
+                     "u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7"])
     assert code == 1
     assert "did not converge" in _one_line_error(capsys)
 
@@ -315,6 +317,30 @@ def test_too_many_taylor_stages_exits_1(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert "MAX_WORK" in _one_line_error(capsys)
+
+
+def test_closure_search_is_bounded(capsys):
+    # u^30 alone has a 23,025-monomial closure: refused before the search
+    t0 = time.perf_counter()
+    code = cli.main(["heat-apply", "--gen", "D", "--t", "1", "--f", "u^100000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "trace degree 100000" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    # a 4-monomial closure, 5 squarings: the dense kernel
+    ["heat-apply", "--gen", "D", "--t", "-4", "--f", "1e308*u^3"],
+    # 19 monomials but 7 squarings, and 846 monomials: the Taylor kernel
+    ["transform", "--dir", "H", "--s", "1", "--t", "4", "--f", "1e307*u^6"],
+    ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f",
+     "1e307 u^2 v3^2 v-4 + 1e307 v1^4 v-2^2 v4 - 1e307 v5 v-7"],
+])
+def test_semigroup_overflow_exits_1(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    assert "overflow" in _one_line_error(capsys)
 
 
 def test_too_much_taylor_work_exits_1(capsys):

@@ -73,6 +73,13 @@ def test_expm_is_unitary():
     assert np.max(np.abs(U @ U.conj().T - np.eye(5))) < 1e-13
 
 
+def test_expm_checks_its_input():
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+    for bad in (np.array(1.0), np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square 2-D"):
+            expm(bad)
+
+
 def _with_norm(M, norm):
     return M * (norm / np.abs(M).sum(axis=0).max())
 

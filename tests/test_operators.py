@@ -218,10 +218,12 @@ def test_triangular_diagonal_action():
 
 
 def test_exp_series_rejects_runaway(monkeypatch):
-    # an operator that doubles the coefficient of a fixed monomial never
-    # converges termwise if we forbid enough terms
+    # an operator that scales every coefficient of a fixed set of monomials
+    # never converges termwise if we forbid enough terms; the 423 monomials
+    # of C_6 are more than the dense kernel takes, so the Taylor kernel runs
     monkeypatch.setattr(operators, "MAX_TERMS", 5)
-    p = TracePoly.one()
+    p = TracePoly({m: 1.0 for m in monomial_basis(6)})
+    assert len(p.terms) > operators.DENSE_MAX_N
     with pytest.raises(RuntimeError):
         exp_series(lambda q: 40.0 * q, p)
 

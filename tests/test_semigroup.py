@@ -1,14 +1,17 @@
 """The semigroup kernel ``exp_series`` on the compiled reachable closure:
-an independent dense oracle, homogeneity at any scale, and inputs at the
-documented degree limit."""
+an independent dense oracle, its dense and Taylor kernels against each
+other, homogeneity at any scale, and inputs at the documented degree
+limit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freesb.operators as operators
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
 from freesb.tracepoly import CLEANUP_EPS, TracePoly, parse
 from freesb.transform import G, H
+from freesb.words import apply_tilde, iota, iota_star
 
 u = TracePoly.u
 
@@ -51,6 +54,73 @@ def test_exp_apply_matches_dense_expm(n, name, theta):
         want = E @ M.coords(p)
         got = M.coords(exp_apply(gen, theta, p))
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), (n, name, theta)
+
+
+# ---------------------------------------------------------------- two kernels
+
+DEG12 = parse("u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7")
+
+
+def _closure(apply_fn, p):
+    """p's closure under apply_fn: the COO arrays, p's coordinates, the 1-norm."""
+    basis, rows, cols, vals = operators._compile(apply_fn, type(p), p.terms)
+    x = np.zeros(len(basis), dtype=complex)
+    x[:len(p.terms)] = list(p.terms.values())
+    return rows, cols, vals, x, np.bincount(cols, np.abs(vals), len(basis)).max()
+
+
+def _kernel_gap(rows, cols, vals, x, norm):
+    """Largest gap between the dense and Taylor kernels, relative to the
+    result's largest coefficient."""
+    with np.errstate(over="raise", invalid="raise"):
+        dense = operators._expm_dense(rows, cols, vals, x)
+        taylor = operators._taylor_sparse(rows, cols, vals, x, norm, 1e-13)
+    return np.abs(dense - taylor).max() / np.abs(taylor).max()
+
+
+def _word_gen(q):
+    return apply_tilde("Dst", q, 1.0, 0.0) + (1.0 / 16.0) * apply_tilde("Lst", q, 1.0, 0.0)
+
+
+KERNEL_CASES = (
+    [(f"D u^{k} theta={th}", lambda q, th=th: th * GeneratorSpec.D().apply(q), u(k))
+     for k in range(-12, 13) for th in (0.4, -0.4)]
+    + [("D_4 degree 12", lambda q: 0.4 * GeneratorSpec.DN(4).apply(q), DEG12),
+       ("pi_gen", lambda q: -0.4 * GeneratorSpec.pi_gen().apply(q), parse("v3 v4 v-5 + u^-2 v1")),
+       ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))])
+
+
+@pytest.mark.parametrize("name, apply_fn, p", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_dense_and_taylor_kernels_agree(name, apply_fn, p):
+    assert _kernel_gap(*_closure(apply_fn, p)) <= 1e-12, name
+
+
+def test_kernels_agree_at_large_theta():
+    # |theta| ||G||_1 up to 10^3 (up to 11 squarings on the dense side, 500
+    # stages on the Taylor side), results from 1e-140 to 1e+232 in size
+    worst = 0.0
+    for gen, p in ((GeneratorSpec.D(), u(3)), (GeneratorSpec.D(), u(-8)),
+                   (GeneratorSpec.DN(3), parse("u^3 v-2 + v1 v2")),
+                   (GeneratorSpec.pi_gen(), parse("v3 v4 v-5"))):
+        rows, cols, vals, x, norm = _closure(gen.apply, p)
+        for target in (10.0, 100.0, 1000.0):
+            for sign in (1.0, -1.0):
+                theta = sign * target / norm
+                worst = max(worst, _kernel_gap(rows, cols, theta * vals, x, target))
+    assert worst <= 1e-12, worst
+
+
+def test_kernel_choice(monkeypatch):
+    calls = []
+    batch = operators._expm_batch
+    monkeypatch.setattr(operators, "_expm_batch", lambda Ms: calls.append(Ms.shape) or batch(Ms))
+    exp_apply(GeneratorSpec.D(), 0.4, u(6))
+    assert calls == [(1, 19, 19)]
+    # the 846-monomial closure: the Taylor kernel is cheaper
+    exp_apply(GeneratorSpec.DN(4), 0.4, DEG12)
+    # ||0.95 D||_1 = 95 on the closure of u^10 would take 7 squarings
+    exp_apply(GeneratorSpec.D(), -0.95, u(10))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- homogeneity
