@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--Ns", default="4,8,16,32", help="comma-separated, ascending")
+    p.add_argument("--Ns", default="4,8,16,32", help="comma-separated, strictly ascending")
     p.add_argument("--mode", choices=["symbolic", "mc"], default="symbolic")
     sampling(p, samples=400)
 

@@ -391,8 +391,11 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn, threads: int | None) -> lis
     """[fn(Z_0), ..., fn(Z_{nsamples-1})] over sampled endpoints, in index order.
 
     Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a thread
-    pool when ``threads`` > 1; neither changes any value.
+    pool when ``threads`` > 1; neither changes any value.  Fewer than two
+    samples, which leave no standard error, raise ValueError.
     """
+    if nsamples < 2:
+        raise ValueError("nsamples must be >= 2")
     chunks = [list(range(lo, min(lo + _CHUNK, nsamples)))
               for lo in range(0, nsamples, _CHUNK)]
 
@@ -416,8 +419,6 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
     the stream derived from (seed, i): the result is independent of
     ``threads`` and of chunk scheduling.
     """
-    if nsamples < 2:
-        raise ValueError("nsamples must be >= 2")
     vals = np.array(_map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads),
                     dtype=complex)
     mean = complex(vals.sum() / nsamples)  # fixed-order accumulation
@@ -436,8 +437,8 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
     otherwise pi_{s-t} is subtracted and the norm is over mu_{s,t}^N.
     The concentration theorems give slope -2 (variance order 1/N^2).
     """
-    if len(Ns) < 3 or sorted(Ns) != list(Ns):
-        raise ValueError("Ns must be ascending with at least 3 entries")
+    if len(Ns) < 3 or any(a >= b for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("Ns must be strictly ascending with at least 3 entries")
     if mode not in ("symbolic", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     dev = p - pi_eval(p, s - t if t != 0.0 else s)

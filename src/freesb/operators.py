@@ -12,9 +12,11 @@ representations on the trace-degree filtration C_n[u, u^-1; v].
 
 All operators preserve the filtration (trace degree can only stay or
 drop), so the monomials reachable from a polynomial p span a finite-
-dimensional invariant subspace.  ``exp_series`` finds that closure by a
-breadth-first search and compiles the operator on it to a sparse matrix
-in coordinate (COO) form.  A small closure is exponentiated densely by
+dimensional invariant subspace.  ``exp_series`` takes its generator as a
+column function (one monomial to its image as (monomial, weight) pairs),
+finds that closure by a breadth-first search and compiles the operator
+on it to a sparse matrix in coordinate (COO) form, one merged dict per
+column and no polynomial.  A small closure is exponentiated densely by
 the degree-16 Paterson-Stockmeyer kernel that the sampler in
 :mod:`freesb.matrixlab` also uses; a large one runs a truncated Taylor
 series of sparse products on p's coordinate vector.  The same two
@@ -83,7 +85,7 @@ def _col_L(m: Mono) -> list[tuple[Mono, float]]:
     with v_0 understood as the constant 1.
     """
     k0, ve = m
-    out = [(mono(k0, rest + ((j1 + j2, 1),)), float(w * j1 * j2))
+    out = [(mono(k0, rest + ((j1 + j2, 1),)), float(2 * w * j1 * j2))
            for j1, j2, w, rest in second_partials(ve)]
     if k0 != 0:
         out += [(mono(k0 + j, rest), float(2 * j * k0 * e))
@@ -179,9 +181,14 @@ class GeneratorSpec:
     def pi_gen(cls) -> "GeneratorSpec":
         return cls((("PI_GEN", 1.0),))
 
+    def column(self, theta: complex):
+        """The column function of theta * G: one monomial to its image as
+        (monomial, weight) pairs, with theta folded into the weights."""
+        cols = [(_column(name), theta * w) for name, w in self.terms]
+        return lambda m: [(mi, w * c) for col, w in cols for mi, c in col(m)]
+
     def apply(self, p: TracePoly) -> TracePoly:
-        cols = [(_column(name), w) for name, w in self.terms]
-        return linear(lambda m: [(mi, w * c) for col, w in cols for mi, c in col(m)], p)
+        return linear(self.column(1.0), p)
 
 
 # ======================================================================
@@ -249,16 +256,17 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 
-def _compile(apply_fn, make, seed):
+def _compile(column, seed):
     """Compile a linear map to a sparse matrix on the closure of ``seed``.
 
-    ``basis`` starts as the monomials ``seed`` and grows breadth first:
-    column j holds the image of ``basis[j]`` under ``apply_fn`` (applied
-    to ``make({basis[j]: 1.0})``), and every monomial it reaches that is
-    not yet in ``basis`` is appended, so the loop visits it in turn.
-    Returns ``basis`` and the COO arrays ``rows, cols, vals`` with
-    ``vals[e]`` the coefficient of ``basis[rows[e]]`` in the image of
-    ``basis[cols[e]]``.
+    ``column`` maps one monomial to its image as (monomial, weight)
+    pairs, the form of ``linear`` and ``_COLUMNS``.  ``basis`` starts as
+    the monomials ``seed`` and grows breadth first: column j merges the
+    pairs of ``column(basis[j])`` in one dict, drops exact zeros, and
+    appends every monomial it reaches that is not yet in ``basis``, so
+    the loop visits it in turn.  Returns ``basis`` and the COO arrays
+    ``rows, cols, vals`` with ``vals[e]`` the coefficient of
+    ``basis[rows[e]]`` in the image of ``basis[cols[e]]``.
     """
     basis = list(seed)
     index = {m: i for i, m in enumerate(basis)}
@@ -266,7 +274,12 @@ def _compile(apply_fn, make, seed):
     cols: list[int] = []
     vals: list[complex] = []
     for j, m in enumerate(basis):  # basis grows as the search goes
-        for mi, c in apply_fn(make({m: 1.0})).terms.items():
+        image: dict = {}
+        for mi, w in column(m):
+            image[mi] = image.get(mi, 0j) + w
+        for mi, c in image.items():
+            if c == 0:
+                continue
             i = index.get(mi)
             if i is None:
                 i = index[mi] = len(basis)
@@ -278,13 +291,15 @@ def _compile(apply_fn, make, seed):
             np.array(vals, dtype=complex))
 
 
-def exp_series(apply_fn, p, tol: float = 1e-13):
-    """e^G p for a linear map G given as ``apply_fn``.
+def exp_series(column, p, tol: float = 1e-13):
+    """e^G p for a linear map G given by its column function ``column``.
 
-    Works for any polynomial type whose instances hold a ``terms`` dict
-    from monomial keys to coefficients and are built from such a dict
-    (``TracePoly``, ``WordPoly``); ``apply_fn`` must map the span of the
-    monomials reachable from ``p`` into itself.
+    ``column`` maps one monomial to its image under G as (monomial,
+    weight) pairs (see :func:`_compile`).  Works for any polynomial type
+    whose instances hold a ``terms`` dict from monomial keys to
+    coefficients and are built from such a dict (``TracePoly``,
+    ``WordPoly``); G must map the span of the monomials reachable from
+    ``p`` into itself.
 
     G is compiled on that closure to an n x n COO matrix A (see
     :func:`_compile`).  With m = ceil(||A||_1 / STEP_NORM) Taylor stages
@@ -295,7 +310,8 @@ def exp_series(apply_fn, p, tol: float = 1e-13):
     roundoff whatever ``tol`` is; ``tol`` sets the Taylor kernel's stop
     rule.  ValueError, before the closure is built: ``tol <= 0``, or a
     ``p`` of trace degree above 2 * MAX_DEGREE (the longest word); before
-    either kernel runs: work m * (nnz + STAGE_COST) above ``MAX_WORK``.
+    either kernel runs: work m * (nnz + STAGE_COST) above ``MAX_WORK``
+    (a non-finite entry of A fails this check too).
     Overflow in either kernel raises FloatingPointError.
     """
     if not tol > 0:
@@ -305,7 +321,7 @@ def exp_series(apply_fn, p, tol: float = 1e-13):
     if p.trace_degree() > 2 * MAX_DEGREE:
         raise ValueError(f"trace degree {p.trace_degree()} exceeds {2 * MAX_DEGREE}: "
                          "the semigroup's closure would be too large")
-    basis, rows, cols, vals = _compile(apply_fn, type(p), p.terms)
+    basis, rows, cols, vals = _compile(column, p.terms)
     n = len(basis)
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
@@ -377,7 +393,7 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,
         raise ValueError(f"non-finite time {theta!r}")
     if theta == 0.0:
         return p
-    return exp_series(lambda q: theta * gen.apply(q), p, tol=tol)
+    return exp_series(gen.column(theta), p, tol=tol)
 
 
 # ======================================================================
@@ -441,7 +457,7 @@ class OperatorMatrix:
 
 
 def operator_matrix(gen: GeneratorSpec, n: int) -> OperatorMatrix:
-    basis, rows, cols, vals = _compile(gen.apply, TracePoly, monomial_basis(n))
+    basis, rows, cols, vals = _compile(gen.column(1.0), monomial_basis(n))
     entries = np.zeros((len(basis), len(basis)), dtype=complex)
     entries[rows, cols] = vals
     return OperatorMatrix(n=n, basis=basis, entries=entries)

@@ -63,27 +63,27 @@ def merge_factors(pairs: Iterable[tuple[Hashable, int]], unit: Hashable) -> Fact
 
 def first_partials(factors: Factors) -> Iterator[tuple[Hashable, int, Factors]]:
     """d/dx over the factors: ``(x, e, rest)`` for each factor x^e, where
-    ``rest`` is ``factors`` with that exponent lowered by one."""
+    ``rest`` is ``factors`` with that exponent lowered by one (the factor
+    drops out at 0, so ``rest`` is normalized too)."""
     for i, (x, e) in enumerate(factors):
-        yield x, e, factors[:i] + ((x, e - 1),) + factors[i + 1:]
+        yield x, e, factors[:i] + ((x, e - 1),) * (e > 1) + factors[i + 1:]
 
 
 def second_partials(factors: Factors) -> Iterator[tuple[Hashable, Hashable, int, Factors]]:
-    """d2/dx dy over ordered pairs of factors, a factor with itself included:
-    ``(x, y, weight, rest)`` with weight e_x e_y (e (e - 1) when x is y)."""
+    """Two factors taken out together, over unordered pairs with a factor
+    paired with itself included: ``(x, y, weight, rest)``, x at or before
+    y in ``factors``, with weight e_x e_y (C(e_x, 2) when x is y), the
+    number of ways to pick the pair, and ``rest`` the normalized factors
+    left.  A symmetric second-order operator sum_{x,y} c_xy d2/dx dy takes
+    2 c_xy times weight on each pair."""
     for i, (x, ex) in enumerate(factors):
-        for j, (y, ey) in enumerate(factors):
-            rest = list(factors)
-            if i == j:
-                if ex < 2:
-                    continue
-                weight = ex * (ex - 1)
-                rest[i] = (x, ex - 2)
-            else:
-                weight = ex * ey
-                rest[i] = (x, ex - 1)
-                rest[j] = (y, ey - 1)
-            yield x, y, weight, tuple(rest)
+        if ex >= 2:
+            yield x, x, ex * (ex - 1) // 2, (factors[:i] + ((x, ex - 2),) * (ex > 2)
+                                             + factors[i + 1:])
+        for j in range(i + 1, len(factors)):
+            y, ey = factors[j]
+            yield x, y, ex * ey, (factors[:i] + ((x, ex - 1),) * (ex > 1) + factors[i + 1:j]
+                                  + ((y, ey - 1),) * (ey > 1) + factors[j + 1:])
 
 
 def mono(u_exp: int = 0, v: Iterable[tuple[int, int]] = ()) -> Mono:

@@ -99,7 +99,13 @@ def wmono(pairs: Iterable[tuple[str, int]]) -> WordKey:
 
 
 def _wmono_mul(a: WordKey, b: WordKey) -> WordKey:
-    return merge_factors(a + b, "")
+    # both keys are normalized: positive exponents, no empty word
+    if not (a and b):
+        return a or b
+    acc = dict(a)
+    for w, e in b:
+        acc[w] = acc.get(w, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def wmono_degree(m: WordKey) -> int:
@@ -296,39 +302,66 @@ def derive_generators(eps, delta=None, s: float = 0.0, t: float = 0.0) -> WordPo
 # ----------------------------------------------------------------------
 
 
+def _leibniz(m: WordKey, first, second) -> list:
+    """The column at m of X + Y, with X a derivation and Y purely second
+    order, as (monomial, weight) pairs.  ``first(a)`` gives X(v_a) and
+    ``second(a, b)``, a <= b, gives Y(v_a v_b), both as such pairs.  For
+    m = rest * prod_a v_a^{e_a},
+
+        (X + Y) m = sum_a e_a rest_a X(v_a) + sum_{a<b} e_a e_b rest_ab Y(v_a v_b)
+                    + sum_a C(e_a, 2) rest_aa Y(v_a^2),
+
+    where rest_a (rest_ab, rest_aa) is m with one v_a (one v_a and one
+    v_b, two v_a) removed.
+    """
+    return ([(_wmono_mul(q, rest), e * c) for a, e, rest in first_partials(m) for q, c in first(a)]
+            + [(_wmono_mul(q, rest), f * c)
+               for a, b, f, rest in second_partials(m) for q, c in second(a, b)])
+
+
 def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
-    """Apply Dt_{s,t} (gen="Dst") or Lt_{s,t} (gen="Lst") to p."""
-    if gen == "Dst":
-        def column(m: WordKey):
-            return [(_wmono_mul(qm, rest), 0.5 * e * qc)
-                    for w, e, rest in first_partials(m)
-                    for qm, qc in derive_generators(w, None, s, t).terms.items()]
-    elif gen == "Lst":
-        def column(m: WordKey):
-            return [(_wmono_mul(rm, rest), 0.5 * f * rc)
-                    for w1, w2, f, rest in second_partials(m)
-                    for rm, rc in derive_generators(w1, w2, s, t).terms.items()]
-    else:
+    """Apply Dt_{s,t} (gen="Dst") or Lt_{s,t} (gen="Lst") to p.
+
+    Dt(v_a) = Q_a / 2, and Lt(v_a v_b) = (R_{a,b} + R_{b,a}) / 2 = R_{a,b}
+    since R is symmetric in its two words.
+    """
+    if gen not in ("Dst", "Lst"):
         raise ValueError(f"unknown generator {gen!r} (want 'Dst' or 'Lst')")
-    return linear(column, p)
+
+    def first(a):
+        return [] if gen == "Lst" else [
+            (qm, 0.5 * qc) for qm, qc in derive_generators(a, None, s, t).terms.items()]
+
+    def second(a, b):
+        return [] if gen == "Dst" else derive_generators(a, b, s, t).terms.items()
+
+    return linear(lambda m: _leibniz(m, first, second), p)
 
 
 def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
     Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with
-    every v_eps then set to 1.
+    every v_eps then set to 1.  The generator's column is the Leibniz
+    form (see ``_leibniz``) over Dt(v_a) and Lt(v_a v_b) / N^2; each of
+    these is one ``apply_tilde`` call, made once per call of this
+    function, so ``derive_generators`` runs once per distinct word or
+    pair of words.
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     if not (math.isfinite(s) and math.isfinite(t)):
         raise ValueError(f"non-finite time s={s!r}, t={t!r}")
-    inv_n2 = 1.0 / (N * N)
+    images: dict = {}  # the terms of Dt(v_a) by (a,), of Lt(v_a v_b) / N^2 by (a, b)
 
-    def gen(q: WordPoly) -> WordPoly:
-        return apply_tilde("Dst", q, s, t) + inv_n2 * apply_tilde("Lst", q, s, t)
+    def image(*words):
+        if words not in images:
+            gen, w = ("Dst", 1.0) if len(words) == 1 else ("Lst", 1.0 / (N * N))
+            unit = WordPoly({wmono((a, 1) for a in words): w})
+            images[words] = apply_tilde(gen, unit, s, t).terms.items()
+        return images[words]
 
-    return exp_series(gen, p).evaluate_ones()
+    return exp_series(lambda m: _leibniz(m, image, image), p).evaluate_ones()
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import freesb.cli as cli
+import freesb.matrixlab as matrixlab
 import freesb.operators as operators
 import freesb.words as words
 from freesb import __version__
@@ -245,6 +246,20 @@ def test_concentration_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 3
     assert abs(float(first[1]) - rep["results"]["rows"][0]["value"]) < 1e-15
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a repeated N leaves np.polyfit a slope fitted to fewer points
+    (["concentration", "--p", "v1", "--s", "1", "--Ns", "2,2,2"], "strictly ascending"),
+    (["concentration", "--p", "v1", "--s", "1", "--Ns", "4,8,8,16"], "strictly ascending"),
+    # a standard error needs two samples
+    (["concentration", "--p", "v1", "--s", "1", "--mode", "mc", "--samples", "1",
+      "--Ns", "2,3,4", "--steps", "5", "--threads", "1"], "nsamples must be >= 2"),
+])
+def test_concentration_bad_inputs_exit_1(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(matrixlab, "_sample_batch", None)  # refused before any sampling
+    assert cli.main(argv) == 1
+    assert message in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -367,6 +367,10 @@ def test_concentration_guards():
         concentration_experiment(v(1), 1.0, 0.0, [8, 4, 16], mode="symbolic")
     with pytest.raises(ValueError):
         concentration_experiment(v(1), 1.0, 0.0, [4, 8], mode="symbolic")
+    with pytest.raises(ValueError, match="strictly ascending"):
+        concentration_experiment(v(1), 1.0, 0.0, [4, 8, 8], mode="symbolic")
+    with pytest.raises(ValueError, match="nsamples"):
+        concentration_experiment(v(1), 1.0, 0.0, [3, 4, 6], mode="mc", samples=1)
 
 
 def test_equivariance_and_zero_test():

@@ -225,7 +225,7 @@ def test_exp_series_rejects_runaway(monkeypatch):
     p = TracePoly({m: 1.0 for m in monomial_basis(6)})
     assert len(p.terms) > operators.DENSE_MAX_N
     with pytest.raises(RuntimeError):
-        exp_series(lambda q: 40.0 * q, p)
+        exp_series(lambda m: [(m, 40.0)], p)
 
 
 # ---------------------------------------------------------------- matrices

@@ -11,7 +11,7 @@ import freesb.operators as operators
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
 from freesb.tracepoly import CLEANUP_EPS, TracePoly, parse
 from freesb.transform import G, H
-from freesb.words import apply_tilde, iota, iota_star
+from freesb.words import WordPoly, apply_tilde, iota, iota_star
 
 u = TracePoly.u
 
@@ -61,9 +61,9 @@ def test_exp_apply_matches_dense_expm(n, name, theta):
 DEG12 = parse("u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7")
 
 
-def _closure(apply_fn, p):
-    """p's closure under apply_fn: the COO arrays, p's coordinates, the 1-norm."""
-    basis, rows, cols, vals = operators._compile(apply_fn, type(p), p.terms)
+def _closure(column, p):
+    """p's closure under column: the COO arrays, p's coordinates, the 1-norm."""
+    basis, rows, cols, vals = operators._compile(column, p.terms)
     x = np.zeros(len(basis), dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     return rows, cols, vals, x, np.bincount(cols, np.abs(vals), len(basis)).max()
@@ -78,21 +78,23 @@ def _kernel_gap(rows, cols, vals, x, norm):
     return np.abs(dense - taylor).max() / np.abs(taylor).max()
 
 
-def _word_gen(q):
-    return apply_tilde("Dst", q, 1.0, 0.0) + (1.0 / 16.0) * apply_tilde("Lst", q, 1.0, 0.0)
+def _word_gen(m):
+    q = WordPoly({m: 1.0})
+    return (apply_tilde("Dst", q, 1.0, 0.0)
+            + (1.0 / 16.0) * apply_tilde("Lst", q, 1.0, 0.0)).terms.items()
 
 
 KERNEL_CASES = (
-    [(f"D u^{k} theta={th}", lambda q, th=th: th * GeneratorSpec.D().apply(q), u(k))
+    [(f"D u^{k} theta={th}", GeneratorSpec.D().column(th), u(k))
      for k in range(-12, 13) for th in (0.4, -0.4)]
-    + [("D_4 degree 12", lambda q: 0.4 * GeneratorSpec.DN(4).apply(q), DEG12),
-       ("pi_gen", lambda q: -0.4 * GeneratorSpec.pi_gen().apply(q), parse("v3 v4 v-5 + u^-2 v1")),
+    + [("D_4 degree 12", GeneratorSpec.DN(4).column(0.4), DEG12),
+       ("pi_gen", GeneratorSpec.pi_gen().column(-0.4), parse("v3 v4 v-5 + u^-2 v1")),
        ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))])
 
 
-@pytest.mark.parametrize("name, apply_fn, p", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-def test_dense_and_taylor_kernels_agree(name, apply_fn, p):
-    assert _kernel_gap(*_closure(apply_fn, p)) <= 1e-12, name
+@pytest.mark.parametrize("name, column, p", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_dense_and_taylor_kernels_agree(name, column, p):
+    assert _kernel_gap(*_closure(column, p)) <= 1e-12, name
 
 
 def test_kernels_agree_at_large_theta():
@@ -102,7 +104,7 @@ def test_kernels_agree_at_large_theta():
     for gen, p in ((GeneratorSpec.D(), u(3)), (GeneratorSpec.D(), u(-8)),
                    (GeneratorSpec.DN(3), parse("u^3 v-2 + v1 v2")),
                    (GeneratorSpec.pi_gen(), parse("v3 v4 v-5"))):
-        rows, cols, vals, x, norm = _closure(gen.apply, p)
+        rows, cols, vals, x, norm = _closure(gen.column(1.0), p)
         for target in (10.0, 100.0, 1000.0):
             for sign in (1.0, -1.0):
                 theta = sign * target / norm
@@ -121,6 +123,37 @@ def test_kernel_choice(monkeypatch):
     # ||0.95 D||_1 = 95 on the closure of u^10 would take 7 squarings
     exp_apply(GeneratorSpec.D(), -0.95, u(10))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- compiled columns
+
+
+def _compile_by_polynomials(gen, seed):
+    """The closure search with one ``gen.apply`` polynomial per column: an
+    oracle for ``_compile``'s merge of the column pairs in one dict."""
+    basis = list(seed)
+    index = {m: i for i, m in enumerate(basis)}
+    rows, cols, vals = [], [], []
+    for j, m in enumerate(basis):
+        for mi, c in gen.apply(TracePoly({m: 1.0})).terms.items():
+            if mi not in index:
+                index[mi] = len(basis)
+                basis.append(mi)
+            rows.append(index[mi])
+            cols.append(j)
+            vals.append(c)
+    return basis, np.array(rows), np.array(cols), np.array(vals, dtype=complex)
+
+
+@pytest.mark.parametrize("gen, p", [(GeneratorSpec.D(), u(k)) for k in range(-12, 13)]
+                         + [(GeneratorSpec.DN(4), DEG12),
+                            (GeneratorSpec.pi_gen(), parse("v3 v4 v-5 + u^-2 v1"))])
+def test_compile_matches_polynomial_columns(gen, p):
+    basis, *coo = operators._compile(gen.column(1.0), p.terms)
+    want_basis, *want = _compile_by_polynomials(gen, p.terms)
+    assert basis == want_basis
+    for got, ref in zip(coo, want):
+        assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------- homogeneity

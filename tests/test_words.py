@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freesb.operators as operators
+import freesb.words as words
 from freesb.tracepoly import TracePoly, parse
 from freesb.operators import GeneratorSpec, exp_apply, exp_series
 from freesb.moments import nu, pi_eval
@@ -222,6 +224,11 @@ def test_generator_fd_oracle():
 # ---------------------------------------------------------------- expectations
 
 
+def _dst_column(s, t):
+    """Dt_{s,t} as a column function, the form ``exp_series`` takes."""
+    return lambda m: apply_tilde("Dst", WordPoly({m: 1.0}), s, t).terms.items()
+
+
 def test_expectation_eigenvalue_observables():
     # tr Z and tr(Z Z*) are eigenvectors of the generator: exact at every N
     for N in (1, 3, 8):
@@ -252,7 +259,7 @@ def test_nonpositive_tol_raises():
     with pytest.raises(ValueError, match="tol"):
         exp_apply(GeneratorSpec.D(), 0.5, u(1), tol=-1.0)
     with pytest.raises(ValueError, match="tol"):
-        exp_series(lambda q: apply_tilde("Dst", q, 1.0, 0.0), iota(v(2)), tol=-1.0)
+        exp_series(_dst_column(1.0, 0.0), iota(v(2)), tol=-1.0)
 
 
 def test_expectation_linear():
@@ -291,9 +298,89 @@ def test_limit_expectation_is_pi():
                     budget -= abs(j)
             terms[(0, tuple(sorted(ve.items())))] = complex(rng.normal(), rng.normal())
         Q = TracePoly(terms)
-        lim = exp_series(lambda w: apply_tilde("Dst", w, s, t), iota(Q)).evaluate_ones()
+        lim = exp_series(_dst_column(s, t), iota(Q)).evaluate_ones()
         want = complex(sum(pi_eval(Q, s - t).terms.values()))
         assert abs(lim - want) < 1e-10 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------- Leibniz columns
+
+Z4 = iota(v(4)) * iota_star(v(4))  # |tr Z^4|^2
+
+
+def _spy_exp_series(monkeypatch):
+    """Record each column ``expectation`` hands to ``exp_series``, and the
+    monomials it is called on."""
+    columns, calls = [], []
+
+    def spy(column, p, *args, **kwargs):
+        columns.append(column)
+        return real(lambda m: calls.append(m) or column(m), p, *args, **kwargs)
+
+    real = words.exp_series
+    monkeypatch.setattr(words, "exp_series", spy)
+    return columns, calls
+
+
+def _by_definition(m, s, t, N):
+    """(Dt + Lt/N^2) m from Dt = (1/2) sum_a Q_a d/dv_a and
+    Lt = (1/2) sum_{a,b} R_{a,b} d2/dv_a dv_b, over ordered pairs."""
+    out: dict = {}
+
+    def add(poly, rest, w):
+        for qm, c in poly.terms.items():
+            key = wmono(list(qm) + list(rest.items()))
+            out[key] = out.get(key, 0j) + w * c
+
+    for a, e in m:
+        rest = dict(m)
+        rest[a] -= 1
+        add(derive_generators(a, None, s, t), rest, 0.5 * e)
+        for b in dict(m):
+            if rest[b]:
+                rest2 = dict(rest)
+                rest2[b] -= 1
+                add(derive_generators(a, b, s, t), rest2, 0.5 * e * rest[b] / N**2)
+    return out
+
+
+@pytest.mark.parametrize("s, t, N", [(1.0, 0.0, 8), (1.5, 0.8, 4)])
+def test_leibniz_column_matches_apply_tilde(monkeypatch, s, t, N):
+    # on every monomial of the |tr Z^4|^2 closure, under rho and under mu
+    columns, _ = _spy_exp_series(monkeypatch)
+    expectation(Z4, s, t, N)
+    [column] = columns
+    basis = operators._compile(column, Z4.terms)[0]
+    assert len(basis) > 100
+    for m in basis:
+        q = WordPoly({m: 1.0})
+        tilde = apply_tilde("Dst", q, s, t) + (1.0 / N**2) * apply_tilde("Lst", q, s, t)
+        got: dict = {}
+        for mi, w in column(m):
+            got[mi] = got.get(mi, 0j) + w
+        for want in (tilde.terms, _by_definition(m, s, t, N)):
+            scale = max(map(abs, want.values()), default=0.0)
+            for mi in set(got) | set(want):
+                assert abs(got.get(mi, 0j) - want.get(mi, 0j)) <= 1e-15 * scale, (m, mi)
+
+
+def test_expectation_call_paths(monkeypatch):
+    # perfbench's tracer counts these calls: expectation reaches apply_tilde
+    # with both generators and derive_generators, and exp_series calls its
+    # column once per closure monomial
+    gens, derived = [], []
+    tilde, derive = words.apply_tilde, words.derive_generators
+    monkeypatch.setattr(words, "apply_tilde", lambda gen, *a: gens.append(gen) or tilde(gen, *a))
+    monkeypatch.setattr(words, "derive_generators",
+                        lambda *a: derived.append(a) or derive(*a))
+    columns, calls = _spy_exp_series(monkeypatch)
+    expectation(Z4, 1.0, 0.0, 8)
+    assert set(gens) == {"Dst", "Lst"}
+    # once per distinct word (Q) or unordered pair of words (R) in one call
+    keys = [(eps,) if delta is None else tuple(sorted((eps, delta))) for eps, delta, *_ in derived]
+    assert keys and len(keys) == len(set(keys))
+    basis = operators._compile(columns[0], Z4.terms)[0]
+    assert sorted(calls) == sorted(basis)
 
 
 # ---------------------------------------------------------------- norms
