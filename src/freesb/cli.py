@@ -10,9 +10,10 @@ byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
 verification command exceeds an asserted tolerance, 1 on usage errors
 and on computations that fail (a malformed FREESB_SEED, a series order K
 outside 1..16, a semigroup series that does not converge, a semigroup
-or sampler path that overflows, a norm that comes out non-real, a --csv
-file that cannot be written, a stdout closed before the report is
-written; the last prints nothing).
+or sampler path that overflows, a norm that comes out non-real, a
+non-finite time or any other NaN or infinity in the report, which JSON
+cannot hold, a --csv file that cannot be written, a stdout closed before
+the report is written; the last prints nothing).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .tracepoly import TracePoly, format_poly, mono_factors, parse
-from .operators import GeneratorSpec, exp_apply
-from .moments import b_poly, c_poly, nu, varrho_coeffs
+from .operators import TAYLOR_TOL, GeneratorSpec, exp_apply
+from .moments import MAX_MOMENT, b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
 from .words import Measure, l2_norm_sq
 from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, concentration_experiment,
@@ -93,7 +94,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gen", choices=["D", "DN"], required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-13)
     p.add_argument("--f", required=True, help="trace polynomial, e.g. 'u^2 - v1'")
 
     p = add("transform", "free unitary Segal-Bargmann transform G or its inverse H")
@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--dir", choices=["G", "H"], default="G")
-    p.add_argument("--tol", type=float, default=1e-13)
 
     p = add("biane", "Biane polynomial p_k^{s,t}")
     p.add_argument("--k", type=int, required=True)
@@ -168,26 +167,26 @@ def _cmd_heat_apply(a, seed):
         gen = GeneratorSpec.DN(a.N)
     else:
         gen = GeneratorSpec.D()
-    out = exp_apply(gen, a.t / 2.0, f, tol=a.tol)
-    return {"poly": _poly_json(out), "tol": a.tol}, 0
+    out = exp_apply(gen, a.t / 2.0, f)
+    return {"poly": _poly_json(out), "tol": TAYLOR_TOL}, 0
 
 
 def _cmd_transform(a, seed):
     f = parse(a.f)
     fn = G if a.dir == "G" else H
-    out = fn(f, a.s, a.t, tol=a.tol)
-    return {"poly": _poly_json(out), "dir": a.dir, "tol": a.tol}, 0
+    out = fn(f, a.s, a.t)
+    return {"poly": _poly_json(out), "dir": a.dir, "tol": TAYLOR_TOL}, 0
 
 
 def _cmd_biane(a, seed):
     out = biane(a.k, a.s, a.t)
-    return {"k": a.k, "poly": _poly_json(out), "tol": 1e-13}, 0
+    return {"k": a.k, "poly": _poly_json(out), "tol": TAYLOR_TOL}, 0
 
 
 def _cmd_moments(a, seed):
     k = a.k
-    if k < 1:
-        raise ValueError("moments requires --k >= 1")
+    if not 1 <= k <= MAX_MOMENT:  # before the recursions, which take long at large k
+        raise ValueError(f"moments requires 1 <= --k <= {MAX_MOMENT}, got {k}")
     c = c_poly(k, a.s)
     b = b_poly(k, a.s)
     return {
@@ -219,6 +218,8 @@ def _cmd_verify_magic(a, seed):
 
 
 def _cmd_intertwine_check(a, seed):
+    if a.trials < 1:  # zero trials would pass having checked nothing
+        raise ValueError(f"intertwine-check requires --trials >= 1, got {a.trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(a.trials):
@@ -309,26 +310,26 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValueError(f"FREESB_SEED must be an integer, got {env!r}") from None
         results, code = _COMMANDS[args.command](args, seed)
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("command",) and v is not None}
+        report = {
+            "schema": 1,
+            "command": args.command,
+            "params": params,
+            "results": results,
+            "versions": {"code": __version__, "rng": RNG_NAME},
+            "seed": seed,
+            "wall_time_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, TypeError, ArithmeticError, RuntimeError, OSError) as e:
-        # bad input, a non-real or negative norm, a Taylor series that
-        # does not converge, a --csv path that cannot be written: one
-        # line on stderr, never a traceback
+        # bad input, a non-real or negative norm, a Taylor series that does
+        # not converge, an unwritable --csv path, a NaN or infinity that
+        # JSON cannot hold: one line on stderr, never a traceback
         print(f"freesb: error: {e}", file=sys.stderr)
         return 1
-
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command",) and v is not None}
-    report = {
-        "schema": 1,
-        "command": args.command,
-        "params": params,
-        "results": results,
-        "versions": {"code": __version__, "rng": RNG_NAME},
-        "seed": seed,
-        "wall_time_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
     try:
-        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:  # stdout closed early: let devnull take the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch  # noqa: F401
+from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch, check_times  # noqa: F401
 from .tracepoly import TracePoly
 from .words import Measure, WordPoly, l2_norm_sq
 from .moments import pi_eval
@@ -287,8 +287,7 @@ class SamplerCfg:
             raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not (math.isfinite(self.s) and math.isfinite(self.t)):
-            raise ValueError(f"non-finite sampler time: s={self.s}, t={self.t}")
+        check_times(s=self.s, t=self.t)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -391,11 +390,13 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn, threads: int | None) -> lis
     """[fn(Z_0), ..., fn(Z_{nsamples-1})] over sampled endpoints, in index order.
 
     Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a thread
-    pool when ``threads`` > 1; neither changes any value.  Fewer than two
-    samples, which leave no standard error, raise ValueError.
+    pool when ``threads`` > 1; neither changes any value.  ValueError:
+    fewer than two samples (no standard error) or ``threads`` below 1.
     """
     if nsamples < 2:
         raise ValueError("nsamples must be >= 2")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     chunks = [list(range(lo, min(lo + _CHUNK, nsamples)))
               for lo in range(0, nsamples, _CHUNK)]
 

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .operators import GeneratorSpec, exp_apply
+from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly
+
+MAX_MOMENT = 64  # largest |k| of nu_k
 
 # ----------------------------------------------------------------------
 # Catalan numbers and nu_k
@@ -43,7 +45,8 @@ def _nu_hat_exact(k: int, s: float) -> Fraction:
     # e^{ks/2} nu_k(s) = sum_{j=0}^{k-1} ((-s)^j / j!) k^{j-1} binom(k, j+1),
     # summed exactly over the rationals: the terms alternate in sign and the
     # cancellation for large k, s is far beyond what compensated floating
-    # summation can absorb.
+    # summation can absorb.  Every route to nu_k and c_k passes here.
+    check_times(s=s)
     sf = Fraction(-s)
     acc = Fraction(0)
     power = Fraction(1)
@@ -67,8 +70,8 @@ def nu(k: int, s: float) -> float:
     k = abs(k)
     if k == 0:
         return 1.0
-    if k > 64:
-        raise ValueError(f"nu(k, s) supports |k| <= 64, got {k}")
+    if k > MAX_MOMENT:
+        raise ValueError(f"nu(k, s) supports |k| <= {MAX_MOMENT}, got {k}")
     return math.exp(-k * s / 2.0) * float(_nu_hat_exact(k, float(s)))
 
 
@@ -185,6 +188,7 @@ def b_poly(k: int, s: float) -> TPoly:
     """
     if k < 1:
         raise ValueError(f"b_poly needs k >= 1, got {k}")
+    check_times(s=s)
     return TPoly(coeffs=_b_table(k, float(s)))
 
 
@@ -203,4 +207,5 @@ def varrho(k: int, t: float) -> float:
     """varrho_k(t) = e^{kt/2} nu_k(t), via its self-contained recursion."""
     if k < 1:
         raise ValueError(f"varrho needs k >= 1, got {k}")
+    check_times(t=t)
     return float(TPoly(varrho_coeffs(k)).eval(Fraction(float(t))))

@@ -35,6 +35,7 @@ import numpy as np
 from .tracepoly import Mono, TracePoly, first_partials, linear, mono, second_partials
 
 MAX_TERMS = 500  # Taylor terms of one stage
+TAYLOR_TOL = 1e-13  # the Taylor kernel stops at this bound on its relative tail
 STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
 MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
@@ -291,7 +292,7 @@ def _compile(column, seed):
             np.array(vals, dtype=complex))
 
 
-def exp_series(column, p, tol: float = 1e-13):
+def exp_series(column, p):
     """e^G p for a linear map G given by its column function ``column``.
 
     ``column`` maps one monomial to its image under G as (monomial,
@@ -307,15 +308,13 @@ def exp_series(column, p, tol: float = 1e-13):
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
     (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
     :func:`_taylor_sparse` otherwise.  The dense kernel is accurate to
-    roundoff whatever ``tol`` is; ``tol`` sets the Taylor kernel's stop
-    rule.  ValueError, before the closure is built: ``tol <= 0``, or a
-    ``p`` of trace degree above 2 * MAX_DEGREE (the longest word); before
-    either kernel runs: work m * (nnz + STAGE_COST) above ``MAX_WORK``
-    (a non-finite entry of A fails this check too).
+    roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop rule.
+    ValueError, before the closure is built: a ``p`` of trace degree
+    above 2 * MAX_DEGREE (the longest word); before either kernel runs:
+    work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite entry
+    of A fails this check too).
     Overflow in either kernel raises FloatingPointError.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if not p.terms:
         return p
     if p.trace_degree() > 2 * MAX_DEGREE:
@@ -335,7 +334,7 @@ def exp_series(column, p, tol: float = 1e-13):
         (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
     with np.errstate(over="raise", invalid="raise"):
         x = (_expm_dense(rows, cols, vals, x) if dense
-             else _taylor_sparse(rows, cols, vals, x, norm, tol))
+             else _taylor_sparse(rows, cols, vals, x, norm))
     return type(p)(dict(zip(basis, x.tolist())))
 
 
@@ -347,14 +346,14 @@ def _expm_dense(rows, cols, vals, x):
     return _expm_batch(A)[0] @ x
 
 
-def _taylor_sparse(rows, cols, vals, x, norm, tol):
+def _taylor_sparse(rows, cols, vals, x, norm):
     """e^A x by truncated Taylor on the COO matrix A = (rows, cols, vals).
 
     Each term costs one sparse product, O(nnz) time and memory.  The
     series runs in m stages, e^A = (e^{A/m})^m, m = ceil(norm / STEP_NORM)
     with ``norm`` = ||A||_1.  Within a stage, ||A/m||_1 <= STEP_NORM bounds
     the tail after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
-    summation stops once that bound is below (tol / m) * ||sum||_1.  The
+    summation stops once that bound is below (TAYLOR_TOL / m) * ||sum||_1.  The
     rule is relative only, so the result is homogeneous in x at any scale.
     A stage that needs more than ``MAX_TERMS`` terms raises RuntimeError.
     """
@@ -362,7 +361,7 @@ def _taylor_sparse(rows, cols, vals, x, norm, tol):
     m = max(1, math.ceil(norm / STEP_NORM))
     stage_norm = norm / m
     vals = vals / m
-    stage_tol = tol / m
+    stage_tol = TAYLOR_TOL / m
 
     def matvec(y: np.ndarray) -> np.ndarray:
         prod = vals * y[cols]
@@ -386,14 +385,18 @@ def _taylor_sparse(rows, cols, vals, x, norm, tol):
     return x
 
 
-def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly,
-              tol: float = 1e-13) -> TracePoly:
+def check_times(**times: float) -> None:
+    """ValueError ``non-finite time name=value, ...`` unless every time is finite."""
+    if not all(math.isfinite(x) for x in times.values()):
+        raise ValueError("non-finite time " + ", ".join(f"{k}={x!r}" for k, x in times.items()))
+
+
+def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
     """e^{theta G} p for a GeneratorSpec G; theta may have either sign."""
-    if not math.isfinite(theta):
-        raise ValueError(f"non-finite time {theta!r}")
+    check_times(theta=theta)
     if theta == 0.0:
         return p
-    return exp_series(gen.column(theta), p, tol=tol)
+    return exp_series(gen.column(theta), p)
 
 
 # ======================================================================

@@ -25,6 +25,10 @@ base class ``SparsePoly`` (construction, ring operations, comparison),
 polynomials, and the partial-derivative iterators over sorted
 ``(variable, exponent)`` tuples, the shape of both a v-part and a word
 monomial.
+
+``format`` writes and ``parse`` reads the text grammar given beside them;
+``parse`` reads it with three token patterns: ``_SIGN`` (a term's sign),
+``_COEFF`` (its coefficient) and ``_FACTOR`` (each u or v factor).
 """
 
 from __future__ import annotations
@@ -406,135 +410,50 @@ def format(p: TracePoly) -> str:  # noqa: A001 - module-level op name
 format_poly = format
 
 
-_UINT = re.compile(r"\d+")
-_FLOAT = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+#: optional whitespace and a sign, with the whitespace after it
+_SIGN = re.compile(r"\s*([+-]?)\s*")
+#: a real number, or (re +- im i); a bare 'e' after the digits is left over
+_COEFF = re.compile(rf"({_NUM})|\(\s*([+-]?{_NUM})\s*([+-])\s*({_NUM})\s*i\s*\)")
+#: an optional '*', then u[^int] or v int [^posint]
+_FACTOR = re.compile(r"\s*(?:\*\s*)?(?:u(?:\s*\^\s*([+-]?)\s*(\d+))?"
+                     r"|v\s*([+-]?)\s*(\d+)(?:\s*\^\s*(\d+))?)")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, msg: str) -> ValueError:
-        return ValueError(f"parse error at position {self.pos}: {msg}")
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def _read(self, pattern: re.Pattern, what: str) -> str:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def read_uint(self) -> int:
-        return int(self._read(_UINT, "an integer"))
-
-    def read_int(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        elif self.peek() == "+":
-            self.pos += 1
-        return sign * self.read_uint()
-
-    def read_float(self) -> float:
-        # a bare 'e' after the digits is left to the next factor
-        return float(self._read(_FLOAT, "a number"))
-
-
-def _parse_coeff(sc: _Scanner) -> complex:
-    if sc.peek() == "(":
-        sc.pos += 1
-        re_part = sc.read_float()
-        ch = sc.peek()
-        if ch not in "+-":
-            raise sc.error("expected '+' or '-' inside complex coefficient")
-        im_part = sc.read_float()
-        if sc.peek() != "i":
-            raise sc.error("expected 'i' in complex coefficient")
-        sc.pos += 1
-        sc.expect(")")
-        return complex(re_part, im_part)
-    return complex(sc.read_float())
-
-
-def _parse_term(sc: _Scanner) -> TracePoly:
-    coeff = 1 + 0j
-    have_any = False
-    ch = sc.peek()
-    if ch == "(" or ch.isdigit() or ch == ".":
-        coeff = _parse_coeff(sc)
-        have_any = True
-    u_exp = 0
-    v_factors: list[tuple[int, int]] = []
-    while True:
-        ch = sc.peek()
-        if ch == "*":
-            sc.pos += 1
-            ch = sc.peek()
-        if ch == "u":
-            sc.pos += 1
-            e = 1
-            if sc.peek() == "^":
-                sc.pos += 1
-                e = sc.read_int()
-            u_exp += e
-            have_any = True
-        elif ch == "v":
-            sc.pos += 1
-            j = sc.read_int()
-            if j == 0:
-                raise sc.error("v0 is not a variable")
-            e = 1
-            if sc.peek() == "^":
-                sc.pos += 1
-                e = sc.read_uint()
-                if e < 1:
-                    raise sc.error("v exponent must be positive")
-            v_factors.append((j, e))
-            have_any = True
-        else:
-            break
-    if not have_any:
-        raise sc.error("expected a term")
-    return TracePoly({mono(u_exp, v_factors): coeff})
+def _error(pos: int, msg: str) -> ValueError:
+    return ValueError(f"parse error at position {pos}: {msg}")
 
 
 def parse(text: str) -> TracePoly:
     """Parse the text grammar above into a TracePoly."""
-    sc = _Scanner(text)
-    sign = 1
-    ch = sc.peek()
-    if ch == "+":
-        sc.pos += 1
-    elif ch == "-":
-        sc.pos += 1
-        sign = -1
-    acc = _parse_term(sc) * sign
+    acc, pos = None, 0
     while True:
-        ch = sc.peek()
-        if ch == "":
-            break
-        if ch == "+":
-            sc.pos += 1
-            acc = acc + _parse_term(sc)
-        elif ch == "-":
-            sc.pos += 1
-            acc = acc - _parse_term(sc)
+        m = _SIGN.match(text, pos)
+        sign, pos = m.group(1), m.end()
+        if acc is not None and not sign:
+            if pos == len(text):
+                return acc
+            raise _error(pos, f"unexpected character {text[pos]!r}")
+        start, coeff, u_exp, v_factors = pos, 1 + 0j, 0, []
+        if m := _COEFF.match(text, pos):
+            real, re_part, im_sign, im_part = m.groups()
+            coeff = complex(float(real or re_part), float(im_sign + im_part) if im_part else 0.0)
+            pos = m.end()
+        while m := _FACTOR.match(text, pos):
+            u_sign, u_e, j_sign, j, e = m.groups()
+            if j is None:
+                u_exp += int(u_sign + u_e) if u_e else 1
+            elif int(j) == 0:
+                raise _error(pos, "v0 is not a variable")
+            elif e is not None and int(e) < 1:
+                raise _error(pos, "v exponent must be positive")
+            else:
+                v_factors.append((int(j_sign + j), int(e or 1)))
+            pos = m.end()
+        if pos == start:
+            raise _error(pos, "expected a term")
+        term = TracePoly({mono(u_exp, v_factors): coeff})
+        if acc is None:
+            acc = term * (-1 if sign == "-" else 1)
         else:
-            raise sc.error(f"unexpected character {ch!r}")
-    return acc
+            acc = acc + term if sign == "+" else acc - term

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .moments import (_nu_hat_exact, b_poly, c_poly, pi_eval, varrho,
                       varrho_coeffs)
-from .operators import GeneratorSpec, exp_apply
+from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly
 
 MAX_SERIES_ORDER = 16
@@ -31,19 +31,21 @@ MAX_SERIES_ORDER = 16
 # ----------------------------------------------------------------------
 
 
-def G(f: TracePoly, s: float, t: float, tol: float = 1e-13) -> TracePoly:
+def G(f: TracePoly, s: float, t: float) -> TracePoly:
     """The free Segal-Bargmann transform G_{s,t} = pi_{s-t} o e^{(t/2)D}.
 
     The transform-pair semantics (G and H mutually inverse, boosted
     regularity) hold for s > t/2 > 0; the formula itself accepts any
     reals.
     """
-    return pi_eval(exp_apply(GeneratorSpec.D(), t / 2.0, f, tol=tol), s - t)
+    check_times(s=s, t=t)
+    return pi_eval(exp_apply(GeneratorSpec.D(), t / 2.0, f), s - t)
 
 
-def H(f: TracePoly, s: float, t: float, tol: float = 1e-13) -> TracePoly:
+def H(f: TracePoly, s: float, t: float) -> TracePoly:
     """The inverse transform H_{s,t} = pi_s o e^{-(t/2)D}; H(u^k) = p_k^{s,t}."""
-    return pi_eval(exp_apply(GeneratorSpec.D(), -t / 2.0, f, tol=tol), s)
+    check_times(s=s, t=t)
+    return pi_eval(exp_apply(GeneratorSpec.D(), -t / 2.0, f), s)
 
 
 def biane(k: int, s: float, t: float) -> TracePoly:

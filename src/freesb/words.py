@@ -20,12 +20,11 @@ Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .operators import MAX_DEGREE, exp_series
+from .operators import MAX_DEGREE, check_times, exp_series
 from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_factors,
                         second_partials)
 
@@ -350,8 +349,7 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise ValueError(f"non-finite time s={s!r}, t={t!r}")
+    check_times(s=s, t=t)
     images: dict = {}  # the terms of Dt(v_a) by (a,), of Lt(v_a v_b) / N^2 by (a, b)
 
     def image(*words):

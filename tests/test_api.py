@@ -2,6 +2,7 @@
 subcommands.  Refactors must leave both unchanged."""
 
 import argparse
+import inspect
 
 import freesb
 from freesb import cli
@@ -34,3 +35,9 @@ def test_command_table_matches_parser():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) == set(cli._COMMANDS) == SUBCOMMANDS
+
+
+def test_semigroups_take_no_tol():
+    # the Taylor kernel's stop rule is the constant operators.TAYLOR_TOL
+    for fn in (freesb.exp_apply, freesb.G, freesb.H):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__

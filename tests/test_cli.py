@@ -145,10 +145,10 @@ def test_parser_keeps_no_options_between_calls(capsys, monkeypatch):
     monkeypatch.delenv("FREESB_SEED", raising=False)
     assert cli._build_parser() is cli._build_parser()
     transform = ("transform", "--s", "1.0", "--t", "0.5", "--f", "u")
-    _, given = run(capsys, *transform, "--tol", "1e-10")
+    _, given = run(capsys, *transform, "--dir", "H")
     _, default = run(capsys, *transform)
-    assert given["results"]["tol"] == 1e-10
-    assert default["results"]["tol"] == default["params"]["tol"] == 1e-13
+    assert given["results"]["dir"] == "H"
+    assert default["results"]["dir"] == default["params"]["dir"] == "G"
     check = ("intertwine-check", "--N", "2", "--trials", "1")
     _, given = run(capsys, *check, "--seed", "5")
     _, default = run(capsys, *check)
@@ -273,13 +273,6 @@ def test_unwritable_csv_exits_1(capsys, tmp_path, argv):
     assert "No such file" in _one_line_error(capsys)
 
 
-def test_nonpositive_tol_exits_1(capsys):
-    code = cli.main(["heat-apply", "--gen", "D", "--t", "1.0", "--f", "u^2",
-                     "--tol", "-1"])
-    assert code == 1
-    assert "tol" in _one_line_error(capsys)
-
-
 @pytest.mark.parametrize("argv", [
     ["norm", "--p", "u", "--measure", "rho", "--s", "nan", "--N", "3"],
     ["heat-apply", "--gen", "D", "--t", "nan", "--f", "1"],
@@ -288,6 +281,16 @@ def test_nonpositive_tol_exits_1(capsys):
     ["mc", "--f", "v1", "--N", "4", "--s", "1", "--t", "nan"],
     ["concentration", "--p", "u", "--s", "inf", "--mode", "mc", "--Ns", "2,3,4",
      "--steps", "5", "--samples", "4"],
+    # f = u needs no nu_k, so G and H check s themselves
+    ["transform", "--s", "nan", "--t", "1", "--f", "u"],
+    ["transform", "--dir", "H", "--s", "inf", "--t", "1", "--f", "u"],
+    ["biane", "--k", "1", "--s", "inf", "--t", "1"],
+    ["biane", "--k", "2", "--s", "inf", "--t", "1"],
+    ["moments", "--k", "1", "--s", "nan"],
+    ["moments", "--k", "3", "--s=-inf"],
+    ["gen-fn-check", "--s", "nan", "--t", "1"],
+    ["pde-check", "--s", "inf"],
+    ["concentration", "--p", "v1", "--s", "nan"],
 ])
 def test_nan_time_exits_1(capsys, argv):
     # the first two results are exact constants (1) at any finite time; a
@@ -322,6 +325,28 @@ def test_huge_sampler_time_exits_1(capsys, argv, what):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([*argv, "--samples", "8", "--steps", "5"]) == 1
+    assert what in _one_line_error(capsys)
+
+
+def test_non_finite_report_exits_1(capsys):
+    # biane p_0 = 1 at any time, so only the report holds the infinity,
+    # which JSON cannot
+    assert cli.main(["biane", "--k", "0", "--s", "inf", "--t", "1"]) == 1
+    assert "JSON" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["moments", "--k", "65", "--s", "1"], "--k <= 64"),
+    (["intertwine-check", "--N", "2", "--trials", "0"], "--trials >= 1"),
+    (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "0"], "threads must be >= 1"),
+    (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "-3"], "threads must be >= 1"),
+])
+def test_out_of_range_counts_exit_1_at_once(capsys, argv, what):
+    # each is refused before any work: nu_65 does not exist, zero trials
+    # would pass vacuously, and a thread count below 1 is no count
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
     assert what in _one_line_error(capsys)
 
 

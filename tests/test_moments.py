@@ -55,6 +55,15 @@ def test_nu_range_guard():
         nu(65, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_raises(bad):
+    # not Fraction's "cannot convert NaN to integer ratio"
+    for call in (lambda: nu(2, bad), lambda: c_poly(2, bad), lambda: b_poly(1, bad),
+                 lambda: varrho(2, bad)):
+        with pytest.raises(ValueError, match="non-finite time"):
+            call()
+
+
 def test_nu_catalan_bound():
     # |nu_k(t)| <= C_{k-1} (1+|t|)^{k-1} e^{-kt/2}
     for k in range(1, 13):

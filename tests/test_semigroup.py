@@ -74,7 +74,7 @@ def _kernel_gap(rows, cols, vals, x, norm):
     result's largest coefficient."""
     with np.errstate(over="raise", invalid="raise"):
         dense = operators._expm_dense(rows, cols, vals, x)
-        taylor = operators._taylor_sparse(rows, cols, vals, x, norm, 1e-13)
+        taylor = operators._taylor_sparse(rows, cols, vals, x, norm)
     return np.abs(dense - taylor).max() / np.abs(taylor).max()
 
 

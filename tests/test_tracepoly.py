@@ -125,6 +125,44 @@ def test_parse_rejects(bad):
         parse(bad)
 
 
+# The parser's language, pinned as repr(sorted(terms.items())) so signed
+# zeros count; None is a ValueError.  Whitespace is insignificant, also
+# after the sign inside a complex coefficient, and a '*' must be followed
+# by a factor.
+PARSE_EDGES = [
+    ("v - 2", "[((0, ((-2, 1),)), (1+0j))]"),
+    ("u ^ 2", "[((2, ()), (1+0j))]"),
+    ("u u", "[((2, ()), (1+0j))]"),
+    ("v1 v1", "[((0, ((1, 2),)), (1+0j))]"),
+    ("*u", "[((1, ()), (1+0j))]"),
+    (".5u", "[((1, ()), (0.5+0j))]"),
+    ("5.u", "[((1, ()), (5+0j))]"),
+    ("u^+2", "[((2, ()), (1+0j))]"),
+    ("v+3", "[((0, ((3, 1),)), (1+0j))]"),
+    ("u^-0 v-1^2 *v-1", "[((0, ((-1, 3),)), (1+0j))]"),
+    ("-(1+2i)", "[((0, ()), (-1-2j))]"),
+    ("( 1.5+2i )", "[((0, ()), (1.5+2j))]"),
+    ("(1.5 -2i) u", "[((1, ()), (1.5-2j))]"),
+    ("(1.5 - 2i) u", "[((1, ()), (1.5-2j))]"),
+    ("-(0+1i) u", "[((1, ()), (-0-1j))]"),
+    ("u - (0+1i)", "[((0, ()), -1j), ((1, ()), (1+0j))]"),
+    ("1e-15 u + 1e-14 u", "[((1, ()), (1e-14+0j))]"),
+    ("-0 u + v1", "[((0, ((1, 1),)), (1+0j))]"),
+    ("u*", None), ("2*", None), ("", None),
+    ("v0", None), ("u^", None), ("v", None), ("2 +", None), ("q3", None),
+    ("(1+2i", None), ("^2", None),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_EDGES, ids=[repr(e[0]) for e in PARSE_EDGES])
+def test_parse_language(text, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="parse error at position"):
+            parse(text)
+    else:
+        assert repr(sorted(parse(text).terms.items())) == expected
+
+
 @given(tracepolys())
 @settings(max_examples=60, deadline=None)
 def test_format_parse_roundtrip(p):

@@ -254,14 +254,6 @@ def test_nan_generators_raise():
         expectation(iota(v(1)), float("nan"), 0.0, 4)
 
 
-def test_nonpositive_tol_raises():
-    # exp_series checks tol for both engines, before any work
-    with pytest.raises(ValueError, match="tol"):
-        exp_apply(GeneratorSpec.D(), 0.5, u(1), tol=-1.0)
-    with pytest.raises(ValueError, match="tol"):
-        exp_series(_dst_column(1.0, 0.0), iota(v(2)), tol=-1.0)
-
-
 def test_expectation_linear():
     p, q = iota(v(1)), WordPoly.var("as")
     s, t, N = 1.2, 0.6, 4
