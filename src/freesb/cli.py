@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -67,7 +68,15 @@ def _poly_json(p: TracePoly) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit status 2 on usage errors; we reserve 2
-    for verification failures, so remap usage errors to 1."""
+    for verification failures, so remap usage errors to 1.  argparse also
+    reads a word after a dash as a negative number only in the forms
+    -<digits> and -<digits>.<digits>, and as an option name otherwise, so
+    that --t -1e-3 and --s -inf fail; here a dash followed by a digit, a
+    point and a digit, inf or nan starts a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -172,9 +181,7 @@ def _cmd_heat_apply(a, seed):
 
 
 def _cmd_transform(a, seed):
-    f = parse(a.f)
-    fn = G if a.dir == "G" else H
-    out = fn(f, a.s, a.t)
+    out = (G if a.dir == "G" else H)(parse(a.f), a.s, a.t)
     return {"poly": _poly_json(out), "dir": a.dir, "tol": TAYLOR_TOL}, 0
 
 

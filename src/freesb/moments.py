@@ -45,17 +45,14 @@ def _nu_hat_exact(k: int, s: float) -> Fraction:
     # e^{ks/2} nu_k(s) = sum_{j=0}^{k-1} ((-s)^j / j!) k^{j-1} binom(k, j+1),
     # summed exactly over the rationals: the terms alternate in sign and the
     # cancellation for large k, s is far beyond what compensated floating
-    # summation can absorb.  Every route to nu_k and c_k passes here.
+    # summation can absorb.  Every route to nu_k and c_k passes here.  With
+    # -s = p/q, the sum is over one denominator k q^{k-1} (k-1)!, so it takes
+    # integers only and one normalizing Fraction at the end.
     check_times(s=s)
-    sf = Fraction(-s)
-    acc = Fraction(0)
-    power = Fraction(1)
-    fact = 1
-    for j in range(k):
-        acc += power * Fraction(k ** j, k) * math.comb(k, j + 1) / fact
-        power *= sf
-        fact *= j + 1
-    return acc
+    p, q = (-s).as_integer_ratio()
+    return Fraction(sum((p * k) ** j * q ** (k - 1 - j) * math.comb(k, j + 1)
+                        * math.perm(k - 1, k - 1 - j) for j in range(k)),
+                    k * q ** (k - 1) * math.factorial(k - 1))
 
 
 def nu(k: int, s: float) -> float:

@@ -16,11 +16,19 @@ dimensional invariant subspace.  ``exp_series`` takes its generator as a
 column function (one monomial to its image as (monomial, weight) pairs),
 finds that closure by a breadth-first search and compiles the operator
 on it to a sparse matrix in coordinate (COO) form, one merged dict per
-column and no polynomial.  A small closure is exponentiated densely by
-the degree-16 Paterson-Stockmeyer kernel that the sampler in
-:mod:`freesb.matrixlab` also uses; a large one runs a truncated Taylor
-series of sparse products on p's coordinate vector.  The same two
-kernels serve the word engine in :mod:`freesb.words`.
+column and no polynomial.
+
+On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one trace
+factor, so it is nilpotent and commutes with the diagonal, and e^{theta D}
+is a finite sum; so is the semigroup of PI_GEN = N0 + 2Z.  A closure is
+*graded* when every off-diagonal entry lies strictly below the diagonal
+in the search order and joins two equal diagonal entries; then
+e^A x = e^{diag} sum_k M^k x / k! ends at the first zero term.  Other
+closures (D_N, the finite-N word generators) take one of two kernels: a
+small closure is exponentiated densely by the degree-16 Paterson-Stockmeyer
+kernel that the sampler in :mod:`freesb.matrixlab` also uses, a large one
+by a truncated Taylor series of sparse products on p's coordinate vector.
+The word engine in :mod:`freesb.words` uses the same three.
 """
 
 from __future__ import annotations
@@ -303,17 +311,22 @@ def exp_series(column, p):
     ``p`` into itself.
 
     G is compiled on that closure to an n x n COO matrix A (see
-    :func:`_compile`).  With m = ceil(||A||_1 / STEP_NORM) Taylor stages
-    and s squarings for the dense kernel, :func:`_expm_dense` runs when
-    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
+    :func:`_compile`), the diagonal part of A plus an off-diagonal part M.
+    When A is graded, every entry of M has rows > cols (M is strictly lower
+    triangular in the search order, so nilpotent) and equal diagonal entries
+    at its row and column (so M commutes with the diagonal), the result is
+    e^{diag} times :func:`_nilpotent_sum`, at most n sparse products and
+    no truncation.  Otherwise, with m = ceil(||A||_1 / STEP_NORM) Taylor
+    stages and s squarings for the dense kernel, :func:`_expm_dense` runs
+    when n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
     (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
-    :func:`_taylor_sparse` otherwise.  The dense kernel is accurate to
-    roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop rule.
-    ValueError, before the closure is built: a ``p`` of trace degree
-    above 2 * MAX_DEGREE (the longest word); before either kernel runs:
-    work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite entry
-    of A fails this check too).
-    Overflow in either kernel raises FloatingPointError.
+    :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
+    are accurate to roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop
+    rule.  ValueError, before the closure is built: a ``p`` of trace
+    degree above 2 * MAX_DEGREE (the longest word); before any kernel
+    runs: work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite
+    entry of A fails this check too).
+    Overflow in any kernel raises FloatingPointError.
     """
     if not p.terms:
         return p
@@ -328,14 +341,39 @@ def exp_series(column, p):
     if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
                          f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
+    on = rows == cols
+    diag = np.zeros(n, dtype=complex)
+    diag[rows[on]] = vals[on]
     stages = max(1, math.ceil(norm / STEP_NORM))
     squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
     dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
         (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
+    # off the diagonal, rows > cols and equal diagonal entries at both ends
+    graded = (rows >= cols).all() and (diag[rows] == diag[cols]).all()
     with np.errstate(over="raise", invalid="raise"):
-        x = (_expm_dense(rows, cols, vals, x) if dense
+        x = (np.exp(diag) * _nilpotent_sum(rows[~on], cols[~on], vals[~on], x) if graded
+             else _expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
     return type(p)(dict(zip(basis, x.tolist())))
+
+
+def _matvec(rows, cols, vals, y):
+    """A y for the COO matrix A = (rows, cols, vals), n = len(y): two bincounts."""
+    prod = vals * y[cols]
+    return np.bincount(rows, prod.real, len(y)) + 1j * np.bincount(rows, prod.imag, len(y))
+
+
+def _nilpotent_sum(rows, cols, vals, x):
+    """e^M x = sum_k M^k x / k! for a strictly lower triangular COO matrix M
+    (rows > cols): M^k x vanishes in its first k entries, so the sum ends,
+    exactly, at the first all-zero term, after at most n = len(x) products."""
+    acc, term = x.copy(), x
+    for k in range(1, len(x) + 1):
+        term = _matvec(rows, cols, vals, term) / k
+        if not term.any():
+            break
+        acc += term
+    return acc
 
 
 def _expm_dense(rows, cols, vals, x):
@@ -357,30 +395,21 @@ def _taylor_sparse(rows, cols, vals, x, norm):
     rule is relative only, so the result is homogeneous in x at any scale.
     A stage that needs more than ``MAX_TERMS`` terms raises RuntimeError.
     """
-    n = len(x)
     m = max(1, math.ceil(norm / STEP_NORM))
     stage_norm = norm / m
     vals = vals / m
     stage_tol = TAYLOR_TOL / m
-
-    def matvec(y: np.ndarray) -> np.ndarray:
-        prod = vals * y[cols]
-        return (np.bincount(rows, weights=prod.real, minlength=n)
-                + 1j * np.bincount(rows, weights=prod.imag, minlength=n))
-
     for _ in range(m):
-        acc = x.copy()
-        term = x
+        acc, term = x.copy(), x
         for k in range(1, MAX_TERMS + 1):
-            term = matvec(term) / k
+            term = _matvec(rows, cols, vals, term) / k
             acc += term
             r = stage_norm / (k + 1)
             if r < 1.0 and np.abs(term).sum() * r / (1.0 - r) <= stage_tol * np.abs(acc).sum():
                 break
         else:
-            raise RuntimeError(
-                f"semigroup Taylor series did not converge within {MAX_TERMS} terms"
-            )
+            raise RuntimeError("semigroup Taylor series did not converge within "
+                               f"{MAX_TERMS} terms")
         x = acc
     return x
 

@@ -81,9 +81,12 @@ def _check_order(K: int) -> None:
 
 def _a(m: int, x: Fraction) -> Fraction:
     # the w^m coefficient of e^{xw/(1-w)}, exact over the rationals:
-    # a_0 = 1 and a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j/j!
-    return sum((math.comb(m - 1, j - 1) * x ** j / math.factorial(j)
-                for j in range(1, m + 1)), Fraction(1 if m == 0 else 0))
+    # a_0 = 1 and a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j/j!, with x = p/q
+    # summed in integers over the one denominator m! q^m
+    p, q = x.as_integer_ratio()
+    return Fraction(sum((math.comb(m - 1, j - 1) * p ** j * q ** (m - j) * math.perm(m, m - j)
+                         for j in range(1, m + 1)), 1 if m == 0 else 0),
+                    math.factorial(m) * q ** m)
 
 
 def Pi_series(s: float, t: float, K: int) -> TPolySeries:

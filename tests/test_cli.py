@@ -302,6 +302,40 @@ def test_nan_time_exits_1(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["heat-apply", "--gen", "D", "--t", "-1e-3", "--f", "u"],
+    ["heat-apply", "--gen", "DN", "--N", "3", "--t", "-2.5E-1", "--f", "u^2 - v1"],
+    ["transform", "--s", "-1e-1", "--t", "-2e-1", "--f", "u^2", "--dir", "H"],
+    ["biane", "--k", "2", "--s", "1", "--t", "-5e-1"],
+    ["moments", "--k", "3", "--s", "-1.5e0"],
+    ["gen-fn-check", "--s", "1", "--t", "-1e-2", "--K", "4"],
+    ["pde-check", "--s", "-7e-1", "--K", "4"],
+    ["norm", "--p", "u", "--measure", "mu", "--s", "1.5", "--t", "-8e-1", "--N", "3"],
+])
+def test_negative_floats_in_exponent_notation(capsys, argv):
+    # argparse alone takes -1e-3 for an option name; the value must parse
+    # as it does when glued to its option with "="
+    glued, words = [], iter(argv)
+    for a in words:
+        glued.append(f"{a}={next(words)}" if a in ("--s", "--t") else a)
+    code, rep = run(capsys, *argv)
+    code_glued, rep_glued = run(capsys, *glued)
+    assert code == code_glued == 0
+    assert rep["params"] == rep_glued["params"]
+    assert rep["results"] == rep_glued["results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--s", "-inf", "--t", "1", "--f", "u"],
+    ["biane", "--k", "2", "--s", "1", "--t", "-inf"],
+    ["heat-apply", "--gen", "D", "--t", "-Infinity", "--f", "u"],
+    ["moments", "--k", "3", "--s", "-nan"],
+])
+def test_negative_non_finite_times_reach_the_time_check(capsys, argv):
+    assert cli.main(argv) == 1
+    assert "non-finite time" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
     ["gen-fn-check", "--s", "1", "--t", "1", "--K", "0"],
     ["gen-fn-check", "--s", "1", "--t", "1", "--K", "-2"],
     ["gen-fn-check", "--s", "1", "--t", "1", "--K", "17"],
@@ -369,10 +403,12 @@ def test_closure_search_is_bounded(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # a 4-monomial closure, 5 squarings: the dense kernel
+    # graded closures of D (4 and 19 monomials): the terminating sum
     ["heat-apply", "--gen", "D", "--t", "-4", "--f", "1e308*u^3"],
-    # 19 monomials but 7 squarings, and 846 monomials: the Taylor kernel
     ["transform", "--dir", "H", "--s", "1", "--t", "4", "--f", "1e307*u^6"],
+    # D_4 is not graded: 4 monomials, 5 squarings, the dense kernel;
+    # 846 monomials, the Taylor kernel
+    ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f", "1e308*u^3"],
     ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f",
      "1e307 u^2 v3^2 v-4 + 1e307 v1^4 v-2^2 v4 - 1e307 v5 v-7"],
 ])

@@ -2,13 +2,14 @@
 routes to the evaluation map pi_s."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (_c_hat, b_poly, c_poly, catalan, nu, pi_eval,
+from freesb.moments import (_c_hat, _nu_hat_exact, b_poly, c_poly, catalan, nu, pi_eval,
                             pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
@@ -70,6 +71,28 @@ def test_nu_catalan_bound():
         for t in np.linspace(-2.0, 2.0, 9):
             bound = catalan(k - 1) * (1 + abs(t)) ** (k - 1) * math.exp(-k * t / 2)
             assert abs(nu(k, t)) <= bound * (1 + 1e-12), (k, t)
+
+
+def _nu_hat_by_fractions(k, s):
+    # the sum sum_{j<k} ((-s)^j / j!) k^{j-1} binom(k, j+1), one Fraction per term
+    acc, power, fact = Fraction(0), Fraction(1), 1
+    for j in range(k):
+        acc += power * Fraction(k ** j, k) * math.comb(k, j + 1) / fact
+        power *= Fraction(-s)
+        fact *= j + 1
+    return acc
+
+
+def test_nu_hat_matches_termwise_fractions():
+    # one integer numerator over one denominator gives the same Fraction
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        k = int(rng.integers(1, 65))
+        s = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(5e2)))
+        assert _nu_hat_exact.__wrapped__(k, s) == _nu_hat_by_fractions(k, s), (k, s)
+    for s in (0.0, 1e-3, -1e-3, 2.25, 5e2, -5e2):
+        for k in (1, 2, 12, 64):
+            assert _nu_hat_exact.__wrapped__(k, s) == _nu_hat_by_fractions(k, s), (k, s)
 
 
 # ---------------------------------------------------------------- pi routes

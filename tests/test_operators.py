@@ -219,13 +219,14 @@ def test_triangular_diagonal_action():
 
 def test_exp_series_rejects_runaway(monkeypatch):
     # an operator that scales every coefficient of a fixed set of monomials
-    # never converges termwise if we forbid enough terms; the 423 monomials
+    # never converges termwise if we forbid enough terms; swapping u^k and
+    # u^-k makes cycles, so the closure is not graded, and the 423 monomials
     # of C_6 are more than the dense kernel takes, so the Taylor kernel runs
     monkeypatch.setattr(operators, "MAX_TERMS", 5)
     p = TracePoly({m: 1.0 for m in monomial_basis(6)})
     assert len(p.terms) > operators.DENSE_MAX_N
     with pytest.raises(RuntimeError):
-        exp_series(lambda m: [(m, 40.0)], p)
+        exp_series(lambda m: [(m, 40.0), (mono(-m[0], m[1]), 1.0)], p)
 
 
 # ---------------------------------------------------------------- matrices

@@ -3,13 +3,15 @@ an independent dense oracle, its dense and Taylor kernels against each
 other, homogeneity at any scale, and inputs at the documented degree
 limit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesb.operators as operators
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
-from freesb.tracepoly import CLEANUP_EPS, TracePoly, parse
+from freesb.tracepoly import CLEANUP_EPS, TracePoly, mono, parse
 from freesb.transform import G, H
 from freesb.words import WordPoly, apply_tilde, iota, iota_star
 
@@ -94,7 +96,15 @@ KERNEL_CASES = (
 
 @pytest.mark.parametrize("name, column, p", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_dense_and_taylor_kernels_agree(name, column, p):
-    assert _kernel_gap(*_closure(column, p)) <= 1e-12, name
+    rows, cols, vals, x, norm = _closure(column, p)
+    assert _kernel_gap(rows, cols, vals, x, norm) <= 1e-12, name
+    # the third kernel: exp_series takes the terminating sum on the graded
+    # closures (D and PI_GEN) and one of the other two elsewhere
+    basis = operators._compile(column, p.terms)[0]
+    dense = operators._expm_dense(rows, cols, vals, x)
+    got = operators.exp_series(column, p)
+    gap = max(abs(got.coeff(m) - c) for m, c in zip(basis, dense))
+    assert gap <= 1e-12 * np.abs(dense).max(), name
 
 
 def test_kernels_agree_at_large_theta():
@@ -112,17 +122,131 @@ def test_kernels_agree_at_large_theta():
     assert worst <= 1e-12, worst
 
 
+def _count_kernels(monkeypatch):
+    """Record the shape of every ``_expm_batch`` input and the size of every
+    ``_taylor_sparse`` input."""
+    calls = {"dense": [], "taylor": []}
+    batch, taylor = operators._expm_batch, operators._taylor_sparse
+    monkeypatch.setattr(operators, "_expm_batch",
+                        lambda Ms: calls["dense"].append(Ms.shape) or batch(Ms))
+    monkeypatch.setattr(operators, "_taylor_sparse", lambda rows, cols, vals, x, norm:
+                        calls["taylor"].append(len(x)) or taylor(rows, cols, vals, x, norm))
+    return calls
+
+
 def test_kernel_choice(monkeypatch):
-    calls = []
-    batch = operators._expm_batch
-    monkeypatch.setattr(operators, "_expm_batch", lambda Ms: calls.append(Ms.shape) or batch(Ms))
+    calls = _count_kernels(monkeypatch)
+    # graded closures take the terminating sum and neither kernel
     exp_apply(GeneratorSpec.D(), 0.4, u(6))
-    assert calls == [(1, 19, 19)]
+    exp_apply(GeneratorSpec.pi_gen(), -0.4, parse("v3 v4 v-5 + u^-2 v1"))
+    assert calls == {"dense": [], "taylor": []}
+    # L lowers the factor count, so D_4's closures are not graded
+    exp_apply(GeneratorSpec.DN(4), 0.4, u(6))
+    assert calls == {"dense": [(1, 19, 19)], "taylor": []}
     # the 846-monomial closure: the Taylor kernel is cheaper
     exp_apply(GeneratorSpec.DN(4), 0.4, DEG12)
-    # ||0.95 D||_1 = 95 on the closure of u^10 would take 7 squarings
-    exp_apply(GeneratorSpec.D(), -0.95, u(10))
-    assert len(calls) == 1
+    # ||0.95 D_4||_1 = 95 on the closure of u^10 would take 7 squarings
+    exp_apply(GeneratorSpec.DN(4), -0.95, u(10))
+    assert calls == {"dense": [(1, 19, 19)], "taylor": [846, 97]}
+
+
+def test_degree_12_D_runs_neither_kernel(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    for p in (u(12), u(-12), DEG12):
+        exp_apply(GeneratorSpec.D(), -0.15, p)
+    G(u(12), 2.25, 2.25)
+    H(u(12), 1.5, 0.8)
+    assert calls == {"dense": [], "taylor": []}
+
+
+# ---------------------------------------------------------------- graded closures
+
+
+def _exact_exp(column, p):
+    """e^A p, exactly, for the compiled float matrix A of a graded closure:
+    the nilpotent part's sum over the rationals, times the exponential of
+    the (constant) diagonal to 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    basis, rows, cols, vals = operators._compile(column, p.terms)
+    diag = {int(r): Fraction(v.real) for r, c, v in zip(rows, cols, vals) if r == c}
+    off = [(int(r), int(c), Fraction(v.real)) for r, c, v in zip(rows, cols, vals) if r != c]
+    assert len(set(diag.values())) == 1 and all(r > c for r, c, _ in off)
+    term = [Fraction(c.real) for c in p.terms.values()]
+    term += [Fraction(0)] * (len(basis) - len(term))
+    total, k = list(term), 0
+    while any(term):
+        k += 1
+        nxt = [Fraction(0)] * len(basis)
+        for r, c, v in off:
+            nxt[r] += v * term[c]
+        term = [y / k for y in nxt]
+        total = [a + b for a, b in zip(total, term)]
+    with mpmath.workdps(60):
+        d = diag.popitem()[1]
+        scale = mpmath.exp(mpmath.mpf(d.numerator) / d.denominator)
+        return dict(zip(basis, (scale * mpmath.mpf(y.numerator) / y.denominator for y in total)))
+
+
+@pytest.mark.parametrize("theta", [-2.0, -0.15, 0.95, 2.0])
+def test_graded_sum_is_exact_to_roundoff(theta):
+    # componentwise, within 8 units of roundoff u = 2^-53 of the exact
+    # exponential of the compiled matrix (the sparse Taylor kernel is off by
+    # up to 5.4e-12 here); the rounding of the weights theta * n when the
+    # column is compiled is common to every kernel and not counted
+    worst = 0.0
+    for k in [k for k in range(-12, 13) if k]:
+        want = _exact_exp(GeneratorSpec.D().column(theta), u(k))
+        got = exp_apply(GeneratorSpec.D(), theta, u(k))
+        for m, w in want.items():
+            if abs(w) > 1e-290:  # below that the result underflows
+                worst = max(worst, float(abs(got.coeff(m) - w) / abs(w)))
+    assert worst <= 8 * 2.0 ** -53, worst / 2.0 ** -53
+
+
+def _dense_exp(column, p):
+    """e^A p by the dense kernel alone, on the compiled closure."""
+    basis, rows, cols, vals = operators._compile(column, p.terms)
+    x = np.zeros(len(basis), dtype=complex)
+    x[:len(p.terms)] = list(p.terms.values())
+    return dict(zip(basis, operators._expm_dense(rows, cols, vals, x)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-0.5, 0.5),
+       st.sampled_from(["D", "pi"]))
+@settings(max_examples=60, deadline=None)
+def test_graded_sum_matches_dense_kernel(seed, deg, theta, name):
+    rng = np.random.default_rng(seed)
+    # mixed factor counts, and u^3 + v1 u^2 in both orders: M maps u^3 onto
+    # v1 u^2, so the second order is not graded and takes another kernel
+    p = _rand_poly(rng, deg, nterms=int(rng.integers(1, 5)))
+    for q in (p, p + parse("u^3 + v1 u^2"), p + parse("v1 u^2 + u^3")):
+        want = _dense_exp(GENS[name].column(theta), q)
+        got = exp_apply(GENS[name], theta, q)
+        scale = max(abs(c) for c in want.values())
+        for m, w in want.items():
+            assert abs(got.coeff(m) - w) <= 1e-13 * scale, (m, got.coeff(m), w)
+
+
+def test_graded_test_needs_equal_diagonals(monkeypatch):
+    # u -> u + u^2 and u^2 -> 2 u^2: lower triangular, but the diagonal
+    # does not commute with the off-diagonal part, so the dense kernel runs;
+    # e^A u = e u + (e^2 - e) u^2
+    calls = _count_kernels(monkeypatch)
+    a, b = mono(1), mono(2)
+    got = operators.exp_series(lambda m: [(m, 1.0), (b, 1.0)] if m == a else [(m, 2.0)],
+                               TracePoly({a: 1.0}))
+    assert len(calls["dense"]) == 1
+    e = np.e
+    assert abs(got.coeff(a) - e) <= 1e-15 * e
+    assert abs(got.coeff(b) - (e * e - e)) <= 1e-15 * e * e
+
+
+def test_graded_test_needs_the_closure_order(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    exp_apply(GeneratorSpec.D(), 0.3, parse("u^3 + v1 u^2"))
+    assert calls["dense"] == []
+    exp_apply(GeneratorSpec.D(), 0.3, parse("v1 u^2 + u^3"))
+    assert len(calls["dense"]) == 1
 
 
 # ---------------------------------------------------------------- compiled columns

@@ -1,0 +1,148 @@
+"""Run a fixed list of ``freesb`` commands and compare their ``results``.
+
+    python tools/cli_results.py run OUT.json [SRC_DIR]
+    python tools/cli_results.py compare OLD.json NEW.json
+
+``run`` calls ``freesb.cli.main`` in-process on each command of
+``COMMANDS`` (every command of the README plus the degree-8 and degree-12
+semigroups) and writes one JSON object that maps each command line to its
+exit code and its ``results``.  ``freesb`` is imported from SRC_DIR,
+which defaults to ``src`` beside this script's parent, so one copy of the
+script can run any checkout.
+
+``compare`` prints one line per command: ``identical`` when both
+``results`` are equal, otherwise the largest relative move of a number
+and the path where it happens, then the paths of any other changes
+(strings, keys, list lengths, exit codes).  Each ``[re, im]`` pair is one
+complex number.  A number whose container holds only numbers, such as
+the coefficients of one polynomial, moves relative to the largest of
+them on either side; any other number moves relative to the larger of
+its two values.
+
+Standard library and ``freesb`` only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shlex
+import sys
+from pathlib import Path
+
+COMMANDS = [
+    # the README's command-line examples
+    "biane --k 2 --s 1 --t 1",
+    "heat-apply --gen DN --N 4 --t 0.7 --f u^2",
+    "transform --s 1.5 --t 0.8 --f u^2 --dir G",
+    "moments --k 3 --s 0.5",
+    "gen-fn-check --s 1.0 --t 1.0 --K 8",
+    "pde-check --s 0.7 --K 8",
+    "verify-magic --N 8",
+    "intertwine-check --N 3 --degree 5 --trials 20 --seed 0",
+    "concentration --p v1 --s 1.0 --Ns 4,8,16,32 --mode symbolic",
+    "mc --f v1 --N 8 --s 1.0 --steps 200 --samples 4000 --seed 1",
+    "norm --p u --measure mu --s 1.5 --t 0.8 --N 3",
+    # the semigroups of D at |k| = 8 and the documented limit |k| = 12
+    "transform --s 1.5 --t 0.8 --f u^8 --dir G",
+    "transform --s 1.5 --t 0.8 --f u^-8 --dir H",
+    "biane --k 8 --s 1 --t 1",
+    "heat-apply --gen D --t 0.7 --f u^8",
+    "transform --s 2.25 --t 2.25 --f u^12 --dir G",
+    "transform --s 1.5 --t 0.8 --f u^12 --dir H",
+    "biane --k 12 --s 1 --t 1",
+    "heat-apply --gen D --t 0.7 --f u^12",
+    "heat-apply --gen DN --N 4 --t 0.7 --f u^12",
+]
+
+
+def run(out: str, src: str | None = None) -> int:
+    sys.path.insert(0, src or str(Path(__file__).resolve().parent.parent / "src"))
+    from freesb.cli import main
+
+    report = {}
+    for command in COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(shlex.split(command))
+        text = buf.getvalue()
+        report[command] = {"exit": code,
+                           "results": json.loads(text)["results"] if text.strip() else None}
+        print(f"{code}  {command}", file=sys.stderr)
+    Path(out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _value(x):
+    """x as a number (an ``[re, im]`` pair as one complex), or None."""
+    if _number(x):
+        return x
+    if isinstance(x, list) and len(x) == 2 and all(map(_number, x)):
+        return complex(*x)
+    return None
+
+
+def _moves(a, b, path="", scale=None):
+    """Yield (relative move, path) for each number, and (None, path) for
+    every other difference.  A number's move is relative to the largest
+    magnitude in its container when all of that container's values are
+    numbers (the coefficients of one polynomial), else to its own."""
+    x, y = _value(a), _value(b)
+    if x is not None and y is not None:
+        scale = scale or max(abs(x), abs(y))
+        yield (abs(x - y) / scale if scale else 0.0), path
+        return
+    pairs = None
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(f"{path}.{k}", a.get(k), b.get(k)) for k in sorted(set(a) | set(b))]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    if pairs is None:
+        if a != b:
+            yield None, path
+        return
+    values = [_value(v) for _, x, y in pairs for v in (x, y)]
+    inner = max(map(abs, values)) if None not in values else None
+    for where, x, y in pairs:
+        yield from _moves(x, y, where, inner) if x is not None and y is not None \
+            else [(None, where)]
+
+
+def compare(old: str, new: str) -> int:
+    left = json.loads(Path(old).read_text())
+    right = json.loads(Path(new).read_text())
+    order = {c: i for i, c in enumerate(COMMANDS)}
+    for command in sorted(set(left) | set(right), key=lambda c: order.get(c, len(order))):
+        a, b = left.get(command), right.get(command)
+        if a == b:
+            print(f"identical  {command}")
+            continue
+        moves = list(_moves(a, b)) if a is not None and b is not None else [(None, "")]
+        numbers = [m for m in moves if m[0] is not None]
+        line = ""
+        if numbers:
+            worst, where = max(numbers)
+            line = f"{worst:.2e} at {where}"
+        other = [p or "(missing)" for m, p in moves if m is None]
+        if other:
+            line += (", " if line else "") + "also changed: " + " ".join(other)
+        print(f"{line}  {command}")
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) in (2, 3) and argv[0] == "run":
+        return run(*argv[1:])
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(*argv[1:])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
