@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .operators import GeneratorSpec, check_times, exp_apply
-from .tracepoly import TracePoly
+from .tracepoly import TracePoly, mono
 
 MAX_MOMENT = 64  # largest |k| of nu_k
 
@@ -98,11 +100,11 @@ def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:
 
 
 def _poly_mul(a: list, b: list) -> list:
-    # type-generic (float, Fraction, ...): seed zeros from the operands
+    # type-generic (float, Fraction, array); the seeded zeros are one object, so no +=
     out = [a[0] * b[0] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+            out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -113,11 +115,11 @@ def _poly_int(a: list) -> list:
 
 def _recursion(k: int, first, left, right, sign: int) -> tuple:
     # coefficients in t of first + sign sum_{m=1}^{k-1} m int_0^t left(k-m) right(m),
-    # where left, right give coefficient lists (numbers, Fractions or TracePolys)
+    # where left, right give coefficient lists (numbers, Fractions or arrays)
     acc = [first] + [first - first] * (k - 1)  # a zero of first's type, never -0.0
     for m in range(1, k):
         for j, pj in enumerate(_poly_int(_poly_mul(left(k - m), right(m)))):
-            acc[j] += sign * m * pj
+            acc[j] = acc[j] + sign * m * pj
     return tuple(acc)
 
 
@@ -170,9 +172,12 @@ def c_poly(k: int, s: float) -> TPoly:
 
 
 @lru_cache(maxsize=None)
-def _b_table(k: int, s: float) -> tuple[TracePoly, ...]:
-    return _recursion(k, TracePoly.u(k), lambda j: c_poly(j, s).materialize(),
-                      lambda j: _b_table(j, s), 1)
+def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
+    # b_k's coefficients in t as complex arrays over u^0..u^k (k + 1 entries
+    # in the cache); a b_j with j < k is padded to that length where it is read
+    first = (np.arange(k + 1) == k).astype(complex)  # u^k
+    return _recursion(k, first, lambda j: c_poly(j, s).materialize(),
+                      lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)], 1)
 
 
 def b_poly(k: int, s: float) -> TPoly:
@@ -186,7 +191,8 @@ def b_poly(k: int, s: float) -> TPoly:
     if k < 1:
         raise ValueError(f"b_poly needs k >= 1, got {k}")
     check_times(s=s)
-    return TPoly(coeffs=_b_table(k, float(s)))
+    return TPoly(coeffs=tuple(TracePoly({mono(j): c for j, c in enumerate(b.tolist())})
+                              for b in _b_table(k, float(s))))
 
 
 @lru_cache(maxsize=None)

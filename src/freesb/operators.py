@@ -21,8 +21,8 @@ column and no polynomial.
 On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one trace
 factor, so it is nilpotent and commutes with the diagonal, and e^{theta D}
 is a finite sum; so is the semigroup of PI_GEN = N0 + 2Z.  A closure is
-*graded* when every off-diagonal entry lies strictly below the diagonal
-in the search order and joins two equal diagonal entries; then
+*graded* when the off-diagonal entries form a graph without cycles and
+each joins two equal diagonal entries; then
 e^A x = e^{diag} sum_k M^k x / k! ends at the first zero term.  Other
 closures (D_N, the finite-N word generators) take one of two kernels: a
 small closure is exponentiated densely by the degree-16 Paterson-Stockmeyer
@@ -51,7 +51,6 @@ DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit 
 DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 160 n^2 B, 10 MiB
 DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff exceeds the Taylor kernel's
 MAX_DEGREE = 12
-BASIS_CAP = 200_000
 
 # ======================================================================
 # named first/second order operators, monomial by monomial
@@ -312,20 +311,21 @@ def exp_series(column, p):
 
     G is compiled on that closure to an n x n COO matrix A (see
     :func:`_compile`), the diagonal part of A plus an off-diagonal part M.
-    When A is graded, every entry of M has rows > cols (M is strictly lower
-    triangular in the search order, so nilpotent) and equal diagonal entries
-    at its row and column (so M commutes with the diagonal), the result is
-    e^{diag} times :func:`_nilpotent_sum`, at most n sparse products and
-    no truncation.  Otherwise, with m = ceil(||A||_1 / STEP_NORM) Taylor
-    stages and s squarings for the dense kernel, :func:`_expm_dense` runs
-    when n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
+    When A is graded, M joins only equal diagonal entries (so it commutes
+    with the diagonal) and its graph, an edge from column to row per entry,
+    has no cycle (so M is nilpotent; see :func:`_acyclic`).  The result is
+    then e^{diag} times :func:`_nilpotent_sum`, at most n sparse products
+    and no truncation, whatever the order of p's terms and at any theta.
+    Otherwise, with m = ceil(||A||_1 / STEP_NORM) Taylor stages and s
+    squarings for the dense kernel, :func:`_expm_dense` runs when
+    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
     (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
     :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
     are accurate to roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop
     rule.  ValueError, before the closure is built: a ``p`` of trace
-    degree above 2 * MAX_DEGREE (the longest word); before any kernel
-    runs: work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite
-    entry of A fails this check too).
+    degree above 2 * MAX_DEGREE (the longest word); before a kernel runs on
+    a closure that is not graded: work m * (nnz + STAGE_COST) above
+    ``MAX_WORK`` (a non-finite entry of A fails this check too).
     Overflow in any kernel raises FloatingPointError.
     """
     if not p.terms:
@@ -337,24 +337,40 @@ def exp_series(column, p):
     n = len(basis)
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
+    on = rows == cols
+    diag = np.zeros(n, dtype=complex)
+    diag[rows[on]] = vals[on]
+    off_rows, off_cols = rows[~on], cols[~on]
+    if (diag[off_rows] == diag[off_cols]).all() and \
+            ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, n)):
+        with np.errstate(over="raise", invalid="raise"):
+            x = np.exp(diag) * _nilpotent_sum(off_rows, off_cols, vals[~on], x)
+        return type(p)(dict(zip(basis, x.tolist())))
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
     if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
                          f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
-    on = rows == cols
-    diag = np.zeros(n, dtype=complex)
-    diag[rows[on]] = vals[on]
     stages = max(1, math.ceil(norm / STEP_NORM))
     squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
     dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
         (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
-    # off the diagonal, rows > cols and equal diagonal entries at both ends
-    graded = (rows >= cols).all() and (diag[rows] == diag[cols]).all()
     with np.errstate(over="raise", invalid="raise"):
-        x = (np.exp(diag) * _nilpotent_sum(rows[~on], cols[~on], vals[~on], x) if graded
-             else _expm_dense(rows, cols, vals, x) if dense
+        x = (_expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
     return type(p)(dict(zip(basis, x.tolist())))
+
+
+def _acyclic(rows, cols, n):
+    """Whether the graph on n nodes with edges cols[e] -> rows[e] has no cycle:
+    peel the nodes no remaining edge enters until no edge is left or none can go."""
+    while len(rows):
+        entered = np.zeros(n, dtype=bool)
+        entered[rows] = True
+        keep = entered[cols]
+        if keep.all():
+            return False
+        rows, cols = rows[keep], cols[keep]
+    return True
 
 
 def _matvec(rows, cols, vals, y):
@@ -364,8 +380,8 @@ def _matvec(rows, cols, vals, y):
 
 
 def _nilpotent_sum(rows, cols, vals, x):
-    """e^M x = sum_k M^k x / k! for a strictly lower triangular COO matrix M
-    (rows > cols): M^k x vanishes in its first k entries, so the sum ends,
+    """e^M x = sum_k M^k x / k! for a COO matrix M with an acyclic graph (see
+    :func:`_acyclic`): M^k x lives on the ends of k-edge paths, so the sum ends,
     exactly, at the first all-zero term, after at most n = len(x) products."""
     acc, term = x.copy(), x
     for k in range(1, len(x) + 1):
@@ -458,8 +474,6 @@ def monomial_basis(n: int) -> list[Mono]:
         budget = n - abs(k0)
         for pack in _v_packs(budget, budget):
             out.append(mono(k0, pack))
-            if len(out) > BASIS_CAP:
-                raise ValueError(f"basis size exceeds BASIS_CAP={BASIS_CAP}")
     out.sort()
     return out
 

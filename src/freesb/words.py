@@ -197,86 +197,50 @@ def sesq_B(p: TracePoly, q: TracePoly) -> WordPoly:
 # generator polynomials Q_eps^{s,t}, R_{eps,delta}^{s,t}
 # ----------------------------------------------------------------------
 #
-# Differentiation inserts xi (x) or xi^* (y) next to a letter, following
-# (Z xi)^1 = Z xi, (Z xi)^-1 = -xi Z^-1, (Z xi)^* = xi^* Z^*,
-# (Z xi)^-* = -Z^-* xi^*; the second derivative inserts a doubled letter
-# with + sign in all four cases.  For the basis family beta_+ (anti-
-# Hermitian), xi^* = -xi; for beta_- = i beta_+, xi^* = +xi, so each y
-# contributes a family sign sigma.  Contractions over a basis family:
-#   same trace:  sum_xi tr(A xi B xi)   = fam2 * tr(A) tr(B)
-#   cross trace: sum_xi tr(A xi) tr(B xi) = fam2 * (1/N^2) tr(A B)
-# with fam2 = -1 for beta_+ and +1 for beta_- (and the 1/N^2 extracted
-# from R).  The loose +/- bookkeeping in the source derivation makes this
-# sign algebra authoritative here; it is gated by a finite-difference
-# oracle over explicit bases before anything downstream relies on it.
+# Differentiating tr(Z^eps) along Z -> Z e^{h xi} cuts the cyclic word
+# next to one letter, with the first derivative's sign: (Z xi) = Z xi puts
+# xi after a, (Z xi)^-1 = -xi Z^-1 before A, (Z xi)^* = xi^* Z^* before s,
+# (Z xi)^-* = -Z^-* xi^* after S; the second derivative doubles the letter
+# with + sign.  With xi^* = sigma xi (sigma = -1 on the anti-Hermitian
+# family beta_+, +1 on beta_- = i beta_+) a starred cut carries sigma, and
+# so do both magic formulas, as sum_xi xi A xi^* is the same for both:
+#   sum_xi tr(A xi B xi) = sigma tr A tr B,  sum_xi tr(A xi) tr(B xi) = sigma tr(AB) / N^2.
+# So Q_eps is len(eps) sigma v_eps (the doubled letters) plus, per pair of
+# cuts p <= q (letters j < k), 2 s_p s_q sigma v[eps[p:q]] v[eps[q:] + eps[:p]];
+# R_{eps,delta} (1/N^2 extracted) is, per cut p of eps and q of delta,
+# s_p s_q sigma v[eps[p:] + eps[:p] + delta[q:] + delta[:q]].  A finite-
+# difference oracle over explicit bases gates this, family by family.
 
-_FIRST = {"a": ("ax", 1), "A": ("xA", -1), "s": ("ys", 1), "S": ("Sy", -1)}
-_SECOND = {"a": "axx", "A": "xxA", "s": "yys", "S": "Syy"}
-
-_FAMILY = {+1: (-1.0, -1.0), -1: (+1.0, +1.0)}  # fam -> (sigma, fam2)
-
-
-def _resolve_stars(tokens: str, sigma: float) -> tuple[str, float]:
-    # replace each xi^* (y) by sigma * xi (x)
-    n_y = tokens.count("y")
-    return tokens.replace("y", "x"), sigma ** n_y
+# letter -> (xi goes after it, sign of the first derivative, xi enters starred)
+_CUT = {"a": (1, 1.0, False), "A": (0, -1.0, False), "s": (0, 1.0, True), "S": (1, -1.0, True)}
 
 
-def _contract_same(tokens: str) -> tuple[str, str]:
-    # tokens holds exactly two x's in one trace; split the cyclic string
-    # into the two letter segments between them
-    p1 = tokens.index("x")
-    p2 = tokens.index("x", p1 + 1)
-    return tokens[p1 + 1:p2], tokens[p2 + 1:] + tokens[:p1]
-
-
-def _contract_cross(tokens: str) -> str:
-    # one x in this trace; rotate it to the end and drop it
-    p = tokens.index("x")
-    return tokens[p + 1:] + tokens[:p]
+def _cuts(word: str, sigma: float) -> list[tuple[int, float]]:
+    """One cut per letter of ``word``: the position of xi and its sign."""
+    return [(j + after, sign * sigma if star else sign)
+            for j, (after, sign, star) in enumerate(map(_CUT.__getitem__, word))]
 
 
 @lru_cache(maxsize=None)
 def _q_family(eps: str, fam: int) -> WordPoly:
-    sigma, fam2 = _FAMILY[fam]
-    acc: dict[WordKey, complex] = {}
-
-    def add(tokens: str, c: float) -> None:
-        tokens, star_sign = _resolve_stars(tokens, sigma)
-        s1, s2 = _contract_same(tokens)
-        m = wmono([(canonicalize(s1), 1), (canonicalize(s2), 1)])
-        acc[m] = acc.get(m, 0j) + c * star_sign * fam2
-
-    # doubled-letter terms: each contributes fam2 * v_eps
-    for j in range(len(eps)):
-        add(eps[:j] + _SECOND[eps[j]] + eps[j + 1:], 1.0)
-    # pair terms, weight 2 each
-    for j in range(len(eps)):
-        tj, sj = _FIRST[eps[j]]
-        for k in range(j + 1, len(eps)):
-            tk, sk = _FIRST[eps[k]]
-            add(eps[:j] + tj + eps[j + 1:k] + tk + eps[k + 1:], 2.0 * sj * sk)
+    sigma = -float(fam)
+    cuts = _cuts(eps, sigma)
+    acc: dict[WordKey, complex] = {wmono([(eps, 1)]): 0j + len(eps) * sigma}
+    for i, (p, sp) in enumerate(cuts):
+        for q, sq in cuts[i + 1:]:
+            m = wmono([(canonicalize(eps[p:q]), 1), (canonicalize(eps[q:] + eps[:p]), 1)])
+            acc[m] = acc.get(m, 0j) + 2.0 * sp * sq * sigma
     return WordPoly(acc)
 
 
 @lru_cache(maxsize=None)
 def _r_family(eps: str, delta: str, fam: int) -> WordPoly:
-    sigma, fam2 = _FAMILY[fam]
-
-    def cuts(word: str) -> list[tuple[str, float]]:
-        # each letter differentiated once: the trace opened at xi, and its sign
-        out = []
-        for j, ch in enumerate(word):
-            tj, sj = _FIRST[ch]
-            tokens, star_sign = _resolve_stars(word[:j] + tj + word[j + 1:], sigma)
-            out.append((_contract_cross(tokens), sj * star_sign))
-        return out
-
+    sigma = -float(fam)
     acc: dict[WordKey, complex] = {}
-    for a, sa in cuts(eps):
-        for b, sb in cuts(delta):
-            m = wmono([(canonicalize(a + b), 1)])
-            acc[m] = acc.get(m, 0j) + sa * sb * fam2
+    for p, sp in _cuts(eps, sigma):
+        for q, sq in _cuts(delta, sigma):
+            m = wmono([(canonicalize(eps[p:] + eps[:p] + delta[q:] + delta[:q]), 1)])
+            acc[m] = acc.get(m, 0j) + sp * sq * sigma
     return WordPoly(acc)
 
 

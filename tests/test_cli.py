@@ -385,9 +385,9 @@ def test_out_of_range_counts_exit_1_at_once(capsys, argv, what):
 
 
 def test_too_many_taylor_stages_exits_1(capsys):
-    # |t| * ||D||_1 on the closure of u^6 would need 900,000 stages
+    # |t| * ||D_4||_1 on the closure of u^6 would need 900,000 stages
     t0 = time.perf_counter()
-    code = cli.main(["heat-apply", "--gen", "D", "--t", "1e5", "--f", "u^6"])
+    code = cli.main(["heat-apply", "--gen", "DN", "--N", "4", "--t", "1e5", "--f", "u^6"])
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert "MAX_WORK" in _one_line_error(capsys)

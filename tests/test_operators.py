@@ -239,6 +239,13 @@ def test_monomial_basis_degree_2():
     assert all(len(b) == 2 for b in basis)
 
 
+def test_monomial_basis_size_at_the_degree_limit():
+    # the largest basis is bounded by MAX_DEGREE alone
+    assert len(monomial_basis(operators.MAX_DEGREE)) == 12_892
+    with pytest.raises(ValueError, match="MAX_DEGREE=12"):
+        monomial_basis(operators.MAX_DEGREE + 1)
+
+
 def test_operator_matrix_DN_span_example():
     N = 4
     M = operator_matrix(GeneratorSpec.DN(N), 2)

@@ -216,10 +216,12 @@ def _dense_exp(column, p):
 @settings(max_examples=60, deadline=None)
 def test_graded_sum_matches_dense_kernel(seed, deg, theta, name):
     rng = np.random.default_rng(seed)
-    # mixed factor counts, and u^3 + v1 u^2 in both orders: M maps u^3 onto
-    # v1 u^2, so the second order is not graded and takes another kernel
+    # mixed factor counts, and u^3 + v1 u^2 in both orders and u^3 + v1^2 u:
+    # M maps u^3 onto v1 u^2 and that onto v1^2 u, so the last two put entries
+    # above the diagonal in the search order and are graded all the same
     p = _rand_poly(rng, deg, nterms=int(rng.integers(1, 5)))
-    for q in (p, p + parse("u^3 + v1 u^2"), p + parse("v1 u^2 + u^3")):
+    for q in (p, p + parse("u^3 + v1 u^2"), p + parse("v1 u^2 + u^3"),
+              p + parse("u^3 + v1^2 u")):
         want = _dense_exp(GENS[name].column(theta), q)
         got = exp_apply(GENS[name], theta, q)
         scale = max(abs(c) for c in want.values())
@@ -241,12 +243,27 @@ def test_graded_test_needs_equal_diagonals(monkeypatch):
     assert abs(got.coeff(b) - (e * e - e)) <= 1e-15 * e * e
 
 
-def test_graded_test_needs_the_closure_order(monkeypatch):
+def test_graded_test_ignores_the_term_order(monkeypatch):
+    # M maps u^3 onto v1 u^2 and v1 u^2 onto v1^2 u; the search starts at the
+    # input's terms, so the last three orders put entries above the diagonal,
+    # and each closure is still graded
     calls = _count_kernels(monkeypatch)
-    exp_apply(GeneratorSpec.D(), 0.3, parse("u^3 + v1 u^2"))
-    assert calls["dense"] == []
-    exp_apply(GeneratorSpec.D(), 0.3, parse("v1 u^2 + u^3"))
+    for f in ("u^3 + v1 u^2", "v1 u^2 + u^3", "u^3 + v1^2 u", "v1^2 u + u^3"):
+        exp_apply(GeneratorSpec.D(), 0.3, parse(f))
+    assert calls == {"dense": [], "taylor": []}
+
+
+def test_graded_test_rejects_a_cycle(monkeypatch):
+    # u -> u + u^2 and u^2 -> u^2 + u: equal diagonals, but M u = u^2 and
+    # M u^2 = u is a cycle, so M is not nilpotent; e^A u = e (cosh 1 u + sinh 1 u^2)
+    calls = _count_kernels(monkeypatch)
+    a, b = mono(1), mono(2)
+    got = operators.exp_series(lambda m: [(m, 1.0), (b if m == a else a, 1.0)],
+                               TracePoly({a: 1.0}))
     assert len(calls["dense"]) == 1
+    e = np.e
+    assert abs(got.coeff(a) - e * np.cosh(1.0)) <= 1e-15 * e * e
+    assert abs(got.coeff(b) - e * np.sinh(1.0)) <= 1e-15 * e * e
 
 
 # ---------------------------------------------------------------- compiled columns
@@ -336,8 +353,13 @@ def test_DN_semigroup_at_degree_12():
 
 
 def test_stage_bound_raises_before_any_stage():
-    # ||(t/2) D||_1 on the closure of u^6 is 1.8e6 at t = 1e5: 900,000 stages
+    # ||(t/2) D_4||_1 on the closure of u^6 is 1.8e6 at t = 1e5: 900,000
+    # stages (D's closure is graded and takes the terminating sum at any t)
+    gen = GeneratorSpec.DN(4)
     with pytest.raises(ValueError, match="MAX_WORK"):
-        exp_apply(GeneratorSpec.D(), 0.5e5, u(6))
-    # 900 stages run (e^{50 D} u^6 decays below the storage floor)
-    assert exp_apply(GeneratorSpec.D(), 50.0, u(6)).is_zero
+        exp_apply(gen, 0.5e5, u(6))
+    # 900 stages run; D_4 has the eigenvalue 3/2 here, so e^{50 D_4} u^6 grows
+    one = exp_apply(gen, 50.0, u(6))
+    two = exp_apply(gen, 30.0, exp_apply(gen, 20.0, u(6)))
+    assert one.coeff_max() > 1e30
+    assert (one - two).coeff_max() <= 1e-12 * one.coeff_max()

@@ -186,12 +186,14 @@ def _word_val(w, Z):
     return evaluate_word(WordPoly.var(w), Z)
 
 
-def test_generator_fd_oracle():
-    """Q_eps and R_{eps,delta} against central second differences over beta_3."""
-    N, h, s, t = 3, 1e-4, 1.5, 0.8
+def _fd_oracle_errors(s, t, h, q_len, r_len):
+    """Worst |numeric - symbolic| of Q on canonical words up to ``q_len`` and
+    of R on pairs up to ``r_len``, by central differences with step h over
+    beta_3 weighted (s - t/2) on beta_+ and t/2 on beta_-."""
+    N = 3
     rng = np.random.default_rng(5)
-    words = _canonical_words(3)
-    short = [w for w in words if len(w) <= 2]
+    words = _canonical_words(q_len)
+    short = [w for w in words if len(w) <= r_len]
     dirs = []
     for X in basis_uN(N).elements:
         dirs.append((X, s - t / 2.0))
@@ -217,6 +219,21 @@ def test_generator_fd_oracle():
                           for i, (_, _, wt) in enumerate(steps))
                 sym = evaluate_word(derive_generators(w1, w2, s, t), Z) / N**2
                 worst_r = max(worst_r, abs(num - sym))
+    return worst_q, worst_r
+
+
+def test_generator_fd_oracle():
+    """Q_eps and R_{eps,delta} against central second differences over beta_3."""
+    worst_q, worst_r = _fd_oracle_errors(1.5, 0.8, 1e-4, 3, 2)
+    assert worst_q < 1e-6, f"Q oracle max err {worst_q:.3e}"
+    assert worst_r < 1e-6, f"R oracle max err {worst_r:.3e}"
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 0.0), (0.4, 0.8)], ids=["beta_plus", "beta_minus"])
+def test_generator_fd_oracle_per_family(s, t):
+    """The same oracle with one basis family alone (s - t/2 = 0 or t = 0),
+    so a sign error in one family cannot cancel against the other."""
+    worst_q, worst_r = _fd_oracle_errors(s, t, 3e-4, 4, 3)
     assert worst_q < 1e-6, f"Q oracle max err {worst_q:.3e}"
     assert worst_r < 1e-6, f"R oracle max err {worst_r:.3e}"
 

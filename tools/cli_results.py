@@ -4,8 +4,9 @@
     python tools/cli_results.py compare OLD.json NEW.json
 
 ``run`` calls ``freesb.cli.main`` in-process on each command of
-``COMMANDS`` (every command of the README plus the degree-8 and degree-12
-semigroups) and writes one JSON object that maps each command line to its
+``COMMANDS`` (every command of the README, the degree-8 and degree-12
+semigroups, and a few inputs for the word engine, the b_k recursion and
+the graded test) and writes one JSON object that maps each command line to its
 exit code and its ``results``.  ``freesb`` is imported from SRC_DIR,
 which defaults to ``src`` beside this script's parent, so one copy of the
 script can run any checkout.
@@ -54,6 +55,11 @@ COMMANDS = [
     "biane --k 12 --s 1 --t 1",
     "heat-apply --gen D --t 0.7 --f u^12",
     "heat-apply --gen DN --N 4 --t 0.7 --f u^12",
+    # longer words through both generator families of the word engine, the
+    # b_k recursion at k = 32, and a D input whose terms M maps onto each other
+    'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 4',
+    "moments --k 32 --s 1.7",
+    'transform --s 1.5 --t 0.8 --f "v1^2 u + u^3" --dir G',
 ]
 
 
