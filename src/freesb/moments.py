@@ -29,6 +29,7 @@ from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly, mono
 
 MAX_MOMENT = 64  # largest |k| of nu_k
+S_CACHE_SIZE = 256  # entries of each s-keyed cache, which a fresh s per call would grow
 
 # ----------------------------------------------------------------------
 # Catalan numbers and nu_k
@@ -42,7 +43,7 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=S_CACHE_SIZE)
 def _nu_hat_exact(k: int, s: float) -> Fraction:
     # e^{ks/2} nu_k(s) = sum_{j=0}^{k-1} ((-s)^j / j!) k^{j-1} binom(k, j+1),
     # summed exactly over the rationals: the terms alternate in sign and the
@@ -148,7 +149,7 @@ class TPoly:
         return [f * c for c in self.coeffs]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=S_CACHE_SIZE)
 def _c_hat(k: int, s: float) -> tuple[float, ...]:
     # e^{ks/2} c_k(s,t) as a polynomial in t.  The prefactors e^{-ms/2}
     # of every product c_{k-m} c_m combine to the same e^{-ks/2}, so the
@@ -171,7 +172,7 @@ def c_poly(k: int, s: float) -> TPoly:
                  prefactor_exp=-k * float(s) / 2.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=S_CACHE_SIZE)
 def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
     # b_k's coefficients in t as complex arrays over u^0..u^k (k + 1 entries
     # in the cache); a b_j with j < k is padded to that length where it is read

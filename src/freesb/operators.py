@@ -16,7 +16,12 @@ dimensional invariant subspace.  ``exp_series`` takes its generator as a
 column function (one monomial to its image as (monomial, weight) pairs),
 finds that closure by a breadth-first search and compiles the operator
 on it to a sparse matrix in coordinate (COO) form, one merged dict per
-column and no polynomial.
+column and no polynomial.  ``exp_apply`` compiles a GeneratorSpec at
+theta = 1 and keeps the closure in a small LRU cache keyed by the
+generator and the input's monomials, bounded by ``CLOSURE_BUDGET``
+monomials in all; theta scales the compiled matrix on each call, so
+G, H, biane and verify_gen_fn, which apply D to the same few monomials
+at many times, compile each closure once.
 
 On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one trace
 factor, so it is nilpotent and commutes with the diagonal, and e^{theta D}
@@ -51,6 +56,11 @@ DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit 
 DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 160 n^2 B, 10 MiB
 DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff exceeds the Taylor kernel's
 MAX_DEGREE = 12
+CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
+
+# (GeneratorSpec, p's monomials in order) -> a compiled closure (see _classify);
+# a plain dict in least to most recently used order
+_closures: dict = {}
 
 # ======================================================================
 # named first/second order operators, monomial by monomial
@@ -299,33 +309,40 @@ def _compile(column, seed):
             np.array(vals, dtype=complex))
 
 
-def exp_series(column, p):
-    """e^G p for a linear map G given by its column function ``column``.
+def exp_series(column, p, theta, key):
+    """e^{theta G} p for a linear map G given by its column function ``column``.
 
     ``column`` maps one monomial to its image under G as (monomial,
     weight) pairs (see :func:`_compile`).  Works for any polynomial type
     whose instances hold a ``terms`` dict from monomial keys to
     coefficients and are built from such a dict (``TracePoly``,
     ``WordPoly``); G must map the span of the monomials reachable from
-    ``p`` into itself.
+    ``p`` into itself, and ``theta`` is a real number.
 
-    G is compiled on that closure to an n x n COO matrix A (see
-    :func:`_compile`), the diagonal part of A plus an off-diagonal part M.
+    G is compiled on that closure, at theta = 1, to an n x n COO matrix A
+    (see :func:`_classify`), the diagonal part of A plus an off-diagonal
+    part M.  When ``key`` is not None it names G (a ``GeneratorSpec``), and
+    the compiled closure is kept in an LRU cache under (key, the monomials
+    of p in their order, which fixes the basis order).  The cache holds at
+    most ``CLOSURE_BUDGET`` monomials in all and never stores a larger
+    closure; ``key=None`` (the word engine, whose columns carry s, t and N)
+    compiles on every call.  theta scales A on every call, hit or miss.
     When A is graded, M joins only equal diagonal entries (so it commutes
     with the diagonal) and its graph, an edge from column to row per entry,
     has no cycle (so M is nilpotent; see :func:`_acyclic`).  The result is
-    then e^{diag} times :func:`_nilpotent_sum`, at most n sparse products
-    and no truncation, whatever the order of p's terms and at any theta.
-    Otherwise, with m = ceil(||A||_1 / STEP_NORM) Taylor stages and s
+    then e^{theta diag} times :func:`_nilpotent_sum` of theta M, at most n
+    sparse products and no truncation, whatever the order of p's terms and
+    at any theta.
+    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s
     squarings for the dense kernel, :func:`_expm_dense` runs when
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
     (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
     :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
     are accurate to roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop
-    rule.  ValueError, before the closure is built: a ``p`` of trace
-    degree above 2 * MAX_DEGREE (the longest word); before a kernel runs on
-    a closure that is not graded: work m * (nnz + STAGE_COST) above
-    ``MAX_WORK`` (a non-finite entry of A fails this check too).
+    rule.  ValueError, before the closure is built or looked up: a ``p`` of
+    trace degree above 2 * MAX_DEGREE (the longest word); before a kernel
+    runs on a closure that is not graded: work m * (nnz + STAGE_COST) above
+    ``MAX_WORK`` (a non-finite entry of theta A fails this check too).
     Overflow in any kernel raises FloatingPointError.
     """
     if not p.terms:
@@ -333,19 +350,21 @@ def exp_series(column, p):
     if p.trace_degree() > 2 * MAX_DEGREE:
         raise ValueError(f"trace degree {p.trace_degree()} exceeds {2 * MAX_DEGREE}: "
                          "the semigroup's closure would be too large")
-    basis, rows, cols, vals = _compile(column, p.terms)
+    key = None if key is None else (key, tuple(p.terms))
+    closure = _closures.pop(key, None)  # None is never a key
+    if closure is None:
+        closure = _classify(column, p.terms)
+    if key is not None:
+        _remember(key, closure)
+    basis, rows, cols, vals, diag, off, graded = closure
     n = len(basis)
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
-    on = rows == cols
-    diag = np.zeros(n, dtype=complex)
-    diag[rows[on]] = vals[on]
-    off_rows, off_cols = rows[~on], cols[~on]
-    if (diag[off_rows] == diag[off_cols]).all() and \
-            ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, n)):
+    if graded:
         with np.errstate(over="raise", invalid="raise"):
-            x = np.exp(diag) * _nilpotent_sum(off_rows, off_cols, vals[~on], x)
+            x = np.exp(theta * diag) * _nilpotent_sum(rows[off], cols[off], theta * vals[off], x)
         return type(p)(dict(zip(basis, x.tolist())))
+    vals = theta * vals
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
     if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
@@ -358,6 +377,37 @@ def exp_series(column, p):
         x = (_expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
     return type(p)(dict(zip(basis, x.tolist())))
+
+
+def _classify(column, seed):
+    """:func:`_compile` on the closure of ``seed``, then whether it is graded
+    (see :func:`exp_series`): basis, rows, cols, vals, the diagonal, the
+    off-diagonal mask over the COO entries and the graded flag."""
+    basis, rows, cols, vals = _compile(column, seed)
+    off = rows != cols
+    diag = np.zeros(len(basis), dtype=complex)
+    diag[rows[~off]] = vals[~off]
+    off_rows, off_cols = rows[off], cols[off]
+    graded = (diag[off_rows] == diag[off_cols]).all() and \
+        ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, len(basis)))
+    return basis, rows, cols, vals, diag, off, graded
+
+
+def _remember(key, closure):
+    """Store ``closure`` as the most recently used entry, then drop the least
+    recently used ones until the cache holds at most CLOSURE_BUDGET monomials;
+    a larger closure is not stored.  Each thread counts over its own snapshot,
+    so concurrent calls cannot raise."""
+    if len(closure[0]) > CLOSURE_BUDGET:
+        return
+    _closures[key] = closure
+    entries = list(_closures.items())
+    held = sum(len(c[0]) for _, c in entries)
+    for k, c in entries:
+        if held <= CLOSURE_BUDGET:
+            break
+        _closures.pop(k, None)
+        held -= len(c[0])
 
 
 def _acyclic(rows, cols, n):
@@ -441,7 +491,7 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
     check_times(theta=theta)
     if theta == 0.0:
         return p
-    return exp_series(gen.column(theta), p)
+    return exp_series(gen.column(1.0), p, theta, key=gen)
 
 
 # ======================================================================

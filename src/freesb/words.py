@@ -323,7 +323,7 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
             images[words] = apply_tilde(gen, unit, s, t).terms.items()
         return images[words]
 
-    return exp_series(lambda m: _leibniz(m, image, image), p).evaluate_ones()
+    return exp_series(lambda m: _leibniz(m, image, image), p, 1.0, None).evaluate_ones()
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (_c_hat, _nu_hat_exact, b_poly, c_poly, catalan, nu, pi_eval,
-                            pi_via_semigroup, varrho, varrho_coeffs)
+from freesb.moments import (_b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan, nu,
+                            pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
 
@@ -163,6 +163,20 @@ def test_b_biane_link():
             lhs = math.exp(k * t / 2) * b_poly(k, s).eval(t)
             rhs = biane(k, s, t)
             assert (lhs - rhs).coeff_max() < 1e-9 * max(1.0, rhs.coeff_max())
+
+
+def test_s_keyed_caches_are_bounded():
+    # a caller that passes a fresh s on every call must not grow them without
+    # bound; an evicted entry is recomputed to the same value
+    caches = (_nu_hat_exact, _c_hat, _b_table)
+    first = (b_poly(2, 0.5).eval(0.3), nu(2, 0.5))
+    for s in np.linspace(0.01, 3.0, 300):
+        b_poly(2, float(s))
+        nu(2, float(s))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+    assert (b_poly(2, 0.5).eval(0.3), nu(2, 0.5)) == first
 
 
 def _eval_laurent(p: TracePoly, u0: complex) -> complex:

@@ -1,8 +1,10 @@
 """The semigroup kernel ``exp_series`` on the compiled reachable closure:
 an independent dense oracle, its dense and Taylor kernels against each
-other, homogeneity at any scale, and inputs at the documented degree
-limit."""
+other, homogeneity at any scale, inputs at the documented degree limit,
+and the closure cache of ``exp_apply``."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ import freesb.operators as operators
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
 from freesb.tracepoly import CLEANUP_EPS, TracePoly, mono, parse
 from freesb.transform import G, H
-from freesb.words import WordPoly, apply_tilde, iota, iota_star
+from freesb.words import WordPoly, apply_tilde, expectation, iota, iota_star
 
 u = TracePoly.u
 
@@ -102,7 +104,7 @@ def test_dense_and_taylor_kernels_agree(name, column, p):
     # closures (D and PI_GEN) and one of the other two elsewhere
     basis = operators._compile(column, p.terms)[0]
     dense = operators._expm_dense(rows, cols, vals, x)
-    got = operators.exp_series(column, p)
+    got = operators.exp_series(column, p, 1.0, None)
     gap = max(abs(got.coeff(m) - c) for m, c in zip(basis, dense))
     assert gap <= 1e-12 * np.abs(dense).max(), name
 
@@ -236,7 +238,7 @@ def test_graded_test_needs_equal_diagonals(monkeypatch):
     calls = _count_kernels(monkeypatch)
     a, b = mono(1), mono(2)
     got = operators.exp_series(lambda m: [(m, 1.0), (b, 1.0)] if m == a else [(m, 2.0)],
-                               TracePoly({a: 1.0}))
+                               TracePoly({a: 1.0}), 1.0, None)
     assert len(calls["dense"]) == 1
     e = np.e
     assert abs(got.coeff(a) - e) <= 1e-15 * e
@@ -259,7 +261,7 @@ def test_graded_test_rejects_a_cycle(monkeypatch):
     calls = _count_kernels(monkeypatch)
     a, b = mono(1), mono(2)
     got = operators.exp_series(lambda m: [(m, 1.0), (b if m == a else a, 1.0)],
-                               TracePoly({a: 1.0}))
+                               TracePoly({a: 1.0}), 1.0, None)
     assert len(calls["dense"]) == 1
     e = np.e
     assert abs(got.coeff(a) - e * np.cosh(1.0)) <= 1e-15 * e * e
@@ -363,3 +365,120 @@ def test_stage_bound_raises_before_any_stage():
     two = exp_apply(gen, 30.0, exp_apply(gen, 20.0, u(6)))
     assert one.coeff_max() > 1e30
     assert (one - two).coeff_max() <= 1e-12 * one.coeff_max()
+
+
+# ---------------------------------------------------------------- closure cache
+
+
+@pytest.fixture
+def closures():
+    """The closure cache of exp_apply, empty, and emptied again afterwards."""
+    operators._closures.clear()
+    yield operators._closures
+    operators._closures.clear()
+
+
+def _bits(q):
+    return repr(list(q.terms.items()))
+
+
+@pytest.mark.parametrize("gen, p", [(GeneratorSpec.D(), u(6)), (GeneratorSpec.D(), u(-9)),
+                                    (GeneratorSpec.pi_gen(), parse("v3 v4 v-5 + u^-2 v1")),
+                                    (GeneratorSpec.DN(4), u(6)), (GeneratorSpec.DN(4), DEG12)])
+def test_cache_hit_is_bitwise_a_cold_call(closures, gen, p):
+    thetas = (0.4, -0.3, 0.95, -2.0)
+    cold = []
+    for theta in thetas:
+        closures.clear()
+        cold.append(_bits(exp_apply(gen, theta, p)))
+    # one compile, then every theta from the cache
+    assert [_bits(exp_apply(gen, theta, p)) for theta in thetas] == cold
+    assert list(closures) == [(gen, tuple(p.terms))]
+
+
+def test_cache_keys_hold_the_generator_and_the_term_order(closures):
+    a, b = parse("u^3 + v1 u^2"), parse("v1 u^2 + u^3")
+    assert list(a.terms) == list(reversed(b.terms))
+    calls = [(GeneratorSpec.D(), u(6)), (GeneratorSpec.DN(4), u(6)),
+             (GeneratorSpec.D(), a), (GeneratorSpec.D(), b)]
+    warm = [exp_apply(gen, 0.3, p) for gen, p in calls]
+    assert list(closures) == [(gen, tuple(p.terms)) for gen, p in calls]
+    for (gen, p), got in zip(calls, warm):
+        closures.clear()
+        assert _bits(got) == _bits(exp_apply(gen, 0.3, p))
+    assert (warm[2] - warm[3]).coeff_max() <= 1e-15 * warm[2].coeff_max()
+    assert (warm[0] - warm[1]).coeff_max() > 1e-3
+
+
+def test_cache_stays_within_its_budget(closures, monkeypatch):
+    held, calls = [], 0
+    for m in operators.monomial_basis(5):
+        for gen in (GeneratorSpec.D(), GeneratorSpec.DN(3)):
+            exp_apply(gen, 0.2, TracePoly({m: 1.0}))
+            calls += 1
+            held.append(sum(len(c[0]) for c in closures.values()))
+    assert max(held) <= operators.CLOSURE_BUDGET < sum(held)
+    assert 0 < len(closures) < calls
+    assert list(closures)[-1] == (GeneratorSpec.DN(3), (m,))
+    # a closure over the budget is not stored; a hit moves its entry last
+    monkeypatch.setattr(operators, "CLOSURE_BUDGET", 18)
+    closures.clear()
+    exp_apply(GeneratorSpec.D(), 0.2, u(2))
+    exp_apply(GeneratorSpec.D(), 0.2, u(3))
+    exp_apply(GeneratorSpec.D(), 0.2, u(6))  # 19 monomials
+    assert list(closures) == [(GeneratorSpec.D(), (mono(2),)), (GeneratorSpec.D(), (mono(3),))]
+    exp_apply(GeneratorSpec.D(), -0.2, u(2))
+    assert list(closures)[-1] == (GeneratorSpec.D(), (mono(2),))
+
+
+def test_checks_run_on_a_cache_hit(closures):
+    gen = GeneratorSpec.DN(4)
+    exp_apply(gen, 0.4, u(6))
+    assert len(closures) == 1
+    with pytest.raises(ValueError, match="MAX_WORK"):
+        exp_apply(gen, 0.5e5, u(6))
+    for gen, theta, k in ((GeneratorSpec.D(), -2.0, 6), (GeneratorSpec.DN(4), -4.0, 3)):
+        exp_apply(gen, theta, u(k))
+        with pytest.raises(FloatingPointError):
+            exp_apply(gen, theta, 1e307 * u(k))
+    # the degree check comes before the lookup
+    with pytest.raises(ValueError, match="trace degree"):
+        exp_apply(GeneratorSpec.D(), 0.1, u(25))
+
+
+def test_word_engine_stores_nothing(closures):
+    expectation(iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)), 1.5, 0.8, 4)
+    assert closures == {}
+
+
+def test_cache_under_threads(closures, monkeypatch):
+    # more threads than cores and a short switch interval, on a budget that
+    # forces evictions: no call raises, every result is bitwise the serial one,
+    # and the cache ends within its budget
+    monkeypatch.setattr(operators, "CLOSURE_BUDGET", 40)
+    jobs = [(gen, theta, u(k)) for gen in (GeneratorSpec.D(), GeneratorSpec.DN(3))
+            for theta in (0.3, -0.2) for k in range(-6, 7)]
+    want = [_bits(exp_apply(*job)) for job in jobs]
+    got, errors = {}, []
+
+    def work(offset):
+        try:
+            for i in range(len(jobs)):
+                j = (i + offset) % len(jobs)
+                got[offset, j] = _bits(exp_apply(*jobs[j]))
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert all(got[offset, j] == want[j] for offset, j in got) and len(got) == 6 * len(jobs)
+    assert sum(len(c[0]) for c in closures.values()) <= 40

@@ -307,7 +307,7 @@ def test_limit_expectation_is_pi():
                     budget -= abs(j)
             terms[(0, tuple(sorted(ve.items())))] = complex(rng.normal(), rng.normal())
         Q = TracePoly(terms)
-        lim = exp_series(_dst_column(s, t), iota(Q)).evaluate_ones()
+        lim = exp_series(_dst_column(s, t), iota(Q), 1.0, None).evaluate_ones()
         want = complex(sum(pi_eval(Q, s - t).terms.values()))
         assert abs(lim - want) < 1e-10 * max(1.0, abs(want))
 

@@ -5,7 +5,8 @@
 
 ``run`` calls ``freesb.cli.main`` in-process on each command of
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
-semigroups, and a few inputs for the word engine, the b_k recursion and
+semigroups, a second degree-8 transform that reuses the first one's
+cached closure, and a few inputs for the word engine, the b_k recursion and
 the graded test) and writes one JSON object that maps each command line to its
 exit code and its ``results``.  ``freesb`` is imported from SRC_DIR,
 which defaults to ``src`` beside this script's parent, so one copy of the
@@ -47,6 +48,8 @@ COMMANDS = [
     "norm --p u --measure mu --s 1.5 --t 0.8 --N 3",
     # the semigroups of D at |k| = 8 and the documented limit |k| = 12
     "transform --s 1.5 --t 0.8 --f u^8 --dir G",
+    # the u^8 closure again, from the closure cache, at a new theta
+    "transform --s 1.2 --t 0.6 --f u^8 --dir G",
     "transform --s 1.5 --t 0.8 --f u^-8 --dir H",
     "biane --k 8 --s 1 --t 1",
     "heat-apply --gen D --t 0.7 --f u^8",
