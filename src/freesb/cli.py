@@ -6,14 +6,16 @@ Every subcommand emits a versioned JSON report on stdout:
      "versions": {"code": ..., "rng": ...}, "seed": ..., "wall_time_ms": ...}
 
 Complex numbers serialize as [re, im].  Identical argv and seed produce a
-byte-identical ``results`` field.  Exit codes: 0 success, 2 when a
-verification command exceeds an asserted tolerance, 1 on usage errors
-and on computations that fail (a malformed FREESB_SEED, a series order K
-outside 1..16, a semigroup series that does not converge, a semigroup
-or sampler path that overflows, a norm that comes out non-real, a
-non-finite time or any other NaN or infinity in the report, which JSON
-cannot hold, a --csv file that cannot be written, a stdout closed before
-the report is written; the last prints nothing).
+byte-identical ``results`` field.  Exit codes: 0 success, 2 exactly
+when ``results`` holds ``"pass": false`` (a verification command
+exceeded its asserted tolerance), 1 on usage errors and on computations
+that fail (a malformed FREESB_SEED, a series order K outside 1..16, an N
+above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, a
+semigroup series that does not converge, a semigroup or sampler path
+that overflows, a norm that comes out non-real, a non-finite time or any
+other NaN or infinity in the report, which JSON cannot hold, a --csv
+file that cannot be written, a stdout closed before the report is
+written; the last prints nothing).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -88,8 +90,11 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="freesb", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, help_):
-        return sub.add_parser(name, help=help_)
+    def add(body, help_):
+        # _cmd_heat_apply is the body of heat-apply; main calls args.body(args, seed)
+        p = sub.add_parser(body.__name__.removeprefix("_cmd_").replace("_", "-"), help=help_)
+        p.set_defaults(body=body)
+        return p
 
     def sampling(p, samples):
         # the Monte Carlo options of concentration and mc
@@ -99,46 +104,46 @@ def _build_parser() -> _Parser:
         p.add_argument("--threads", type=int, default=os.cpu_count())
         p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
 
-    p = add("heat-apply", "apply the heat semigroup e^{(t/2) gen} to a polynomial")
+    p = add(_cmd_heat_apply, "apply the heat semigroup e^{(t/2) gen} to a polynomial")
     p.add_argument("--gen", choices=["D", "DN"], required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--f", required=True, help="trace polynomial, e.g. 'u^2 - v1'")
 
-    p = add("transform", "free unitary Segal-Bargmann transform G or its inverse H")
+    p = add(_cmd_transform, "free unitary Segal-Bargmann transform G or its inverse H")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--dir", choices=["G", "H"], default="G")
 
-    p = add("biane", "Biane polynomial p_k^{s,t}")
+    p = add(_cmd_biane, "Biane polynomial p_k^{s,t}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("moments", "free moments nu_k, varrho_k and the c_k, b_k recursions")
+    p = add(_cmd_moments, "free moments nu_k, varrho_k and the c_k, b_k recursions")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
 
-    p = add("gen-fn-check", "verify the Biane generating function identity")
+    p = add(_cmd_gen_fn_check, "verify the Biane generating function identity")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--K", type=int, default=8, help="series order, 1..16")
 
-    p = add("pde-check", "verify the PDEs for psi, phi, varrho and initial conditions")
+    p = add(_cmd_pde_check, "verify the PDEs for psi, phi, varrho and initial conditions")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--K", type=int, default=8, help="series order, 1..16")
 
-    p = add("verify-magic", "numerically verify the magic formulas on u(N)")
+    p = add(_cmd_verify_magic, "numerically verify the magic formulas on u(N)")
     p.add_argument("--N", type=int, required=True)
 
-    p = add("intertwine-check", "Laplacian vs abstract D_N on random polynomials")
+    p = add(_cmd_intertwine_check, "Laplacian vs abstract D_N on random polynomials")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--degree", type=int, default=5)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("concentration", "||p - pi p||^2 across N with fitted log-log slope")
+    p = add(_cmd_concentration, "||p - pi p||^2 across N with fitted log-log slope")
     p.add_argument("--p", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
@@ -146,14 +151,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["symbolic", "mc"], default="symbolic")
     sampling(p, samples=400)
 
-    p = add("mc", "Monte Carlo expectation of a scalar observable")
+    p = add(_cmd_mc, "Monte Carlo expectation of a scalar observable")
     p.add_argument("--f", required=True, help="u-free trace polynomial, e.g. 'v1'")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     sampling(p, samples=1000)
 
-    p = add("norm", "L^2 norm of a trace polynomial under rho_s^N or mu_{s,t}^N")
+    p = add(_cmd_norm, "L^2 norm of a trace polynomial under rho_s^N or mu_{s,t}^N")
     p.add_argument("--p", required=True)
     p.add_argument("--measure", choices=["rho", "mu"], required=True)
     p.add_argument("--s", type=float, required=True)
@@ -164,7 +169,7 @@ def _build_parser() -> _Parser:
 
 
 # ----------------------------------------------------------------------
-# command bodies: each returns (results, exit_code)
+# command bodies: each returns its results
 # ----------------------------------------------------------------------
 
 
@@ -177,17 +182,17 @@ def _cmd_heat_apply(a, seed):
     else:
         gen = GeneratorSpec.D()
     out = exp_apply(gen, a.t / 2.0, f)
-    return {"poly": _poly_json(out)}, 0
+    return {"poly": _poly_json(out)}
 
 
 def _cmd_transform(a, seed):
     out = (G if a.dir == "G" else H)(parse(a.f), a.s, a.t)
-    return {"poly": _poly_json(out), "dir": a.dir}, 0
+    return {"poly": _poly_json(out), "dir": a.dir}
 
 
 def _cmd_biane(a, seed):
     out = biane(a.k, a.s, a.t)
-    return {"k": a.k, "poly": _poly_json(out)}, 0
+    return {"k": a.k, "poly": _poly_json(out)}
 
 
 def _cmd_moments(a, seed):
@@ -203,12 +208,11 @@ def _cmd_moments(a, seed):
               "coeffs": [_cpair(z) for z in c.coeffs]},
         "b": [format_poly(q) for q in b.coeffs],
         "tol": 1e-12,
-    }, 0
+    }
 
 
-def _verdict(resid: float, tol: float):
-    ok = resid < tol
-    return {"residual": resid, "tol": tol, "pass": ok}, 0 if ok else 2
+def _verdict(resid: float, tol: float) -> dict:
+    return {"residual": resid, "tol": tol, "pass": resid < tol}
 
 
 def _cmd_gen_fn_check(a, seed):
@@ -220,8 +224,7 @@ def _cmd_pde_check(a, seed):
 
 
 def _cmd_verify_magic(a, seed):
-    rep = verify_magic(a.N)
-    return {**rep, "tol": MAGIC_TOL}, 0 if rep["pass"] else 2
+    return {**verify_magic(a.N), "tol": MAGIC_TOL}
 
 
 def _cmd_intertwine_check(a, seed):
@@ -246,9 +249,8 @@ def _cmd_intertwine_check(a, seed):
         U = np.linalg.qr(rng.normal(size=(a.N, a.N)) + 1j * rng.normal(size=(a.N, a.N)))[0]
         resid = float(np.abs(laplacian_eval(p, U, a.N) - evaluate(apply_DN(p, a.N), U)).max())
         worst = max(worst, resid)
-    ok = worst < INTERTWINE_TOL
     return {"max_residual": worst, "tol": INTERTWINE_TOL, "trials": a.trials,
-            "degree": a.degree, "pass": ok}, 0 if ok else 2
+            "degree": a.degree, "pass": worst < INTERTWINE_TOL}
 
 
 def _cmd_concentration(a, seed):
@@ -262,7 +264,7 @@ def _cmd_concentration(a, seed):
         _write_csv(a.csv, [(r["N"], r["value"], r.get("stderr"))
                            for r in rep["rows"]])
         results["csv"] = a.csv
-    return results, 0
+    return results
 
 
 def _cmd_mc(a, seed):
@@ -273,7 +275,7 @@ def _cmd_mc(a, seed):
     if a.csv:
         _write_csv(a.csv, [(a.N, mean.real, stderr)])
         results["csv"] = a.csv
-    return results, 0
+    return results
 
 
 def _cmd_norm(a, seed):
@@ -284,22 +286,7 @@ def _cmd_norm(a, seed):
         if a.t != 0.0:
             raise ValueError("--measure rho takes no --t (it is the t=0 case)")
         meas = Measure.rho(a.s, a.N)
-    return {"value": l2_norm_sq(p, meas), "measure": a.measure, "tol": 1e-12}, 0
-
-
-_COMMANDS = {
-    "heat-apply": _cmd_heat_apply,
-    "transform": _cmd_transform,
-    "biane": _cmd_biane,
-    "moments": _cmd_moments,
-    "gen-fn-check": _cmd_gen_fn_check,
-    "pde-check": _cmd_pde_check,
-    "verify-magic": _cmd_verify_magic,
-    "intertwine-check": _cmd_intertwine_check,
-    "concentration": _cmd_concentration,
-    "mc": _cmd_mc,
-    "norm": _cmd_norm,
-}
+    return {"value": l2_norm_sq(p, meas), "measure": a.measure, "tol": 1e-12}
 
 
 def main(argv=None) -> int:
@@ -316,9 +303,9 @@ def main(argv=None) -> int:
                 seed = int(env) if env is not None else args.seed
             except ValueError:
                 raise ValueError(f"FREESB_SEED must be an integer, got {env!r}") from None
-        results, code = _COMMANDS[args.command](args, seed)
+        results = args.body(args, seed)
         params = {k: v for k, v in vars(args).items()
-                  if k not in ("command",) and v is not None}
+                  if k not in ("command", "body") and v is not None}
         report = {
             "schema": 1,
             "command": args.command,
@@ -340,7 +327,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout closed early: let devnull take the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return 2 if results.get("pass") is False else 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Finite-N ground truth on U_N and GL_N.
 
-Explicit orthonormal bases of u(N) under <X,Y> = N Tr(Y^* X), numeric
-verification of the magic formulas, functional-calculus evaluation of
-trace and word polynomials, an exact (symbolic-in-X) Laplacian evaluator,
-Monte Carlo samplers for the heat kernel measures rho_s^N on U_N and
-mu_{s,t}^N on GL_N, and concentration experiments.
+Explicit orthonormal bases of u(N) (N <= MAX_BASIS_N) under <X,Y> =
+N Tr(Y^* X), numeric verification of the magic formulas, functional-calculus
+evaluation of trace and word polynomials, an exact (symbolic-in-X) Laplacian
+evaluator, Monte Carlo samplers for the heat kernel measures rho_s^N on U_N
+and mu_{s,t}^N on GL_N (a SamplerCfg holds only times of a measure), and
+concentration experiments.
 
 Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
 with G drawn from the Gaussian measure on u(N) determined by the basis;
@@ -37,6 +38,7 @@ from .moments import pi_eval
 
 RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
+MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check takes ~10 s at 36
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
 _DRAW_BYTES = 16 << 20  # noise one chunk draws at once (whole steps, at least one)
 MAGIC_TOL = 1e-11  # verify_magic passes when every residual is below this
@@ -60,8 +62,8 @@ def basis_uN(N: int) -> BasisUN:
     {(E_jk - E_kj)/sqrt(2N)} and {i(E_jk + E_kj)/sqrt(2N)} for j < k,
     plus {i E_jj / sqrt(N)}; N^2 anti-Hermitian matrices in total.
     """
-    if not 1 <= N <= MAX_SAMPLER_N:
-        raise ValueError(f"basis_uN supports 1 <= N <= {MAX_SAMPLER_N}, got {N}")
+    if not 1 <= N <= MAX_BASIS_N:  # before allocating any of the N^2 matrices
+        raise ValueError(f"basis_uN supports 1 <= N <= {MAX_BASIS_N}, got {N}")
     out = []
     for j in range(N):
         for k in range(j + 1, N):
@@ -274,7 +276,8 @@ def expm(M: CMatrix) -> CMatrix:
 
 @dataclass(frozen=True)
 class SamplerCfg:
-    """Configuration for the rho_s^N / mu_{s,t}^N samplers (t=0: unitary case)."""
+    """Configuration for the rho_s^N (t = 0) / mu_{s,t}^N samplers; ValueError
+    unless the measure exists: finite times, s >= 0 for rho, s > t/2 > 0 for mu."""
 
     N: int
     s: float
@@ -288,6 +291,12 @@ class SamplerCfg:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         check_times(s=self.s, t=self.t)
+        if self.t < 0:
+            raise ValueError("mu sampler requires t >= 0")
+        if self.t > 0 and self.s - self.t / 2.0 <= 0:
+            raise ValueError("mu sampler requires s > t/2 strictly")
+        if self.t == 0 and self.s < 0:
+            raise ValueError("rho sampler requires s >= 0")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -310,16 +319,10 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     N, steps = cfg.N, cfg.steps
     is_mu = cfg.t != 0.0
     if is_mu:
-        if cfg.t < 0:
-            raise ValueError("mu sampler requires t >= 0")
-        if cfg.s - cfg.t / 2.0 <= 0:
-            raise ValueError("mu sampler requires s > t/2 strictly")
         delta = 1.0 / steps
         n_noise = 2
         weights = (cfg.s - cfg.t / 2.0, cfg.t / 2.0)
     else:
-        if cfg.s < 0:
-            raise ValueError("rho sampler requires s >= 0")
         delta = cfg.s / steps
         n_noise = 1
         weights = (1.0, 0.0)

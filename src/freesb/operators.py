@@ -199,14 +199,14 @@ class GeneratorSpec:
     def pi_gen(cls) -> "GeneratorSpec":
         return cls((("PI_GEN", 1.0),))
 
-    def column(self, theta: complex):
-        """The column function of theta * G: one monomial to its image as
-        (monomial, weight) pairs, with theta folded into the weights."""
-        cols = [(_column(name), theta * w) for name, w in self.terms]
+    def column(self):
+        """The column function of G: one monomial to its image as
+        (monomial, weight) pairs."""
+        cols = [(_column(name), w) for name, w in self.terms]
         return lambda m: [(mi, w * c) for col, w in cols for mi, c in col(m)]
 
     def apply(self, p: TracePoly) -> TracePoly:
-        return linear(self.column(1.0), p)
+        return linear(self.column(), p)
 
 
 # ======================================================================
@@ -491,7 +491,7 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
     check_times(theta=theta)
     if theta == 0.0:
         return p
-    return exp_series(gen.column(1.0), p, theta, key=gen)
+    return exp_series(gen.column(), p, theta, key=gen)
 
 
 # ======================================================================
@@ -553,7 +553,7 @@ class OperatorMatrix:
 
 
 def operator_matrix(gen: GeneratorSpec, n: int) -> OperatorMatrix:
-    basis, rows, cols, vals = _compile(gen.column(1.0), monomial_basis(n))
+    basis, rows, cols, vals = _compile(gen.column(), monomial_basis(n))
     entries = np.zeros((len(basis), len(basis)), dtype=complex)
     entries[rows, cols] = vals
     return OperatorMatrix(n=n, basis=basis, entries=entries)

@@ -302,26 +302,16 @@ class TracePoly(SparsePoly):
         """
         return linear(lambda m: [(mono(0, m[1] + ((m[0], 1),)), 1.0)], self)
 
-    def substitute_v(
-        self, assign: Mapping[int, Scalar] | Callable[[int], Scalar]
-    ) -> "TracePoly":
+    def substitute_v(self, assign: Callable[[int], Scalar]) -> "TracePoly":
         """Substitute numbers for every v_j; returns a Laurent polynomial in u.
 
-        ``assign`` is a map (or callable) from v-index to value and must
-        cover every index present; a missing index raises KeyError naming it.
+        ``assign`` maps each v-index present to its value.
         """
-        if callable(assign):
-            lookup = assign
-        else:
-            def lookup(j: int, _m=assign):
-                if j not in _m:
-                    raise KeyError(f"no substitution value for v_{j}")
-                return _m[j]
         acc: dict[Mono, complex] = {}
         for (k0, ve), c in self.terms.items():
             val = c
             for j, e in ve:
-                val *= complex(lookup(j)) ** e
+                val *= complex(assign(j)) ** e
             m = (k0, ())
             acc[m] = acc.get(m, 0j) + val
         return TracePoly(acc)

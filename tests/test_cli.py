@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -158,13 +159,44 @@ def test_parser_keeps_no_options_between_calls(capsys, monkeypatch):
 # ---------------------------------------------------------------- exit codes
 
 
-def test_verification_failure_exits_2(capsys, monkeypatch):
-    bad = {"m1": 1.0, "m2": 1.0, "m3": 1.0, "m4": 1.0, "max": 1.0,
-           "pass": False}
-    monkeypatch.setattr(cli, "verify_magic", lambda N: bad)
-    code, rep = run(capsys, "verify-magic", "--N", "3")
-    assert code == 2
-    assert rep["results"]["pass"] is False
+_BAD_MAGIC = {"m1": 1.0, "m2": 1.0, "m3": 1.0, "m4": 1.0, "max": 1.0, "pass": False}
+
+
+@pytest.mark.parametrize("argv, patch, want", [
+    (["gen-fn-check", "--s", "1", "--t", "1", "--K", "6"], {"GEN_FN_TOL": 0.0}, 2),
+    (["pde-check", "--s", "0.7", "--K", "6"], {"PDE_TOL": 0.0}, 2),
+    (["verify-magic", "--N", "3"], {"verify_magic": lambda N: _BAD_MAGIC}, 2),
+    (["intertwine-check", "--N", "3", "--trials", "2"], {"INTERTWINE_TOL": 0.0}, 2),
+    (["gen-fn-check", "--s", "1", "--t", "1", "--K", "6"], {}, 0),
+], ids=["gen-fn-check", "pde-check", "verify-magic", "intertwine-check", "pass"])
+def test_verification_failure_exits_2(capsys, monkeypatch, argv, patch, want):
+    # the exit status is read off results["pass"] alone (a zero tolerance
+    # fails any residual)
+    for name, value in patch.items():
+        monkeypatch.setattr(cli, name, value)
+    code, rep = run(capsys, *argv)
+    assert code == want
+    assert rep["results"]["pass"] is (want == 0)
+
+
+@pytest.mark.parametrize("argv", [["verify-magic"], ["intertwine-check", "--trials", "1"]],
+                         ids=["verify-magic", "intertwine-check"])
+def test_explicit_basis_bound(capsys, argv):
+    # N^2 dense N x N matrices: one above the bound is refused before any
+    # is allocated (the basis at N + 1 would take 20 MB)
+    N = matrixlab.MAX_BASIS_N
+    assert cli.main([*argv, "--N", str(N)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert cli.main([*argv, "--N", str(N + 1)]) == 1
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
+    assert f"1 <= N <= {N}, got {N + 1}" in _one_line_error(capsys)
 
 
 def test_usage_errors_exit_1(capsys):

@@ -44,6 +44,10 @@ def test_basis_range_guard():
         basis_uN(0)
     with pytest.raises(ValueError):
         basis_uN(129)
+    N = matrixlab.MAX_BASIS_N  # the bound itself builds; one more is refused
+    assert len(basis_uN(N).elements) == N * N
+    with pytest.raises(ValueError, match=f"1 <= N <= {N}, got {N + 1}"):
+        basis_uN(N + 1)
 
 
 def test_magic_formulas():
@@ -207,6 +211,13 @@ def test_sampler_cfg_guards():
         sample_mu(SamplerCfg(N=4, s=0.5, t=1.2), 0)  # needs s > t/2
     with pytest.raises(ValueError):
         sample_rho(SamplerCfg(N=4, s=1.0, t=0.8), 0)
+    # times of no measure are refused when the configuration is built
+    for times, message in (({"s": -0.1}, "rho sampler requires s >= 0"),
+                           ({"s": 1.0, "t": -0.5}, "mu sampler requires t >= 0"),
+                           ({"s": 0.5, "t": 1.2}, "mu sampler requires s > t/2"),
+                           ({"s": 0.5, "t": 1.0}, "mu sampler requires s > t/2")):
+        with pytest.raises(ValueError, match=message):
+            SamplerCfg(N=4, **times)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             SamplerCfg(N=4, s=bad)

@@ -22,6 +22,12 @@ u = TracePoly.u
 GENS = {"D": GeneratorSpec.D(), "DN3": GeneratorSpec.DN(3), "pi": GeneratorSpec.pi_gen()}
 
 
+def _scaled(gen, theta):
+    """The column function of theta * gen, with theta folded into the weights."""
+    column = gen.column()
+    return lambda m: [(mi, theta * w) for mi, w in column(m)]
+
+
 def _rand_poly(rng, deg, nterms=3):
     terms = {}
     for _ in range(nterms):
@@ -89,10 +95,10 @@ def _word_gen(m):
 
 
 KERNEL_CASES = (
-    [(f"D u^{k} theta={th}", GeneratorSpec.D().column(th), u(k))
+    [(f"D u^{k} theta={th}", _scaled(GeneratorSpec.D(), th), u(k))
      for k in range(-12, 13) for th in (0.4, -0.4)]
-    + [("D_4 degree 12", GeneratorSpec.DN(4).column(0.4), DEG12),
-       ("pi_gen", GeneratorSpec.pi_gen().column(-0.4), parse("v3 v4 v-5 + u^-2 v1")),
+    + [("D_4 degree 12", _scaled(GeneratorSpec.DN(4), 0.4), DEG12),
+       ("pi_gen", _scaled(GeneratorSpec.pi_gen(), -0.4), parse("v3 v4 v-5 + u^-2 v1")),
        ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))])
 
 
@@ -116,7 +122,7 @@ def test_kernels_agree_at_large_theta():
     for gen, p in ((GeneratorSpec.D(), u(3)), (GeneratorSpec.D(), u(-8)),
                    (GeneratorSpec.DN(3), parse("u^3 v-2 + v1 v2")),
                    (GeneratorSpec.pi_gen(), parse("v3 v4 v-5"))):
-        rows, cols, vals, x, norm = _closure(gen.column(1.0), p)
+        rows, cols, vals, x, norm = _closure(gen.column(), p)
         for target in (10.0, 100.0, 1000.0):
             for sign in (1.0, -1.0):
                 theta = sign * target / norm
@@ -197,7 +203,7 @@ def test_graded_sum_is_exact_to_roundoff(theta):
     # column is compiled is common to every kernel and not counted
     worst = 0.0
     for k in [k for k in range(-12, 13) if k]:
-        want = _exact_exp(GeneratorSpec.D().column(theta), u(k))
+        want = _exact_exp(_scaled(GeneratorSpec.D(), theta), u(k))
         got = exp_apply(GeneratorSpec.D(), theta, u(k))
         for m, w in want.items():
             if abs(w) > 1e-290:  # below that the result underflows
@@ -224,7 +230,7 @@ def test_graded_sum_matches_dense_kernel(seed, deg, theta, name):
     p = _rand_poly(rng, deg, nterms=int(rng.integers(1, 5)))
     for q in (p, p + parse("u^3 + v1 u^2"), p + parse("v1 u^2 + u^3"),
               p + parse("u^3 + v1^2 u")):
-        want = _dense_exp(GENS[name].column(theta), q)
+        want = _dense_exp(_scaled(GENS[name], theta), q)
         got = exp_apply(GENS[name], theta, q)
         scale = max(abs(c) for c in want.values())
         for m, w in want.items():
@@ -292,7 +298,7 @@ def _compile_by_polynomials(gen, seed):
                          + [(GeneratorSpec.DN(4), DEG12),
                             (GeneratorSpec.pi_gen(), parse("v3 v4 v-5 + u^-2 v1"))])
 def test_compile_matches_polynomial_columns(gen, p):
-    basis, *coo = operators._compile(gen.column(1.0), p.terms)
+    basis, *coo = operators._compile(gen.column(), p.terms)
     want_basis, *want = _compile_by_polynomials(gen, p.terms)
     assert basis == want_basis
     for got, ref in zip(coo, want):

@@ -6,9 +6,10 @@
 ``run`` calls ``freesb.cli.main`` in-process on each command of
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
 semigroups, a second degree-8 transform that reuses the first one's
-cached closure, and a few inputs for the word engine, the b_k recursion and
-the graded test) and writes one JSON object that maps each command line to its
-exit code and its ``results``.  ``freesb`` is imported from SRC_DIR,
+cached closure, a few inputs for the word engine, the b_k recursion and
+the graded test, a failing verification and a refused sampler time) and
+writes one JSON object that maps each command line to its exit code and
+its ``results``.  ``freesb`` is imported from SRC_DIR,
 which defaults to ``src`` beside this script's parent, so one copy of the
 script can run any checkout.
 
@@ -63,6 +64,11 @@ COMMANDS = [
     'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 4',
     "moments --k 32 --s 1.7",
     'transform --s 1.5 --t 0.8 --f "v1^2 u + u^3" --dir G',
+    # exit codes: a verification that fails (exit 2; the residual at s = t =
+    # 2.25, K = 16 is above GEN_FN_TOL) and a sampler time of no measure,
+    # s <= t/2 (exit 1)
+    "gen-fn-check --s 2.25 --t 2.25 --K 16",
+    "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
 ]
 
 
