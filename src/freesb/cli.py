@@ -10,7 +10,10 @@ byte-identical ``results`` field.  Exit codes: 0 success, 2 exactly
 when ``results`` holds ``"pass": false`` (a verification command
 exceeded its asserted tolerance), 1 on usage errors and on computations
 that fail (a malformed FREESB_SEED, a series order K outside 1..16, an N
-above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, a
+above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, times
+of no measure for norm, concentration or mc (rho with s < 0, mu with
+s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS sampler steps, a
+semigroup closure of more than operators.MAX_CLOSURE monomials, a
 semigroup series that does not converge, a semigroup or sampler path
 that overflows, a norm that comes out non-real, a non-finite time or any
 other NaN or infinity in the report, which JSON cannot hold, a --csv
@@ -279,14 +282,10 @@ def _cmd_mc(a, seed):
 
 
 def _cmd_norm(a, seed):
-    p = parse(a.p)
-    if a.measure == "mu":
-        meas = Measure.mu(a.s, a.t, a.N)
-    else:
-        if a.t != 0.0:
-            raise ValueError("--measure rho takes no --t (it is the t=0 case)")
-        meas = Measure.rho(a.s, a.N)
-    return {"value": l2_norm_sq(p, meas), "measure": a.measure, "tol": 1e-12}
+    if a.measure == "rho" and a.t != 0.0:
+        raise ValueError("--measure rho takes no --t (it is the t=0 case)")
+    meas = Measure(a.N, a.s, a.t)
+    return {"value": l2_norm_sq(parse(a.p), meas), "measure": a.measure, "tol": 1e-12}
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,7 @@ Explicit orthonormal bases of u(N) (N <= MAX_BASIS_N) under <X,Y> =
 N Tr(Y^* X), numeric verification of the magic formulas, functional-calculus
 evaluation of trace and word polynomials, an exact (symbolic-in-X) Laplacian
 evaluator, Monte Carlo samplers for the heat kernel measures rho_s^N on U_N
-and mu_{s,t}^N on GL_N (a SamplerCfg holds only times of a measure), and
+and mu_{s,t}^N on GL_N (a SamplerCfg is a Measure with steps and a seed), and
 concentration experiments.
 
 Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
@@ -31,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch, check_times  # noqa: F401
+from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch  # noqa: F401
 from .tracepoly import TracePoly
 from .words import Measure, WordPoly, l2_norm_sq
 from .moments import pi_eval
 
 RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
+MAX_SAMPLER_STEPS = 10_000  # Euler bias of E tr Z at N = 8, about 0.024 / steps: 2.4e-6 here
 MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check takes ~10 s at 36
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
 _DRAW_BYTES = 16 << 20  # noise one chunk draws at once (whole steps, at least one)
@@ -205,13 +206,6 @@ def _jet_mul(a, b):
             a[0] @ b[2] + a[1] @ b[1] + a[2] @ b[0])
 
 
-def _jet_pow(base, n: int, N: int):
-    out = (np.eye(N, dtype=complex), np.zeros((N, N), complex), np.zeros((N, N), complex))
-    for _ in range(n):
-        out = _jet_mul(out, base)
-    return out
-
-
 def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     """sum_{X in beta_N} d^2/deps^2 P_N(U e^{eps X}): the U_N Laplacian of P_N."""
     U = np.asarray(U, dtype=complex)
@@ -223,13 +217,20 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     acc = np.zeros((N, N), dtype=complex)
     for X in basis_uN(N).elements:
         X2h = 0.5 * (X @ X)
-        jU = (U, U @ X, U @ X2h)            # U e^{eps X}
-        jUi = (Ui, -X @ Ui, X2h @ Ui)       # e^{-eps X} U^{-1}
-        pow_cache: dict[int, tuple] = {}
+        pow_cache = {0: (np.eye(N, dtype=complex), np.zeros((N, N), complex),
+                         np.zeros((N, N), complex)),
+                     1: (U, U @ X, U @ X2h),          # U e^{eps X}
+                     -1: (Ui, -X @ Ui, X2h @ Ui)}     # e^{-eps X} U^{-1}
 
         def mpow(k: int):
-            if k not in pow_cache:
-                pow_cache[k] = _jet_pow(jU if k >= 0 else jUi, abs(k), N)
+            # extend the nearest cached power toward k, one factor at a time
+            step = 1 if k > 0 else -1
+            j = k
+            while j not in pow_cache:
+                j -= step
+            while j != k:
+                j += step
+                pow_cache[j] = _jet_mul(pow_cache[j - step], pow_cache[step])
             return pow_cache[k]
 
         for (k0, ve), c in p.terms.items():
@@ -275,28 +276,23 @@ def expm(M: CMatrix) -> CMatrix:
 
 
 @dataclass(frozen=True)
-class SamplerCfg:
-    """Configuration for the rho_s^N (t = 0) / mu_{s,t}^N samplers; ValueError
-    unless the measure exists: finite times, s >= 0 for rho, s > t/2 > 0 for mu."""
+class SamplerCfg(Measure):
+    """The rho_s^N (t = 0) / mu_{s,t}^N sampler: a Measure (see its rule)
+    with the Euler steps and the seed; ValueError unless t >= 0 (the
+    second noise has variance t/2), 1 <= N <= MAX_SAMPLER_N and
+    1 <= steps <= MAX_SAMPLER_STEPS."""
 
-    N: int
-    s: float
-    t: float = 0.0
     steps: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.N <= MAX_SAMPLER_N:
-            raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        check_times(s=self.s, t=self.t)
+        super().__post_init__()
         if self.t < 0:
             raise ValueError("mu sampler requires t >= 0")
-        if self.t > 0 and self.s - self.t / 2.0 <= 0:
-            raise ValueError("mu sampler requires s > t/2 strictly")
-        if self.t == 0 and self.s < 0:
-            raise ValueError("rho sampler requires s >= 0")
+        if not 1 <= self.N <= MAX_SAMPLER_N:
+            raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
+        if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
+            raise ValueError(f"steps must be in [1, {MAX_SAMPLER_STEPS}], got {self.steps}")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -445,20 +441,21 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
         raise ValueError("Ns must be strictly ascending with at least 3 entries")
     if mode not in ("symbolic", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
+    # every measure is checked before any work
+    measures = [Measure(N, s, t) if mode == "symbolic"
+                else SamplerCfg(N=N, s=s, t=t, steps=steps, seed=seed) for N in Ns]
     dev = p - pi_eval(p, s - t if t != 0.0 else s)
     rows = []
-    for N in Ns:
-        stderr = None
+    for meas in measures:
+        N, stderr = meas.N, None
         if mode == "symbolic":
-            meas = Measure.mu(s, t, N) if t != 0.0 else Measure.rho(s, N)
             val = l2_norm_sq(dev, meas)
         else:
             def sq_norm(Z: np.ndarray) -> float:
                 D = evaluate(dev, Z)
                 return float(np.trace(D @ D.conj().T).real) / N
 
-            cfg = SamplerCfg(N=N, s=s, t=t, steps=steps, seed=seed)
-            acc = _map_samples(cfg, samples, sq_norm, threads)
+            acc = _map_samples(meas, samples, sq_norm, threads)
             val = float(sum(acc) / len(acc))
             stderr = math.sqrt(sum((x - val) ** 2 for x in acc)
                                / (len(acc) * (len(acc) - 1)))

@@ -56,6 +56,7 @@ DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit 
 DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 160 n^2 B, 10 MiB
 DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff exceeds the Taylor kernel's
 MAX_DEGREE = 12
+MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
 
 # (GeneratorSpec, p's monomials in order) -> a compiled closure (see _classify);
@@ -284,7 +285,9 @@ def _compile(column, seed):
     appends every monomial it reaches that is not yet in ``basis``, so
     the loop visits it in turn.  Returns ``basis`` and the COO arrays
     ``rows, cols, vals`` with ``vals[e]`` the coefficient of
-    ``basis[rows[e]]`` in the image of ``basis[cols[e]]``.
+    ``basis[rows[e]]`` in the image of ``basis[cols[e]]``.  ValueError as
+    soon as ``basis`` holds more than ``MAX_CLOSURE`` monomials, so at
+    most one column's image past the bound is ever built.
     """
     basis = list(seed)
     index = {m: i for i, m in enumerate(basis)}
@@ -292,6 +295,8 @@ def _compile(column, seed):
     cols: list[int] = []
     vals: list[complex] = []
     for j, m in enumerate(basis):  # basis grows as the search goes
+        if len(basis) > MAX_CLOSURE:
+            raise ValueError(f"the closure has more than MAX_CLOSURE={MAX_CLOSURE} monomials")
         image: dict = {}
         for mi, w in column(m):
             image[mi] = image.get(mi, 0j) + w
@@ -340,8 +345,9 @@ def exp_series(column, p, theta, key):
     :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
     are accurate to roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop
     rule.  ValueError, before the closure is built or looked up: a ``p`` of
-    trace degree above 2 * MAX_DEGREE (the longest word); before a kernel
-    runs on a closure that is not graded: work m * (nnz + STAGE_COST) above
+    trace degree above 2 * MAX_DEGREE (the longest word); while it is
+    built: more than ``MAX_CLOSURE`` monomials; before a kernel runs on a
+    closure that is not graded: work m * (nnz + STAGE_COST) above
     ``MAX_WORK`` (a non-finite entry of theta A fails this check too).
     Overflow in any kernel raises FloatingPointError.
     """

@@ -187,16 +187,63 @@ def test_explicit_basis_bound(capsys, argv):
     N = matrixlab.MAX_BASIS_N
     assert cli.main([*argv, "--N", str(N)]) == 0
     capsys.readouterr()
+    assert f"1 <= N <= {N}, got {N + 1}" in _refused(capsys, [*argv, "--N", str(N + 1)])
+
+
+def _refused(capsys, argv, seconds=1.0, peak_bytes=1 << 20) -> str:
+    """The one stderr line of ``argv``, which must exit 1 within ``seconds``
+    and a tracemalloc peak of ``peak_bytes``."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        assert cli.main([*argv, "--N", str(N + 1)]) == 1
+        assert cli.main(argv) == 1
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
-    assert f"1 <= N <= {N}, got {N + 1}" in _one_line_error(capsys)
+    assert elapsed < seconds and peak < peak_bytes, (elapsed, peak)
+    return _one_line_error(capsys)
+
+
+_MC = ["--mode", "mc", "--samples", "4", "--steps", "2", "--Ns", "2,3,4"]
+
+
+@pytest.mark.parametrize("argv, s_ok, message", [
+    (["norm", "--p", "u", "--measure", "mu", "--s", "0.5", "--t", "1.2", "--N", "4"],
+     "0.6000001", "mu requires s > t/2"),
+    (["norm", "--p", "u", "--measure", "mu", "--s", "0.5", "--t", "1.0", "--N", "4"],
+     "0.5000001", "mu requires s > t/2"),
+    (["norm", "--p", "u", "--measure", "rho", "--s", "-1", "--N", "4"], "0", "rho requires s >= 0"),
+    (["concentration", "--p", "v1", "--s", "0.5", "--t", "1.2"], "0.6000001",
+     "mu requires s > t/2"),
+    (["concentration", "--p", "v1", "--s", "-1e-3"], "0", "rho requires s >= 0"),
+    (["concentration", "--p", "v1", "--s", "0.5", "--t", "1.0", *_MC], "0.5000001",
+     "mu requires s > t/2"),
+    (["concentration", "--p", "v1", "--s", "-1", *_MC], "0", "rho requires s >= 0"),
+])
+def test_no_measure_is_refused(capsys, argv, s_ok, message):
+    # times of no measure exit 1 before any work; the boundary itself,
+    # rho at s = 0 and mu just above s = t/2, is a measure
+    assert message in _refused(capsys, argv)
+    i = argv.index("--s") + 1
+    assert cli.main(argv[:i] + [s_ok] + argv[i + 1:]) == 0
+
+
+def test_sampler_steps_bound(capsys):
+    # the bound itself is a valid configuration (running it takes seconds)
+    bound = matrixlab.MAX_SAMPLER_STEPS
+    matrixlab.SamplerCfg(N=2, s=1.0, steps=bound)
+    for steps in (bound + 1, 10**11):
+        argv = ["mc", "--f", "v1", "--N", "2", "--s", "1", "--samples", "2",
+                "--steps", str(steps)]
+        assert f"steps must be in [1, {bound}], got {steps}" in _refused(capsys, argv)
+
+
+def test_closure_budget_refuses_at_once(capsys):
+    # this closure has 53,040 monomials; the search stops at MAX_CLOSURE
+    argv = ["heat-apply", "--gen", "DN", "--N", "8", "--t", "1", "--f", "u^12 v-12"]
+    line = _refused(capsys, argv, seconds=5.0, peak_bytes=8 << 20)
+    assert f"MAX_CLOSURE={operators.MAX_CLOSURE}" in line
 
 
 def test_usage_errors_exit_1(capsys):

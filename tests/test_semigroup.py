@@ -488,3 +488,17 @@ def test_cache_under_threads(closures, monkeypatch):
     assert not any(t.is_alive() for t in threads) and errors == []
     assert all(got[offset, j] == want[j] for offset, j in got) and len(got) == 6 * len(jobs)
     assert sum(len(c[0]) for c in closures.values()) <= 40
+
+
+def test_closure_budget():
+    # a chain 0 -> 1 -> ... of exactly MAX_CLOSURE monomials compiles; one
+    # more, or a seed past the bound, raises before its column is built
+    n = operators.MAX_CLOSURE
+
+    def chain(length):
+        return lambda m: [(m + 1, 1.0)] if m + 1 < length else []
+
+    assert len(operators._compile(chain(n), [0])[0]) == n
+    for column, seed in ((chain(n + 1), [0]), (chain(0), range(n + 1))):
+        with pytest.raises(ValueError, match=f"MAX_CLOSURE={n}"):
+            operators._compile(column, seed)

@@ -376,7 +376,7 @@ def test_leibniz_column_matches_apply_tilde(monkeypatch, s, t, N):
 def test_expectation_call_paths(monkeypatch):
     # perfbench's tracer counts these calls: expectation reaches apply_tilde
     # with both generators and derive_generators, and exp_series calls its
-    # column once per closure monomial
+    # column once per monomial of the closure of the input's unitary form
     gens, derived = [], []
     tilde, derive = words.apply_tilde, words.derive_generators
     monkeypatch.setattr(words, "apply_tilde", lambda gen, *a: gens.append(gen) or tilde(gen, *a))
@@ -388,8 +388,72 @@ def test_expectation_call_paths(monkeypatch):
     # once per distinct word (Q) or unordered pair of words (R) in one call
     keys = [(eps,) if delta is None else tuple(sorted((eps, delta))) for eps, delta, *_ in derived]
     assert keys and len(keys) == len(set(keys))
-    basis = operators._compile(columns[0], Z4.terms)[0]
+    # under rho, Z^* = Z^-1: |tr Z^4|^2 is computed as tr(Z^4) tr(Z^-4)
+    basis = operators._compile(columns[0], iota(v(4) * v(-4)).terms)[0]
     assert sorted(calls) == sorted(basis)
+    assert len(basis) < len(operators._compile(columns[0], Z4.terms)[0]) / 3
+
+
+# ---------------------------------------------------------------- rho on unitary words
+
+
+def _adjoint(p):
+    """P^* on U_N: conjugate coefficients, u^k -> u^-k and v_j -> v_-j."""
+    return TracePoly({(-k0, tuple(sorted((-j, e) for j, e in ve))): c.conjugate()
+                      for (k0, ve), c in p.terms.items()})
+
+
+def _trace_route(p, s, N):
+    """E[P_N(U)] under rho_s^N as (e^{(s/2) D_N} P)(I): at U = I every u and v_j is 1."""
+    return complex(sum(exp_apply(GeneratorSpec.DN(N), s / 2.0, p).terms.values()))
+
+
+_MIXED = [parse("u^2 v1 + 2 u^-1 - 0.5 v-1 v2"), parse("u^3 + v-1") - 1j * parse("u^-2 v1"),
+          (1 + 2j) * parse("u v-1") + parse("u^-1 v1")]
+
+
+@pytest.mark.parametrize("s", [0.7, 2.0])
+def test_rho_on_unitary_words_matches_trace_route(s):
+    # under rho the word engine rewrites Z^* as Z^-1; at N >= degree that
+    # must agree to roundoff with the trace engine on P P^* and with the
+    # word engine's own unreduced route (the column built by definition)
+    for k in (1, 2, 3, 4):
+        Zk = iota(v(k)) * iota_star(v(k))
+        for N in (2 * k, 8):
+            got = expectation(Zk, s, 0.0, N)
+            want = _trace_route(v(k) * v(-k), s, N)
+            assert abs(got - want) <= 1e-12 * abs(want), (k, N)
+            if k <= 3:
+                column = lambda m: _by_definition(m, s, 0.0, N).items()
+                unreduced = exp_series(column, Zk, 1.0, None).evaluate_ones()
+                assert abs(got - unreduced) <= 1e-12 * abs(want), (k, N)
+    for p in _MIXED:
+        degree = 2 * max(abs(k0) + sum(abs(j) * e for j, e in ve) for k0, ve in p.terms)
+        for N in (degree, 8):
+            got = l2_norm_sq(p, Measure.rho(s, N))
+            want = _trace_route((p * _adjoint(p)).tracing_map(), s, N).real
+            assert abs(got - want) <= 1e-12 * want, (p, N)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_rho_at_N1_closed_form(s):
+    # on U_1, Z = e^{i theta} with theta ~ N(0, s): E[Z^j conj(Z)^k] = e^{-(j-k)^2 s/2}.
+    # N = 1 is below the degree, where the free trace algebra's ghost modes
+    # grow (by e^{4s} for Z^4), so the bound is absolute; every |value| <= 1
+    for j in range(5):
+        for k in range(5 - j):
+            got = expectation(WordPoly.var("a" * j + "s" * k), s, 0.0, 1)
+            assert abs(got - math.exp(-(j - k) ** 2 * s / 2.0)) < 1e-12, (j, k)
+
+
+@pytest.mark.parametrize("s, t, N", [(1.5, 0.8, 3), (2.0, 1.0, 8), (1.0, 0.5, 2)])
+def test_segal_bargmann_isometry(s, t, N):
+    # ||e^{(t/2) D_N} P||^2 under mu_{s,t}^N = ||P||^2 under rho_s^N (Driver-Hall):
+    # ties the mu word engine to the rho one and to D_N
+    for p in _MIXED + [parse("u^2 - v1"), parse("v1 v-1 + u^-1")]:
+        lhs = l2_norm_sq(exp_apply(GeneratorSpec.DN(N), t / 2.0, p), Measure.mu(s, t, N))
+        rhs = l2_norm_sq(p, Measure.rho(s, N))
+        assert abs(lhs - rhs) <= 1e-12 * rhs, p
 
 
 # ---------------------------------------------------------------- norms
