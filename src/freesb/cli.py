@@ -12,7 +12,7 @@ exceeded its asserted tolerance), 1 on usage errors and on computations
 that fail (a malformed FREESB_SEED, a series order K outside 1..16, an N
 above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, times
 of no measure for norm, concentration or mc (rho with s < 0, mu with
-s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS sampler steps, a
+t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS sampler steps, a
 semigroup closure of more than operators.MAX_CLOSURE monomials, a
 semigroup series that does not converge, a semigroup or sampler path
 that overflows, a norm that comes out non-real, a non-finite time or any

@@ -278,17 +278,14 @@ def expm(M: CMatrix) -> CMatrix:
 @dataclass(frozen=True)
 class SamplerCfg(Measure):
     """The rho_s^N (t = 0) / mu_{s,t}^N sampler: a Measure (see its rule)
-    with the Euler steps and the seed; ValueError unless t >= 0 (the
-    second noise has variance t/2), 1 <= N <= MAX_SAMPLER_N and
-    1 <= steps <= MAX_SAMPLER_STEPS."""
+    with the Euler steps and the seed; ValueError unless also
+    1 <= N <= MAX_SAMPLER_N and 1 <= steps <= MAX_SAMPLER_STEPS."""
 
     steps: int = 200
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        if self.t < 0:
-            raise ValueError("mu sampler requires t >= 0")
         if not 1 <= self.N <= MAX_SAMPLER_N:
             raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
         if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
@@ -385,8 +382,10 @@ def _eval_scalar(f, Z: np.ndarray) -> complex:
     raise TypeError(f"cannot evaluate {type(f).__name__} as a scalar observable")
 
 
-def _map_samples(cfg: SamplerCfg, nsamples: int, fn, threads: int | None) -> list:
-    """[fn(Z_0), ..., fn(Z_{nsamples-1})] over sampled endpoints, in index order.
+def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
+                 threads: int | None) -> tuple[complex, float]:
+    """Mean and standard error of fn(Z_0), ..., fn(Z_{nsamples-1}) over
+    sampled endpoints.
 
     Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a thread
     pool when ``threads`` > 1; neither changes any value.  ValueError:
@@ -407,7 +406,10 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn, threads: int | None) -> lis
             results = list(pool.map(run, chunks))
     else:
         results = [run(chunk) for chunk in chunks]
-    return [x for res in results for x in res]
+    vals = np.array([x for res in results for x in res], dtype=complex)
+    mean = complex(vals.sum() / nsamples)  # fixed-order accumulation
+    resid = np.abs(vals - mean) ** 2
+    return mean, math.sqrt(float(resid.sum()) / (nsamples * (nsamples - 1)))
 
 
 def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
@@ -419,12 +421,7 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
     the stream derived from (seed, i): the result is independent of
     ``threads`` and of chunk scheduling.
     """
-    vals = np.array(_map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads),
-                    dtype=complex)
-    mean = complex(vals.sum() / nsamples)  # fixed-order accumulation
-    resid = np.abs(vals - mean) ** 2
-    stderr = math.sqrt(float(resid.sum()) / (nsamples * (nsamples - 1)))
-    return mean, stderr
+    return _map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads)
 
 
 def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
@@ -455,10 +452,8 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
                 D = evaluate(dev, Z)
                 return float(np.trace(D @ D.conj().T).real) / N
 
-            acc = _map_samples(meas, samples, sq_norm, threads)
-            val = float(sum(acc) / len(acc))
-            stderr = math.sqrt(sum((x - val) ** 2 for x in acc)
-                               / (len(acc) * (len(acc) - 1)))
+            mean, stderr = _map_samples(meas, samples, sq_norm, threads)
+            val = mean.real
         rows.append({"N": N, "value": val, "stderr": stderr})
     vals = [r["value"] for r in rows]
     slope = None if min(vals) <= 0.0 else float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])

@@ -1,11 +1,12 @@
 """Intertwining operators on the trace-polynomial algebra.
 
-Implements the first-order operators N0, N1, Y, Z, the projections
-A+/A-/sgn, multiplication M_{u^k}, the second-order operator L, and the
-combinations
+Implements the first-order operators N0, N1, N = N0 + N1, Y, Z, the
+projections A+/A-/sgn and the second-order operator L, one table of
+column functions, and the generators built from it as weighted sums
 
-    D   = -N - 2Z - 2Y          (N = N0 + N1)
-    D_N = D - (1/N^2) L
+    D      = -N - 2Z - 2Y
+    D_N    = D - (1/N^2) L
+    PI_GEN = N0 + 2Z
 
 together with semigroup application e^{theta G} and dense matrix
 representations on the trace-degree filtration C_n[u, u^-1; v].
@@ -69,7 +70,8 @@ _closures: dict = {}
 #
 # Each operator is a column function: it maps one monomial to its image
 # as (monomial, weight) pairs, and ``linear`` extends it to polynomials.
-# ``_COLUMNS`` names them all; a GeneratorSpec is a weighted sum of them.
+# ``_COLUMNS`` names the primitive ones; a GeneratorSpec is a weighted sum
+# of them, and D, D_N and PI_GEN are such sums.
 
 
 def _vdeg(m: Mono) -> int:
@@ -112,25 +114,14 @@ def _col_L(m: Mono) -> list[tuple[Mono, float]]:
     return out
 
 
-def _col_D(m: Mono) -> list[tuple[Mono, float]]:
-    """D = -N0 - N1 - 2Z - 2Y."""
-    return [(m, -float(_vdeg(m) + abs(m[0])))] + [
-        (mi, -2.0 * w) for mi, w in _col_Z(m) + _col_Y(m)]
-
-
-def _col_pi(m: Mono) -> list[tuple[Mono, float]]:
-    """PI_GEN = N0 + 2Z."""
-    return [(m, float(_vdeg(m)))] + [(mi, 2.0 * w) for mi, w in _col_Z(m)]
-
-
 _COLUMNS: dict[str, Callable[[Mono], list[tuple[Mono, float]]]] = {
     "N0": lambda m: [(m, float(_vdeg(m)))],
     "N1": lambda m: [(m, float(abs(m[0])))],
+    # N0 + N1 as one diagonal entry, so theta * (trace degree) rounds once
+    "N": lambda m: [(m, float(_vdeg(m) + abs(m[0])))],
     "Y": _col_Y,
     "Z": _col_Z,
     "L": _col_L,
-    "D": _col_D,
-    "PI_GEN": _col_pi,
     "Aplus": lambda m: [(m, 1.0)] if m[0] >= 0 else [],
     "Aminus": lambda m: [(m, 1.0)] if m[0] <= -1 else [],
     # sgn(u^k) = u^k for k >= 0 and -u^k for k <= -1  (sgn(0) = 1)
@@ -145,18 +136,14 @@ def _column(name: str):
         raise ValueError(f"unknown operator name {name!r}") from None
 
 
-def apply_named(name: str, p: TracePoly, aux: int | None = None) -> TracePoly:
-    """Apply an operator of ``_COLUMNS``, or ``Mu`` = multiplication by u^aux."""
-    if name == "Mu":
-        if aux is None:
-            raise ValueError("Mu requires aux = k (multiply by u^k)")
-        return TracePoly({(m[0] + aux, m[1]): c for m, c in p.terms.items()})
+def apply_named(name: str, p: TracePoly) -> TracePoly:
+    """Apply the operator ``name`` of ``_COLUMNS``."""
     return linear(_column(name), p)
 
 
 def apply_D(p: TracePoly) -> TracePoly:
     """D = -N0 - N1 - 2Z - 2Y (first order; preserves trace degree)."""
-    return linear(_col_D, p)
+    return GeneratorSpec.D().apply(p)
 
 
 def _apply_L(p: TracePoly) -> TracePoly:
@@ -177,28 +164,30 @@ def apply_DN(p: TracePoly, N: int) -> TracePoly:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A weighted combination of named generators.
+    """A weighted sum of the operators of ``_COLUMNS``.
 
-    ``terms`` maps names of ``_COLUMNS`` to complex weights; PI_GEN
-    denotes N0 + 2Z (the generator whose semigroup realizes the
-    evaluation map pi_s).
+    ``terms`` pairs names of ``_COLUMNS`` with complex weights.  The
+    paper's generators are such sums: D = -N - 2Z - 2Y, D_N = D - L/N^2
+    and PI_GEN = N0 + 2Z, whose semigroup realizes the evaluation map
+    pi_s.  Their columns list the image pairs term by term, so the order
+    of the terms fixes the basis order of every compiled closure.
     """
 
     terms: tuple[tuple[str, complex], ...]
 
     @classmethod
     def D(cls) -> "GeneratorSpec":
-        return cls((("D", 1.0),))
+        return cls((("N", -1.0), ("Z", -2.0), ("Y", -2.0)))
 
     @classmethod
     def DN(cls, N: int) -> "GeneratorSpec":
         if N < 1:
             raise ValueError(f"N must be a positive integer, got {N}")
-        return cls((("D", 1.0), ("L", -1.0 / (N * N))))
+        return cls(cls.D().terms + (("L", -1.0 / (N * N)),))
 
     @classmethod
     def pi_gen(cls) -> "GeneratorSpec":
-        return cls((("PI_GEN", 1.0),))
+        return cls((("N0", 1.0), ("Z", 2.0)))
 
     def column(self):
         """The column function of G: one monomial to its image as

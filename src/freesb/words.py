@@ -35,35 +35,15 @@ MAX_WORD_LEN = 2 * MAX_DEGREE
 
 _INV = {"a": "A", "A": "a", "s": "S", "S": "s"}
 _UNITARY = str.maketrans("sS", "Aa")  # on U_N, Z^* = Z^-1 and Z^-* = Z
-_NAME_TO_CHAR = {
-    "Z": "a", "Zinv": "A", "Zstar": "s", "Zstarinv": "S",
-    "a": "a", "A": "A", "s": "s", "S": "S",
-}
 
 # ----------------------------------------------------------------------
 # words and canonicalization
 # ----------------------------------------------------------------------
 
 
-def _to_chars(raw) -> str:
-    if isinstance(raw, str):
-        toks = raw.replace(" ", "")
-        bad = set(toks) - set("aAsS")
-        if bad:
-            raise ValueError(f"unknown word letters {sorted(bad)!r}")
-        return toks
-    out = []
-    for tok in raw:
-        try:
-            out.append(_NAME_TO_CHAR[tok])
-        except KeyError:
-            raise ValueError(f"unknown word letter {tok!r}") from None
-    return "".join(out)
-
-
 def _reduce(chars: str) -> str:
-    # free reduction within each letter family (Z with Zinv, Zstar with
-    # Zstarinv; Z and Zstar never cancel each other)
+    # free reduction within each letter family (a with A, s with S; a and s
+    # never cancel each other)
     stack: list[str] = []
     for ch in chars:
         if stack and stack[-1] == _INV[ch]:
@@ -73,15 +53,21 @@ def _reduce(chars: str) -> str:
     return "".join(stack)
 
 
-def canonicalize(raw) -> str:
+def canonicalize(raw: str) -> str:
     """Canonical form of a word: cyclically reduced, minimal rotation.
 
-    Accepts a compact string over {a, A, s, S} (whitespace ignored) or an
-    iterable of letter names {Z, Zinv, Zstar, Zstarinv}.  Two raw words
-    with tr(Z^eps) equal for all Z map to the same canonical word; the
-    empty word is the constant 1.
+    Takes a compact string over {a, A, s, S} (whitespace ignored);
+    ValueError for any other letter or a non-string.  Two raw words with
+    tr(Z^eps) equal for all Z map to the same canonical word; the empty
+    word is the constant 1.
     """
-    w = _reduce(_to_chars(raw))
+    if not isinstance(raw, str):
+        raise ValueError(f"a word is a string over {{a, A, s, S}}, got {type(raw).__name__}")
+    w = raw.replace(" ", "")
+    bad = set(w) - set("aAsS")
+    if bad:
+        raise ValueError(f"unknown word letters {sorted(bad)!r}")
+    w = _reduce(w)
     while len(w) >= 2 and w[0] == _INV[w[-1]]:
         w = _reduce(w[1:-1])
     if not w:
@@ -341,9 +327,8 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
 class Measure:
     """A heat-kernel measure: rho_s^N on U_N (t = 0) or mu_{s,t}^N on GL_N.
 
-    ValueError unless the times are finite, s >= 0 for rho and s > t/2
-    for mu.  A negative t is kept: expectations are entire in (s, t), and
-    the word engine continues them there.
+    ValueError unless the times are finite, s >= 0 for rho and
+    s > t/2 > 0 for mu.
     """
 
     N: int
@@ -352,8 +337,8 @@ class Measure:
 
     def __post_init__(self):
         check_times(s=self.s, t=self.t)
-        if self.t != 0 and self.s - self.t / 2.0 <= 0:
-            raise ValueError(f"mu requires s > t/2 strictly, got s={self.s}, t={self.t}")
+        if self.t != 0 and not 0 < self.t / 2.0 < self.s:
+            raise ValueError(f"mu requires s > t/2 > 0, got s={self.s}, t={self.t}")
         if self.t == 0 and self.s < 0:
             raise ValueError(f"rho requires s >= 0, got s={self.s}")
 

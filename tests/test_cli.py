@@ -229,6 +229,21 @@ def test_no_measure_is_refused(capsys, argv, s_ok, message):
     assert cli.main(argv[:i] + [s_ok] + argv[i + 1:]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--p", "u", "--measure", "mu", "--s", "1", "--t", "-1", "--N", "4"],
+    ["concentration", "--p", "v1", "--s", "1", "--t", "-1", "--Ns", "2,3,4"],
+    ["concentration", "--p", "v1", "--s", "1", "--t", "-1", *_MC],
+    ["mc", "--f", "v1", "--N", "4", "--s", "1", "--t", "-1", "--samples", "4", "--steps", "2"],
+])
+def test_negative_mu_time_is_refused(capsys, argv):
+    # mu needs t/2 > 0, the variance of its second noise; t = 0 is rho and
+    # a tiny positive t is mu
+    assert "mu requires s > t/2 > 0" in _refused(capsys, argv)
+    i = argv.index("--t") + 1
+    for t_ok in ("0", "1e-12"):
+        assert cli.main(argv[:i] + [t_ok] + argv[i + 1:]) == 0
+
+
 def test_sampler_steps_bound(capsys):
     # the bound itself is a valid configuration (running it takes seconds)
     bound = matrixlab.MAX_SAMPLER_STEPS
@@ -388,7 +403,6 @@ def test_nan_time_exits_1(capsys, argv):
     ["moments", "--k", "3", "--s", "-1.5e0"],
     ["gen-fn-check", "--s", "1", "--t", "-1e-2", "--K", "4"],
     ["pde-check", "--s", "-7e-1", "--K", "4"],
-    ["norm", "--p", "u", "--measure", "mu", "--s", "1.5", "--t", "-8e-1", "--N", "3"],
 ])
 def test_negative_floats_in_exponent_notation(capsys, argv):
     # argparse alone takes -1e-3 for an option name; the value must parse
@@ -401,6 +415,15 @@ def test_negative_floats_in_exponent_notation(capsys, argv):
     assert code == code_glued == 0
     assert rep["params"] == rep_glued["params"]
     assert rep["results"] == rep_glued["results"]
+
+
+def test_negative_mu_time_in_exponent_notation_is_refused(capsys):
+    # spaced or glued, -8e-1 reaches mu's rule as t = -0.8, not as an option
+    argv = ["norm", "--p", "u", "--measure", "mu", "--s", "1.5", "--t", "-8e-1", "--N", "3"]
+    spaced = _refused(capsys, argv)
+    glued = _refused(capsys, argv[:7] + ["--t=-8e-1"] + argv[9:])
+    assert spaced == glued
+    assert "mu requires s > t/2 > 0, got s=1.5, t=-0.8" in spaced
 
 
 @pytest.mark.parametrize("argv", [

@@ -213,7 +213,7 @@ def test_sampler_cfg_guards():
         sample_rho(SamplerCfg(N=4, s=1.0, t=0.8), 0)
     # times of no measure are refused when the configuration is built
     for times, message in (({"s": -0.1}, "rho requires s >= 0"),
-                           ({"s": 1.0, "t": -0.5}, "mu sampler requires t >= 0"),
+                           ({"s": 1.0, "t": -0.5}, "mu requires s > t/2 > 0"),
                            ({"s": 0.5, "t": 1.2}, "mu requires s > t/2"),
                            ({"s": 0.5, "t": 1.0}, "mu requires s > t/2")):
         with pytest.raises(ValueError, match=message):

@@ -46,9 +46,7 @@ def test_diagonal_operators():
     assert apply_named("Aplus", mixed) == parse("u^2 + v1")
     assert apply_named("Aminus", mixed) == parse("u^-1")
     assert apply_named("sgn", mixed) == parse("u^2 - u^-1 + v1")
-    assert apply_named("Mu", parse("u + v1"), aux=-2) == parse("u^-1 + u^-2 v1")
-    with pytest.raises(ValueError):
-        apply_named("Mu", p)
+    assert parse("u + v1") * u(-2) == parse("u^-1 + u^-2 v1")
     with pytest.raises(ValueError):
         apply_named("Q", p)
 
@@ -144,17 +142,42 @@ def test_degree_preservation(seed):
             assert q.trace_degree() <= d, name
 
 
-@pytest.mark.parametrize("name", sorted(operators._COLUMNS))
+# the paper's generators, as weighted sums of the table's columns
+COMPOSITES = {"D": GeneratorSpec.D(), "DN3": GeneratorSpec.DN(3),
+              "PI_GEN": GeneratorSpec.pi_gen()}
+
+
+@pytest.mark.parametrize("name", sorted(operators._COLUMNS) + list(COMPOSITES))
 def test_every_named_column(name):
-    # apply_named, a one-term GeneratorSpec and the compiled matrix all
-    # read the same column of the table
+    # a spec's apply, the weighted sum of apply_named over its terms and the
+    # compiled matrix all read the same columns of the table
+    spec = COMPOSITES.get(name, GeneratorSpec(((name, 1.0),)))
+
+    def by_name(q):
+        return sum((w * apply_named(n, q) for n, w in spec.terms), TracePoly.zero())
+
     p = _rand_poly(np.random.default_rng(5), 4)
-    spec = GeneratorSpec(((name, 1.0),))
-    assert spec.apply(p) == apply_named(name, p)
+    assert spec.apply(p) == by_name(p)
     M = operator_matrix(spec, 3)
     for j, m in enumerate(M.basis):
-        col = M.coords(apply_named(name, TracePoly({m: 1.0})))
+        col = M.coords(by_name(TracePoly({m: 1.0})))
         assert np.array_equal(M.entries[:, j], col), m
+
+
+@pytest.mark.parametrize("m, D_img, L_img, pi_img", [
+    # D = -N - 2Z - 2Y, with N the trace degree; PI_GEN = N0 + 2Z
+    ("u^3 v2", "-5 u^3 v2 - 2 u^3 v1^2 - 4 u^2 v1 v2 - 2 u v2^2", "12 u^5",
+     "2 u^3 v2 + 2 u^3 v1^2"),
+    ("v1 v-2", "-3 v1 v-2 - 2 v1 v-1^2", "-4 v-1", "3 v1 v-2 + 2 v1 v-1^2"),
+    ("u^-2 v3", "-5 u^-2 v3 - 6 u^-2 v1 v2 - 2 u^-1 v-1 v3", "-12 u",
+     "3 u^-2 v3 + 6 u^-2 v1 v2"),
+])
+def test_composite_generators_on_monomials(m, D_img, L_img, pi_img):
+    # exact: every weight is an integer, and 1/N^2 a power of two at N = 2
+    p = parse(m)
+    assert GeneratorSpec.D().apply(p).terms == parse(D_img).terms
+    assert GeneratorSpec.pi_gen().apply(p).terms == parse(pi_img).terms
+    assert GeneratorSpec.DN(2).apply(p).terms == (parse(D_img) - 0.25 * parse(L_img)).terms
 
 
 def test_spec_sums_overlapping_images():
@@ -172,7 +195,8 @@ def test_spec_sums_overlapping_images():
         assert len(monos) > len(set(monos))
         want = sum(images, TracePoly.zero())
         assert (spec.apply(p) - want).coeff_max() <= 1e-15 * want.coeff_max()
-    for bad in ("Q", "Mu"):
+    # the composites are sums of the table's names, not entries of it
+    for bad in ("Q", "Mu", "D", "PI_GEN"):
         with pytest.raises(ValueError):
             GeneratorSpec(((bad, 1.0),)).apply(p)
 
@@ -299,7 +323,7 @@ def test_operator_matrix_commutes_with_apply():
 def test_findim_perturbation_bound():
     # ||e^{M_D + eps M_L} - e^{M_D}|| / eps stays within a factor 4
     # across three decades of eps
-    MD = np.asarray(operator_matrix(GeneratorSpec((("D", 1.0),)), 3).entries)
+    MD = np.asarray(operator_matrix(GeneratorSpec.D(), 3).entries)
     ML = np.asarray(operator_matrix(GeneratorSpec((("L", 1.0),)), 3).entries)
     base = scipy.linalg.expm(MD)
     quotients = []

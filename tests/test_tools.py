@@ -1,0 +1,52 @@
+"""The scripts under tools/: the result comparison of cli_results.py and
+the line counts of srcstats.py, each loaded from its path."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_results = _load("cli_results")
+srcstats = _load("srcstats")
+
+
+def test_equal_nulls_are_not_moves():
+    a = {"rows": [{"N": 4, "value": 0.25, "stderr": None}], "slope": None, "tol": None}
+    assert list(cli_results._moves(a, a)) == []
+    assert list(cli_results._moves(a, dict(a))) == []
+
+
+def test_moved_number_is_reported_with_its_path():
+    a = {"rows": [{"N": 4, "value": 0.25, "stderr": None}], "mean": [1.0, 0.0]}
+    b = {"rows": [{"N": 4, "value": 0.5, "stderr": None}], "mean": [1.0, 0.0]}
+    assert list(cli_results._moves(a, b)) == [(0.5, ".rows[0].value")]
+
+
+def test_missing_key_against_null_is_a_change():
+    a = {"stderr": None, "value": 1.0}
+    assert list(cli_results._moves(a, {"value": 1.0})) == [(None, ".stderr")]
+    assert list(cli_results._moves({"value": 1.0}, a)) == [(None, ".stderr")]
+    assert list(cli_results._moves(a, {"stderr": 0.1, "value": 1.0})) == [(None, ".stderr")]
+
+
+def test_srcstats_counts_a_tiny_package(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(
+        '"""Module docstring,\n\nthree lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        '    """One-line docstring."""\n'
+        "    return x + y  # trailing comment\n")
+    (tmp_path / "b.py").write_text("X = (1,\n     2)\n")
+    assert srcstats.file_stats((tmp_path / "a.py").read_text()) == (8, 2, 2)
+    assert srcstats.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "physical lines: 10", "code lines: 4", "parameters with defaults: 2"]

@@ -61,11 +61,13 @@ def test_canonicalize_rotation_invariance():
 
 
 def test_canonicalize_accepts_text_format():
-    # compact string over {a=Z, A=Zinv, s=Zstar, S=Zstarinv}, spaces ignored
+    # the one word syntax: a string over {a=Z, A=Z^-1, s=Z^*, S=Z^-*},
+    # spaces ignored
     assert canonicalize("aas S") == canonicalize("aasS")
-    assert canonicalize(["Z", "Z", "Zstar"]) == canonicalize("aas")
     with pytest.raises(ValueError):
         canonicalize("axb")
+    with pytest.raises(ValueError, match="got list"):
+        canonicalize(["a", "a", "s"])
 
 
 @given(st.text(alphabet="aAsS", min_size=0, max_size=10))
@@ -480,3 +482,9 @@ def test_measure_constructors():
     assert (m.kind, m.t) == ("rho", 0.0)
     m2 = Measure.mu(1.5, 0.8, 4)
     assert (m2.kind, m2.s, m2.t, m2.N) == ("mu", 1.5, 0.8, 4)
+    # mu needs s > t/2 > 0: a negative t is no measure; t = 0 is rho
+    for t in (-1.0, -1e-12):
+        with pytest.raises(ValueError, match="mu requires s > t/2 > 0"):
+            Measure.mu(1.0, t, 4)
+    assert Measure.mu(1.0, 1e-12, 4).kind == "mu"
+    assert Measure.mu(1.0, 0.0, 4).kind == "rho"

@@ -7,7 +7,8 @@
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
 semigroups, a second degree-8 transform that reuses the first one's
 cached closure, a few inputs for the word engine, the b_k recursion and
-the graded test, a failing verification and a refused sampler time) and
+the graded test, the Monte Carlo concentration, a failing verification, a
+refused sampler time and a refused mu time) and
 writes one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR,
 which defaults to ``src`` beside this script's parent, so one copy of the
@@ -69,6 +70,9 @@ COMMANDS = [
     # s <= t/2 (exit 1)
     "gen-fn-check --s 2.25 --t 2.25 --K 16",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
+    # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
+    "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
+    "norm --p u --measure mu --s 1.5 --t -8e-1 --N 3",
 ]
 
 
@@ -102,9 +106,13 @@ def _value(x):
     return None
 
 
+_MISSING = object()  # a key that one side of a dict lacks
+
+
 def _moves(a, b, path="", scale=None):
-    """Yield (relative move, path) for each number, and (None, path) for
-    every other difference.  A number's move is relative to the largest
+    """Yield (relative move, path) for each number that differs, and
+    (None, path) for every other difference, a key that one side lacks
+    included.  A number's move is relative to the largest
     magnitude in its container when all of that container's values are
     numbers (the coefficients of one polynomial), else to its own."""
     x, y = _value(a), _value(b)
@@ -114,7 +122,8 @@ def _moves(a, b, path="", scale=None):
         return
     pairs = None
     if isinstance(a, dict) and isinstance(b, dict):
-        pairs = [(f"{path}.{k}", a.get(k), b.get(k)) for k in sorted(set(a) | set(b))]
+        pairs = [(f"{path}.{k}", a.get(k, _MISSING), b.get(k, _MISSING))
+                 for k in sorted(set(a) | set(b))]
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
     if pairs is None:
@@ -124,8 +133,8 @@ def _moves(a, b, path="", scale=None):
     values = [_value(v) for _, x, y in pairs for v in (x, y)]
     inner = max(map(abs, values)) if None not in values else None
     for where, x, y in pairs:
-        yield from _moves(x, y, where, inner) if x is not None and y is not None \
-            else [(None, where)]
+        if x != y:  # equal sides, nulls included, are no change
+            yield from [(None, where)] if _MISSING in (x, y) else _moves(x, y, where, inner)
 
 
 def compare(old: str, new: str) -> int:
