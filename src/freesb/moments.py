@@ -6,12 +6,13 @@ the coefficient functions c_k(s,t), the Laurent polynomials b_k(s,t,u),
 and the normalized moments varrho_k(t).
 
 Everything here keeps the time variable t symbolic.  The three sequences
-come from one quadratic recursion (:func:`_recursion`),
+come from one quadratic recursion,
 
     x_k = x_k(0) +- sum_{m=1}^{k-1} m int_0^t y_{k-m} x_m,   y = x (y = c for b),
 
 which only ever integrates polynomials in tau, so integration is an
-exact coefficient shift, never quadrature.  Each result is a
+exact coefficient shift, never quadrature; :func:`_recursion` runs it
+for c_k and b_k, and varrho_k runs it on integer numerators.  Each result is a
 :class:`TPoly`, one container whose coefficients are numbers (c_k),
 Laurent polynomials in u (b_k) or Fractions (varrho_k).
 """
@@ -101,7 +102,7 @@ def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:
 
 
 def _poly_mul(a: list, b: list) -> list:
-    # type-generic (float, Fraction, array); the seeded zeros are one object, so no +=
+    # type-generic (float, int, array); the seeded zeros are one object, so no +=
     out = [a[0] * b[0] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -116,7 +117,7 @@ def _poly_int(a: list) -> list:
 
 def _recursion(k: int, first, left, right, sign: int) -> tuple:
     # coefficients in t of first + sign sum_{m=1}^{k-1} m int_0^t left(k-m) right(m),
-    # where left, right give coefficient lists (numbers, Fractions or arrays)
+    # where left, right give coefficient lists (numbers or arrays)
     acc = [first] + [first - first] * (k - 1)  # a zero of first's type, never -0.0
     for m in range(1, k):
         for j, pj in enumerate(_poly_int(_poly_mul(left(k - m), right(m)))):
@@ -203,8 +204,21 @@ def varrho_coeffs(k: int) -> tuple[Fraction, ...]:
         raise ValueError(f"varrho_coeffs needs k >= 1, got {k}")
     # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m},
     # and (k/2) sum_m f_m f_{k-m} = sum_m m f_{k-m} f_m by the symmetry
-    # m <-> k-m
-    return _recursion(k, Fraction(1), varrho_coeffs, varrho_coeffs, -1)
+    # m <-> k-m.  Summed on integers, as in _nu_hat_exact: with varrho_m =
+    # n_m / d_m over one denominator and E = lcm_m d_{k-m} d_m, coefficient
+    # j >= 1 is -T_j / (E j), T_j = sum_m m E / (d_{k-m} d_m) (n_{k-m} n_m)_{j-1}
+    def over_one_denominator(cs):
+        d = math.lcm(*(c.denominator for c in cs))
+        return [c.numerator * (d // c.denominator) for c in cs], d
+
+    ints = [over_one_denominator(varrho_coeffs(m)) for m in range(1, k)]
+    E = math.lcm(*(ints[k - m - 1][1] * ints[m - 1][1] for m in range(1, k)))
+    T = [0] * (k - 1)
+    for m in range(1, k):
+        (left, d1), (right, d2) = ints[k - m - 1], ints[m - 1]
+        for j, x in enumerate(_poly_mul(left, right)):
+            T[j] += m * (E // (d1 * d2)) * x
+    return (Fraction(1),) + tuple(Fraction(-x, E * (j + 1)) for j, x in enumerate(T))
 
 
 def varrho(k: int, t: float) -> float:

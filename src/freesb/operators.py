@@ -14,15 +14,15 @@ representations on the trace-degree filtration C_n[u, u^-1; v].
 All operators preserve the filtration (trace degree can only stay or
 drop), so the monomials reachable from a polynomial p span a finite-
 dimensional invariant subspace.  ``exp_series`` takes its generator as a
-column function (one monomial to its image as (monomial, weight) pairs),
-finds that closure by a breadth-first search and compiles the operator
-on it to a sparse matrix in coordinate (COO) form, one merged dict per
-column and no polynomial.  ``exp_apply`` compiles a GeneratorSpec at
-theta = 1 and keeps the closure in a small LRU cache keyed by the
-generator and the input's monomials, bounded by ``CLOSURE_BUDGET``
-monomials in all; theta scales the compiled matrix on each call, so
-G, H, biane and verify_gen_fn, which apply D to the same few monomials
-at many times, compile each closure once.
+weighted sum of named parts and a column function that maps one monomial
+to its images under the parts, finds the closure by a breadth-first
+search and compiles each part on it to sparse values in coordinate (COO)
+form, one merged dict per column and no polynomial.  The compiled parts
+are kept in a small LRU cache keyed by the part names and the input's
+monomials, bounded by ``CLOSURE_BUDGET`` monomials in all; each call
+sums them with its weights and scales the sum by theta, so G, H, biane
+and verify_gen_fn, which apply D to the same few monomials at many
+times, and D_N at every N share one compile per input.
 
 On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one trace
 factor, so it is nilpotent and commutes with the diagonal, and e^{theta D}
@@ -60,8 +60,9 @@ MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
 
-# (GeneratorSpec, p's monomials in order) -> a compiled closure (see _classify);
-# a plain dict in least to most recently used order
+# (part names, p's monomials in order) -> [basis, rows, cols, part values, the
+# classification of the last weights] (see exp_series); a plain dict in least to
+# most recently used order
 _closures: dict = {}
 
 # ======================================================================
@@ -169,8 +170,9 @@ class GeneratorSpec:
     ``terms`` pairs names of ``_COLUMNS`` with complex weights.  The
     paper's generators are such sums: D = -N - 2Z - 2Y, D_N = D - L/N^2
     and PI_GEN = N0 + 2Z, whose semigroup realizes the evaluation map
-    pi_s.  Their columns list the image pairs term by term, so the order
-    of the terms fixes the basis order of every compiled closure.
+    pi_s.  Their columns (``parts``) list the images term by term, so the
+    order of the terms fixes the basis order of every compiled closure;
+    the names alone key the closure cache, so D_N at every N shares one.
     """
 
     terms: tuple[tuple[str, complex], ...]
@@ -189,14 +191,15 @@ class GeneratorSpec:
     def pi_gen(cls) -> "GeneratorSpec":
         return cls((("N0", 1.0), ("Z", 2.0)))
 
-    def column(self):
-        """The column function of G: one monomial to its image as
-        (monomial, weight) pairs."""
-        cols = [(_column(name), w) for name, w in self.terms]
-        return lambda m: [(mi, w * c) for col, w in cols for mi, c in col(m)]
+    def parts(self, m: Mono) -> list[tuple[Mono, int, float]]:
+        """The images of m under the terms' operators, unweighted, as
+        (monomial, term index, weight) triples: the column form of
+        :func:`exp_series`."""
+        return [(mi, k, c) for k, (name, _) in enumerate(self.terms)
+                for mi, c in _column(name)(m)]
 
     def apply(self, p: TracePoly) -> TracePoly:
-        return linear(self.column(), p)
+        return linear(lambda m: [(mi, self.terms[k][1] * c) for mi, k, c in self.parts(m)], p)
 
 
 # ======================================================================
@@ -264,33 +267,37 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 
-def _compile(column, seed):
-    """Compile a linear map to a sparse matrix on the closure of ``seed``.
+def _compile(column, seed, nparts):
+    """Compile the parts of a linear map to sparse values on the closure of ``seed``.
 
-    ``column`` maps one monomial to its image as (monomial, weight)
-    pairs, the form of ``linear`` and ``_COLUMNS``.  ``basis`` starts as
-    the monomials ``seed`` and grows breadth first: column j merges the
-    pairs of ``column(basis[j])`` in one dict, drops exact zeros, and
-    appends every monomial it reaches that is not yet in ``basis``, so
-    the loop visits it in turn.  Returns ``basis`` and the COO arrays
-    ``rows, cols, vals`` with ``vals[e]`` the coefficient of
-    ``basis[rows[e]]`` in the image of ``basis[cols[e]]``.  ValueError as
-    soon as ``basis`` holds more than ``MAX_CLOSURE`` monomials, so at
-    most one column's image past the bound is ever built.
+    ``column`` maps one monomial to its images under the map's ``nparts``
+    parts as (monomial, part index, weight) triples.  ``basis`` starts as
+    the monomials ``seed`` and grows breadth first: column j merges its
+    triples in one dict, one value per part, drops the entries that are
+    zero in every part, and appends every monomial it reaches that is not
+    yet in ``basis``, so the loop visits it in turn.  Returns ``basis``, the
+    COO arrays ``rows, cols`` and the nnz x nparts array ``vals``, with
+    ``vals[e, k]`` the coefficient of ``basis[rows[e]]`` in part k's image
+    of ``basis[cols[e]]``.  ValueError as soon as ``basis`` holds more than
+    ``MAX_CLOSURE`` monomials, so at most one column's image past the bound
+    is ever built.
     """
     basis = list(seed)
     index = {m: i for i, m in enumerate(basis)}
     rows: list[int] = []
     cols: list[int] = []
-    vals: list[complex] = []
+    vals: list[list[complex]] = []
     for j, m in enumerate(basis):  # basis grows as the search goes
         if len(basis) > MAX_CLOSURE:
             raise ValueError(f"the closure has more than MAX_CLOSURE={MAX_CLOSURE} monomials")
         image: dict = {}
-        for mi, w in column(m):
-            image[mi] = image.get(mi, 0j) + w
-        for mi, c in image.items():
-            if c == 0:
+        for mi, k, w in column(m):
+            v = image.get(mi)
+            if v is None:
+                v = image[mi] = [0j] * nparts
+            v[k] += w
+        for mi, v in image.items():
+            if not any(v):
                 continue
             i = index.get(mi)
             if i is None:
@@ -298,29 +305,32 @@ def _compile(column, seed):
                 basis.append(mi)
             rows.append(i)
             cols.append(j)
-            vals.append(c)
+            vals.append(v)
     return (basis, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(vals, dtype=complex))
+            np.array(vals, dtype=complex).reshape(-1, nparts))
 
 
-def exp_series(column, p, theta, key):
-    """e^{theta G} p for a linear map G given by its column function ``column``.
+def exp_series(column, p, theta, terms):
+    """e^{theta G} p for G = sum_k w_k G_k, a weighted sum of named parts.
 
-    ``column`` maps one monomial to its image under G as (monomial,
-    weight) pairs (see :func:`_compile`).  Works for any polynomial type
-    whose instances hold a ``terms`` dict from monomial keys to
-    coefficients and are built from such a dict (``TracePoly``,
+    ``terms`` pairs each part's name with its weight w_k, and ``column``
+    maps one monomial to its images under the parts G_k, unweighted, as
+    (monomial, k, weight) triples (see :func:`_compile`).  Works for any
+    polynomial type whose instances hold a ``terms`` dict from monomial
+    keys to coefficients and are built from such a dict (``TracePoly``,
     ``WordPoly``); G must map the span of the monomials reachable from
     ``p`` into itself, and ``theta`` is a real number.
 
-    G is compiled on that closure, at theta = 1, to an n x n COO matrix A
-    (see :func:`_classify`), the diagonal part of A plus an off-diagonal
-    part M.  When ``key`` is not None it names G (a ``GeneratorSpec``), and
-    the compiled closure is kept in an LRU cache under (key, the monomials
-    of p in their order, which fixes the basis order).  The cache holds at
-    most ``CLOSURE_BUDGET`` monomials in all and never stores a larger
-    closure; ``key=None`` (the word engine, whose columns carry s, t and N)
-    compiles on every call.  theta scales A on every call, hit or miss.
+    The parts are compiled once on that closure and kept in an LRU cache
+    under (the names, the monomials of p in their order, which fixes the
+    basis order), so the names must say what the parts are: two columns
+    under the same names share their closures.  The weights are not in the
+    key, so D_N at every N, and the word engine at every s, t and N, compile
+    once per input.  The cache holds at most ``CLOSURE_BUDGET`` monomials
+    in all and never stores a larger closure.  Every call, hit or miss,
+    sums the cached parts to A = G on the closure and classifies A (see
+    :func:`_classify`, kept with the closure for the last weights), then
+    scales A by theta: the same arithmetic either way.
     When A is graded, M joins only equal diagonal entries (so it commutes
     with the diagonal) and its graph, an edge from column to row per entry,
     has no cycle (so M is nilpotent; see :func:`_acyclic`).  The result is
@@ -345,13 +355,13 @@ def exp_series(column, p, theta, key):
     if p.trace_degree() > 2 * MAX_DEGREE:
         raise ValueError(f"trace degree {p.trace_degree()} exceeds {2 * MAX_DEGREE}: "
                          "the semigroup's closure would be too large")
-    key = None if key is None else (key, tuple(p.terms))
-    closure = _closures.pop(key, None)  # None is never a key
+    names, weights = zip(*terms)
+    key = (names, tuple(p.terms))
+    closure = _closures.pop(key, None)
     if closure is None:
-        closure = _classify(column, p.terms)
-    if key is not None:
-        _remember(key, closure)
-    basis, rows, cols, vals, diag, off, graded = closure
+        closure = [*_compile(column, p.terms, len(names)), None]
+    _remember(key, closure)
+    basis, rows, cols, vals, diag, off, graded = _classify(closure, weights, len(p.terms))
     n = len(basis)
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
@@ -374,18 +384,40 @@ def exp_series(column, p, theta, key):
     return type(p)(dict(zip(basis, x.tolist())))
 
 
-def _classify(column, seed):
-    """:func:`_compile` on the closure of ``seed``, then whether it is graded
-    (see :func:`exp_series`): basis, rows, cols, vals, the diagonal, the
-    off-diagonal mask over the COO entries and the graded flag."""
-    basis, rows, cols, vals = _compile(column, seed)
+def _classify(closure, weights, nseed):
+    """A = sum_k weights[k] G_k on a compiled closure, and whether it is
+    graded (see :func:`exp_series`): basis, rows, cols, vals, the diagonal,
+    the off-diagonal mask over the COO entries and the graded flag.  Each
+    product is rounded on its own, so weights that cancel (the word engine
+    at s = t) leave exact zeros; those entries are dropped, and with them the
+    monomials that only they reach from the first ``nseed`` ones, so A's
+    closure, graded test and kernel choice are those of A compiled alone.
+    The result is kept in ``closure[4]`` for the next call with the same
+    weights."""
+    last = closure[4]
+    if last is not None and last[0] == weights:
+        return last[1:]
+    basis, rows, cols, parts = closure[:4]
+    vals = sum(w * part for w, part in zip(weights, parts.T))
+    keep = vals != 0
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        reached = np.zeros(len(basis), dtype=bool)
+        reached[:nseed] = True
+        while not reached[rows[reached[cols]]].all():
+            reached[rows[reached[cols]]] = True
+        live = reached[cols]
+        index = np.cumsum(reached) - 1
+        rows, cols, vals = index[rows[live]], index[cols[live]], vals[live]
+        basis = [m for m, r in zip(basis, reached) if r]
     off = rows != cols
     diag = np.zeros(len(basis), dtype=complex)
     diag[rows[~off]] = vals[~off]
     off_rows, off_cols = rows[off], cols[off]
     graded = (diag[off_rows] == diag[off_cols]).all() and \
         ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, len(basis)))
-    return basis, rows, cols, vals, diag, off, graded
+    closure[4] = (weights, basis, rows, cols, vals, diag, off, graded)
+    return closure[4][1:]
 
 
 def _remember(key, closure):
@@ -482,11 +514,13 @@ def check_times(**times: float) -> None:
 
 
 def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
-    """e^{theta G} p for a GeneratorSpec G; theta may have either sign."""
+    """e^{theta G} p for a GeneratorSpec G; theta may have either sign.  The
+    terms of G are the parts of :func:`exp_series`, so a cache hit calls no
+    column and looks up no operator of ``_COLUMNS``."""
     check_times(theta=theta)
     if theta == 0.0:
         return p
-    return exp_series(gen.column(), p, theta, key=gen)
+    return exp_series(gen.parts, p, theta, gen.terms)
 
 
 # ======================================================================
@@ -548,7 +582,7 @@ class OperatorMatrix:
 
 
 def operator_matrix(gen: GeneratorSpec, n: int) -> OperatorMatrix:
-    basis, rows, cols, vals = _compile(gen.column(), monomial_basis(n))
+    basis, rows, cols, parts = _compile(gen.parts, monomial_basis(n), len(gen.terms))
     entries = np.zeros((len(basis), len(basis)), dtype=complex)
-    entries[rows, cols] = vals
+    entries[rows, cols] = parts @ [w for _, w in gen.terms]
     return OperatorMatrix(n=n, basis=basis, entries=entries)

@@ -43,7 +43,9 @@ _UNITARY = str.maketrans("sS", "Aa")  # on U_N, Z^* = Z^-1 and Z^-* = Z
 
 def _reduce(chars: str) -> str:
     # free reduction within each letter family (a with A, s with S; a and s
-    # never cancel each other)
+    # never cancel each other); most words have no cancelling pair at all
+    if not ("aA" in chars or "Aa" in chars or "sS" in chars or "Ss" in chars):
+        return chars
     stack: list[str] = []
     for ch in chars:
         if stack and stack[-1] == _INV[ch]:
@@ -70,9 +72,8 @@ def canonicalize(raw: str) -> str:
     w = _reduce(w)
     while len(w) >= 2 and w[0] == _INV[w[-1]]:
         w = _reduce(w[1:-1])
-    if not w:
-        return ""
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    ww, n = w + w, len(w)
+    return min([ww[i:i + n] for i in range(n)], default="")
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +258,9 @@ def derive_generators(eps, delta=None, s: float = 0.0, t: float = 0.0) -> WordPo
 
 def _leibniz(m: WordKey, first, second) -> list:
     """The column at m of X + Y, with X a derivation and Y purely second
-    order, as (monomial, weight) pairs.  ``first(a)`` gives X(v_a) and
-    ``second(a, b)``, a <= b, gives Y(v_a v_b), both as such pairs.  For
-    m = rest * prod_a v_a^{e_a},
+    order, as (monomial, part, weight) triples.  ``first(a)`` gives X(v_a)
+    and ``second(a, b)``, a <= b, gives Y(v_a v_b), both as such triples.
+    For m = rest * prod_a v_a^{e_a},
 
         (X + Y) m = sum_a e_a rest_a X(v_a) + sum_{a<b} e_a e_b rest_ab Y(v_a v_b)
                     + sum_a C(e_a, 2) rest_aa Y(v_a^2),
@@ -267,9 +268,10 @@ def _leibniz(m: WordKey, first, second) -> list:
     where rest_a (rest_ab, rest_aa) is m with one v_a (one v_a and one
     v_b, two v_a) removed.
     """
-    return ([(_wmono_mul(q, rest), e * c) for a, e, rest in first_partials(m) for q, c in first(a)]
-            + [(_wmono_mul(q, rest), f * c)
-               for a, b, f, rest in second_partials(m) for q, c in second(a, b)])
+    return ([(_wmono_mul(q, rest), k, e * c)
+             for a, e, rest in first_partials(m) for q, k, c in first(a)]
+            + [(_wmono_mul(q, rest), k, f * c)
+               for a, b, f, rest in second_partials(m) for q, k, c in second(a, b)])
 
 
 def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
@@ -283,12 +285,13 @@ def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
 
     def first(a):
         return [] if gen == "Lst" else [
-            (qm, 0.5 * qc) for qm, qc in derive_generators(a, None, s, t).terms.items()]
+            (qm, 0, 0.5 * qc) for qm, qc in derive_generators(a, None, s, t).terms.items()]
 
     def second(a, b):
-        return [] if gen == "Dst" else derive_generators(a, b, s, t).terms.items()
+        return [] if gen == "Dst" else [
+            (qm, 0, qc) for qm, qc in derive_generators(a, b, s, t).terms.items()]
 
-    return linear(lambda m: _leibniz(m, first, second), p)
+    return linear(lambda m: [(mi, w) for mi, _, w in _leibniz(m, first, second)], p)
 
 
 def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
@@ -298,11 +301,15 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     every v_eps then set to 1.  When t == 0, P is first rewritten on U_N:
     Z^* -> Z^-1 and Z^-* -> Z in every word, equal words merged.  That
     leaves every value on U_N unchanged and shrinks the closure, to 435
-    monomials for |tr Z^7|^2 instead of 9,142.  The generator's column is
-    the Leibniz form (see ``_leibniz``) over Dt(v_a) and Lt(v_a v_b) / N^2;
-    each of these is one ``apply_tilde`` call, made once per call of this
-    function, so ``derive_generators`` runs once per distinct word or
-    pair of words.
+    monomials for |tr Z^7|^2 instead of 9,142.  The generator is the
+    weighted sum (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus
+    (t/2) (Dt + Lt/N^2) at beta_- alone; its four parts (the two at
+    beta_+ when t == 0) are what ``exp_series`` compiles and caches, so
+    one input compiles once for every s, t and N.  Each part's column is
+    the Leibniz form (see ``_leibniz``) over Dt(v_a) and Lt(v_a v_b), and
+    each of these is one ``apply_tilde`` call per family at (s, t) =
+    (1, 0) or (1, 2), made on a cache miss only, so ``derive_generators``
+    runs once per distinct word or pair of words and family.
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
@@ -311,16 +318,22 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
         # Z is unitary: every word becomes a power of Z
         p = linear(lambda m: [(wmono((canonicalize(w.translate(_UNITARY)), e) for w, e in m),
                                1.0)], p)
-    images: dict = {}  # the terms of Dt(v_a) by (a,), of Lt(v_a v_b) / N^2 by (a, b)
+    # (s, t) of the beta_+ family alone and of the beta_- family alone
+    families = ((1.0, 0.0),) if t == 0.0 else ((1.0, 0.0), (1.0, 2.0))
+    images: dict = {}  # the triples of Dt(v_a) by (a,), of Lt(v_a v_b) by (a, b)
 
     def image(*words):
         if words not in images:
-            gen, w = ("Dst", 1.0) if len(words) == 1 else ("Lst", 1.0 / (N * N))
-            unit = WordPoly({wmono((a, 1) for a in words): w})
-            images[words] = apply_tilde(gen, unit, s, t).terms.items()
+            gen, k = ("Dst", 0) if len(words) == 1 else ("Lst", 1)
+            unit = WordPoly({wmono((a, 1) for a in words): 1.0})
+            images[words] = [(q, 2 * f + k, c) for f, st in enumerate(families)
+                             for q, c in apply_tilde(gen, unit, *st).terms.items()]
         return images[words]
 
-    return exp_series(lambda m: _leibniz(m, image, image), p, 1.0, None).evaluate_ones()
+    a, b = s - t / 2.0, t / 2.0
+    terms = (("Dst+", a), ("Lst+", a / (N * N)), ("Dst-", b), ("Lst-", b / (N * N)))
+    terms = terms[:2 * len(families)]  # the part indices of image()
+    return exp_series(lambda m: _leibniz(m, image, image), p, 1.0, terms).evaluate_ones()
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,8 @@ def test_exp_series_rejects_runaway(monkeypatch):
     p = TracePoly({m: 1.0 for m in monomial_basis(6)})
     assert len(p.terms) > operators.DENSE_MAX_N
     with pytest.raises(RuntimeError):
-        exp_series(lambda m: [(m, 40.0), (mono(-m[0], m[1]), 1.0)], p, 1.0, None)
+        exp_series(lambda m: [(m, 0, 40.0), (mono(-m[0], m[1]), 0, 1.0)], p, 1.0,
+                   (("40 I + (u^k <-> u^-k)", 1.0),))
 
 
 # ---------------------------------------------------------------- matrices

@@ -3,6 +3,7 @@ an independent dense oracle, its dense and Taylor kernels against each
 other, homogeneity at any scale, inputs at the documented degree limit,
 and the closure cache of ``exp_apply``."""
 
+import json
 import sys
 import threading
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesb.operators as operators
+from freesb import cli
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
 from freesb.tracepoly import CLEANUP_EPS, TracePoly, mono, parse
 from freesb.transform import G, H
@@ -22,10 +24,38 @@ u = TracePoly.u
 GENS = {"D": GeneratorSpec.D(), "DN3": GeneratorSpec.DN(3), "pi": GeneratorSpec.pi_gen()}
 
 
+def _column(gen):
+    """The column function of gen: one monomial to its image as (monomial,
+    weight) pairs."""
+    return lambda m: [(mi, gen.terms[k][1] * c) for mi, k, c in gen.parts(m)]
+
+
 def _scaled(gen, theta):
     """The column function of theta * gen, with theta folded into the weights."""
-    column = gen.column()
+    column = _column(gen)
     return lambda m: [(mi, theta * w) for mi, w in column(m)]
+
+
+def _one_part(column):
+    """A column of (monomial, weight) pairs as the column of a generator with
+    one part, the form ``exp_series`` and ``_compile`` take."""
+    return lambda m: [(mi, 0, w) for mi, w in column(m)]
+
+
+def _compile(column, seed):
+    """``operators._compile`` of a column of pairs: basis, rows, cols, vals."""
+    basis, rows, cols, vals = operators._compile(_one_part(column), seed, 1)
+    return basis, rows, cols, vals[:, 0]
+
+
+def _exp(name, column, p):
+    """e^G p for the one-part generator G given by a column of pairs; ``name``
+    keys its closures, so it must name that column alone."""
+    return operators.exp_series(_one_part(column), p, 1.0, ((name, 1.0),))
+
+
+def _names(gen):
+    return tuple(name for name, _ in gen.terms)
 
 
 def _rand_poly(rng, deg, nterms=3):
@@ -73,7 +103,7 @@ DEG12 = parse("u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7")
 
 def _closure(column, p):
     """p's closure under column: the COO arrays, p's coordinates, the 1-norm."""
-    basis, rows, cols, vals = operators._compile(column, p.terms)
+    basis, rows, cols, vals = _compile(column, p.terms)
     x = np.zeros(len(basis), dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     return rows, cols, vals, x, np.bincount(cols, np.abs(vals), len(basis)).max()
@@ -108,9 +138,9 @@ def test_dense_and_taylor_kernels_agree(name, column, p):
     assert _kernel_gap(rows, cols, vals, x, norm) <= 1e-12, name
     # the third kernel: exp_series takes the terminating sum on the graded
     # closures (D and PI_GEN) and one of the other two elsewhere
-    basis = operators._compile(column, p.terms)[0]
+    basis = _compile(column, p.terms)[0]
     dense = operators._expm_dense(rows, cols, vals, x)
-    got = operators.exp_series(column, p, 1.0, None)
+    got = _exp(name, column, p)
     gap = max(abs(got.coeff(m) - c) for m, c in zip(basis, dense))
     assert gap <= 1e-12 * np.abs(dense).max(), name
 
@@ -122,7 +152,7 @@ def test_kernels_agree_at_large_theta():
     for gen, p in ((GeneratorSpec.D(), u(3)), (GeneratorSpec.D(), u(-8)),
                    (GeneratorSpec.DN(3), parse("u^3 v-2 + v1 v2")),
                    (GeneratorSpec.pi_gen(), parse("v3 v4 v-5"))):
-        rows, cols, vals, x, norm = _closure(gen.column(), p)
+        rows, cols, vals, x, norm = _closure(_column(gen), p)
         for target in (10.0, 100.0, 1000.0):
             for sign in (1.0, -1.0):
                 theta = sign * target / norm
@@ -175,7 +205,7 @@ def _exact_exp(column, p):
     the nilpotent part's sum over the rationals, times the exponential of
     the (constant) diagonal to 60 digits."""
     mpmath = pytest.importorskip("mpmath")
-    basis, rows, cols, vals = operators._compile(column, p.terms)
+    basis, rows, cols, vals = _compile(column, p.terms)
     diag = {int(r): Fraction(v.real) for r, c, v in zip(rows, cols, vals) if r == c}
     off = [(int(r), int(c), Fraction(v.real)) for r, c, v in zip(rows, cols, vals) if r != c]
     assert len(set(diag.values())) == 1 and all(r > c for r, c, _ in off)
@@ -213,7 +243,7 @@ def test_graded_sum_is_exact_to_roundoff(theta):
 
 def _dense_exp(column, p):
     """e^A p by the dense kernel alone, on the compiled closure."""
-    basis, rows, cols, vals = operators._compile(column, p.terms)
+    basis, rows, cols, vals = _compile(column, p.terms)
     x = np.zeros(len(basis), dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     return dict(zip(basis, operators._expm_dense(rows, cols, vals, x)))
@@ -243,8 +273,8 @@ def test_graded_test_needs_equal_diagonals(monkeypatch):
     # e^A u = e u + (e^2 - e) u^2
     calls = _count_kernels(monkeypatch)
     a, b = mono(1), mono(2)
-    got = operators.exp_series(lambda m: [(m, 1.0), (b, 1.0)] if m == a else [(m, 2.0)],
-                               TracePoly({a: 1.0}), 1.0, None)
+    got = _exp("u -> u + u^2, u^2 -> 2 u^2",
+               lambda m: [(m, 1.0), (b, 1.0)] if m == a else [(m, 2.0)], TracePoly({a: 1.0}))
     assert len(calls["dense"]) == 1
     e = np.e
     assert abs(got.coeff(a) - e) <= 1e-15 * e
@@ -266,8 +296,8 @@ def test_graded_test_rejects_a_cycle(monkeypatch):
     # M u^2 = u is a cycle, so M is not nilpotent; e^A u = e (cosh 1 u + sinh 1 u^2)
     calls = _count_kernels(monkeypatch)
     a, b = mono(1), mono(2)
-    got = operators.exp_series(lambda m: [(m, 1.0), (b if m == a else a, 1.0)],
-                               TracePoly({a: 1.0}), 1.0, None)
+    got = _exp("u -> u + u^2, u^2 -> u^2 + u",
+               lambda m: [(m, 1.0), (b if m == a else a, 1.0)], TracePoly({a: 1.0}))
     assert len(calls["dense"]) == 1
     e = np.e
     assert abs(got.coeff(a) - e * np.cosh(1.0)) <= 1e-15 * e * e
@@ -298,10 +328,11 @@ def _compile_by_polynomials(gen, seed):
                          + [(GeneratorSpec.DN(4), DEG12),
                             (GeneratorSpec.pi_gen(), parse("v3 v4 v-5 + u^-2 v1"))])
 def test_compile_matches_polynomial_columns(gen, p):
-    basis, *coo = operators._compile(gen.column(), p.terms)
+    # one value per part and entry; the weights sum them to the oracle's values
+    basis, rows, cols, parts = operators._compile(gen.parts, p.terms, len(gen.terms))
     want_basis, *want = _compile_by_polynomials(gen, p.terms)
     assert basis == want_basis
-    for got, ref in zip(coo, want):
+    for got, ref in zip((rows, cols, parts @ [w for _, w in gen.terms]), want):
         assert np.array_equal(got, ref)
 
 
@@ -388,32 +419,69 @@ def _bits(q):
     return repr(list(q.terms.items()))
 
 
+def _cold_then_warm(closures, calls, p):
+    """exp_apply on p for each (gen, theta) of calls, each from an empty
+    cache and then all in turn from one: both lists of results, bitwise."""
+    cold = []
+    for gen, theta in calls:
+        closures.clear()
+        cold.append(_bits(exp_apply(gen, theta, p)))
+    closures.clear()
+    return cold, [_bits(exp_apply(gen, theta, p)) for gen, theta in calls]
+
+
 @pytest.mark.parametrize("gen, p", [(GeneratorSpec.D(), u(6)), (GeneratorSpec.D(), u(-9)),
                                     (GeneratorSpec.pi_gen(), parse("v3 v4 v-5 + u^-2 v1")),
                                     (GeneratorSpec.DN(4), u(6)), (GeneratorSpec.DN(4), DEG12)])
 def test_cache_hit_is_bitwise_a_cold_call(closures, gen, p):
-    thetas = (0.4, -0.3, 0.95, -2.0)
-    cold = []
-    for theta in thetas:
-        closures.clear()
-        cold.append(_bits(exp_apply(gen, theta, p)))
     # one compile, then every theta from the cache
-    assert [_bits(exp_apply(gen, theta, p)) for theta in thetas] == cold
-    assert list(closures) == [(gen, tuple(p.terms))]
+    cold, warm = _cold_then_warm(closures, [(gen, theta) for theta in (0.4, -0.3, 0.95, -2.0)], p)
+    assert warm == cold
+    assert list(closures) == [(_names(gen), tuple(p.terms))]
+
+
+@pytest.mark.parametrize("p", [u(6), u(-3) + parse("v1 v-2"), DEG12])
+def test_DN_shares_one_closure_across_N(closures, p):
+    calls = [(GeneratorSpec.DN(N), theta) for N in (3, 4, 8) for theta in (0.4, -0.3)]
+    cold, warm = _cold_then_warm(closures, calls, p)
+    assert warm == cold
+    assert list(closures) == [(("N", "Z", "Y", "L"), tuple(p.terms))]
 
 
 def test_cache_keys_hold_the_generator_and_the_term_order(closures):
     a, b = parse("u^3 + v1 u^2"), parse("v1 u^2 + u^3")
     assert list(a.terms) == list(reversed(b.terms))
     calls = [(GeneratorSpec.D(), u(6)), (GeneratorSpec.DN(4), u(6)),
-             (GeneratorSpec.D(), a), (GeneratorSpec.D(), b)]
+             (GeneratorSpec.D(), a), (GeneratorSpec.D(), b), (GeneratorSpec.DN(3), u(6))]
     warm = [exp_apply(gen, 0.3, p) for gen, p in calls]
-    assert list(closures) == [(gen, tuple(p.terms)) for gen, p in calls]
+    # the weights are not in the key: D_3 hits D_4's entry and moves it last
+    assert list(closures) == [(_names(gen), tuple(p.terms)) for gen, p in calls[:1] + calls[2:]]
     for (gen, p), got in zip(calls, warm):
         closures.clear()
         assert _bits(got) == _bits(exp_apply(gen, 0.3, p))
     assert (warm[2] - warm[3]).coeff_max() <= 1e-15 * warm[2].coeff_max()
     assert (warm[0] - warm[1]).coeff_max() > 1e-3
+    assert (warm[1] - warm[4]).coeff_max() > 1e-3
+
+
+def test_cache_hit_calls_no_column(closures, monkeypatch):
+    # a hit calls no column function and reads no operator of _COLUMNS
+    reads, calls = [], []
+
+    class Spy(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(operators, "_COLUMNS", Spy(operators._COLUMNS))
+    parts = GeneratorSpec.parts
+    monkeypatch.setattr(GeneratorSpec, "parts", lambda gen, m: calls.append(m) or parts(gen, m))
+    exp_apply(GeneratorSpec.DN(4), 0.3, u(4))
+    assert reads and calls
+    del reads[:], calls[:]
+    for gen, theta in ((GeneratorSpec.DN(4), -0.2), (GeneratorSpec.DN(8), 0.3)):
+        exp_apply(gen, theta, u(4))
+    assert reads == [] and calls == []
 
 
 def test_cache_stays_within_its_budget(closures, monkeypatch):
@@ -425,16 +493,17 @@ def test_cache_stays_within_its_budget(closures, monkeypatch):
             held.append(sum(len(c[0]) for c in closures.values()))
     assert max(held) <= operators.CLOSURE_BUDGET < sum(held)
     assert 0 < len(closures) < calls
-    assert list(closures)[-1] == (GeneratorSpec.DN(3), (m,))
+    assert list(closures)[-1] == (_names(GeneratorSpec.DN(3)), (m,))
     # a closure over the budget is not stored; a hit moves its entry last
     monkeypatch.setattr(operators, "CLOSURE_BUDGET", 18)
     closures.clear()
     exp_apply(GeneratorSpec.D(), 0.2, u(2))
     exp_apply(GeneratorSpec.D(), 0.2, u(3))
     exp_apply(GeneratorSpec.D(), 0.2, u(6))  # 19 monomials
-    assert list(closures) == [(GeneratorSpec.D(), (mono(2),)), (GeneratorSpec.D(), (mono(3),))]
+    names = _names(GeneratorSpec.D())
+    assert list(closures) == [(names, (mono(2),)), (names, (mono(3),))]
     exp_apply(GeneratorSpec.D(), -0.2, u(2))
-    assert list(closures)[-1] == (GeneratorSpec.D(), (mono(2),))
+    assert list(closures)[-1] == (names, (mono(2),))
 
 
 def test_checks_run_on_a_cache_hit(closures):
@@ -452,9 +521,40 @@ def test_checks_run_on_a_cache_hit(closures):
         exp_apply(GeneratorSpec.D(), 0.1, u(25))
 
 
-def test_word_engine_stores_nothing(closures):
-    expectation(iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)), 1.5, 0.8, 4)
-    assert closures == {}
+def test_word_engine_keys_by_its_parts(closures):
+    # mu compiles the four parts, rho the two of beta_+ on the unitary words
+    Z2 = iota(TracePoly.v(2)) * iota_star(TracePoly.v(2))
+    expectation(Z2, 1.5, 0.8, 4)
+    expectation(Z2, 1.2, 0.0, 4)
+    unitary = iota(TracePoly.v(2) * TracePoly.v(-2))
+    assert list(closures) == [(("Dst+", "Lst+", "Dst-", "Lst-"), tuple(Z2.terms)),
+                              (("Dst+", "Lst+"), tuple(unitary.terms))]
+
+
+def test_concentration_compiles_once(closures, monkeypatch, capsys):
+    # the symbolic sweep takes one word input to four N: one compile
+    seeds, compile_ = [], operators._compile
+    monkeypatch.setattr(operators, "_compile",
+                        lambda column, seed, nparts: seeds.append(seed) or
+                        compile_(column, seed, nparts))
+    assert cli.main(["concentration", "--p", "v2", "--s", "1.0", "--Ns", "4,8,16,32"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == 4
+    assert len(seeds) == 1
+
+
+@pytest.mark.parametrize("p", [iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)),
+                               iota(TracePoly.v(3)) + 2.0 * iota_star(TracePoly.v(1) * TracePoly.v(1))])
+def test_word_engine_hit_is_bitwise_a_cold_call(closures, p):
+    # rho and mu, s = t included (the beta_+ and beta_- diagonals cancel)
+    calls = [(s, t, N) for s, t in ((1.0, 0.0), (2.0, 0.0), (1.5, 0.8), (1.2, 1.2), (0.9, 1.5))
+             for N in (2, 3, 8)]
+    cold = []
+    for call in calls:
+        closures.clear()
+        cold.append(expectation(p, *call))
+    closures.clear()
+    assert [expectation(p, *call) for call in calls] == cold
+    assert len(closures) == 2
 
 
 def test_cache_under_threads(closures, monkeypatch):
@@ -498,7 +598,7 @@ def test_closure_budget():
     def chain(length):
         return lambda m: [(m + 1, 1.0)] if m + 1 < length else []
 
-    assert len(operators._compile(chain(n), [0])[0]) == n
+    assert len(_compile(chain(n), [0])[0]) == n
     for column, seed in ((chain(n + 1), [0]), (chain(0), range(n + 1))):
         with pytest.raises(ValueError, match=f"MAX_CLOSURE={n}"):
-            operators._compile(column, seed)
+            _compile(column, seed)

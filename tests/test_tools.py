@@ -30,6 +30,21 @@ def test_moved_number_is_reported_with_its_path():
     assert list(cli_results._moves(a, b)) == [(0.5, ".rows[0].value")]
 
 
+def test_only_polynomial_coefficients_share_a_scale():
+    # a Monte Carlo row holds only numbers, but its value moves against
+    # itself, not against N; a polynomial's coefficients move against the
+    # largest of them
+    a = {"rows": [{"N": 4, "value": 0.25, "stderr": 0.001}],
+         "poly": {"coeffs": {"u": [2.0, 0.0], "u^2": [0.25, 0.0]}},
+         "varrho_coeffs": [1.0, 0.5, 0.25]}
+    b = {"rows": [{"N": 4, "value": 0.5, "stderr": 0.001}],
+         "poly": {"coeffs": {"u": [2.0, 0.0], "u^2": [0.5, 0.0]}},
+         "varrho_coeffs": [1.0, 0.25, 0.25]}
+    moves = dict((where, move) for move, where in cli_results._moves(a, b))
+    assert moves == {".rows[0].value": 0.5, ".poly.coeffs.u^2": 0.125,
+                     ".varrho_coeffs[1]": 0.25}
+
+
 def test_missing_key_against_null_is_a_change():
     a = {"stderr": None, "value": 1.0}
     assert list(cli_results._moves(a, {"value": 1.0})) == [(None, ".stderr")]

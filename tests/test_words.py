@@ -243,8 +243,15 @@ def test_generator_fd_oracle_per_family(s, t):
 # ---------------------------------------------------------------- expectations
 
 
+def _exp(name, column, p):
+    """e^G p for G given by a column of (monomial, weight) pairs, as the one
+    part of ``exp_series``; ``name`` keys its closures, so it must name that
+    column alone."""
+    return exp_series(lambda m: [(mi, 0, w) for mi, w in column(m)], p, 1.0, ((name, 1.0),))
+
+
 def _dst_column(s, t):
-    """Dt_{s,t} as a column function, the form ``exp_series`` takes."""
+    """Dt_{s,t} as a column function of (monomial, weight) pairs."""
     return lambda m: apply_tilde("Dst", WordPoly({m: 1.0}), s, t).terms.items()
 
 
@@ -309,7 +316,7 @@ def test_limit_expectation_is_pi():
                     budget -= abs(j)
             terms[(0, tuple(sorted(ve.items())))] = complex(rng.normal(), rng.normal())
         Q = TracePoly(terms)
-        lim = exp_series(_dst_column(s, t), iota(Q), 1.0, None).evaluate_ones()
+        lim = _exp(f"Dt at s={s}, t={t}", _dst_column(s, t), iota(Q)).evaluate_ones()
         want = complex(sum(pi_eval(Q, s - t).terms.values()))
         assert abs(lim - want) < 1e-10 * max(1.0, abs(want))
 
@@ -320,17 +327,27 @@ Z4 = iota(v(4)) * iota_star(v(4))  # |tr Z^4|^2
 
 
 def _spy_exp_series(monkeypatch):
-    """Record each column ``expectation`` hands to ``exp_series``, and the
-    monomials it is called on."""
+    """Record each column ``expectation`` hands to ``exp_series`` with its
+    terms, and the monomials it is called on; the closure cache starts
+    empty, so the first call compiles."""
     columns, calls = [], []
 
-    def spy(column, p, *args, **kwargs):
-        columns.append(column)
-        return real(lambda m: calls.append(m) or column(m), p, *args, **kwargs)
+    def spy(column, p, theta, terms):
+        columns.append((column, terms))
+        return real(lambda m: calls.append(m) or column(m), p, theta, terms)
 
     real = words.exp_series
     monkeypatch.setattr(words, "exp_series", spy)
+    monkeypatch.setattr(operators, "_closures", {})
     return columns, calls
+
+
+def _weighted(column, terms, m):
+    """The image of m under sum_k w_k G_k, from the column of the parts G_k."""
+    out: dict = {}
+    for mi, k, w in column(m):
+        out[mi] = out.get(mi, 0j) + terms[k][1] * w
+    return out
 
 
 def _by_definition(m, s, t, N):
@@ -360,15 +377,13 @@ def test_leibniz_column_matches_apply_tilde(monkeypatch, s, t, N):
     # on every monomial of the |tr Z^4|^2 closure, under rho and under mu
     columns, _ = _spy_exp_series(monkeypatch)
     expectation(Z4, s, t, N)
-    [column] = columns
-    basis = operators._compile(column, Z4.terms)[0]
+    [(column, terms)] = columns
+    basis = operators._compile(column, Z4.terms, len(terms))[0]
     assert len(basis) > 100
     for m in basis:
         q = WordPoly({m: 1.0})
         tilde = apply_tilde("Dst", q, s, t) + (1.0 / N**2) * apply_tilde("Lst", q, s, t)
-        got: dict = {}
-        for mi, w in column(m):
-            got[mi] = got.get(mi, 0j) + w
+        got = _weighted(column, terms, m)
         for want in (tilde.terms, _by_definition(m, s, t, N)):
             scale = max(map(abs, want.values()), default=0.0)
             for mi in set(got) | set(want):
@@ -376,9 +391,10 @@ def test_leibniz_column_matches_apply_tilde(monkeypatch, s, t, N):
 
 
 def test_expectation_call_paths(monkeypatch):
-    # perfbench's tracer counts these calls: expectation reaches apply_tilde
-    # with both generators and derive_generators, and exp_series calls its
-    # column once per monomial of the closure of the input's unitary form
+    # perfbench's tracer counts these calls: on a closure cache miss,
+    # expectation reaches apply_tilde with both generators and
+    # derive_generators, and exp_series calls its column once per monomial
+    # of the closure of the input's unitary form
     gens, derived = [], []
     tilde, derive = words.apply_tilde, words.derive_generators
     monkeypatch.setattr(words, "apply_tilde", lambda gen, *a: gens.append(gen) or tilde(gen, *a))
@@ -391,9 +407,15 @@ def test_expectation_call_paths(monkeypatch):
     keys = [(eps,) if delta is None else tuple(sorted((eps, delta))) for eps, delta, *_ in derived]
     assert keys and len(keys) == len(set(keys))
     # under rho, Z^* = Z^-1: |tr Z^4|^2 is computed as tr(Z^4) tr(Z^-4)
-    basis = operators._compile(columns[0], iota(v(4) * v(-4)).terms)[0]
+    (column, terms), = columns
+    assert [name for name, _ in terms] == ["Dst+", "Lst+"]
+    basis = operators._compile(column, iota(v(4) * v(-4)).terms, 2)[0]
     assert sorted(calls) == sorted(basis)
-    assert len(basis) < len(operators._compile(columns[0], Z4.terms)[0]) / 3
+    assert len(basis) < len(operators._compile(column, Z4.terms, 2)[0]) / 3
+    # a hit, at another s and N, compiles nothing
+    del gens[:], derived[:], calls[:]
+    expectation(Z4, 1.3, 0.0, 5)
+    assert gens == derived == calls == []
 
 
 # ---------------------------------------------------------------- rho on unitary words
@@ -427,7 +449,8 @@ def test_rho_on_unitary_words_matches_trace_route(s):
             assert abs(got - want) <= 1e-12 * abs(want), (k, N)
             if k <= 3:
                 column = lambda m: _by_definition(m, s, 0.0, N).items()
-                unreduced = exp_series(column, Zk, 1.0, None).evaluate_ones()
+                unreduced = _exp(f"Dt + Lt/N^2 by definition at s={s}, t=0, N={N}",
+                                 column, Zk).evaluate_ones()
                 assert abs(got - unreduced) <= 1e-12 * abs(want), (k, N)
     for p in _MIXED:
         degree = 2 * max(abs(k0) + sum(abs(j) * e for j, e in ve) for k0, ve in p.terms)

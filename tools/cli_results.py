@@ -6,9 +6,10 @@
 ``run`` calls ``freesb.cli.main`` in-process on each command of
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
 semigroups, a second degree-8 transform that reuses the first one's
-cached closure, a few inputs for the word engine, the b_k recursion and
-the graded test, the Monte Carlo concentration, a failing verification, a
-refused sampler time and a refused mu time) and
+cached closure, a few inputs for the word engine, one of them again at a
+second N from its cached closure and once under mu at s = t, the b_k
+recursion and the graded test, the Monte Carlo concentration, a failing
+verification, a refused sampler time and a refused mu time) and
 writes one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR,
 which defaults to ``src`` beside this script's parent, so one copy of the
@@ -18,10 +19,10 @@ script can run any checkout.
 ``results`` are equal, otherwise the largest relative move of a number
 and the path where it happens, then the paths of any other changes
 (strings, keys, list lengths, exit codes).  Each ``[re, im]`` pair is one
-complex number.  A number whose container holds only numbers, such as
-the coefficients of one polynomial, moves relative to the largest of
-them on either side; any other number moves relative to the larger of
-its two values.
+complex number.  The coefficients of one polynomial (a container under a
+key that ends in ``coeffs``) move relative to the largest of them on
+either side; any other number moves relative to the larger of its two
+values.
 
 Standard library and ``freesb`` only.
 """
@@ -63,6 +64,10 @@ COMMANDS = [
     # longer words through both generator families of the word engine, the
     # b_k recursion at k = 32, and a D input whose terms M maps onto each other
     'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 4',
+    # the same input from the closure cache at a new N, and mu at s = t,
+    # where the diagonals of the beta_+ and beta_- parts cancel
+    'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 6',
+    'norm --p "u^2 + v-1 u" --measure mu --s 1.2 --t 1.2 --N 4',
     "moments --k 32 --s 1.7",
     'transform --s 1.5 --t 0.8 --f "v1^2 u + u^3" --dir G',
     # exit codes: a verification that fails (exit 2; the residual at s = t =
@@ -112,9 +117,9 @@ _MISSING = object()  # a key that one side of a dict lacks
 def _moves(a, b, path="", scale=None):
     """Yield (relative move, path) for each number that differs, and
     (None, path) for every other difference, a key that one side lacks
-    included.  A number's move is relative to the largest
-    magnitude in its container when all of that container's values are
-    numbers (the coefficients of one polynomial), else to its own."""
+    included.  A polynomial's coefficient (in a container at a path that
+    ends in ``coeffs``) moves relative to the largest of the container's
+    magnitudes, any other number relative to its own."""
     x, y = _value(a), _value(b)
     if x is not None and y is not None:
         scale = scale or max(abs(x), abs(y))
@@ -131,7 +136,7 @@ def _moves(a, b, path="", scale=None):
             yield None, path
         return
     values = [_value(v) for _, x, y in pairs for v in (x, y)]
-    inner = max(map(abs, values)) if None not in values else None
+    inner = max(map(abs, values)) if path.endswith("coeffs") and None not in values else None
     for where, x, y in pairs:
         if x != y:  # equal sides, nulls included, are no change
             yield from [(None, where)] if _MISSING in (x, y) else _moves(x, y, where, inner)
