@@ -1,11 +1,11 @@
 """Finite-N ground truth on U_N and GL_N.
 
 Explicit orthonormal bases of u(N) (N <= MAX_BASIS_N) under <X,Y> =
-N Tr(Y^* X), numeric verification of the magic formulas, functional-calculus
-evaluation of trace and word polynomials, an exact (symbolic-in-X) Laplacian
-evaluator, Monte Carlo samplers for the heat kernel measures rho_s^N on U_N
-and mu_{s,t}^N on GL_N (a SamplerCfg is a Measure with steps and a seed), and
-concentration experiments.
+N Tr(Y^* X), numeric verification of the magic formulas, evaluation of
+trace and word polynomials and an exact (symbolic-in-X) Laplacian, each
+reading one table of word products (``_Products``), Monte Carlo samplers
+for the heat kernel measures rho_s^N on U_N and mu_{s,t}^N on GL_N (a
+SamplerCfg is a Measure with steps and a seed), and concentration experiments.
 
 Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
 with G drawn from the Gaussian measure on u(N) determined by the basis;
@@ -119,71 +119,72 @@ def _check_invertible(Z: np.ndarray) -> None:
         raise ValueError("matrix is numerically singular; negative powers undefined")
 
 
-class _PowerCache:
-    def __init__(self, Z: np.ndarray):
-        self.cache = {0: np.eye(Z.shape[0], dtype=complex), 1: np.asarray(Z, dtype=complex)}
+class _Products:
+    """Products of words over ``letters``, each built once and kept: a
+    word's product is its prefix's product ``mul`` its last letter, and
+    the empty word's is ``one``."""
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        if k not in self.cache:
-            if k == -1:
-                self.cache[k] = np.linalg.inv(self.cache[1])
-            elif k > 0:
-                self.cache[k] = self[k - 1] @ self.cache[1]
-            else:
-                self.cache[k] = self[k + 1] @ self[-1]
-        return self.cache[k]
+    def __init__(self, one, letters: dict, mul):
+        self.table = {"": one, **letters}
+        self.mul = mul
+
+    def __getitem__(self, w: str):
+        n = len(w)
+        while w[:n] not in self.table:  # the longest prefix built so far
+            n -= 1
+        for k in range(n + 1, len(w) + 1):
+            self.table[w[:k]] = self.mul(self.table[w[:k - 1]], self.table[w[k - 1]])
+        return self.table[w]
+
+
+def _z_products(Z: np.ndarray, inverse: bool) -> _Products:
+    # the letters a = Z, s = Z^*, and A = Z^-1, S = Z^-* when ``inverse``
+    letters = {"a": Z, "s": Z.conj().T}
+    if inverse:
+        _check_invertible(Z)
+        Zi = np.linalg.inv(Z)
+        letters.update(A=Zi, S=Zi.conj().T)
+    return _Products(np.eye(Z.shape[0], dtype=complex), letters, np.matmul)
+
+
+def _u_word(k: int) -> str:
+    return ("a" if k > 0 else "A") * abs(k)
 
 
 def _has_inverse(p: TracePoly) -> bool:
     return any(k0 < 0 or any(j < 0 for j, _ in ve) for k0, ve in p.terms)
 
 
-def _trace_product(c: complex, ve, pw: _PowerCache, N: int) -> complex:
-    # c * prod_j tr(Z^j)^e_j over the v-part of a monomial
-    for j, e in ve:
-        c *= (np.trace(pw[j]) / N) ** e
-    return c
+def _trace_terms(p: TracePoly, Z: np.ndarray) -> tuple[_Products, list]:
+    """The Z table, and (k0, c prod_j tr(Z^j)^e_j) per monomial c u^k0 prod_j v_j^e_j."""
+    zs, N = _z_products(Z, _has_inverse(p)), Z.shape[0]
+    terms = []
+    for (k0, ve), c in p.terms.items():
+        for j, e in ve:
+            c *= (np.trace(zs[_u_word(j)]) / N) ** e
+        terms.append((k0, c))
+    return zs, terms
 
 
 def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
     """P_N(Z): substitute u = Z and v_k = tr(Z^k) (normalized trace)."""
     Z = np.asarray(Z, dtype=complex)
-    N = Z.shape[0]
-    if _has_inverse(p):
-        _check_invertible(Z)
-    pw = _PowerCache(Z)
-    acc = np.zeros((N, N), dtype=complex)
-    for (k0, ve), c in p.terms.items():
-        acc += _trace_product(c, ve, pw, N) * pw[k0]
+    zs, terms = _trace_terms(p, Z)
+    acc = np.zeros((len(Z), len(Z)), dtype=complex)
+    for k0, c in terms:
+        acc += c * zs[_u_word(k0)]
     return acc
 
 
 def evaluate_word(pw: WordPoly, Z: CMatrix) -> complex:
     """Value of a word polynomial at Z, using tr(Z^eps1 ... Z^epsn)."""
     Z = np.asarray(Z, dtype=complex)
-    N = Z.shape[0]
-    if any(ch in "AS" for m in pw.terms for w, _ in m for ch in w):
-        _check_invertible(Z)
-        Zi = np.linalg.inv(Z)
-    else:
-        Zi = None  # never referenced: no inverse letters present
-    mats = {"a": Z, "A": Zi, "s": Z.conj().T,
-            "S": None if Zi is None else Zi.conj().T}
-    tr_cache: dict[str, complex] = {"": 1.0 + 0j}
-
-    def tr_word(w: str) -> complex:
-        if w not in tr_cache:
-            M = mats[w[0]]
-            for ch in w[1:]:
-                M = M @ mats[ch]
-            tr_cache[w] = complex(np.trace(M) / N)
-        return tr_cache[w]
-
+    zs = _z_products(Z, any(ch in "AS" for m in pw.terms for w, _ in m for ch in w))
     tot = 0j
     for m, c in pw.terms.items():
         val = complex(c)
         for w, e in m:
-            val *= tr_word(w) ** e
+            val *= complex(np.trace(zs[w]) / Z.shape[0]) ** e
         tot += val
     return tot
 
@@ -214,35 +215,21 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     if _has_inverse(p):
         _check_invertible(U)
     Ui = np.linalg.inv(U)
+    zero = np.zeros((N, N), complex)
     acc = np.zeros((N, N), dtype=complex)
     for X in basis_uN(N).elements:
         X2h = 0.5 * (X @ X)
-        pow_cache = {0: (np.eye(N, dtype=complex), np.zeros((N, N), complex),
-                         np.zeros((N, N), complex)),
-                     1: (U, U @ X, U @ X2h),          # U e^{eps X}
-                     -1: (Ui, -X @ Ui, X2h @ Ui)}     # e^{-eps X} U^{-1}
-
-        def mpow(k: int):
-            # extend the nearest cached power toward k, one factor at a time
-            step = 1 if k > 0 else -1
-            j = k
-            while j not in pow_cache:
-                j -= step
-            while j != k:
-                j += step
-                pow_cache[j] = _jet_mul(pow_cache[j - step], pow_cache[step])
-            return pow_cache[k]
-
+        # U e^{eps X} and e^{-eps X} U^{-1}, and their products, as jets
+        jets = _Products((np.eye(N, dtype=complex), zero, zero),
+                         {"a": (U, U @ X, U @ X2h), "A": (Ui, -X @ Ui, X2h @ Ui)}, _jet_mul)
         for (k0, ve), c in p.terms.items():
             s0, s1, s2 = complex(c), 0j, 0j
             for j, e in ve:
-                tj = mpow(j)
-                t0, t1, t2 = (np.trace(tj[0]) / N, np.trace(tj[1]) / N,
-                              np.trace(tj[2]) / N)
+                t0, t1, t2 = (np.trace(m) / N for m in jets[_u_word(j)])
                 for _ in range(e):
                     s0, s1, s2 = (s0 * t0, s0 * t1 + s1 * t0,
                                   s0 * t2 + s1 * t1 + s2 * t0)
-            m0, m1, m2 = mpow(k0)
+            m0, m1, m2 = jets[_u_word(k0)]
             acc += 2.0 * (m0 * s2 + m1 * s1 + m2 * s0)
     return acc
 
@@ -374,11 +361,7 @@ def _eval_scalar(f, Z: np.ndarray) -> complex:
     if isinstance(f, TracePoly):
         if not f.is_scalar():
             raise ValueError("mc scalar evaluation needs a u-free polynomial")
-        if _has_inverse(f):
-            _check_invertible(Z)
-        pw = _PowerCache(Z)
-        return sum((_trace_product(c, ve, pw, Z.shape[0])
-                    for (_, ve), c in f.terms.items()), 0j)
+        return sum((c for _, c in _trace_terms(f, Z)[1]), 0j)
     raise TypeError(f"cannot evaluate {type(f).__name__} as a scalar observable")
 
 
@@ -441,7 +424,7 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
     # every measure is checked before any work
     measures = [Measure(N, s, t) if mode == "symbolic"
                 else SamplerCfg(N=N, s=s, t=t, steps=steps, seed=seed) for N in Ns]
-    dev = p - pi_eval(p, s - t if t != 0.0 else s)
+    dev = p - pi_eval(p, s - t)
     rows = []
     for meas in measures:
         N, stderr = meas.N, None

@@ -32,6 +32,7 @@ from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_fac
                         second_partials)
 
 MAX_WORD_LEN = 2 * MAX_DEGREE
+FAMILY_CACHE_SIZE = 64  # entries per family cache; expectation reads each back once, right away
 
 _INV = {"a": "A", "A": "a", "s": "S", "S": "s"}
 _UNITARY = str.maketrans("sS", "Aa")  # on U_N, Z^* = Z^-1 and Z^-* = Z
@@ -212,7 +213,7 @@ def _cuts(word: str, sigma: float) -> list[tuple[int, float]]:
             for j, (after, sign, star) in enumerate(map(_CUT.__getitem__, word))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _q_family(eps: str, fam: int) -> WordPoly:
     sigma = -float(fam)
     cuts = _cuts(eps, sigma)
@@ -224,7 +225,7 @@ def _q_family(eps: str, fam: int) -> WordPoly:
     return WordPoly(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _r_family(eps: str, delta: str, fam: int) -> WordPoly:
     sigma = -float(fam)
     acc: dict[WordKey, complex] = {}
@@ -235,7 +236,7 @@ def _r_family(eps: str, delta: str, fam: int) -> WordPoly:
     return WordPoly(acc)
 
 
-def derive_generators(eps, delta=None, s: float = 0.0, t: float = 0.0) -> WordPoly:
+def derive_generators(eps, delta, s: float, t: float) -> WordPoly:
     """Q_eps^{s,t} (delta None) or R_{eps,delta}^{s,t}.
 
     Q satisfies A_{s,t} V_eps = Q_eps(V) for every N; R carries the

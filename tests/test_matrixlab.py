@@ -182,6 +182,48 @@ def test_evaluate_singular_guard():
     assert abs(evaluate_word(WordPoly.var("a"), Z) - 1.0) < 1e-15
 
 
+def test_word_products_build_each_prefix_once():
+    # a word's product is its prefix's product times its last letter, kept:
+    # aa, aas and aaS take one product each, where a loop per word takes 5
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    Zi = np.linalg.inv(Z)
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x @ y
+
+    zs = matrixlab._Products(np.eye(3, dtype=complex),
+                             {"a": Z, "s": Z.conj().T, "S": Zi.conj().T}, mul)
+    for w in ("aa", "aas", "aaS"):
+        zs[w]
+    assert len(calls) == 3
+    assert np.array_equal(zs["aaS"], Z @ Z @ Zi.conj().T)  # read back: no product
+    assert zs["a"] is Z and len(calls) == 3
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_evaluate_word_is_a_left_to_right_product(N):
+    rng = np.random.default_rng(N)
+    Z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    Zi = np.linalg.inv(Z)
+    letters = {"a": Z, "A": Zi, "s": Z.conj().T, "S": Zi.conj().T}
+    var = WordPoly.var
+    pw = (2.0 * var("aas") * var("aS", 2) - 1j * var("AsA")
+          + (0.5 + 0.25j) * var("SSa") * var("sA", 3) + var("aasAS"))
+    want = 0j
+    for m, c in pw.terms.items():
+        val = complex(c)
+        for w, e in m:
+            M = letters[w[0]]
+            for ch in w[1:]:
+                M = M @ letters[ch]
+            val *= complex(np.trace(M) / N) ** e
+        want += val
+    assert evaluate_word(pw, Z) == want
+
+
 def test_laplacian_eval_matches_symbolic():
     rng = np.random.default_rng(12)
     polys = [u(2), u(1) * v(1), v(1) * v(-1), parse("u^-2 v2 + u v1^2")]

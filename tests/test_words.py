@@ -8,8 +8,10 @@ second directional derivatives summed over an explicit orthonormal
 basis of u(3) at random well-conditioned points of GL_3.
 """
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +156,32 @@ def test_generator_degree_bounds():
 def test_generator_word_cap():
     with pytest.raises(ValueError):
         derive_generators("a" * (MAX_WORD_LEN + 1), None, 1.0, 0.5)
+
+
+def test_family_caches_are_bounded(monkeypatch):
+    # expectation reads each family entry back at the other family's (s, t)
+    # and then never again, so a second input must not retain more than the
+    # first; v-4 mirrors v4 letter for letter, so their entries weigh the same
+    caches = (words._q_family, words._r_family)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(operators, "_closures", {})
+    retained = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for src in ("v4", "v-4"):
+            l2_norm_sq(parse(src), Measure(4, 1.5, 0.8))
+            operators._closures.clear()  # keep only what the word caches hold
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert retained[1] <= 1.1 * retained[0]
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == words.FAMILY_CACHE_SIZE
+        assert info.hits == info.misses
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -9,11 +9,12 @@ semigroups, a second degree-8 transform that reuses the first one's
 cached closure, a few inputs for the word engine, one of them again at a
 second N from its cached closure and once under mu at s = t, the b_k
 recursion and the graded test, the Monte Carlo concentration, a failing
-verification, a refused sampler time and a refused mu time) and
-writes one JSON object that maps each command line to its exit code and
-its ``results``.  ``freesb`` is imported from SRC_DIR,
-which defaults to ``src`` beside this script's parent, so one copy of the
-script can run any checkout.
+verification, a refused sampler time, a refused mu time, and Monte Carlo
+of an observable with inverse and repeated factors and of the
+concentration of a p with u-powers) and writes one JSON object that maps
+each command line to its exit code and its ``results``.  ``freesb`` is
+imported from SRC_DIR, which defaults to ``src`` beside this script's
+parent, so one copy of the script can run any checkout.
 
 ``compare`` prints one line per command: ``identical`` when both
 ``results`` are equal, otherwise the largest relative move of a number
@@ -78,6 +79,10 @@ COMMANDS = [
     # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
     "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
     "norm --p u --measure mu --s 1.5 --t -8e-1 --N 3",
+    # Monte Carlo of an observable with inverse and repeated trace factors
+    # under mu, and the Monte Carlo concentration of a p with u-powers
+    'mc --f "v1 v-2 + 2 v3^2" --N 4 --s 1.0 --t 0.5 --steps 20 --samples 256 --seed 1 --threads 1',
+    'concentration --p "u^2 + v1 u^-1" --s 1.0 --Ns 2,3,4 --mode mc --samples 200 --steps 20 --seed 1 --threads 1',
 ]
 
 
