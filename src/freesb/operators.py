@@ -31,8 +31,8 @@ is a finite sum; so is the semigroup of PI_GEN = N0 + 2Z.  A closure is
 each joins two equal diagonal entries; then
 e^A x = e^{diag} sum_k M^k x / k! ends at the first zero term.  Other
 closures (D_N, the finite-N word generators) take one of two kernels: a
-small closure is exponentiated densely by the degree-16 Paterson-Stockmeyer
-kernel that the sampler in :mod:`freesb.matrixlab` also uses, a large one
+small closure is exponentiated densely by the degree-12 Taylor kernel
+that the sampler in :mod:`freesb.matrixlab` also uses, a large one
 by a truncated Taylor series of sparse products on p's coordinate vector.
 The word engine in :mod:`freesb.words` uses the same three.
 """
@@ -54,8 +54,9 @@ STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
 MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
 DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit of work
-DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 160 n^2 B, 10 MiB
-DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff exceeds the Taylor kernel's
+DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 130 n^2 B, 8.1 MiB
+DENSE_MAX_SQUARINGS = 6  # from 7 on, the degree-16 kernel's roundoff exceeded the Taylor kernel's
+DENSE_THETA = 0.78  # s of the rule: halvings of the 1-norm to this, as DENSE_COST was fitted
 MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
@@ -206,13 +207,19 @@ class GeneratorSpec:
 # dense matrix exponential, shared with the sampler in matrixlab
 # ======================================================================
 
-# Taylor coefficients 1/k! of the degree-16 polynomial, and the 1-norm
-# each slice is scaled to: the forward tail sum_{k>16} theta^k/k! is at
-# most theta^17/17! / (1 - theta/18) ~ 4.3e-17, below half a unit roundoff.
-# Each squaring doubles the relative error of its factor, so s squarings leave
-# about 2^s u (u = 2^-53); at most 26 keep that below sqrt(u), half the digits
-_EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(17))
-_EXPM_THETA = 0.78
+# Degree-12 Taylor in four products (Bader, Blanes, Casas, Mathematics 7 (2019)
+# 1174): with cubics B_r = sum_{k<=3} w_rk A^k, rows r = a, b, c, d, A6 = B_c +
+# B_d^2 and T12 = B_a + (B_b + A6) A6; one of a one-parameter family (b0 fixed),
+# solved in mpmath; as doubles, T12's coefficients are 1/k! to 2.2e-16 relative.
+# The 1-norm theta keeps the forward tail theta^13/13! / (1 - theta/14) ~ 4.0e-17
+# below half a unit roundoff.  Each squaring doubles the relative error of its
+# factor, so s squarings leave about 2^s u (u = 2^-53); at most 26 keep that
+# below sqrt(u), half the digits
+_EXPM_W = np.array([[1.0, -0.6370367634610868, -0.02665385649637564, -0.02562299369918285],
+                    [5.01974674, 0.6570850855361795, 0.15149229327097222, -0.001525576528496726],
+                    [0.0, 0.32611939371688037, 0.023666242274841483, 0.012414016195827606],
+                    [0.0, 0.13181061013830184, 0.02027855540589259, 0.006759518468630863]])
+_EXPM_THETA = 0.31
 _EXPM_MAX_SQUARINGS = 26
 
 
@@ -220,45 +227,46 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     """Batched e^M over the leading axis.
 
     Each slice is scaled by 2^-s, with s >= 0 the least power that brings
-    its 1-norm to at most 0.78, and the degree-16 Taylor polynomial is
-    evaluated by Paterson-Stockmeyer: A^2, A^3, A^4, then three Horner
-    products in A^4 (six batched matmuls in all).  The truncation tail
-    is below 4.3e-17 relative, under half a unit roundoff; s squarings
-    undo the scaling.  The scaling and every operation are per slice, so
-    a slice gets bitwise the same arithmetic however the batch is
-    assembled.  Non-finite input or more than 26 squarings: ValueError.
+    its 1-norm to at most 0.31, and the degree-12 Taylor polynomial takes
+    four batched matmuls (A^2, A^3, B_d^2, (B_b + A6) A6; see ``_EXPM_W``),
+    its cubics B_r one real product of the coefficient table with (A, A^2,
+    A^3).  The truncation tail is below 4.0e-17 relative, under half a unit
+    roundoff; s squarings undo the scaling, each only on the slices that need
+    it.  Every operation is per slice or per entry, so a slice gets bitwise the
+    same arithmetic however the batch is assembled.  Non-finite input or more
+    than 26 squarings (1-norm 0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.
 
-    ``work``, six C-contiguous complex arrays shaped like Ms (fresh ones if
-    not given), holds every intermediate; the result is one of them.
+    ``work``, one C-contiguous complex array shaped (7,) + Ms.shape (a fresh
+    one if not given), holds every intermediate; the result is one of its slices.
     """
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.shape[0] == 0:
         return Ms.copy()
-    scaled = np.abs(Ms).sum(axis=-2).max(axis=-1) / _EXPM_THETA
+    scaled = np.einsum("nij->nj", np.abs(Ms)).max(axis=-1) / _EXPM_THETA
     if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
-    A, A2, A3, A4, E, T = work or np.empty((6,) + Ms.shape, dtype=complex)
+    P = work[0] if work else np.empty((7,) + Ms.shape, dtype=complex)
     # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
     nsq = np.maximum(np.frexp(scaled)[1], 0)
-    A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=A) if nsq.any() else Ms
-    np.matmul(A, A, out=A2)
-    np.matmul(A2, A, out=A3)
-    np.matmul(A2, A2, out=A4)
-    N, c = Ms.shape[-1], _EXPM_COEFFS
-    np.multiply(c[16], A4, out=E)
-    # Horner in A^4: E <- A^4 E + c_{4j} I + c_{4j+1} A + c_{4j+2} A^2 + c_{4j+3} A^3;
-    # E and T swap roles, the spare one holding each scaled term
-    for j in (3, 2, 1, 0):
-        if j < 3:
-            np.matmul(A4, E, out=T)
-            E, T = T, E
-        for i, P in ((1, A), (2, A2), (3, A3)):
-            E += np.multiply(c[4 * j + i], P, out=T)
-        E.reshape(-1, N * N)[:, ::N + 1] += c[4 * j]
+    A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=P[0])
+    np.matmul(A, A, out=P[1])
+    np.matmul(P[1], A, out=P[2])
+    np.dot(_EXPM_W[:, 1:], P[:3].view(float).reshape(3, -1), out=P[3:].view(float).reshape(4, -1))
+    Ba, Bb, Bc, Bd = P[3:]
+    for Br, w in ((Ba, _EXPM_W[0, 0]), (Bb, _EXPM_W[1, 0])):  # B_c, B_d have none
+        np.einsum("nii->ni", Br)[...] += w  # a view of the diagonals
+    A6 = np.matmul(Bd, Bd, out=P[0])
+    A6 += Bc
+    Bb += A6
+    E, T = np.matmul(Bb, A6, out=P[1]), P[2]
+    E += Ba
     for r in range(int(nsq.max())):
-        m = nsq > r
-        E[m] = E[m] @ E[m]
+        live = nsq > r
+        if live.all():
+            E, T = np.matmul(E, E, out=T), E
+        else:
+            E[live] = E[live] @ E[live]
     return E
 
 
@@ -337,8 +345,8 @@ def exp_series(column, p, theta, terms):
     then e^{theta diag} times :func:`_nilpotent_sum` of theta M, at most n
     sparse products and no truncation, whatever the order of p's terms and
     at any theta.
-    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s
-    squarings for the dense kernel, :func:`_expm_dense` runs when
+    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s the
+    least s >= 0 with ||theta A||_1 <= DENSE_THETA 2^s, :func:`_expm_dense` runs when
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
     (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
     :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
@@ -375,7 +383,7 @@ def exp_series(column, p, theta, terms):
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
                          f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
     stages = max(1, math.ceil(norm / STEP_NORM))
-    squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
+    squarings = max(0, math.frexp(norm / DENSE_THETA)[1])
     dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
         (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
     with np.errstate(over="raise", invalid="raise"):

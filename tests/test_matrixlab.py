@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import freesb.matrixlab as matrixlab
+import freesb.operators as operators
 from freesb.tracepoly import TracePoly, parse
 from freesb.operators import GeneratorSpec, apply_DN, exp_apply
 from freesb.words import Measure, WordPoly, expectation, iota, l2_norm_sq
@@ -117,14 +118,71 @@ def test_expm_batch_in_buffers_matches_fresh():
     # whatever the buffers held before, and leave the input alone
     rng = np.random.default_rng(8)
     X = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
-    work = np.full((6,) + X.shape, np.nan, dtype=complex)
-    for norms in ((0.5, 1.2, 5.0, 0.7, 4.0), (0.1, 0.2, 0.3, 0.4, 0.5)):
+    work = np.full((7,) + X.shape, np.nan, dtype=complex)
+    for norms in ((0.5, 1.2, 5.0, 0.7, 4.0), (0.1, 0.2, 0.3, 0.31, 0.05)):
         Ms = np.array([_with_norm(M, r) for M, r in zip(X, norms)])
         keep = Ms.copy()
         fresh = matrixlab._expm_batch(Ms)
         for _ in range(2):
-            assert np.array_equal(matrixlab._expm_batch(Ms, *work), fresh)
+            assert np.array_equal(matrixlab._expm_batch(Ms, work), fresh)
         assert np.array_equal(Ms, keep)
+
+
+def test_expm_coefficients_expand_to_taylor():
+    # B_a + (B_b + A6) A6, A6 = B_c + B_d^2, expanded exactly from the stored
+    # doubles: the degree-12 Taylor polynomial to within 1e-15 relative
+    mp = pytest.importorskip("mpmath")
+
+    def mul(p, q):
+        out = [mp.mpf(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def add(p, q):
+        return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                for i in range(max(len(p), len(q)))]
+
+    with mp.workdps(50):
+        a, b, c, d = ([mp.mpf(float(w)) for w in row] for row in operators._EXPM_W)
+        A6 = add(c, mul(d, d))
+        T12 = add(a, mul(add(b, A6), A6))
+        assert len(T12) == 13
+        for k, coeff in enumerate(T12):
+            assert abs(coeff * mp.factorial(k) - 1) <= 1e-15, k
+        # the forward tail at theta is below half a unit roundoff
+        theta = mp.mpf(matrixlab._EXPM_THETA)
+        assert theta ** 13 / mp.factorial(13) / (1 - theta / 14) <= 2.0 ** -54
+
+
+def test_expm_batch_matches_scipy_at_its_theta():
+    # either side of the scaling threshold, where the Taylor tail is largest
+    la = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(15)
+    theta = matrixlab._EXPM_THETA
+    for N in (1, 2, 5, 8, 16):
+        for norm in (theta * (1 - 1e-12), theta * (1 + 1e-12)):
+            X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            for M in (_with_norm(X - X.conj().T, norm), _with_norm(X, norm)):
+                want = la.expm(M)
+                got = matrixlab._expm_batch(M[np.newaxis])[0]
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_expm_batch_discarded_squares_do_not_raise():
+    # e^{600} (11 squarings, 3.8e260) is done long before the unitary slice
+    # (23 squarings); one more square of it would overflow, so the rounds
+    # that only the unitary slice needs must leave it alone
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    Ms = np.array([600.0 * np.eye(3), _with_norm(X - X.conj().T, 2e6)], dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        batch = matrixlab._expm_batch(Ms)
+        for M, E in zip(Ms, batch):
+            assert np.array_equal(matrixlab._expm_batch(M[np.newaxis])[0], E)
+    assert np.isfinite(batch).all()
+    assert np.allclose(batch[0], math.exp(600.0) * np.eye(3), rtol=1e-12, atol=0)
 
 
 def test_expm_result_outlives_later_calls():
@@ -222,6 +280,19 @@ def test_evaluate_word_is_a_left_to_right_product(N):
             val *= complex(np.trace(M) / N) ** e
         want += val
     assert evaluate_word(pw, Z) == want
+
+
+def test_laplacian_eval_at_a_singular_point():
+    # without inverse powers U is never inverted: the Laplacian is exact there
+    # (D_N intertwines on all of M_N); with them, the invertibility guard
+    assert np.array_equal(laplacian_eval(u(1), np.zeros((2, 2)), 2), np.zeros((2, 2)))
+    U = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.0, 1j, 3.0]])
+    for p in (u(2) * v(1), parse("v2 v1 + 3 u v3")):
+        sym = evaluate(apply_DN(p, 3), U)
+        assert np.max(np.abs(laplacian_eval(p, U, 3) - sym)) < 1e-12 * np.max(np.abs(sym))
+    for p in (u(-1), u(1) * v(-2)):
+        with pytest.raises(ValueError, match="singular"):
+            laplacian_eval(p, U, 3)
 
 
 def test_laplacian_eval_matches_symbolic():
