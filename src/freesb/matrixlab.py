@@ -137,13 +137,15 @@ class _Products:
         return self.table[w]
 
 
-def _z_products(Z: np.ndarray, inverse: bool) -> _Products:
-    # the letters a = Z, s = Z^*, and A = Z^-1, S = Z^-* when ``inverse``
-    letters = {"a": Z, "s": Z.conj().T}
-    if inverse:
+def _z_products(Z: np.ndarray, used) -> _Products:
+    # the letter a = Z, and those of s = Z^*, A = Z^-1, S = Z^-* that ``used`` holds
+    letters = {"a": Z}
+    if "A" in used or "S" in used:
         _check_invertible(Z)
-        Zi = np.linalg.inv(Z)
-        letters.update(A=Zi, S=Zi.conj().T)
+        letters["A"] = np.linalg.inv(Z)
+    for x, star in (("a", "s"), ("A", "S")):
+        if star in used:
+            letters[star] = letters[x].conj().T
     return _Products(np.eye(Z.shape[0], dtype=complex), letters, np.matmul)
 
 
@@ -157,7 +159,7 @@ def _has_inverse(p: TracePoly) -> bool:
 
 def _trace_terms(p: TracePoly, Z: np.ndarray) -> tuple[_Products, list]:
     """The Z table, and (k0, c prod_j tr(Z^j)^e_j) per monomial c u^k0 prod_j v_j^e_j."""
-    zs, N = _z_products(Z, _has_inverse(p)), Z.shape[0]
+    zs, N = _z_products(Z, "A" if _has_inverse(p) else ""), Z.shape[0]
     terms = []
     for (k0, ve), c in p.terms.items():
         for j, e in ve:
@@ -179,7 +181,7 @@ def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
 def evaluate_word(pw: WordPoly, Z: CMatrix) -> complex:
     """Value of a word polynomial at Z, using tr(Z^eps1 ... Z^epsn)."""
     Z = np.asarray(Z, dtype=complex)
-    zs = _z_products(Z, any(ch in "AS" for m in pw.terms for w, _ in m for ch in w))
+    zs = _z_products(Z, {ch for m in pw.terms for w, _ in m for ch in w})
     tot = 0j
     for m, c in pw.terms.items():
         val = complex(c)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def nu(k: int, s: float) -> float:
 
 def pi_eval(p: TracePoly, s: float) -> TracePoly:
     """pi_s by direct substitution v_j -> nu_j(s); lands in C[u, u^-1]."""
-    return p.substitute_v(lambda j: nu(j, s))
+    return p.substitute_v(cache(lambda j: nu(j, s)))  # each nu_j once per call
 
 
 def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:

@@ -12,29 +12,17 @@ together with semigroup application e^{theta G} and dense matrix
 representations on the trace-degree filtration C_n[u, u^-1; v].
 
 All operators preserve the filtration (trace degree can only stay or
-drop), so the monomials reachable from a polynomial p span a finite-
-dimensional invariant subspace.  ``exp_series`` takes its generator as a
-weighted sum of named parts and a column function that maps one monomial
-to its images under the parts, finds the closure by a breadth-first
-search and compiles each part on it to sparse values in coordinate (COO)
-form, one merged dict per column and no polynomial.  The compiled parts
-are kept in a small LRU cache keyed by the part names and the input's
-monomials, bounded by ``CLOSURE_BUDGET`` monomials in all; each call
-sums them with its weights and scales the sum by theta, so G, H, biane
-and verify_gen_fn, which apply D to the same few monomials at many
-times, and D_N at every N share one compile per input.
-
-On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one trace
-factor, so it is nilpotent and commutes with the diagonal, and e^{theta D}
-is a finite sum; so is the semigroup of PI_GEN = N0 + 2Z.  A closure is
-*graded* when the off-diagonal entries form a graph without cycles and
-each joins two equal diagonal entries; then
-e^A x = e^{diag} sum_k M^k x / k! ends at the first zero term.  Other
-closures (D_N, the finite-N word generators) take one of two kernels: a
-small closure is exponentiated densely by the degree-12 Taylor kernel
-that the sampler in :mod:`freesb.matrixlab` also uses, a large one
-by a truncated Taylor series of sparse products on p's coordinate vector.
-The word engine in :mod:`freesb.words` uses the same three.
+drop), so the monomials reachable from p span a finite-dimensional
+invariant subspace, which ``exp_series`` compiles to sparse (COO) values
+and caches.  On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one
+trace factor, so it is nilpotent and commutes with the diagonal, and
+e^{theta D} is a finite sum; so is the semigroup of PI_GEN.  A closure is
+*graded* when the off-diagonal entries form a graph without cycles and each
+joins two equal diagonal entries; then e^A x = e^{diag} sum_k M^k x / k!
+ends at the first zero term.  Other closures (D_N, the finite-N word
+generators of :mod:`freesb.words`) take, when small, the dense degree-12
+Taylor kernel that the sampler in :mod:`freesb.matrixlab` also uses, and
+when large a truncated Taylor series of sparse products.
 """
 
 from __future__ import annotations
@@ -61,10 +49,13 @@ MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
 
+# plain dicts in least to most recently used order (see exp_series):
 # (part names, p's monomials in order) -> [basis, rows, cols, part values, the
-# classification of the last weights] (see exp_series); a plain dict in least to
-# most recently used order
+# classification of the last weights]
 _closures: dict = {}
+# (part names, monomial) -> its merged image, the (monomial, per-part values)
+# pairs that are not zero in every part
+_images: dict = {}
 
 # ======================================================================
 # named first/second order operators, monomial by monomial
@@ -166,14 +157,10 @@ def apply_DN(p: TracePoly, N: int) -> TracePoly:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A weighted sum of the operators of ``_COLUMNS``.
-
-    ``terms`` pairs names of ``_COLUMNS`` with complex weights.  The
-    paper's generators are such sums: D = -N - 2Z - 2Y, D_N = D - L/N^2
-    and PI_GEN = N0 + 2Z, whose semigroup realizes the evaluation map
-    pi_s.  Their columns (``parts``) list the images term by term, so the
-    order of the terms fixes the basis order of every compiled closure;
-    the names alone key the closure cache, so D_N at every N shares one.
+    """A weighted sum of the operators of ``_COLUMNS``, as (name, complex
+    weight) ``terms``: D = -N - 2Z - 2Y, D_N = D - L/N^2 and PI_GEN = N0 + 2Z,
+    whose semigroup realizes pi_s.  ``parts``, their column, lists the images
+    term by term, so the terms' order fixes the basis order of a closure.
     """
 
     terms: tuple[tuple[str, complex], ...]
@@ -275,38 +262,43 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 
-def _compile(column, seed, nparts):
+def _compile(column, seed, parts):
     """Compile the parts of a linear map to sparse values on the closure of ``seed``.
 
-    ``column`` maps one monomial to its images under the map's ``nparts``
-    parts as (monomial, part index, weight) triples.  ``basis`` starts as
-    the monomials ``seed`` and grows breadth first: column j merges its
-    triples in one dict, one value per part, drops the entries that are
-    zero in every part, and appends every monomial it reaches that is not
-    yet in ``basis``, so the loop visits it in turn.  Returns ``basis``, the
-    COO arrays ``rows, cols`` and the nnz x nparts array ``vals``, with
-    ``vals[e, k]`` the coefficient of ``basis[rows[e]]`` in part k's image
-    of ``basis[cols[e]]``.  ValueError as soon as ``basis`` holds more than
-    ``MAX_CLOSURE`` monomials, so at most one column's image past the bound
-    is ever built.
+    ``column`` maps one monomial to its images under the map's parts as
+    (monomial, part index, weight) triples; ``parts`` is the tuple of the
+    parts' names, or only their number for a column without names.
+    ``basis`` starts as the monomials ``seed`` and grows breadth first:
+    column j merges its triples in one dict, one value per part, drops the
+    entries that are zero in every part (under names, that image may come
+    from ``_images``; see :func:`exp_series`), and appends every monomial it
+    reaches that is not yet in ``basis``.  Returns ``basis``, the COO arrays
+    ``rows, cols`` and the nnz x nparts array ``vals``, with ``vals[e, k]``
+    the coefficient of ``basis[rows[e]]`` in part k's image of
+    ``basis[cols[e]]``.  ValueError once ``basis`` passes ``MAX_CLOSURE``,
+    before another column is built.
     """
+    names = parts if isinstance(parts, tuple) else None
+    nparts = len(names) if names else parts
     basis = list(seed)
     index = {m: i for i, m in enumerate(basis)}
     rows: list[int] = []
     cols: list[int] = []
     vals: list[list[complex]] = []
+    seen: dict | None = {} if names else None  # this search's images, while it may keep them
     for j, m in enumerate(basis):  # basis grows as the search goes
         if len(basis) > MAX_CLOSURE:
             raise ValueError(f"the closure has more than MAX_CLOSURE={MAX_CLOSURE} monomials")
-        image: dict = {}
-        for mi, k, w in column(m):
-            v = image.get(mi)
-            if v is None:
-                v = image[mi] = [0j] * nparts
-            v[k] += w
-        for mi, v in image.items():
-            if not any(v):
-                continue
+        image = _images.get((names, m)) if names else None
+        if image is None:
+            merged: dict = {}
+            for mi, k, w in column(m):
+                v = merged.get(mi)
+                if v is None:
+                    v = merged[mi] = [0j] * nparts
+                v[k] += w
+            image = [(mi, v) for mi, v in merged.items() if any(v)]
+        for mi, v in image:
             i = index.get(mi)
             if i is None:
                 i = index[mi] = len(basis)
@@ -314,6 +306,12 @@ def _compile(column, seed, nparts):
             rows.append(i)
             cols.append(j)
             vals.append(v)
+        if seen is not None:
+            seen[names, m] = image
+            if len(basis) > CLOSURE_BUDGET:
+                seen = None
+    if seen:
+        _keep_images(seen)
     return (basis, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(vals, dtype=complex).reshape(-1, nparts))
 
@@ -321,30 +319,23 @@ def _compile(column, seed, nparts):
 def exp_series(column, p, theta, terms):
     """e^{theta G} p for G = sum_k w_k G_k, a weighted sum of named parts.
 
-    ``terms`` pairs each part's name with its weight w_k, and ``column``
-    maps one monomial to its images under the parts G_k, unweighted, as
-    (monomial, k, weight) triples (see :func:`_compile`).  Works for any
-    polynomial type whose instances hold a ``terms`` dict from monomial
-    keys to coefficients and are built from such a dict (``TracePoly``,
-    ``WordPoly``); G must map the span of the monomials reachable from
-    ``p`` into itself, and ``theta`` is a real number.
+    ``terms`` pairs each part's name with its weight w_k, and ``column`` is
+    the parts' column (see :func:`_compile`).  ``p`` is a ``TracePoly`` or
+    ``WordPoly``, whose closure G maps into itself; ``theta`` is real.
 
-    The parts are compiled once on that closure and kept in an LRU cache
-    under (the names, the monomials of p in their order, which fixes the
-    basis order), so the names must say what the parts are: two columns
-    under the same names share their closures.  The weights are not in the
-    key, so D_N at every N, and the word engine at every s, t and N, compile
-    once per input.  The cache holds at most ``CLOSURE_BUDGET`` monomials
-    in all and never stores a larger closure.  Every call, hit or miss,
-    sums the cached parts to A = G on the closure and classifies A (see
-    :func:`_classify`, kept with the closure for the last weights), then
-    scales A by theta: the same arithmetic either way.
-    When A is graded, M joins only equal diagonal entries (so it commutes
-    with the diagonal) and its graph, an edge from column to row per entry,
-    has no cycle (so M is nilpotent; see :func:`_acyclic`).  The result is
-    then e^{theta diag} times :func:`_nilpotent_sum` of theta M, at most n
-    sparse products and no truncation, whatever the order of p's terms and
-    at any theta.
+    Two LRU caches, each of at most ``CLOSURE_BUDGET`` monomials and fed
+    only by closures within that size, are keyed by the part names and not
+    the weights, so the names must say what the parts are; D_N at every N,
+    and the word engine at every s, t and N, share their entries.
+    ``_closures`` keeps the compiled parts under (names, p's monomials in
+    order, which fixes the basis order).  On its miss, :func:`_compile`
+    reads each monomial's merged image from ``_images`` under (names,
+    monomial) and calls ``column`` for the others only.  Every call sums the
+    cached parts to A = G on the closure and classifies A (see
+    :func:`_classify`, kept for the last weights), then scales A by theta:
+    a hit runs the same arithmetic as a cold call.
+    When A is graded (see the module docstring), the result is e^{theta
+    diag} times :func:`_nilpotent_sum` of theta M: no truncation at any theta.
     Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s the
     least s >= 0 with ||theta A||_1 <= DENSE_THETA 2^s, :func:`_expm_dense` runs when
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
@@ -367,7 +358,7 @@ def exp_series(column, p, theta, terms):
     key = (names, tuple(p.terms))
     closure = _closures.pop(key, None)
     if closure is None:
-        closure = [*_compile(column, p.terms, len(names)), None]
+        closure = [*_compile(column, p.terms, names), None]
     _remember(key, closure)
     basis, rows, cols, vals, diag, off, graded = _classify(closure, weights, len(p.terms))
     n = len(basis)
@@ -426,6 +417,16 @@ def _classify(closure, weights, nseed):
         ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, len(basis)))
     closure[4] = (weights, basis, rows, cols, vals, diag, off, graded)
     return closure[4][1:]
+
+
+def _keep_images(images):
+    """Store ``images`` as the most recently used in ``_images``, then evict as
+    :func:`_remember` does, down to CLOSURE_BUDGET monomials."""
+    for key in images:
+        _images.pop(key, None)
+    _images.update(images)
+    for key in list(_images)[:max(0, len(_images) - CLOSURE_BUDGET)]:
+        _images.pop(key, None)
 
 
 def _remember(key, closure):

@@ -299,18 +299,15 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
     Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with
-    every v_eps then set to 1.  When t == 0, P is first rewritten on U_N:
-    Z^* -> Z^-1 and Z^-* -> Z in every word, equal words merged.  That
-    leaves every value on U_N unchanged and shrinks the closure, to 435
-    monomials for |tr Z^7|^2 instead of 9,142.  The generator is the
-    weighted sum (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus
-    (t/2) (Dt + Lt/N^2) at beta_- alone; its four parts (the two at
-    beta_+ when t == 0) are what ``exp_series`` compiles and caches, so
-    one input compiles once for every s, t and N.  Each part's column is
-    the Leibniz form (see ``_leibniz``) over Dt(v_a) and Lt(v_a v_b), and
-    each of these is one ``apply_tilde`` call per family at (s, t) =
-    (1, 0) or (1, 2), made on a cache miss only, so ``derive_generators``
-    runs once per distinct word or pair of words and family.
+    every v_eps then set to 1.  When t == 0, P is first rewritten on U_N
+    (Z^* -> Z^-1, Z^-* -> Z, equal words merged), which shrinks the closure
+    of |tr Z^7|^2 from 9,142 monomials to 435.  The generator is
+    (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
+    beta_- alone: four parts (two when t == 0) that ``exp_series`` caches
+    for every s, t and N.  Each part's column is the Leibniz form (see
+    ``_leibniz``) over Dt(v_a) and Lt(v_a v_b), each one ``apply_tilde`` call
+    per family at (s, t) = (1, 0) or (1, 2), made once per call and only for
+    a column that neither cache of ``exp_series`` holds.
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")

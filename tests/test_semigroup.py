@@ -409,10 +409,13 @@ def test_stage_bound_raises_before_any_stage():
 
 @pytest.fixture
 def closures():
-    """The closure cache of exp_apply, empty, and emptied again afterwards."""
+    """The closure cache of exp_apply, empty, and emptied again afterwards,
+    each time with the image cache."""
     operators._closures.clear()
+    operators._images.clear()
     yield operators._closures
     operators._closures.clear()
+    operators._images.clear()
 
 
 def _bits(q):
@@ -555,6 +558,65 @@ def test_word_engine_hit_is_bitwise_a_cold_call(closures, p):
     closures.clear()
     assert [expectation(p, *call) for call in calls] == cold
     assert len(closures) == 2
+
+
+def _newest(closures):
+    """The newest closure entry's basis, rows, cols and part values, bitwise."""
+    basis, rows, cols, vals = list(closures.values())[-1][:4]
+    return basis, rows.tobytes(), cols.tobytes(), vals.tobytes()
+
+
+Z2 = iota(TracePoly.v(2)) * iota_star(TracePoly.v(2))
+
+
+@pytest.mark.parametrize("first, second", [
+    ((GeneratorSpec.D(), parse("u^4 + v1 u^2")), (GeneratorSpec.D(), parse("u^5 + v1 u^2"))),
+    ((GeneratorSpec.DN(3), parse("u^4 v-1")), (GeneratorSpec.DN(8), parse("u^-5 + u^4 v-1"))),
+    ((GeneratorSpec.pi_gen(), parse("v4 v-2")), (GeneratorSpec.pi_gen(), parse("v5 + v4 v-2"))),
+    ((Z2, 1.0, 0.0, 4), (iota(TracePoly.v(3)) + Z2, 2.0, 0.0, 8)),  # the word engine: rho
+    ((Z2, 1.5, 0.8, 4), (iota(TracePoly.v(3)) + Z2, 1.2, 0.5, 8))])  # and mu
+def test_compile_after_another_is_bitwise_a_cold_one(closures, first, second):
+    # the second compile reads part of its closure from the images the first
+    # kept, under the same part names at another N, s or t
+    def run(call):
+        if isinstance(call[0], GeneratorSpec):
+            exp_apply(call[0], 0.3, call[1])
+        else:
+            expectation(*call)
+
+    run(second)
+    cold = _newest(closures)
+    closures.clear()
+    operators._images.clear()
+    run(first)
+    names = list(closures)[-1][0]
+    held = {m for key, m in operators._images if key == names}
+    closures.clear()
+    run(second)
+    assert _newest(closures) == cold
+    assert 0 < len(held & set(cold[0])) < len(cold[0])
+
+
+def test_image_cache_stays_within_its_budget(closures, monkeypatch):
+    monkeypatch.setattr(operators, "CLOSURE_BUDGET", 40)
+    held = []
+    for m in operators.monomial_basis(4):
+        for gen in (GeneratorSpec.D(), GeneratorSpec.DN(3)):
+            exp_apply(gen, 0.2, TracePoly({m: 1.0}))
+            held.append(len(operators._images))
+    assert max(held) == 40
+    # a closure over the budget keeps no image: D's of u^6 has 19 monomials
+    monkeypatch.setattr(operators, "CLOSURE_BUDGET", 18)
+    operators._images.clear()
+    exp_apply(GeneratorSpec.D(), 0.2, u(6))
+    assert operators._images == {}
+
+
+def test_refused_search_keeps_no_image(closures, capsys):
+    argv = ["heat-apply", "--gen", "DN", "--N", "8", "--t", "1", "--f", "u^12 v-12"]
+    assert cli.main(argv) == 1
+    assert "MAX_CLOSURE" in capsys.readouterr().err
+    assert closures == {} and operators._images == {}
 
 
 def test_cache_under_threads(closures, monkeypatch):

@@ -166,6 +166,7 @@ def test_family_caches_are_bounded(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(operators, "_closures", {})
+    monkeypatch.setattr(operators, "_images", {})
     retained = []
     tracemalloc.start()
     try:
@@ -173,6 +174,7 @@ def test_family_caches_are_bounded(monkeypatch):
         for src in ("v4", "v-4"):
             l2_norm_sq(parse(src), Measure(4, 1.5, 0.8))
             operators._closures.clear()  # keep only what the word caches hold
+            operators._images.clear()
             gc.collect()
             retained.append(tracemalloc.get_traced_memory()[0] - base)
     finally:
@@ -356,8 +358,8 @@ Z4 = iota(v(4)) * iota_star(v(4))  # |tr Z^4|^2
 
 def _spy_exp_series(monkeypatch):
     """Record each column ``expectation`` hands to ``exp_series`` with its
-    terms, and the monomials it is called on; the closure cache starts
-    empty, so the first call compiles."""
+    terms, and the monomials it is called on; the closure and image caches
+    start empty, so the first call compiles and calls the column."""
     columns, calls = [], []
 
     def spy(column, p, theta, terms):
@@ -367,6 +369,7 @@ def _spy_exp_series(monkeypatch):
     real = words.exp_series
     monkeypatch.setattr(words, "exp_series", spy)
     monkeypatch.setattr(operators, "_closures", {})
+    monkeypatch.setattr(operators, "_images", {})
     return columns, calls
 
 
