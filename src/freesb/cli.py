@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .tracepoly import TracePoly, format_poly, mono_factors, parse
-from .operators import GeneratorSpec, exp_apply
+from .operators import MAX_DEGREE, GeneratorSpec, exp_apply
 from .moments import MAX_MOMENT, b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
 from .words import Measure, l2_norm_sq
@@ -233,6 +233,8 @@ def _cmd_verify_magic(a, seed):
 def _cmd_intertwine_check(a, seed):
     if a.trials < 1:  # zero trials would pass having checked nothing
         raise ValueError(f"intertwine-check requires --trials >= 1, got {a.trials}")
+    if not 2 <= a.degree <= MAX_DEGREE:  # the u-power alone is drawn up to degree 2
+        raise ValueError(f"intertwine-check requires 2 <= --degree <= {MAX_DEGREE}, got {a.degree}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(a.trials):

@@ -41,10 +41,9 @@ TAYLOR_TOL = 1e-13  # the Taylor kernel stops at this bound on its relative tail
 STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
 MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
-DENSE_COST = 730  # units of n^3 in the dense kernel's cost that match one unit of work
+DENSE_COST = 1200  # units of n^3 in the dense kernel's cost that match one unit of work
 DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 130 n^2 B, 8.1 MiB
-DENSE_MAX_SQUARINGS = 6  # from 7 on, the degree-16 kernel's roundoff exceeded the Taylor kernel's
-DENSE_THETA = 0.78  # s of the rule: halvings of the 1-norm to this, as DENSE_COST was fitted
+DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff can exceed the Taylor kernel's
 MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
@@ -208,20 +207,29 @@ _EXPM_W = np.array([[1.0, -0.6370367634610868, -0.02665385649637564, -0.02562299
                     [0.0, 0.13181061013830184, 0.02027855540589259, 0.006759518468630863]])
 _EXPM_THETA = 0.31
 _EXPM_MAX_SQUARINGS = 26
+_SQUARING_NORMS = _EXPM_THETA * 2.0 ** np.arange(_EXPM_MAX_SQUARINGS + 1)
+
+
+def _squarings(norm):
+    """The squarings :func:`_expm_batch` takes at 1-norm ``norm`` (a float or
+    an array): the least s >= 0 with norm < 0.31 * 2^s, or 27 for a norm of
+    0.31 * 2^26 or more and for NaN."""
+    return _SQUARING_NORMS.searchsorted(norm, side="right")
 
 
 def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     """Batched e^M over the leading axis.
 
     Each slice is scaled by 2^-s, with s >= 0 the least power that brings
-    its 1-norm to at most 0.31, and the degree-12 Taylor polynomial takes
-    four batched matmuls (A^2, A^3, B_d^2, (B_b + A6) A6; see ``_EXPM_W``),
-    its cubics B_r one real product of the coefficient table with (A, A^2,
-    A^3).  The truncation tail is below 4.0e-17 relative, under half a unit
-    roundoff; s squarings undo the scaling, each only on the slices that need
-    it.  Every operation is per slice or per entry, so a slice gets bitwise the
-    same arithmetic however the batch is assembled.  Non-finite input or more
-    than 26 squarings (1-norm 0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.
+    its 1-norm below 0.31 (:func:`_squarings`), and the degree-12 Taylor
+    polynomial takes four batched matmuls (A^2, A^3, B_d^2, (B_b + A6) A6;
+    see ``_EXPM_W``), its cubics B_r one real product of the coefficient
+    table with (A, A^2, A^3).  The truncation tail is below 4.0e-17
+    relative, under half a unit roundoff; s squarings undo the scaling, each
+    only on the slices that need it.  Every operation is per slice or per
+    entry, so a slice gets bitwise the same arithmetic however the batch is
+    assembled.  Non-finite input or more than 26 squarings (1-norm
+    0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.
 
     ``work``, one C-contiguous complex array shaped (7,) + Ms.shape (a fresh
     one if not given), holds every intermediate; the result is one of its slices.
@@ -229,13 +237,12 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.shape[0] == 0:
         return Ms.copy()
-    scaled = np.einsum("nij->nj", np.abs(Ms)).max(axis=-1) / _EXPM_THETA
-    if not (scaled < 2.0 ** _EXPM_MAX_SQUARINGS).all():  # NaN fails too
+    norms = np.einsum("nij->nj", np.abs(Ms)).max(axis=-1)
+    nsq = _squarings(norms)
+    if nsq.max() > _EXPM_MAX_SQUARINGS:
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
     P = work[0] if work else np.empty((7,) + Ms.shape, dtype=complex)
-    # frexp: scaled = m 2^e with 1/2 <= m < 1, so 2^-e brings it below 1
-    nsq = np.maximum(np.frexp(scaled)[1], 0)
     A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=P[0])
     np.matmul(A, A, out=P[1])
     np.matmul(P[1], A, out=P[2])
@@ -311,7 +318,7 @@ def _compile(column, seed, parts):
             if len(basis) > CLOSURE_BUDGET:
                 seen = None
     if seen:
-        _keep_images(seen)
+        _keep(_images, seen, None)
     return (basis, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(vals, dtype=complex).reshape(-1, nparts))
 
@@ -336,13 +343,17 @@ def exp_series(column, p, theta, terms):
     a hit runs the same arithmetic as a cold call.
     When A is graded (see the module docstring), the result is e^{theta
     diag} times :func:`_nilpotent_sum` of theta M: no truncation at any theta.
-    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s the
-    least s >= 0 with ||theta A||_1 <= DENSE_THETA 2^s, :func:`_expm_dense` runs when
+    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s
+    the squarings :func:`_expm_batch` takes (the least s >= 0 with
+    ||theta A||_1 < 0.31 * 2^s), :func:`_expm_dense` runs when
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
-    (6 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST), and
-    :func:`_taylor_sparse` otherwise.  The graded sum and the dense kernel
-    are accurate to roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop
-    rule.  ValueError, before the closure is built or looked up: a ``p`` of
+    (4 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST): its four products
+    and s squarings against the Taylor kernel's work; :func:`_taylor_sparse`
+    runs otherwise.  DENSE_COST is fitted to the kernels' timings; from 7
+    squarings on, the dense kernel's roundoff can exceed the Taylor
+    kernel's tenfold.  The graded sum and the dense kernel are accurate to
+    roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop rule.
+    ValueError, before the closure is built or looked up: a ``p`` of
     trace degree above 2 * MAX_DEGREE (the longest word); while it is
     built: more than ``MAX_CLOSURE`` monomials; before a kernel runs on a
     closure that is not graded: work m * (nnz + STAGE_COST) above
@@ -359,7 +370,8 @@ def exp_series(column, p, theta, terms):
     closure = _closures.pop(key, None)
     if closure is None:
         closure = [*_compile(column, p.terms, names), None]
-    _remember(key, closure)
+    if len(closure[0]) <= CLOSURE_BUDGET:  # a larger closure is not stored
+        _keep(_closures, {key: closure}, lambda c: len(c[0]))
     basis, rows, cols, vals, diag, off, graded = _classify(closure, weights, len(p.terms))
     n = len(basis)
     x = np.zeros(n, dtype=complex)
@@ -374,9 +386,9 @@ def exp_series(column, p, theta, terms):
         raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
                          f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
     stages = max(1, math.ceil(norm / STEP_NORM))
-    squarings = max(0, math.frexp(norm / DENSE_THETA)[1])
+    squarings = _squarings(norm)
     dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
-        (6 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
+        (4 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
     with np.errstate(over="raise", invalid="raise"):
         x = (_expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
@@ -419,31 +431,22 @@ def _classify(closure, weights, nseed):
     return closure[4][1:]
 
 
-def _keep_images(images):
-    """Store ``images`` as the most recently used in ``_images``, then evict as
-    :func:`_remember` does, down to CLOSURE_BUDGET monomials."""
-    for key in images:
-        _images.pop(key, None)
-    _images.update(images)
-    for key in list(_images)[:max(0, len(_images) - CLOSURE_BUDGET)]:
-        _images.pop(key, None)
-
-
-def _remember(key, closure):
-    """Store ``closure`` as the most recently used entry, then drop the least
-    recently used ones until the cache holds at most CLOSURE_BUDGET monomials;
-    a larger closure is not stored.  Each thread counts over its own snapshot,
-    so concurrent calls cannot raise."""
-    if len(closure[0]) > CLOSURE_BUDGET:
-        return
-    _closures[key] = closure
-    entries = list(_closures.items())
-    held = sum(len(c[0]) for _, c in entries)
-    for k, c in entries:
-        if held <= CLOSURE_BUDGET:
+def _keep(cache, entries, size):
+    """Store the dict ``entries`` in ``cache`` as its most recently used, then
+    drop the least recently used entries until the cache holds at most
+    CLOSURE_BUDGET monomials: ``size(value)`` for an entry, or 1 where
+    ``size`` is None.  Each thread counts over its own snapshot, so
+    concurrent calls cannot raise."""
+    for key in entries:
+        cache.pop(key, None)
+    cache.update(entries)
+    held = list(cache.items())
+    count = len(held) if size is None else sum(size(v) for _, v in held)
+    for key, v in held:
+        if count <= CLOSURE_BUDGET:
             break
-        _closures.pop(k, None)
-        held -= len(c[0])
+        cache.pop(key, None)
+        count -= 1 if size is None else size(v)
 
 
 def _acyclic(rows, cols, n):

@@ -476,10 +476,14 @@ def test_non_finite_report_exits_1(capsys):
     (["intertwine-check", "--N", "2", "--trials", "0"], "--trials >= 1"),
     (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "0"], "threads must be >= 1"),
     (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "-3"], "threads must be >= 1"),
+    (["intertwine-check", "--N", "2", "--degree", "-3", "--trials", "1"], "2 <= --degree <= 12"),
+    (["intertwine-check", "--N", "2", "--degree", "1", "--trials", "1"], "2 <= --degree <= 12"),
+    (["intertwine-check", "--N", "2", "--degree", "13", "--trials", "1"], "2 <= --degree <= 12"),
 ])
 def test_out_of_range_counts_exit_1_at_once(capsys, argv, what):
     # each is refused before any work: nu_65 does not exist, zero trials
-    # would pass vacuously, and a thread count below 1 is no count
+    # would pass vacuously, a thread count below 1 is no count, and below
+    # degree 2 the drawn u-power alone exceeds --degree
     t0 = time.perf_counter()
     assert cli.main(argv) == 1
     assert time.perf_counter() - t0 < 1.0
@@ -508,7 +512,7 @@ def test_closure_search_is_bounded(capsys):
     # graded closures of D (4 and 19 monomials): the terminating sum
     ["heat-apply", "--gen", "D", "--t", "-4", "--f", "1e308*u^3"],
     ["transform", "--dir", "H", "--s", "1", "--t", "4", "--f", "1e307*u^6"],
-    # D_4 is not graded: 4 monomials, 5 squarings, the dense kernel;
+    # D_4 is not graded: 4 monomials, 6 squarings, the dense kernel;
     # 846 monomials, the Taylor kernel
     ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f", "1e308*u^3"],
     ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f",

@@ -90,10 +90,11 @@ def _with_norm(M, norm):
 
 
 def test_expm_batch_matches_scipy_across_theta():
-    # 1-norms over (0, 1], either side of the scaling threshold 0.78
+    # 1-norms over (0, 1], either side of the scaling threshold 0.31
     la = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(5)
-    norms = (1e-3, 0.1, 0.5, 0.78 * (1 - 1e-12), 0.78 * (1 + 1e-12), 0.9, 1.0)
+    theta = matrixlab._EXPM_THETA
+    norms = (1e-3, 0.1, theta * (1 - 1e-12), theta * (1 + 1e-12), 0.5, 0.9, 1.0)
     for N in (2, 5, 8, 16):
         for norm in norms:
             X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))

@@ -146,7 +146,7 @@ def test_dense_and_taylor_kernels_agree(name, column, p):
 
 
 def test_kernels_agree_at_large_theta():
-    # |theta| ||G||_1 up to 10^3 (up to 11 squarings on the dense side, 500
+    # |theta| ||G||_1 up to 10^3 (up to 12 squarings on the dense side, 500
     # stages on the Taylor side), results from 1e-140 to 1e+232 in size
     worst = 0.0
     for gen, p in ((GeneratorSpec.D(), u(3)), (GeneratorSpec.D(), u(-8)),
@@ -183,9 +183,56 @@ def test_kernel_choice(monkeypatch):
     assert calls == {"dense": [(1, 19, 19)], "taylor": []}
     # the 846-monomial closure: the Taylor kernel is cheaper
     exp_apply(GeneratorSpec.DN(4), 0.4, DEG12)
-    # ||0.95 D_4||_1 = 95 on the closure of u^10 would take 7 squarings
+    # ||0.95 D_4||_1 = 95 on the closure of u^10 would take 9 squarings
     exp_apply(GeneratorSpec.DN(4), -0.95, u(10))
     assert calls == {"dense": [(1, 19, 19)], "taylor": [846, 97]}
+
+
+def _word_mu_N1(m):
+    q = WordPoly({m: 1.0})
+    return (apply_tilde("Dst", q, 1.5, 0.8) + apply_tilde("Lst", q, 1.5, 0.8)).terms.items()
+
+
+GRID_CASES = [("D_4 on u^3", _column(GeneratorSpec.DN(4)), u(3)),
+              ("D_2 on u^2 v-1 + v1^2", _column(GeneratorSpec.DN(2)), parse("u^2 v-1 + v1^2")),
+              ("D_1 on u^4", _column(GeneratorSpec.DN(1)), u(4)),
+              ("word engine, mu at N = 1", _word_mu_N1, WordPoly.var("aass")),
+              ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))]
+
+
+def _mp_exp(rows, cols, vals, x):
+    """e^A x for the COO matrix A = (rows, cols, vals), to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        A = mpmath.zeros(len(x))
+        for r, c, a in zip(rows, cols, vals):
+            A[int(r), int(c)] += mpmath.mpc(a.real, a.imag)
+        y = mpmath.expm(A) * mpmath.matrix([mpmath.mpc(z.real, z.imag) for z in x])
+        return np.array([complex(z) for z in y])
+
+
+@pytest.mark.parametrize("name, column, p", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_kernel_choice_follows_accuracy(monkeypatch, name, column, p):
+    # at 1-norms 0.7 * 2^k, k = 0..7, the dense kernel takes 2 to 9 squarings;
+    # wherever exp_series picks it, its normwise error against a 40-digit
+    # exponential is at most twice the Taylor kernel's, or 1e-14, and from 7
+    # squarings on (D_4 on u^3: 8.5e-15 and 1.7e-14 dense at 0.7 * 2^5 and
+    # 0.7 * 2^6, 1.0e-15 and 8.5e-16 Taylor) the Taylor kernel runs
+    rows, cols, vals, x, norm = _closure(column, p)
+    calls = _count_kernels(monkeypatch)
+    picked = []
+    for target in 0.7 * 2.0 ** np.arange(8):
+        theta = target / norm
+        calls["dense"].clear()
+        operators.exp_series(_one_part(column), p, theta, ((name, 1.0),))
+        picked.append("dense" if calls["dense"] else "taylor")
+        if calls["dense"]:
+            want = _mp_exp(rows, cols, theta * vals, x)
+            dense = operators._expm_dense(rows, cols, theta * vals, x)
+            taylor = operators._taylor_sparse(rows, cols, theta * vals, x, target)
+            gap = [np.abs(y - want).max() / np.abs(want).max() for y in (dense, taylor)]
+            assert gap[0] <= max(2 * gap[1], 1e-14), (name, target, gap)
+    assert picked == ["dense"] * 5 + ["taylor"] * 3, name
 
 
 def test_degree_12_D_runs_neither_kernel(monkeypatch):

@@ -61,7 +61,12 @@ def test_srcstats_counts_a_tiny_package(tmp_path, capsys):
         '    """One-line docstring."""\n'
         "    return x + y  # trailing comment\n")
     (tmp_path / "b.py").write_text("X = (1,\n     2)\n")
-    assert srcstats.file_stats((tmp_path / "a.py").read_text()) == (8, 2, 2)
+    # numeric literal expressions count, a derived name or a non-number does not
+    (tmp_path / "c.py").write_text("A = 0.78\nB: int = 2 << 20\nC = -1e-3 * 2\n"
+                                   "D = 2 * A\nE = True\nF = 'x'\n")
+    assert srcstats.file_stats((tmp_path / "a.py").read_text()) == (8, 2, 2, 0)
+    assert srcstats.file_stats((tmp_path / "c.py").read_text()) == (6, 6, 0, 3)
     assert srcstats.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "physical lines: 10", "code lines: 4", "parameters with defaults: 2"]
+        "physical lines: 16", "code lines: 10", "parameters with defaults: 2",
+        "numeric constants: 3"]

@@ -502,6 +502,20 @@ def test_rho_at_N1_closed_form(s):
             assert abs(got - math.exp(-(j - k) ** 2 * s / 2.0)) < 1e-12, (j, k)
 
 
+@pytest.mark.parametrize("s, t", [(1.5, 0.8), (1.0, 1.0), (2.0, 0.5)])
+def test_mu_at_N1_closed_form(s, t):
+    # on GL_1, Z = e^{x + iy} with x ~ N(0, t/2) and y ~ N(0, s - t/2)
+    # independent: E[Z^j conj(Z)^k] = exp((j+k)^2 t/4 - (j-k)^2 (s - t/2)/2).
+    # The L parts have weight 1 here, so these are the word engine's
+    # largest-norm closures (up to 12.0, 6 squarings, at j + k = 4)
+    for j in range(5):
+        for k in range(5 - j):
+            if j + k:
+                got = expectation(WordPoly.var("a" * j + "s" * k), s, t, 1)
+                want = math.exp((j + k) ** 2 * t / 4 - (j - k) ** 2 * (s - t / 2) / 2)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (j, k)
+
+
 @pytest.mark.parametrize("s, t, N", [(1.5, 0.8, 3), (2.0, 1.0, 8), (1.0, 0.5, 2)])
 def test_segal_bargmann_isometry(s, t, N):
     # ||e^{(t/2) D_N} P||^2 under mu_{s,t}^N = ||P||^2 under rho_s^N (Driver-Hall):

@@ -1,16 +1,19 @@
-"""Size of the freesb package: physical lines, code lines, defaulted parameters.
+"""Size of the freesb package: lines, defaulted parameters, numeric constants.
 
     python tools/srcstats.py [PACKAGE_DIR]
 
 PACKAGE_DIR defaults to ``src/freesb`` beside this script's parent.  The
-three numbers, one per line, are:
+four numbers, one per line, are:
 
 - physical lines: what ``wc -l`` counts over the package's ``*.py``;
 - code lines: lines that hold a token other than a comment, and are not
   part of a docstring (a string that is the first statement of a module,
   class or function);
 - parameters with defaults: over every ``def`` (``__init__`` included),
-  positional and keyword-only, not lambdas.
+  positional and keyword-only, not lambdas;
+- numeric constants: module-level names bound to an expression of numeric
+  literals alone, such as ``X = 0.78`` or ``Y = 2 << 20`` (not
+  ``Z = 2 * Y``, which is derived from another name).
 
 Standard library only.
 """
@@ -39,8 +42,17 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def file_stats(source: str) -> tuple[int, int, int]:
-    """(physical lines, code lines, parameters with defaults) of one file."""
+def _numeric(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float, complex)
+    if isinstance(node, ast.UnaryOp):
+        return _numeric(node.operand)
+    return isinstance(node, ast.BinOp) and _numeric(node.left) and _numeric(node.right)
+
+
+def file_stats(source: str) -> tuple[int, int, int, int]:
+    """(physical lines, code lines, parameters with defaults, numeric
+    constants) of one file."""
     tree = ast.parse(source)
     docs = _docstring_lines(tree)
     code: set[int] = set()
@@ -51,18 +63,24 @@ def file_stats(source: str) -> tuple[int, int, int]:
                    + sum(d is not None for d in node.args.kw_defaults)
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    return source.count("\n"), len(code - docs), defaults
+    constants = sum(isinstance(target, ast.Name)
+                    for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+                    and _numeric(node.value)
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+    return source.count("\n"), len(code - docs), defaults, constants
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "freesb"
-    totals = [0, 0, 0]
+    totals = [0, 0, 0, 0]
     for path in sorted(root.glob("*.py")):
         for i, n in enumerate(file_stats(path.read_text())):
             totals[i] += n
     print(f"physical lines: {totals[0]}")
     print(f"code lines: {totals[1]}")
     print(f"parameters with defaults: {totals[2]}")
+    print(f"numeric constants: {totals[3]}")
     return 0
 
 
