@@ -3,7 +3,8 @@
 Explicit orthonormal bases of u(N) (N <= MAX_BASIS_N) under <X,Y> =
 N Tr(Y^* X), numeric verification of the magic formulas, evaluation of
 trace and word polynomials and an exact (symbolic-in-X) Laplacian, each
-reading one table of word products (``_Products``), Monte Carlo samplers
+reading one table of word products (``_Products``), the magic formulas and
+the Laplacian summed in batches of the stacked basis, Monte Carlo samplers
 for the heat kernel measures rho_s^N on U_N and mu_{s,t}^N on GL_N (a
 SamplerCfg is a Measure with steps and a seed), and concentration experiments.
 
@@ -39,9 +40,11 @@ from .moments import pi_eval
 RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
 MAX_SAMPLER_STEPS = 10_000  # Euler bias of E tr Z at N = 8, about 0.024 / steps: 2.4e-6 here
-MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check takes ~10 s at 36
+MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check: 9-10 s, 67 MB RSS at 36
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
 _DRAW_BYTES = 2 << 20  # noise one chunk draws at once (whole steps, at least one)
+_BASIS_BYTES = 1 << 17  # one batch of basis elements, and each jet order laplacian_eval builds on it;
+# at N = 36, 2 MiB batches took 13% longer and 40 MB more peak RSS
 MAGIC_TOL = 1e-11  # verify_magic passes when every residual is below this
 
 CMatrix = np.ndarray
@@ -61,22 +64,25 @@ def basis_uN(N: int) -> BasisUN:
     """Orthonormal basis of u(N) under <X,Y> = N Tr(Y^* X).
 
     {(E_jk - E_kj)/sqrt(2N)} and {i(E_jk + E_kj)/sqrt(2N)} for j < k,
-    plus {i E_jj / sqrt(N)}; N^2 anti-Hermitian matrices in total.
+    plus {i E_jj / sqrt(N)}; N^2 anti-Hermitian matrices in total, the
+    slices of one (N^2, N, N) array.
     """
     if not 1 <= N <= MAX_BASIS_N:  # before allocating any of the N^2 matrices
         raise ValueError(f"basis_uN supports 1 <= N <= {MAX_BASIS_N}, got {N}")
-    out = []
-    for j in range(N):
-        for k in range(j + 1, N):
-            E = np.zeros((N, N), dtype=complex)
-            E[j, k] = 1.0
-            out.append((E - E.T) / math.sqrt(2 * N))
-            out.append(1j * (E + E.T) / math.sqrt(2 * N))
-    for j in range(N):
-        E = np.zeros((N, N), dtype=complex)
-        E[j, j] = 1j
-        out.append(E / math.sqrt(N))
-    return BasisUN(N=N, elements=tuple(out))
+    j, k = np.triu_indices(N, 1)
+    pair, d, c = 2 * np.arange(len(j)), np.arange(N), 1.0 / math.sqrt(2 * N)
+    X = np.zeros((N * N, N, N), dtype=complex)
+    X[pair, j, k], X[pair, k, j] = c, -c
+    X[pair + 1, j, k] = X[pair + 1, k, j] = 1j * c
+    X[N * N - N + d, d, d] = 1j / math.sqrt(N)
+    return BasisUN(N=N, elements=tuple(X))
+
+
+def _basis_batches(N: int) -> list[np.ndarray]:
+    """basis_uN(N)'s array in slices of at most _BASIS_BYTES (at least one element)."""
+    X = basis_uN(N).elements[0].base  # the array the elements are slices of
+    step = max(1, _BASIS_BYTES // X[0].nbytes)
+    return [X[lo:lo + step] for lo in range(0, len(X), step)]
 
 
 def verify_magic(N: int) -> dict:
@@ -89,14 +95,13 @@ def verify_magic(N: int) -> dict:
     rng = np.random.default_rng(7)
     A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    basis = basis_uN(N).elements
+    s1 = s2 = s3 = s4 = 0
+    for X in _basis_batches(N):
+        trXA, trXB = (np.einsum("bij,ji->b", X, M) / N for M in (A, B))
+        s1, s2 = s1 + (X @ X).sum(axis=0), s2 + (X @ A @ X).sum(axis=0)
+        s3, s4 = s3 + np.einsum("b,bij->ij", trXA, X), s4 + trXA @ trXB
     I = np.eye(N)
     tr = lambda M: np.trace(M) / N
-
-    s1 = sum(X @ X for X in basis)
-    s2 = sum(X @ A @ X for X in basis)
-    s3 = sum(tr(X @ A) * X for X in basis)
-    s4 = sum(tr(X @ A) * tr(X @ B) for X in basis)
     residuals = {
         "m1": float(np.abs(s1 + I).max()),
         "m2": float(np.abs(s2 + tr(A) * I).max()),
@@ -214,26 +219,24 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     U = np.asarray(U, dtype=complex)
     if U.shape != (N, N):
         raise ValueError(f"U has shape {U.shape}, expected ({N}, {N})")
-    inverse = _has_inverse(p)
-    if inverse:
-        _check_invertible(U)
-        Ui = np.linalg.inv(U)
-    zero = np.zeros((N, N), complex)
+    zs = _z_products(U, "A" if _has_inverse(p) else "").table  # U^-1 only for inverse powers
+    Ui, nil = zs.get("A"), np.zeros((1, N, N), complex)
     acc = np.zeros((N, N), dtype=complex)
-    for X in basis_uN(N).elements:
-        X2h = 0.5 * (X @ X)
-        # U e^{eps X}, e^{-eps X} U^{-1} if p has inverse powers, their products, as jets
-        letters = {"a": (U, U @ X, U @ X2h)} | ({"A": (Ui, -X @ Ui, X2h @ Ui)} if inverse else {})
-        jets = _Products((np.eye(N, dtype=complex), zero, zero), letters, _jet_mul)
+    for X in _basis_batches(N):
+        X2h, zero = 0.5 * (X @ X), np.zeros(len(X), complex)
+        # U e^{eps X}, e^{-eps X} U^{-1} if p has inverse powers, their products,
+        # as jets whose first and second orders run over the batch
+        letters = {"a": (U, U @ X, U @ X2h)} | ({"A": (Ui, -X @ Ui, X2h @ Ui)} if "A" in zs else {})
+        jets = _Products((zs[""], nil, nil), letters, _jet_mul)
         for (k0, ve), c in p.terms.items():
-            s0, s1, s2 = complex(c), 0j, 0j
+            s0, s1, s2 = complex(c), zero, zero
             for j, e in ve:
-                t0, t1, t2 = (np.trace(m) / N for m in jets[_u_word(j)])
+                t0, t1, t2 = (np.trace(m, axis1=-2, axis2=-1) / N for m in jets[_u_word(j)])
                 for _ in range(e):
                     s0, s1, s2 = (s0 * t0, s0 * t1 + s1 * t0,
                                   s0 * t2 + s1 * t1 + s2 * t0)
             m0, m1, m2 = jets[_u_word(k0)]
-            acc += 2.0 * (m0 * s2 + m1 * s1 + m2 * s0)
+            acc += 2.0 * (m0 * s2.sum() + np.einsum("b,bij->ij", s1, m1) + s0 * m2.sum(axis=0))
     return acc
 
 

@@ -40,6 +40,23 @@ def test_basis_gram_orthonormal():
                 assert abs(ip - (1.0 if j == k else 0.0)) < 1e-12
 
 
+def test_basis_is_one_stack_in_the_documented_order():
+    N = 3
+    els = basis_uN(N).elements
+    assert all(X.base is els[0].base for X in els)
+    want = []
+    for j in range(N):
+        for k in range(j + 1, N):
+            E = np.zeros((N, N), dtype=complex)
+            E[j, k] = 1.0
+            want += [(E - E.T) / math.sqrt(2 * N), 1j * (E + E.T) / math.sqrt(2 * N)]
+    for j in range(N):
+        E = np.zeros((N, N), dtype=complex)
+        E[j, j] = 1j
+        want.append(E / math.sqrt(N))
+    assert np.array_equal(np.array(els), np.array(want))
+
+
 def test_basis_range_guard():
     with pytest.raises(ValueError):
         basis_uN(0)
@@ -305,6 +322,26 @@ def test_laplacian_eval_matches_symbolic():
             num = laplacian_eval(p, U, N)
             sym = evaluate(apply_DN(p, N), U)
             assert np.max(np.abs(num - sym)) < 1e-10 * max(1.0, np.max(np.abs(sym)))
+
+
+def test_laplacian_eval_across_batches(monkeypatch):
+    rng = np.random.default_rng(5)
+    # u v1 at the largest basis, which spans many batches of the default budget
+    U = np.linalg.qr(rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36)))[0]
+    assert len(matrixlab._basis_batches(36)) > 1
+    sym = evaluate(apply_DN(u(1) * v(1), 36), U)
+    assert np.max(np.abs(laplacian_eval(u(1) * v(1), U, 36) - sym)) < 1e-12 * np.max(np.abs(sym))
+    # the N = 4 basis in one batch of 16, then in batches of 5, 5, 5 and 1
+    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    polys = [parse("u^2 v1 + 2 v2 v1^2 u + 3"), parse("u^-2 v2 + u v1 v-3 + v-1")]
+    whole = [laplacian_eval(p, U, 4) for p in polys]
+    monkeypatch.setattr(matrixlab, "_BASIS_BYTES", 5 * U.nbytes)
+    assert [len(X) for X in matrixlab._basis_batches(4)] == [5, 5, 5, 1]
+    for p, want in zip(polys, whole):
+        got = laplacian_eval(p, U, 4)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        sym = evaluate(apply_DN(p, 4), U)
+        assert np.max(np.abs(got - sym)) < 1e-12 * np.max(np.abs(sym))
 
 
 # ---------------------------------------------------------------- samplers

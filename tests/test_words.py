@@ -8,10 +8,13 @@ second directional derivatives summed over an explicit orthonormal
 basis of u(3) at random well-conditioned points of GL_3.
 """
 
-import gc
 import itertools
+import json
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,32 +161,37 @@ def test_generator_word_cap():
         derive_generators("a" * (MAX_WORD_LEN + 1), None, 1.0, 0.5)
 
 
-def test_family_caches_are_bounded(monkeypatch):
+_RETAINED = """
+import gc, json, tracemalloc
+import freesb.operators as operators, freesb.words as words
+from freesb.tracepoly import parse
+retained = []
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+for src in ("v4", "v-4"):
+    words.l2_norm_sq(parse(src), words.Measure(4, 1.5, 0.8))
+    operators._closures.clear()  # keep only what the word caches hold
+    operators._images.clear()
+    gc.collect()
+    retained.append(tracemalloc.get_traced_memory()[0] - base)
+print(json.dumps([retained, [words._q_family.cache_info(), words._r_family.cache_info()]]))
+"""
+
+
+def test_family_caches_are_bounded():
     # expectation reads each family entry back at the other family's (s, t)
     # and then never again, so a second input must not retain more than the
-    # first; v-4 mirrors v4 letter for letter, so their entries weigh the same
-    caches = (words._q_family, words._r_family)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(operators, "_closures", {})
-    monkeypatch.setattr(operators, "_images", {})
-    retained = []
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for src in ("v4", "v-4"):
-            l2_norm_sq(parse(src), Measure(4, 1.5, 0.8))
-            operators._closures.clear()  # keep only what the word caches hold
-            operators._images.clear()
-            gc.collect()
-            retained.append(tracemalloc.get_traced_memory()[0] - base)
-    finally:
-        tracemalloc.stop()
+    # first; v-4 mirrors v4 letter for letter, so their entries weigh the same.
+    # A fresh interpreter measures it: in this one, objects that v4 shares
+    # with earlier tests' calls predate tracemalloc and would go uncounted
+    env = {**os.environ, "PYTHONPATH": str(Path(words.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _RETAINED], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    retained, infos = json.loads(proc.stdout)
     assert retained[1] <= 1.1 * retained[0]
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize == info.currsize == words.FAMILY_CACHE_SIZE
-        assert info.hits == info.misses
+    for hits, misses, maxsize, currsize in infos:
+        assert maxsize == currsize == words.FAMILY_CACHE_SIZE
+        assert hits == misses
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -514,6 +522,17 @@ def test_mu_at_N1_closed_form(s, t):
                 got = expectation(WordPoly.var("a" * j + "s" * k), s, t, 1)
                 want = math.exp((j + k) ** 2 * t / 4 - (j - k) ** 2 * (s - t / 2) / 2)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (j, k)
+
+
+def test_mu_norms_at_N1_past_degree_4():
+    # on GL_1 every listed P is Z^n, and ||Z^n||^2 = E e^{2n x} = e^{n^2 t}
+    # whatever s; the norm's words reach j + k = 6 and 12, where the ghost
+    # modes of the free trace algebra are largest, but so are these norms
+    s, t = 1.5, 0.8
+    for src, n in (("v3", 3), ("v1^3", 3), ("v2 v1", 3), ("v1^6", 6)):
+        got = l2_norm_sq(parse(src), Measure.mu(s, t, 1))
+        want = math.exp(n * n * t)
+        assert abs(got - want) <= 1e-13 * want, (src, got / want - 1)
 
 
 @pytest.mark.parametrize("s, t, N", [(1.5, 0.8, 3), (2.0, 1.0, 8), (1.0, 0.5, 2)])

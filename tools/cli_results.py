@@ -11,10 +11,11 @@ second N from its cached closure and once under mu at s = t, the b_k
 recursion and the graded test, the Monte Carlo concentration, a failing
 verification, a refused sampler time, a refused mu time, and Monte Carlo
 of an observable with inverse and repeated factors and of the
-concentration of a p with u-powers) and writes one JSON object that maps
-each command line to its exit code and its ``results``.  ``freesb`` is
-imported from SRC_DIR, which defaults to ``src`` beside this script's
-parent, so one copy of the script can run any checkout.
+concentration of a p with u-powers, and the explicit u(N) basis at its
+limit N = 36) and writes one JSON object that maps each command line to
+its exit code and its ``results``.  ``freesb`` is imported from
+SRC_DIR, which defaults to ``src`` beside this script's parent, so one
+copy of the script can run any checkout.
 
 ``compare`` prints one line per command: ``identical`` when both
 ``results`` are equal, otherwise the largest relative move of a number
@@ -83,6 +84,10 @@ COMMANDS = [
     # under mu, and the Monte Carlo concentration of a p with u-powers
     'mc --f "v1 v-2 + 2 v3^2" --N 4 --s 1.0 --t 0.5 --steps 20 --samples 256 --seed 1 --threads 1',
     'concentration --p "u^2 + v1 u^-1" --s 1.0 --Ns 2,3,4 --mode mc --samples 200 --steps 20 --seed 1 --threads 1',
+    # the largest explicit basis, which laplacian_eval and verify_magic sum in
+    # several batches
+    "intertwine-check --N 36 --degree 3 --trials 1 --seed 0",
+    "verify-magic --N 36",
 ]
 
 
