@@ -318,9 +318,7 @@ def main(argv=None) -> int:
         }
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, TypeError, ArithmeticError, RuntimeError, OSError) as e:
-        # bad input, a non-real or negative norm, a Taylor series that does
-        # not converge, an unwritable --csv path, a NaN or infinity that
-        # JSON cannot hold: one line on stderr, never a traceback
+        # the failures of exit code 1 (see the module docstring): one line on stderr
         print(f"freesb: error: {e}", file=sys.stderr)
         return 1
     try:

@@ -14,11 +14,9 @@ the scheme is weak order 1 and the Ito drift is produced automatically by
 the exponential because sum_X X^2 = -I.  A chunk of samples takes each
 step together: G is written from one N x N standard-normal block per
 noise (N^2 normals, the dimension of u(N)), which every stream fills in
-place, a block of steps at a time, and the batched exponential is a
-degree-12 Taylor polynomial (four products) under scaling and squaring,
-evaluated in buffers the chunk allocates once.  That kernel, ``_expm_batch``,
-lives in :mod:`freesb.operators`, whose semigroups use it on small closures.
-RNG_NAME names this draw layout.
+place, a block of steps at a time, and the batched exponential
+(``operators._expm_batch``, the semigroups' dense kernel) runs in buffers
+the chunk allocates once.  RNG_NAME names this draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
 """
@@ -208,10 +206,15 @@ def evaluate_word(pw: WordPoly, Z: CMatrix) -> complex:
 # coefficient, summed over the basis.
 
 
+def _batch_mul(x, y):
+    # (b, N, N) @ (N, N) as one (b N, N) gemm, not numpy's b gemms: the same bits, faster
+    return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape) if x.ndim > y.ndim else x @ y
+
+
 def _jet_mul(a, b):
     return (a[0] @ b[0],
-            a[0] @ b[1] + a[1] @ b[0],
-            a[0] @ b[2] + a[1] @ b[1] + a[2] @ b[0])
+            a[0] @ b[1] + _batch_mul(a[1], b[0]),
+            a[0] @ b[2] + a[1] @ b[1] + _batch_mul(a[2], b[0]))
 
 
 def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:

@@ -1,15 +1,15 @@
 """Intertwining operators on the trace-polynomial algebra.
 
-Implements the first-order operators N0, N1, N = N0 + N1, Y, Z, the
-projections A+/A-/sgn and the second-order operator L, one table of
-column functions, and the generators built from it as weighted sums
+The first-order operators N0, N1, N = N0 + N1, Y, Z, the projections
+A+/A-/sgn and the second-order operator L as one table of column
+functions, the generators built from it as weighted sums
 
     D      = -N - 2Z - 2Y
     D_N    = D - (1/N^2) L
     PI_GEN = N0 + 2Z
 
-together with semigroup application e^{theta G} and dense matrix
-representations on the trace-degree filtration C_n[u, u^-1; v].
+their semigroups e^{theta G}, and dense matrices on the trace-degree
+filtration C_n[u, u^-1; v].
 
 All operators preserve the filtration (trace degree can only stay or
 drop), so the monomials reachable from p span a finite-dimensional
@@ -28,6 +28,7 @@ when large a truncated Taylor series of sparse products.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -48,13 +49,23 @@ MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
 CLOSURE_BUDGET = 1024  # monomials held by the closure cache of exp_series, all entries
 
-# plain dicts in least to most recently used order (see exp_series):
+
+class _Cache(dict):
+    """A dict and ``held``, the monomials of its values, which :func:`_keep` counts."""
+    held = 0
+
+    def clear(self):
+        super().clear()
+        self.held = 0
+
+
+# dicts in least to most recently used order, written by _keep under _LOCK:
 # (part names, p's monomials in order) -> [basis, rows, cols, part values, the
-# classification of the last weights]
-_closures: dict = {}
-# (part names, monomial) -> its merged image, the (monomial, per-part values)
-# pairs that are not zero in every part
+# classification of the last weights], and (part names, monomial) -> its merged
+# image, the (monomial, per-part values) pairs that are not zero in every part
+_closures = _Cache()
 _images: dict = {}
+_LOCK = threading.Lock()
 
 # ======================================================================
 # named first/second order operators, monomial by monomial
@@ -179,9 +190,8 @@ class GeneratorSpec:
         return cls((("N0", 1.0), ("Z", 2.0)))
 
     def parts(self, m: Mono) -> list[tuple[Mono, int, float]]:
-        """The images of m under the terms' operators, unweighted, as
-        (monomial, term index, weight) triples: the column form of
-        :func:`exp_series`."""
+        """The images of m under the terms' operators, unweighted: (monomial,
+        term index, weight) triples, the column form of :func:`exp_series`."""
         return [(mi, k, c) for k, (name, _) in enumerate(self.terms)
                 for mi, c in _column(name)(m)]
 
@@ -229,12 +239,11 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     only on the slices that need it.  Every operation is per slice or per
     entry, so a slice gets bitwise the same arithmetic however the batch is
     assembled.  Non-finite input or more than 26 squarings (1-norm
-    0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.
-
-    ``work``, one C-contiguous complex array shaped (7,) + Ms.shape (a fresh
-    one if not given), holds every intermediate; the result is one of its slices.
-    """
-    Ms = np.asarray(Ms, dtype=complex)
+    0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.  ``work``, one
+    C-contiguous array shaped (7,) + Ms.shape (fresh if not given), float64
+    for a real stack and complex otherwise, holds every intermediate; the
+    result is one of its slices."""
+    Ms = np.asarray(Ms, dtype=complex if np.iscomplexobj(Ms) else float)
     if Ms.shape[0] == 0:
         return Ms.copy()
     norms = np.einsum("nij->nj", np.abs(Ms)).max(axis=-1)
@@ -242,7 +251,7 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     if nsq.max() > _EXPM_MAX_SQUARINGS:
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
-    P = work[0] if work else np.empty((7,) + Ms.shape, dtype=complex)
+    P = work[0] if work else np.empty((7,) + Ms.shape, dtype=Ms.dtype)
     A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=P[0])
     np.matmul(A, A, out=P[1])
     np.matmul(P[1], A, out=P[2])
@@ -255,11 +264,12 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     Bb += A6
     E, T = np.matmul(Bb, A6, out=P[1]), P[2]
     E += Ba
+    low = nsq.min()  # every slice takes the first ``low`` squarings
     for r in range(int(nsq.max())):
-        live = nsq > r
-        if live.all():
+        if r < low:
             E, T = np.matmul(E, E, out=T), E
         else:
+            live = nsq > r
             E[live] = E[live] @ E[live]
     return E
 
@@ -272,18 +282,16 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
 def _compile(column, seed, parts):
     """Compile the parts of a linear map to sparse values on the closure of ``seed``.
 
-    ``column`` maps one monomial to its images under the map's parts as
-    (monomial, part index, weight) triples; ``parts`` is the tuple of the
-    parts' names, or only their number for a column without names.
-    ``basis`` starts as the monomials ``seed`` and grows breadth first:
-    column j merges its triples in one dict, one value per part, drops the
-    entries that are zero in every part (under names, that image may come
-    from ``_images``; see :func:`exp_series`), and appends every monomial it
-    reaches that is not yet in ``basis``.  Returns ``basis``, the COO arrays
-    ``rows, cols`` and the nnz x nparts array ``vals``, with ``vals[e, k]``
-    the coefficient of ``basis[rows[e]]`` in part k's image of
-    ``basis[cols[e]]``.  ValueError once ``basis`` passes ``MAX_CLOSURE``,
-    before another column is built.
+    ``column`` maps a monomial to its images under the parts as (monomial,
+    part index, weight) triples; ``parts`` is the tuple of the parts' names,
+    or their number for a column without names.  ``basis`` starts as
+    ``seed`` and grows breadth first: column j merges its triples, one value
+    per part, drops the entries zero in every part (under names, the image
+    may come from ``_images``), and appends each new monomial it reaches.
+    Returns ``basis``, the COO arrays ``rows, cols`` and the nnz x nparts
+    array ``vals``: ``vals[e, k]`` is the coefficient of ``basis[rows[e]]``
+    in part k's image of ``basis[cols[e]]``.  ValueError once ``basis``
+    passes ``MAX_CLOSURE``, before another column is built.
     """
     names = parts if isinstance(parts, tuple) else None
     nparts = len(names) if names else parts
@@ -326,38 +334,24 @@ def _compile(column, seed, parts):
 def exp_series(column, p, theta, terms):
     """e^{theta G} p for G = sum_k w_k G_k, a weighted sum of named parts.
 
-    ``terms`` pairs each part's name with its weight w_k, and ``column`` is
-    the parts' column (see :func:`_compile`).  ``p`` is a ``TracePoly`` or
-    ``WordPoly``, whose closure G maps into itself; ``theta`` is real.
-
-    Two LRU caches, each of at most ``CLOSURE_BUDGET`` monomials and fed
-    only by closures within that size, are keyed by the part names and not
-    the weights, so the names must say what the parts are; D_N at every N,
-    and the word engine at every s, t and N, share their entries.
+    ``terms`` pairs each part's name with its weight w_k; ``column`` is the
+    parts' column (see :func:`_compile`); ``p`` is a ``TracePoly`` or
+    ``WordPoly`` whose closure G maps into itself; ``theta`` is real.
     ``_closures`` keeps the compiled parts under (names, p's monomials in
-    order, which fixes the basis order).  On its miss, :func:`_compile`
-    reads each monomial's merged image from ``_images`` under (names,
-    monomial) and calls ``column`` for the others only.  Every call sums the
-    cached parts to A = G on the closure and classifies A (see
-    :func:`_classify`, kept for the last weights), then scales A by theta:
-    a hit runs the same arithmetic as a cold call.
-    When A is graded (see the module docstring), the result is e^{theta
-    diag} times :func:`_nilpotent_sum` of theta M: no truncation at any theta.
-    Otherwise, with m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s
-    the squarings :func:`_expm_batch` takes (the least s >= 0 with
-    ||theta A||_1 < 0.31 * 2^s), :func:`_expm_dense` runs when
-    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and
-    (4 + s) n^3 <= DENSE_COST * m * (nnz + STAGE_COST): its four products
-    and s squarings against the Taylor kernel's work; :func:`_taylor_sparse`
-    runs otherwise.  DENSE_COST is fitted to the kernels' timings; from 7
-    squarings on, the dense kernel's roundoff can exceed the Taylor
-    kernel's tenfold.  The graded sum and the dense kernel are accurate to
-    roundoff; ``TAYLOR_TOL`` sets the Taylor kernel's stop rule.
-    ValueError, before the closure is built or looked up: a ``p`` of
-    trace degree above 2 * MAX_DEGREE (the longest word); while it is
-    built: more than ``MAX_CLOSURE`` monomials; before a kernel runs on a
-    closure that is not graded: work m * (nnz + STAGE_COST) above
-    ``MAX_WORK`` (a non-finite entry of theta A fails this check too).
+    order) and ``_images`` each monomial's merged image under (names,
+    monomial), both within ``CLOSURE_BUDGET`` monomials: keyed by the names,
+    not the weights, so the names must say what the parts are.  Every call,
+    hit or miss, sums the parts to A = G and classifies it (:func:`_classify`).
+    A graded A (see the module docstring) takes e^{theta diag} times
+    :func:`_nilpotent_sum` of theta M, at any theta.  Otherwise, with
+    m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s =
+    :func:`_squarings` of ||theta A||_1, :func:`_expm_dense` runs when
+    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and (4 + s) n^3 <=
+    DENSE_COST * m * (nnz + STAGE_COST), and :func:`_taylor_sparse` otherwise.
+    ValueError: a ``p`` of trace degree above 2 * MAX_DEGREE, before the
+    closure is looked up; more than ``MAX_CLOSURE`` monomials, while it is
+    built; work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite
+    theta A included), before a kernel other than the graded sum runs.
     Overflow in any kernel raises FloatingPointError.
     """
     if not p.terms:
@@ -367,7 +361,7 @@ def exp_series(column, p, theta, terms):
                          "the semigroup's closure would be too large")
     names, weights = zip(*terms)
     key = (names, tuple(p.terms))
-    closure = _closures.pop(key, None)
+    closure = _closures.get(key)
     if closure is None:
         closure = [*_compile(column, p.terms, names), None]
     if len(closure[0]) <= CLOSURE_BUDGET:  # a larger closure is not stored
@@ -396,15 +390,13 @@ def exp_series(column, p, theta, terms):
 
 
 def _classify(closure, weights, nseed):
-    """A = sum_k weights[k] G_k on a compiled closure, and whether it is
-    graded (see :func:`exp_series`): basis, rows, cols, vals, the diagonal,
-    the off-diagonal mask over the COO entries and the graded flag.  Each
-    product is rounded on its own, so weights that cancel (the word engine
-    at s = t) leave exact zeros; those entries are dropped, and with them the
-    monomials that only they reach from the first ``nseed`` ones, so A's
-    closure, graded test and kernel choice are those of A compiled alone.
-    The result is kept in ``closure[4]`` for the next call with the same
-    weights."""
+    """A = sum_k weights[k] G_k on a compiled closure and whether it is graded:
+    basis, rows, cols, vals, the diagonal, the off-diagonal mask and the
+    graded flag, kept in ``closure[4]`` for the next call with the same
+    weights.  Weights that cancel (the word engine at s = t) leave exact
+    zeros; those entries are dropped, with the monomials that only they reach
+    from the first ``nseed``, so A's closure, graded test and kernel choice
+    are those of A compiled alone."""
     last = closure[4]
     if last is not None and last[0] == weights:
         return last[1:]
@@ -427,26 +419,25 @@ def _classify(closure, weights, nseed):
     off_rows, off_cols = rows[off], cols[off]
     graded = (diag[off_rows] == diag[off_cols]).all() and \
         ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, len(basis)))
-    closure[4] = (weights, basis, rows, cols, vals, diag, off, graded)
-    return closure[4][1:]
+    closure[4] = last = (weights, basis, rows, cols, vals, diag, off, graded)
+    return last[1:]
 
 
 def _keep(cache, entries, size):
     """Store the dict ``entries`` in ``cache`` as its most recently used, then
-    drop the least recently used entries until the cache holds at most
-    CLOSURE_BUDGET monomials: ``size(value)`` for an entry, or 1 where
-    ``size`` is None.  Each thread counts over its own snapshot, so
-    concurrent calls cannot raise."""
-    for key in entries:
-        cache.pop(key, None)
-    cache.update(entries)
-    held = list(cache.items())
-    count = len(held) if size is None else sum(size(v) for _, v in held)
-    for key, v in held:
-        if count <= CLOSURE_BUDGET:
-            break
-        cache.pop(key, None)
-        count -= 1 if size is None else size(v)
+    drop the least recently used until the cache holds at most CLOSURE_BUDGET
+    monomials: ``cache.held``, the sum of ``size(value)``, or ``len(cache)``
+    where ``size`` is None.  It holds ``_LOCK`` and reads only what it drops."""
+    with _LOCK:
+        for key, v in entries.items():
+            old = cache.pop(key, None)
+            cache[key] = v
+            if size:
+                cache.held += size(v) - (0 if old is None else size(old))
+        while (cache.held if size else len(cache)) > CLOSURE_BUDGET:
+            v = cache.pop(next(iter(cache)))
+            if size:
+                cache.held -= size(v)
 
 
 def _acyclic(rows, cols, n):
@@ -483,10 +474,12 @@ def _nilpotent_sum(rows, cols, vals, x):
 
 def _expm_dense(rows, cols, vals, x):
     """e^A x with A the n x n COO matrix (rows, cols, vals), n = len(x): one
-    :func:`_expm_batch` on the dense A, then one matrix-vector product."""
-    A = np.zeros((1, len(x), len(x)), dtype=complex)
-    A[0, rows, cols] = vals
-    return _expm_batch(A)[0] @ x
+    :func:`_expm_batch` on the dense A, in float64 if A is real, times x."""
+    real = not vals.imag.any()
+    A = np.zeros((1, len(x), len(x)), dtype=float if real else complex)
+    A[0, rows, cols] = vals.real if real else vals
+    E = _expm_batch(A)[0]
+    return (E @ x.view(float).reshape(-1, 2)).view(complex)[:, 0] if real else E @ x
 
 
 def _taylor_sparse(rows, cols, vals, x, norm):

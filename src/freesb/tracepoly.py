@@ -26,9 +26,7 @@ polynomials, and the partial-derivative iterators over sorted
 ``(variable, exponent)`` tuples, the shape of both a v-part and a word
 monomial.
 
-``format`` writes and ``parse`` reads the text grammar given beside them;
-``parse`` reads it with three token patterns: ``_SIGN`` (a term's sign),
-``_COEFF`` (its coefficient) and ``_FACTOR`` (each u or v factor).
+``format`` writes and ``parse`` reads the text grammar given beside them.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ give exact finite-N heat-kernel expectations: E[P_N] under mu_{s,t}^N is
 which lives on U_N, where Z^* = Z^-1: there every word is first rewritten
 as a power of Z, and the closure stays on those (on words in Z and Z^-1
 the beta_+ cuts make no starred letter, and beta_- has weight t/2 = 0).
+Canonical words, eps(j, k) and rewrites on U_N are FAMILY_CACHE_SIZE memos.
 
 Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 """
@@ -32,7 +33,7 @@ from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_fac
                         second_partials)
 
 MAX_WORD_LEN = 2 * MAX_DEGREE
-FAMILY_CACHE_SIZE = 64  # entries per family cache; expectation reads each back once, right away
+FAMILY_CACHE_SIZE = 64  # entries per family cache or word memo; expectation reads each back soon
 
 _INV = {"a": "A", "A": "a", "s": "S", "S": "s"}
 _UNITARY = str.maketrans("sS", "Aa")  # on U_N, Z^* = Z^-1 and Z^-* = Z
@@ -43,8 +44,7 @@ _UNITARY = str.maketrans("sS", "Aa")  # on U_N, Z^* = Z^-1 and Z^-* = Z
 
 
 def _reduce(chars: str) -> str:
-    # free reduction within each letter family (a with A, s with S; a and s
-    # never cancel each other); most words have no cancelling pair at all
+    # free reduction within each letter family (a with A, s with S); most words have none
     if not ("aA" in chars or "Aa" in chars or "sS" in chars or "Ss" in chars):
         return chars
     stack: list[str] = []
@@ -66,6 +66,11 @@ def canonicalize(raw: str) -> str:
     """
     if not isinstance(raw, str):
         raise ValueError(f"a word is a string over {{a, A, s, S}}, got {type(raw).__name__}")
+    return _canonical(raw)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _canonical(raw: str) -> str:
     w = raw.replace(" ", "")
     bad = set(w) - set("aAsS")
     if bad:
@@ -145,9 +150,9 @@ class WordPoly(SparsePoly):
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _eps_word(j: int, k: int) -> str:
-    # the word eps(j,k): |j| plain letters with the sign of j, then |k|
-    # star letters with the sign of k
+    # eps(j,k): |j| plain letters with the sign of j, then |k| star letters with the sign of k
     zpart = ("a" if j > 0 else "A") * abs(j)
     spart = ("s" if k > 0 else "S") * abs(k)
     return canonicalize(zpart + spart)
@@ -295,27 +300,30 @@ def apply_tilde(gen: str, p: WordPoly, s: float, t: float) -> WordPoly:
     return linear(lambda m: [(mi, w) for mi, _, w in _leibniz(m, first, second)], p)
 
 
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _unitary(m: WordKey) -> WordKey:
+    return wmono((canonicalize(w.translate(_UNITARY)), e) for w, e in m)
+
+
 def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
     Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with
     every v_eps then set to 1.  When t == 0, P is first rewritten on U_N
-    (Z^* -> Z^-1, Z^-* -> Z, equal words merged), which shrinks the closure
-    of |tr Z^7|^2 from 9,142 monomials to 435.  The generator is
+    (Z^* -> Z^-1, Z^-* -> Z, equal words merged).  The generator is
     (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
     beta_- alone: four parts (two when t == 0) that ``exp_series`` caches
-    for every s, t and N.  Each part's column is the Leibniz form (see
-    ``_leibniz``) over Dt(v_a) and Lt(v_a v_b), each one ``apply_tilde`` call
-    per family at (s, t) = (1, 0) or (1, 2), made once per call and only for
-    a column that neither cache of ``exp_series`` holds.
+    for every s, t and N.  A part's column is the Leibniz form (``_leibniz``)
+    over Dt(v_a) and Lt(v_a v_b), one ``apply_tilde`` call per family at
+    (s, t) = (1, 0) or (1, 2), made only for a column that neither cache of
+    ``exp_series`` holds.
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     check_times(s=s, t=t)
     if t == 0.0 and any(c in w for m in p.terms for w, _ in m for c in "sS"):
         # Z is unitary: every word becomes a power of Z
-        p = linear(lambda m: [(wmono((canonicalize(w.translate(_UNITARY)), e) for w, e in m),
-                               1.0)], p)
+        p = linear(lambda m: [(_unitary(m), 1.0)], p)
     # (s, t) of the beta_+ family alone and of the beta_- family alone
     families = ((1.0, 0.0),) if t == 0.0 else ((1.0, 0.0), (1.0, 2.0))
     images: dict = {}  # the triples of Dt(v_a) by (a,), of Lt(v_a v_b) by (a, b)

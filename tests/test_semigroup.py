@@ -145,6 +145,35 @@ def test_dense_and_taylor_kernels_agree(name, column, p):
     assert gap <= 1e-12 * np.abs(dense).max(), name
 
 
+def _complex_dense(rows, cols, vals, x):
+    """The dense kernel in complex arithmetic, whatever the values."""
+    A = np.zeros((1, len(x), len(x)), dtype=complex)
+    A[0, rows, cols] = vals
+    return operators._expm_batch(A)[0] @ x
+
+
+REAL_CASES = [("0.4 D_4 on u^4", _scaled(GeneratorSpec.DN(4), 0.4), u(4)),
+              ("0.4 D_4 on u^-6", _scaled(GeneratorSpec.DN(4), 0.4), u(-6)),
+              ("0.4 D_4 on u^7", _scaled(GeneratorSpec.DN(4), 0.4), u(7)),
+              ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))]
+
+
+@pytest.mark.parametrize("name, column, p", REAL_CASES, ids=[c[0] for c in REAL_CASES])
+def test_real_closures_take_the_float64_kernel(closures, monkeypatch, name, column, p):
+    # exp_series runs a real closure's dense kernel in float64, and its
+    # coefficients are the complex kernel's to 4 n u of the largest
+    batch, dtypes = operators._expm_batch, []
+    monkeypatch.setattr(operators, "_expm_batch", lambda Ms: dtypes.append(Ms.dtype) or batch(Ms))
+    got = _exp(name, column, p)
+    assert dtypes == [np.float64]
+    monkeypatch.setattr(operators, "_expm_dense", _complex_dense)
+    closures.clear()
+    want = _exp(name, column, p)
+    assert dtypes[1:] == [np.complex128] and got.terms.keys() == want.terms.keys()
+    bound = 4 * len(want.terms) * 2.0 ** -53 * max(map(abs, want.terms.values()))
+    assert all(abs(got.terms[m] - c) <= bound for m, c in want.terms.items()), name
+
+
 def test_kernels_agree_at_large_theta():
     # |theta| ||G||_1 up to 10^3 (up to 12 squarings on the dense side, 500
     # stages on the Taylor side), results from 1e-140 to 1e+232 in size

@@ -75,6 +75,19 @@ def test_canonicalize_accepts_text_format():
         canonicalize(["a", "a", "s"])
 
 
+def test_word_memos_are_bounded_and_keep_errors():
+    # the canonical form, eps(j, k) and the rho rewrite of a monomial are
+    # memos of the family caches' size; errors are raised on every call, and
+    # the type check stands before the memo, which would raise TypeError on a list
+    for memo in (words._canonical, words._eps_word, words._unitary):
+        assert memo.cache_info().maxsize == words.FAMILY_CACHE_SIZE
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown word letters"):
+            canonicalize("aQsQ")
+    with pytest.raises(ValueError, match="got list"):
+        canonicalize(["a"])
+
+
 @given(st.text(alphabet="aAsS", min_size=0, max_size=10))
 @settings(max_examples=80, deadline=None)
 def test_canonicalize_idempotent(w):
@@ -376,7 +389,7 @@ def _spy_exp_series(monkeypatch):
 
     real = words.exp_series
     monkeypatch.setattr(words, "exp_series", spy)
-    monkeypatch.setattr(operators, "_closures", {})
+    monkeypatch.setattr(operators, "_closures", operators._Cache())
     monkeypatch.setattr(operators, "_images", {})
     return columns, calls
 

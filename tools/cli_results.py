@@ -7,12 +7,12 @@
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
 semigroups, a second degree-8 transform that reuses the first one's
 cached closure, a few inputs for the word engine, one of them again at a
-second N from its cached closure and once under mu at s = t, the b_k
-recursion and the graded test, the Monte Carlo concentration, a failing
-verification, a refused sampler time, a refused mu time, and Monte Carlo
-of an observable with inverse and repeated factors and of the
-concentration of a p with u-powers, and the explicit u(N) basis at its
-limit N = 36) and writes one JSON object that maps each command line to
+second N from its cached closure, once under mu at s = t and under rho at
+two N, the b_k recursion and the graded test, the Monte Carlo
+concentration, a failing verification, a refused sampler time, a refused
+mu time, and Monte Carlo of an observable with inverse and repeated
+factors and of the concentration of a p with u-powers, and the explicit
+u(N) basis at its limit N = 36) and writes one JSON object that maps each command line to
 its exit code and its ``results``.  ``freesb`` is imported from
 SRC_DIR, which defaults to ``src`` beside this script's parent, so one
 copy of the script can run any checkout.
@@ -70,6 +70,10 @@ COMMANDS = [
     # where the diagonals of the beta_+ and beta_- parts cancel
     'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 6',
     'norm --p "u^2 + v-1 u" --measure mu --s 1.2 --t 1.2 --N 4',
+    # rho on starred words, rewritten as powers of Z, then again at a second N
+    # from the cached closure and the word engine's memos
+    'norm --p "u^2 + v-1 u" --measure rho --s 1 --N 6',
+    'norm --p "u^2 + v-1 u" --measure rho --s 1 --N 9',
     "moments --k 32 --s 1.7",
     'transform --s 1.5 --t 0.8 --f "v1^2 u + u^3" --dir G',
     # exit codes: a verification that fails (exit 2; the residual at s = t =
