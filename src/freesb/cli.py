@@ -10,15 +10,15 @@ byte-identical ``results`` field.  Exit codes: 0 success, 2 exactly
 when ``results`` holds ``"pass": false`` (a verification command
 exceeded its asserted tolerance), 1 on usage errors and on computations
 that fail (a malformed FREESB_SEED, a series order K outside 1..16, an N
-above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, times
-of no measure for norm, concentration or mc (rho with s < 0, mu with
-t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS sampler steps, a
-semigroup closure of more than operators.MAX_CLOSURE monomials, a
-semigroup series that does not converge, a semigroup or sampler path
-that overflows, a norm that comes out non-real, a non-finite time or any
-other NaN or infinity in the report, which JSON cannot hold, a --csv
-file that cannot be written, a stdout closed before the report is
-written; the last prints nothing).
+above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, an N
+below 1, times of no measure for norm, concentration or mc (rho with
+s < 0, mu with t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS
+sampler steps, a semigroup closure of more than operators.MAX_CLOSURE
+monomials, a semigroup series that does not converge, a semigroup or
+sampler path that overflows, a norm that comes out non-real, a
+non-finite time or any other NaN or infinity in the report, which JSON
+cannot hold, a --csv file that cannot be written, a stdout closed before
+the report is written; the last prints nothing).
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr.
@@ -210,7 +210,6 @@ def _cmd_moments(a, seed):
         "c": {"prefactor_exp": c.prefactor_exp,
               "coeffs": [_cpair(z) for z in c.coeffs]},
         "b": [format_poly(q) for q in b.coeffs],
-        "tol": 1e-12,
     }
 
 
@@ -263,8 +262,7 @@ def _cmd_concentration(a, seed):
     rep = concentration_experiment(parse(a.p), a.s, a.t, Ns, mode=a.mode,
                                    steps=a.steps, samples=a.samples, seed=seed,
                                    threads=a.threads)
-    results = {"rows": rep["rows"], "slope": rep["slope"], "mode": a.mode,
-               "tol": 1e-12 if a.mode == "symbolic" else None}
+    results = {"rows": rep["rows"], "slope": rep["slope"], "mode": a.mode}
     if a.csv:
         _write_csv(a.csv, [(r["N"], r["value"], r.get("stderr"))
                            for r in rep["rows"]])
@@ -287,7 +285,7 @@ def _cmd_norm(a, seed):
     if a.measure == "rho" and a.t != 0.0:
         raise ValueError("--measure rho takes no --t (it is the t=0 case)")
     meas = Measure(a.N, a.s, a.t)
-    return {"value": l2_norm_sq(parse(a.p), meas), "measure": a.measure, "tol": 1e-12}
+    return {"value": l2_norm_sq(parse(a.p), meas), "measure": a.measure}
 
 
 def main(argv=None) -> int:

@@ -282,7 +282,7 @@ class SamplerCfg(Measure):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.N <= MAX_SAMPLER_N:
+        if self.N > MAX_SAMPLER_N:  # Measure refused N < 1
             raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
         if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
             raise ValueError(f"steps must be in [1, {MAX_SAMPLER_STEPS}], got {self.steps}")
@@ -306,7 +306,7 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     folded in.  G, the exponential and U E run in buffers made once per chunk.
     """
     N, steps = cfg.N, cfg.steps
-    is_mu = cfg.t != 0.0
+    is_mu = cfg.kind == "mu"
     if is_mu:
         delta = 1.0 / steps
         n_noise = 2
@@ -347,14 +347,14 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
 
 def sample_rho(cfg: SamplerCfg, index: int = 0) -> CMatrix:
     """One sample of the heat kernel measure rho_s^N on U_N (cfg.t must be 0)."""
-    if cfg.t != 0.0:
+    if cfg.kind != "rho":
         raise ValueError("sample_rho requires cfg.t == 0")
     return _sample_batch(cfg, [index])[0]
 
 
 def sample_mu(cfg: SamplerCfg, index: int = 0) -> CMatrix:
     """One sample of mu_{s,t}^N on GL_N (total diffusion time 1)."""
-    if cfg.t == 0.0:
+    if cfg.kind != "mu":
         raise ValueError("sample_mu requires t > 0 (use sample_rho for t = 0)")
     return _sample_batch(cfg, [index])[0]
 

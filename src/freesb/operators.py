@@ -64,7 +64,7 @@ class _Cache(dict):
 # classification of the last weights], and (part names, monomial) -> its merged
 # image, the (monomial, per-part values) pairs that are not zero in every part
 _closures = _Cache()
-_images: dict = {}
+_images = _Cache()
 _LOCK = threading.Lock()
 
 # ======================================================================
@@ -155,8 +155,7 @@ def _apply_L(p: TracePoly) -> TracePoly:
 
 def apply_DN(p: TracePoly, N: int) -> TracePoly:
     """D_N = D - (1/N^2) L, the full Laplacian's trace-polynomial avatar."""
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    GeneratorSpec.DN(N)  # ValueError for N < 1
     return apply_D(p) - (1.0 / (N * N)) * _apply_L(p)
 
 
@@ -326,7 +325,7 @@ def _compile(column, seed, parts):
             if len(basis) > CLOSURE_BUDGET:
                 seen = None
     if seen:
-        _keep(_images, seen, None)
+        _keep(_images, seen, lambda image: 1)
     return (basis, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(vals, dtype=complex).reshape(-1, nparts))
 
@@ -424,20 +423,17 @@ def _classify(closure, weights, nseed):
 
 
 def _keep(cache, entries, size):
-    """Store the dict ``entries`` in ``cache`` as its most recently used, then
-    drop the least recently used until the cache holds at most CLOSURE_BUDGET
-    monomials: ``cache.held``, the sum of ``size(value)``, or ``len(cache)``
-    where ``size`` is None.  It holds ``_LOCK`` and reads only what it drops."""
+    """Store the dict ``entries`` in the ``_Cache`` ``cache`` as its most
+    recently used, then drop the least recently used until ``cache.held``,
+    the sum of ``size(value)``, is at most CLOSURE_BUDGET.  It holds
+    ``_LOCK`` and reads only what it drops."""
     with _LOCK:
         for key, v in entries.items():
             old = cache.pop(key, None)
             cache[key] = v
-            if size:
-                cache.held += size(v) - (0 if old is None else size(old))
-        while (cache.held if size else len(cache)) > CLOSURE_BUDGET:
-            v = cache.pop(next(iter(cache)))
-            if size:
-                cache.held -= size(v)
+            cache.held += size(v) - (0 if old is None else size(old))
+        while cache.held > CLOSURE_BUDGET:
+            cache.held -= size(cache.pop(next(iter(cache))))
 
 
 def _acyclic(rows, cols, n):

@@ -124,15 +124,17 @@ class SparsePoly:
     coefficients.
 
     A subclass fixes its keys: ``_UNIT`` is the key of the constant
-    monomial and ``_mono_mul`` multiplies two keys.  A coefficient that is
-    not finite raises ValueError; one below ``CLEANUP_EPS`` in magnitude
-    is dropped.  Every operation returns a new instance, so values can be
-    shared freely (including across threads).
+    monomial, ``_mono_mul`` multiplies two keys and ``_degree`` gives a
+    key's trace degree.  A coefficient that is not finite raises
+    ValueError; one below ``CLEANUP_EPS`` in magnitude is dropped.  Every
+    operation returns a new instance, so values can be shared freely
+    (including across threads).
     """
 
     __slots__ = ("terms",)
     _UNIT: Hashable
     _mono_mul: Callable[[Hashable, Hashable], Hashable]
+    _degree: Callable[[Hashable], int]
 
     def __init__(self, terms: Mapping[Hashable, Scalar] | None = None):
         cleaned: dict = {}
@@ -169,6 +171,11 @@ class SparsePoly:
 
     def coeff_max(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def trace_degree(self) -> int:
+        """Max trace degree over monomials; 0 for the zero polynomial, which
+        ``is_zero`` flags rather than a sentinel degree."""
+        return max(map(self._degree, self.terms), default=0)
 
     # the ring operations; each subclass binds them as its own __add__ and
     # __mul__ (and reflected forms), so every class keeps distinct operator
@@ -223,6 +230,7 @@ class TracePoly(SparsePoly):
     __slots__ = ()
     _UNIT = mono()
     _mono_mul = staticmethod(mono_mul)
+    _degree = staticmethod(mono_degree)
 
     @classmethod
     def u(cls, k: int = 1) -> "TracePoly":
@@ -238,14 +246,6 @@ class TracePoly(SparsePoly):
 
     # ------------------------------------------------------------------
     # basic queries
-
-    def trace_degree(self) -> int:
-        """Max trace degree over monomials; 0 for the zero polynomial.
-
-        The zero polynomial is flagged by ``is_zero`` rather than by a
-        sentinel degree.
-        """
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     def iter_terms(self) -> Iterator[tuple[Mono, complex]]:
         """Terms in canonical order: ascending u_exp, then v-factor tuples."""

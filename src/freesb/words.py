@@ -13,7 +13,8 @@ operators
     Lt_{s,t} = (1/2) sum_{eps,delta} R_{eps,delta} d^2/dv_eps dv_delta
 
 give exact finite-N heat-kernel expectations: E[P_N] under mu_{s,t}^N is
-(e^{Dt + Lt/N^2} P) evaluated at all v_eps = 1.  At t = 0 this is rho_s^N,
+(e^{Dt + Lt/N^2} P) evaluated at all v_eps = 1, for the (N, s, t) that
+``Measure`` accepts and no other.  At t = 0 this is rho_s^N,
 which lives on U_N, where Z^* = Z^-1: there every word is first rewritten
 as a power of Z, and the closure stays on those (on words in Z and Z^-1
 the beta_+ cuts make no starred letter, and beta_- has weight t/2 = 0).
@@ -114,13 +115,11 @@ class WordPoly(SparsePoly):
     __slots__ = ()
     _UNIT = ()
     _mono_mul = staticmethod(_wmono_mul)
+    _degree = staticmethod(wmono_degree)
 
     @classmethod
     def var(cls, word, exp: int = 1) -> "WordPoly":
         return cls({wmono([(canonicalize(word), exp)]): 1.0})
-
-    def trace_degree(self) -> int:
-        return max((wmono_degree(m) for m in self.terms), default=0)
 
     def evaluate_ones(self) -> complex:
         """Value with every v_eps set to 1."""
@@ -308,24 +307,23 @@ def _unitary(m: WordKey) -> WordKey:
 def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
-    Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with
-    every v_eps then set to 1.  When t == 0, P is first rewritten on U_N
+    ValueError, before any work, for an (N, s, t) that ``Measure(N, s, t)``
+    refuses.  Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P
+    with every v_eps then set to 1.  Under rho, P is first rewritten on U_N
     (Z^* -> Z^-1, Z^-* -> Z, equal words merged).  The generator is
     (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
-    beta_- alone: four parts (two when t == 0) that ``exp_series`` caches
+    beta_- alone: four parts (two under rho) that ``exp_series`` caches
     for every s, t and N.  A part's column is the Leibniz form (``_leibniz``)
     over Dt(v_a) and Lt(v_a v_b), one ``apply_tilde`` call per family at
     (s, t) = (1, 0) or (1, 2), made only for a column that neither cache of
     ``exp_series`` holds.
     """
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    check_times(s=s, t=t)
-    if t == 0.0 and any(c in w for m in p.terms for w, _ in m for c in "sS"):
+    rho = Measure(N, s, t).kind == "rho"
+    if rho and any(c in w for m in p.terms for w, _ in m for c in "sS"):
         # Z is unitary: every word becomes a power of Z
         p = linear(lambda m: [(_unitary(m), 1.0)], p)
     # (s, t) of the beta_+ family alone and of the beta_- family alone
-    families = ((1.0, 0.0),) if t == 0.0 else ((1.0, 0.0), (1.0, 2.0))
+    families = ((1.0, 0.0),) if rho else ((1.0, 0.0), (1.0, 2.0))
     images: dict = {}  # the triples of Dt(v_a) by (a,), of Lt(v_a v_b) by (a, b)
 
     def image(*words):
@@ -346,8 +344,9 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
 class Measure:
     """A heat-kernel measure: rho_s^N on U_N (t = 0) or mu_{s,t}^N on GL_N.
 
-    ValueError unless the times are finite, s >= 0 for rho and
-    s > t/2 > 0 for mu.
+    ValueError unless N >= 1, the times are finite, s >= 0 for rho and
+    s > t/2 > 0 for mu.  This is the one statement of that rule: every
+    expectation, norm and sampler checks its input through it.
     """
 
     N: int
@@ -355,6 +354,8 @@ class Measure:
     t: float = 0.0
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N}")
         check_times(s=self.s, t=self.t)
         if self.t != 0 and not 0 < self.t / 2.0 < self.s:
             raise ValueError(f"mu requires s > t/2 > 0, got s={self.s}, t={self.t}")

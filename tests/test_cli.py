@@ -342,6 +342,17 @@ def test_concentration_csv(capsys, tmp_path):
     assert abs(float(first[1]) - rep["results"]["rows"][0]["value"]) < 1e-15
 
 
+def test_mc_csv(capsys, tmp_path):
+    path = tmp_path / "mc.csv"
+    code, rep = run(capsys, "mc", "--f", "v1", "--N", "3", "--s", "1.0", "--steps", "5",
+                    "--samples", "4", "--csv", str(path))
+    assert code == 0
+    res = rep["results"]
+    assert res["csv"] == str(path)
+    assert path.read_text().splitlines() == [
+        "N,value,stderr", f"3,{res['mean'][0]!r},{res['stderr']!r}"]
+
+
 @pytest.mark.parametrize("argv, message", [
     # a repeated N leaves np.polyfit a slope fitted to fewer points
     (["concentration", "--p", "v1", "--s", "1", "--Ns", "2,2,2"], "strictly ascending"),
@@ -479,11 +490,18 @@ def test_non_finite_report_exits_1(capsys):
     (["intertwine-check", "--N", "2", "--degree", "-3", "--trials", "1"], "2 <= --degree <= 12"),
     (["intertwine-check", "--N", "2", "--degree", "1", "--trials", "1"], "2 <= --degree <= 12"),
     (["intertwine-check", "--N", "2", "--degree", "13", "--trials", "1"], "2 <= --degree <= 12"),
+    (["heat-apply", "--gen", "DN", "--t", "1", "--f", "u"], "--gen DN requires --N"),
+    (["heat-apply", "--gen", "DN", "--N", "0", "--t", "1", "--f", "u"],
+     "N must be a positive integer, got 0"),
+    (["norm", "--p", "u", "--measure", "rho", "--s", "1", "--N", "0"],
+     "N must be a positive integer, got 0"),
+    (["mc", "--f", "v1", "--N", "0", "--s", "1"], "N must be a positive integer, got 0"),
 ])
 def test_out_of_range_counts_exit_1_at_once(capsys, argv, what):
     # each is refused before any work: nu_65 does not exist, zero trials
-    # would pass vacuously, a thread count below 1 is no count, and below
-    # degree 2 the drawn u-power alone exceeds --degree
+    # would pass vacuously, a thread count below 1 is no count, below
+    # degree 2 the drawn u-power alone exceeds --degree, and D_N and the
+    # measures need an N of at least 1
     t0 = time.perf_counter()
     assert cli.main(argv) == 1
     assert time.perf_counter() - t0 < 1.0

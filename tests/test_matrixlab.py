@@ -332,6 +332,8 @@ def test_laplacian_eval_at_a_singular_point():
     for p in (u(-1), u(1) * v(-2)):
         with pytest.raises(ValueError, match="singular"):
             laplacian_eval(p, U, 3)
+    with pytest.raises(ValueError, match=r"U has shape \(3, 3\), expected \(2, 2\)"):
+        laplacian_eval(u(1), U, 2)
 
 
 def test_laplacian_eval_matches_symbolic():
@@ -554,6 +556,8 @@ def test_concentration_guards():
         concentration_experiment(v(1), 1.0, 0.0, [4, 8, 8], mode="symbolic")
     with pytest.raises(ValueError, match="nsamples"):
         concentration_experiment(v(1), 1.0, 0.0, [3, 4, 6], mode="mc", samples=1)
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        concentration_experiment(v(1), 1.0, 0.0, [3, 4, 6], mode="x")
 
 
 def test_equivariance_and_zero_test():

@@ -65,6 +65,12 @@ def test_non_finite_time_raises(bad):
             call()
 
 
+@pytest.mark.parametrize("fn", [c_poly, b_poly, varrho])
+def test_recursions_start_at_k_1(fn):
+    with pytest.raises(ValueError, match="needs k >= 1, got 0"):
+        fn(0, 1.0)
+
+
 def test_nu_catalan_bound():
     # |nu_k(t)| <= C_{k-1} (1+|t|)^{k-1} e^{-kt/2}
     for k in range(1, 13):

@@ -119,7 +119,7 @@ def test_parse_examples(text, expected):
     assert parse(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["v0", "u^", "v", "2 +", "q3", "(1+2i", "^2"])
+@pytest.mark.parametrize("bad", ["v0", "u^", "v", "2 +", "q3", "(1+2i", "^2", "v1^0"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse(bad)

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,11 @@ def test_generator_word_cap():
         derive_generators("a" * (MAX_WORD_LEN + 1), None, 1.0, 0.5)
 
 
+def test_apply_tilde_knows_two_generators():
+    with pytest.raises(ValueError, match="unknown generator 'Xst'"):
+        apply_tilde("Xst", WordPoly.var("a"), 1.0, 0.5)
+
+
 _RETAINED = """
 import gc, json, tracemalloc
 import freesb.operators as operators, freesb.words as words
@@ -331,6 +337,21 @@ def test_nan_generators_raise():
         expectation(iota(v(1)), float("nan"), 0.0, 4)
 
 
+@pytest.mark.parametrize("s, t, N, message", [
+    (-1.0, 0.0, 4, "rho requires s >= 0, got s=-1.0"),
+    (0.2, 1.0, 4, "mu requires s > t/2 > 0, got s=0.2, t=1.0"),
+    (1.0, -0.5, 4, "mu requires s > t/2 > 0, got s=1.0, t=-0.5"),
+    (1.0, 0.0, 0, "N must be a positive integer, got 0"),
+], ids=["rho s<0", "mu s<t/2", "mu t<0", "N=0"])
+def test_expectation_refuses_what_measure_refuses(monkeypatch, s, t, N, message):
+    # times and sizes of no measure: Measure's error, before any closure
+    with pytest.raises(ValueError, match=message):
+        Measure(N, s, t)
+    monkeypatch.setattr(words, "exp_series", None)
+    with pytest.raises(ValueError, match=message):
+        expectation(WordPoly.var("a"), s, t, N)
+
+
 def test_expectation_linear():
     p, q = iota(v(1)), WordPoly.var("as")
     s, t, N = 1.2, 0.6, 4
@@ -390,7 +411,7 @@ def _spy_exp_series(monkeypatch):
     real = words.exp_series
     monkeypatch.setattr(words, "exp_series", spy)
     monkeypatch.setattr(operators, "_closures", operators._Cache())
-    monkeypatch.setattr(operators, "_images", {})
+    monkeypatch.setattr(operators, "_images", operators._Cache())
     return columns, calls
 
 
@@ -521,6 +542,78 @@ def test_rho_at_N1_closed_form(s):
         for k in range(5 - j):
             got = expectation(WordPoly.var("a" * j + "s" * k), s, 0.0, 1)
             assert abs(got - math.exp(-(j - k) ** 2 * s / 2.0)) < 1e-12, (j, k)
+
+
+def _partitions(n, most=None):
+    """The partitions of n, each with its parts in decreasing order."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _character(lam, mu):
+    """chi^lam at cycle type mu by Murnaghan-Nakayama.  On the beta-set
+    {lam_i + l - 1 - i} a border strip of length r = mu[0] moves one bead
+    from b to a free b - r >= 0, with sign (-1)^(beads between the two)."""
+    if not mu:
+        return 1
+    r, beta = mu[0], [x + len(lam) - 1 - i for i, x in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            new = sorted((b - r if c == b else c for c in beta), reverse=True)
+            rest = tuple(x - (len(new) - 1 - i) for i, x in enumerate(new))
+            total += (-1) ** sum(b - r < c < b for c in beta) * _character(
+                tuple(x for x in rest if x), mu[1:])
+    return total
+
+
+def _rho_by_characters(mu, s, N):
+    """E[prod_i tr U^{mu_i}] under rho_s^N.  The power sum p_mu is
+    sum_lam chi^lam(mu) s_lam over lam |- n, and E[s_lam(U)] is
+    d_lam(N) e^{-(s/2)(n + kappa(lam)/N)}: d_lam(N) by the hook-content
+    formula (0 once lam has more than N rows) and kappa(lam) twice the sum
+    of the contents (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. I; Levy, Adv. Math. 218 (2008))."""
+    n, total = sum(mu), 0.0
+    for lam in _partitions(n):
+        cols = [sum(row > j for row in lam) for j in range(lam[0])]
+        boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+        dim = Fraction(1)
+        for i, j in boxes:
+            dim *= Fraction(N + j - i, lam[i] - j + cols[j] - i - 1)
+        kappa = 2 * sum(j - i for i, j in boxes)
+        total += _character(lam, mu) * float(dim) * math.exp(-s / 2.0 * (n + kappa / N))
+    return total / N ** len(mu)
+
+
+def _holomorphic_cases():
+    for n in range(1, 7):
+        for mu in _partitions(n):
+            grid = [(s, N) for s in (0.7, 2.0) for N in (n, n + 1, 8, 16)]
+            yield pytest.param(mu, grid, id=" ".join(f"v{k}" for k in mu))
+    # below the degree both engines grow the free trace algebra's modes that
+    # vanish on U_N (ROADMAP item 1): -62,720 and -32,768 against 5.4e-32
+    for mu in ((6,), (1,) * 6):
+        yield pytest.param(mu, [(4.0, 1)], id=" ".join(f"v{k}" for k in mu) + " at N=1",
+                           marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+
+
+@pytest.mark.parametrize("mu, grid", _holomorphic_cases())
+def test_holomorphic_rho_matches_characters(mu, grid):
+    # an oracle independent of both engines: tr U^k, products of them and
+    # their expectations are all bounded by 1 on U_N, so the bound is absolute
+    p = TracePoly.one()
+    for k in mu:
+        p = p * v(k)
+    for s, N in grid:
+        want = _rho_by_characters(mu, s, N)
+        assert abs(want) <= 1.0
+        for route, got in (("word", expectation(iota(p), s, 0.0, N)),
+                           ("trace", _trace_route(p, s, N))):
+            assert abs(got - want) <= 1e-12, (route, s, N, got, want)
 
 
 @pytest.mark.parametrize("s, t", [(1.5, 0.8), (1.0, 1.0), (2.0, 0.5)])
