@@ -282,7 +282,7 @@ class SamplerCfg(Measure):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.N > MAX_SAMPLER_N:  # Measure refused N < 1
+        if self.N > MAX_SAMPLER_N:  # Measure refused a non-integer N and N < 1
             raise ValueError(f"N must be in [1, {MAX_SAMPLER_N}], got {self.N}")
         if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
             raise ValueError(f"steps must be in [1, {MAX_SAMPLER_STEPS}], got {self.steps}")

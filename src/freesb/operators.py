@@ -61,8 +61,9 @@ class _Cache(dict):
 
 # dicts in least to most recently used order, written by _keep under _LOCK:
 # (part names, p's monomials in order) -> [basis, rows, cols, part values, the
-# classification of the last weights], and (part names, monomial) -> its merged
-# image, the (monomial, per-part values) pairs that are not zero in every part
+# classification of the last weights, a graded closure's rows M^k x / k! for
+# the last weights and seed], and (part names, monomial) -> its merged image,
+# the (monomial, per-part values) pairs that are not zero in every part
 _closures = _Cache()
 _images = _Cache()
 _LOCK = threading.Lock()
@@ -342,7 +343,10 @@ def exp_series(column, p, theta, terms):
     not the weights, so the names must say what the parts are.  Every call,
     hit or miss, sums the parts to A = G and classifies it (:func:`_classify`).
     A graded A (see the module docstring) takes e^{theta diag} times
-    :func:`_nilpotent_sum` of theta M, at any theta.  Otherwise, with
+    theta^{0, 1, ...} @ Y, at any theta, where Y holds the rows M^k x / k!
+    of :func:`_graded_rows`, built without theta and kept in ``closure[5]``
+    under the weights and x's bytes: a new theta on the same seed runs no
+    sparse product, and a hit runs a cold call's arithmetic.  Otherwise, with
     m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s =
     :func:`_squarings` of ||theta A||_1, :func:`_expm_dense` runs when
     n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and (4 + s) n^3 <=
@@ -362,7 +366,7 @@ def exp_series(column, p, theta, terms):
     key = (names, tuple(p.terms))
     closure = _closures.get(key)
     if closure is None:
-        closure = [*_compile(column, p.terms, names), None]
+        closure = [*_compile(column, p.terms, names), None, None]
     if len(closure[0]) <= CLOSURE_BUDGET:  # a larger closure is not stored
         _keep(_closures, {key: closure}, lambda c: len(c[0]))
     basis, rows, cols, vals, diag, off, graded = _classify(closure, weights, len(p.terms))
@@ -370,8 +374,11 @@ def exp_series(column, p, theta, terms):
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     if graded:
+        seed = (weights, x.tobytes())
         with np.errstate(over="raise", invalid="raise"):
-            x = np.exp(theta * diag) * _nilpotent_sum(rows[off], cols[off], theta * vals[off], x)
+            if (kept := closure[5]) is None or kept[0] != seed:
+                kept = closure[5] = (seed, _graded_rows(rows[off], cols[off], vals[off], x))
+            x = np.exp(theta * diag) * (theta ** np.arange(len(kept[1])) @ kept[1])
         return type(p)(dict(zip(basis, x.tolist())))
     vals = theta * vals
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
@@ -455,17 +462,18 @@ def _matvec(rows, cols, vals, y):
     return np.bincount(rows, prod.real, len(y)) + 1j * np.bincount(rows, prod.imag, len(y))
 
 
-def _nilpotent_sum(rows, cols, vals, x):
-    """e^M x = sum_k M^k x / k! for a COO matrix M with an acyclic graph (see
-    :func:`_acyclic`): M^k x lives on the ends of k-edge paths, so the sum ends,
-    exactly, at the first all-zero term, after at most n = len(x) products."""
-    acc, term = x.copy(), x
+def _graded_rows(rows, cols, vals, x):
+    """The rows M^k x / k!, k = 0, 1, ..., of a COO matrix M with an acyclic
+    graph (see :func:`_acyclic`), stacked: M^k x lives on the ends of k-edge
+    paths, so they end, exactly, before the first all-zero one, after at most
+    n = len(x) products; e^{theta M} x = theta^{0, 1, ...} @ rows."""
+    out = [x]
     for k in range(1, len(x) + 1):
-        term = _matvec(rows, cols, vals, term) / k
+        term = _matvec(rows, cols, vals, out[-1]) / k
         if not term.any():
             break
-        acc += term
-    return acc
+        out.append(term)
+    return np.array(out)
 
 
 def _expm_dense(rows, cols, vals, x):

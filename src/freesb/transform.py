@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .moments import (_nu_hat_exact, b_poly, c_poly, pi_eval, varrho,
                       varrho_coeffs)
 from .operators import GeneratorSpec, check_times, exp_apply
@@ -79,14 +81,16 @@ def _check_order(K: int) -> None:
         raise ValueError(f"series order K must be in 1..{MAX_SERIES_ORDER}, got {K}")
 
 
-def _a(m: int, x: Fraction) -> Fraction:
-    # the w^m coefficient of e^{xw/(1-w)}, exact over the rationals:
-    # a_0 = 1 and a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j/j!, with x = p/q
-    # summed in integers over the one denominator m! q^m
+def _a(M: int, x: Fraction) -> list[tuple[int, int]]:
+    # the w^m coefficients a_m(x) of e^{xw/(1-w)}, m = 0..M, exact over the
+    # rationals: with x = p/q, (1-w)^2 f' = x f makes A_m = m! q^m a_m(x) an
+    # integer, A_0 = 1, A_1 = p, A_{m+1} = (2mq + p) A_m - (m-1) m q^2 A_{m-1};
+    # the pairs (A_m, m! q^m)
     p, q = x.as_integer_ratio()
-    return Fraction(sum((math.comb(m - 1, j - 1) * p ** j * q ** (m - j) * math.perm(m, m - j)
-                         for j in range(1, m + 1)), 1 if m == 0 else 0),
-                    math.factorial(m) * q ** m)
+    A = [1, p]
+    for m in range(1, M):
+        A.append((2 * m * q + p) * A[m] - (m - 1) * m * q * q * A[m - 1])
+    return [(A[m], math.factorial(m) * q ** m) for m in range(M + 1)]
 
 
 def Pi_series(s: float, t: float, K: int) -> TPolySeries:
@@ -103,21 +107,26 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     sum_k p_k^{s,t}(u) z_{s-t}(w)^k = sum_k u^k z_s(w)^k.  Since
     (c/2)(1+w)/(1-w) = c/2 + cw/(1-w), the w^n coefficient of z_c^k is
     e^{kc/2} a_{n-k}(kc), where e^{xw/(1-w)} = sum_m a_m(x) w^m, so each
-    coefficient of either side is a finite sum of n known terms.  Returns
-    the largest absolute coefficient residual (a Laurent polynomial in u)
-    over w^1..w^K, for 1 <= K <= MAX_SERIES_ORDER.
+    coefficient of either side is a finite sum of n known terms.  With
+    P[k, j] the coefficient of u^j in p_k and W_l[n, k], W_r[n, k] those
+    weights for c = s - t and c = s, returns the largest absolute entry of
+    W_l P - W_r, the coefficient residual over w^1..w^K and u^0..u^K, for
+    1 <= K <= MAX_SERIES_ORDER; one array product, so no ``TracePoly``
+    rounds it to zero below its 1e-14 floor.  ValueError if some p_k has a
+    v-factor or a power of u outside 0..K.
     """
     p = Pi_series(s, t, K).coeffs
-    resid = 0.0
-    for n in range(1, K + 1):
-        diff = TracePoly.zero()
-        for k in range(1, n + 1):
-            # a_{n-k} is exact (so is Fraction(c)) and rounded once, to float
-            wl, wr = (math.exp(k * c / 2.0) * float(_a(n - k, k * Fraction(c)))
-                      for c in (s - t, s))
-            diff = diff + wl * p[k] - wr * TracePoly.u(k)
-        resid = max(resid, diff.coeff_max())
-    return resid
+    P, W = np.zeros((K + 1, K + 1), dtype=complex), np.zeros((2, K + 1, K + 1))
+    for k, pk in enumerate(p):
+        for (j, ve), c in pk.terms.items():
+            if ve or not 0 <= j <= K:
+                raise ValueError(f"p_{k} has the monomial {(j, ve)}, not one of u^0..u^{K}")
+            P[k, j] = c
+    for k in range(1, K + 1):
+        for i, c in enumerate((s - t, s)):
+            # each a_{n-k} is exact (so is Fraction(c)) and rounded once, to float
+            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, k * Fraction(c))]
+    return float(np.abs(W[0] @ P - W[1]).max())
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +190,8 @@ def pde_residual(s: float, K: int = 8) -> float:
     # nu_k z^k = nu_hat_k(s) w^k e^{ksw/(1-w)}, so the w^n coefficient is
     # sum_k nu_hat_k(s) a_{n-k}(ks)
     s = float(s)
+    a = [None] + [_a(K - k, k * Fraction(s)) for k in range(1, K + 1)]
     for n in range(1, K + 1):
-        coeff = sum(_nu_hat_exact(k, s) * _a(n - k, k * Fraction(s))
-                    for k in range(1, n + 1))
+        coeff = sum(_nu_hat_exact(k, s) * Fraction(*a[k][n - k]) for k in range(1, n + 1))
         resid = max(resid, abs(float(coeff - 1)))
     return resid

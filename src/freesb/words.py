@@ -18,13 +18,15 @@ give exact finite-N heat-kernel expectations: E[P_N] under mu_{s,t}^N is
 which lives on U_N, where Z^* = Z^-1: there every word is first rewritten
 as a power of Z, and the closure stays on those (on words in Z and Z^-1
 the beta_+ cuts make no starred letter, and beta_- has weight t/2 = 0).
-Canonical words, eps(j, k) and rewrites on U_N are FAMILY_CACHE_SIZE memos.
+Canonical words, eps(j, k), the monomials of B and rewrites on U_N are
+FAMILY_CACHE_SIZE memos.
 
 Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -182,11 +184,17 @@ def sesq_B(p: TracePoly, q: TracePoly) -> WordPoly:
     """
     acc: dict[WordKey, complex] = {}
     for (k, pve), cp in p.terms.items():
-        mp = [(_eps_word(j, 0), e) for j, e in pve]
         for (l, qve), cq in q.terms.items():
-            m = wmono([(_eps_word(k, l), 1), *mp, *((_eps_word(0, j), e) for j, e in qve)])
+            m = _sesq_mono(k, pve, l, qve)
             acc[m] = acc.get(m, 0j) + cp * cq.conjugate()
     return WordPoly(acc)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _sesq_mono(k: int, pve, l: int, qve) -> WordKey:
+    # B(u^k p, u^l q) for the monomials p, q of v-factors pve, qve
+    return wmono([(_eps_word(k, l), 1), *((_eps_word(j, 0), e) for j, e in pve),
+                  *((_eps_word(0, j), e) for j, e in qve)])
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +352,10 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
 class Measure:
     """A heat-kernel measure: rho_s^N on U_N (t = 0) or mu_{s,t}^N on GL_N.
 
-    ValueError unless N >= 1, the times are finite, s >= 0 for rho and
-    s > t/2 > 0 for mu.  This is the one statement of that rule: every
-    expectation, norm and sampler checks its input through it.
+    ValueError unless N is an integer >= 1 (a Python or numpy integer), the
+    times are finite, s >= 0 for rho and s > t/2 > 0 for mu.  This is the
+    one statement of that rule: every expectation, norm and sampler checks
+    its input through it.
     """
 
     N: int
@@ -354,7 +363,7 @@ class Measure:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.N < 1:
+        if not isinstance(self.N, numbers.Integral) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         check_times(s=self.s, t=self.t)
         if self.t != 0 and not 0 < self.t / 2.0 < self.s:

@@ -375,6 +375,8 @@ def test_sampler_cfg_guards():
         SamplerCfg(N=0, s=1.0)
     with pytest.raises(ValueError):
         SamplerCfg(N=129, s=1.0)
+    with pytest.raises(ValueError, match="N must be a positive integer, got 4.5"):
+        SamplerCfg(N=4.5, s=1.0)
     with pytest.raises(ValueError):
         SamplerCfg(N=4, s=1.0, steps=0)
     with pytest.raises(ValueError):

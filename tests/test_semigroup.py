@@ -317,6 +317,21 @@ def test_graded_sum_is_exact_to_roundoff(theta):
     assert worst <= 8 * 2.0 ** -53, worst / 2.0 ** -53
 
 
+@pytest.mark.parametrize("theta", [-2.0, -0.15, 0.95, 2.0])
+def test_graded_sum_is_exact_to_roundoff_on_a_hit(closures, theta):
+    # the same bound from the kept rows M^k x / k!: each theta after a call
+    # at another theta on the same closure and seed
+    worst = 0.0
+    for k in [k for k in range(-12, 13) if k]:
+        want = _exact_exp(_scaled(GeneratorSpec.D(), theta), u(k))
+        exp_apply(GeneratorSpec.D(), 0.5 - theta, u(k))
+        got = exp_apply(GeneratorSpec.D(), theta, u(k))
+        for m, w in want.items():
+            if abs(w) > 1e-290:
+                worst = max(worst, float(abs(got.coeff(m) - w) / abs(w)))
+    assert worst <= 8 * 2.0 ** -53, worst / 2.0 ** -53
+
+
 def _dense_exp(column, p):
     """e^A p by the dense kernel alone, on the compiled closure."""
     basis, rows, cols, vals = _compile(column, p.terms)
@@ -541,6 +556,23 @@ def test_cache_keys_hold_the_generator_and_the_term_order(closures):
     assert (warm[2] - warm[3]).coeff_max() <= 1e-15 * warm[2].coeff_max()
     assert (warm[0] - warm[1]).coeff_max() > 1e-3
     assert (warm[1] - warm[4]).coeff_max() > 1e-3
+
+
+def test_graded_rows_are_kept_per_seed(closures, monkeypatch):
+    # a new theta on a kept closure and seed runs no sparse product and is
+    # bitwise a cold call; new seed coefficients rebuild the rows
+    gen, p = GeneratorSpec.D(), u(8) + 2 * parse("v1 u^7")
+    cold = []
+    for q in (p, 3 * p):
+        closures.clear()
+        cold.append(_bits(exp_apply(gen, -1.1, q)))
+    closures.clear()
+    exp_apply(gen, 0.4, p)
+    products, matvec = [], operators._matvec
+    monkeypatch.setattr(operators, "_matvec", lambda *a: products.append(1) or matvec(*a))
+    assert _bits(exp_apply(gen, -1.1, p)) == cold[0] and not products
+    assert _bits(exp_apply(gen, -1.1, 3 * p)) == cold[1] and products
+    assert len(closures) == 1
 
 
 def test_cache_hit_calls_no_column(closures, monkeypatch):

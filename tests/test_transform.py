@@ -78,22 +78,23 @@ def test_series_guards():
         TPolySeries(2, (TracePoly.zero(),))                 # coeffs too short
 
 
-def test_a_matches_ode_recurrence():
-    # f = e^{xw/(1-w)} solves (1-w)^2 f' = x f, so its coefficients obey
-    # a_{m+1} = ((2m + x) a_m - (m-1) a_{m-1}) / (m+1), a_{-1} = 0, a_0 = 1
+def test_a_matches_closed_form():
+    # the integer recurrence against a_0 = 1 and
+    # a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j / j!, the w^m coefficient of e^{xw/(1-w)}
     for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2),
-              Fraction(9, 4), Fraction(0.45), Fraction(-1.9)):
-        prev, cur = Fraction(0), Fraction(1)
-        for m in range(17):
-            assert _a(m, x) == cur, (m, x)
-            prev, cur = cur, ((2 * m + x) * cur - (m - 1) * prev) / (m + 1)
+              Fraction(9, 4), Fraction(0.45), Fraction(-1.9), 16 * Fraction(2.25)):
+        pairs = _a(16, x)
+        assert len(pairs) == 17 and pairs[0] == (1, 1)
+        for m, (A, d) in enumerate(pairs[1:], 1):
+            want = sum(math.comb(m - 1, j - 1) * x ** j / math.factorial(j) for j in range(1, m + 1))
+            assert Fraction(A, d) == want, (m, x)
+    assert _a(0, Fraction(3, 7)) == [(1, 1)]
 
 
 def test_exp_curve_numeric():
     # e^{a(1+w)/(1-w)} = e^a e^{2aw/(1-w)} = e^a sum_m a_m(2a) w^m
     a, K, w = 0.45, 12, 0.08
-    series_val = sum(math.exp(a) * float(_a(k, 2 * Fraction(a))) * w**k
-                     for k in range(K + 1))
+    series_val = sum(math.exp(a) * (A / d) * w**k for k, (A, d) in enumerate(_a(K, 2 * Fraction(a))))
     exact = math.exp(a * (1 + w) / (1 - w))
     assert abs(series_val - exact) < 1e-10
 
@@ -112,6 +113,16 @@ def test_generating_function_detects_a_wrong_biane_polynomial(monkeypatch, k):
     monkeypatch.setattr(transform, "biane", lambda j, s, t: exact(j, s, t)
                         + (1e-6 * u(j) if j == k else TracePoly.zero()))
     assert verify_gen_fn(1.0, 1.0, K=8) >= GEN_FN_TOL
+
+
+@pytest.mark.parametrize("extra", [parse("v1 u^2"), u(-1), u(5)], ids=["v1 u^2", "u^-1", "u^5"])
+def test_generating_function_refuses_a_term_it_cannot_place(monkeypatch, extra):
+    # a term of p_k off the u^0..u^K grid raises instead of dropping out
+    exact = transform.biane
+    monkeypatch.setattr(transform, "biane", lambda j, s, t: exact(j, s, t)
+                        + (1e-6 * extra if j == 3 else TracePoly.zero()))
+    with pytest.raises(ValueError, match="p_3 has the monomial"):
+        verify_gen_fn(1.0, 1.0, K=4)
 
 
 def test_generating_function_s_equals_t_direct(s_eq_t_series):

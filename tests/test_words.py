@@ -342,7 +342,10 @@ def test_nan_generators_raise():
     (0.2, 1.0, 4, "mu requires s > t/2 > 0, got s=0.2, t=1.0"),
     (1.0, -0.5, 4, "mu requires s > t/2 > 0, got s=1.0, t=-0.5"),
     (1.0, 0.0, 0, "N must be a positive integer, got 0"),
-], ids=["rho s<0", "mu s<t/2", "mu t<0", "N=0"])
+    (1.0, 0.0, 2.5, "N must be a positive integer, got 2.5"),
+    (1.5, 0.8, 4.0, "N must be a positive integer, got 4.0"),
+    (1.0, 0.0, float("nan"), "N must be a positive integer, got nan"),
+], ids=["rho s<0", "mu s<t/2", "mu t<0", "N=0", "N=2.5", "N=4.0", "N=nan"])
 def test_expectation_refuses_what_measure_refuses(monkeypatch, s, t, N, message):
     # times and sizes of no measure: Measure's error, before any closure
     with pytest.raises(ValueError, match=message):
@@ -350,6 +353,12 @@ def test_expectation_refuses_what_measure_refuses(monkeypatch, s, t, N, message)
     monkeypatch.setattr(words, "exp_series", None)
     with pytest.raises(ValueError, match=message):
         expectation(WordPoly.var("a"), s, t, N)
+
+
+def test_measure_takes_numpy_integers():
+    N = np.arange(5)[4]
+    assert Measure(N, 1.5, 0.8).N == 4
+    assert expectation(iota(v(1)), 1.0, 0.0, N) == expectation(iota(v(1)), 1.0, 0.0, 4)
 
 
 def test_expectation_linear():

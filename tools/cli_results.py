@@ -9,13 +9,14 @@ semigroups, a second degree-8 transform that reuses the first one's
 cached closure, a few inputs for the word engine, one of them again at a
 second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
-concentration, a failing verification, a refused sampler time, a refused
-mu time, and Monte Carlo of an observable with inverse and repeated
-factors and of the concentration of a p with u-powers, and the explicit
-u(N) basis at its limit N = 36) and writes one JSON object that maps each command line to
-its exit code and its ``results``.  ``freesb`` is imported from
-SRC_DIR, which defaults to ``src`` beside this script's parent, so one
-copy of the script can run any checkout.
+concentration, the generating-function check at s != t and two failing
+ones, a refused sampler time, a refused mu time, and Monte Carlo of an
+observable with inverse and repeated factors and of the concentration of
+a p with u-powers, and the explicit u(N) basis at its limit N = 36) and
+writes one JSON object that maps each command line to its exit code and
+its ``results``.  ``freesb`` is imported from SRC_DIR, which defaults to
+``src`` beside this script's parent, so one copy of the script can run
+any checkout.
 
 ``compare`` prints one line per command: ``identical`` when both
 ``results`` are equal, otherwise the largest relative move of a number
@@ -80,6 +81,10 @@ COMMANDS = [
     # 2.25, K = 16 is above GEN_FN_TOL) and a sampler time of no measure,
     # s <= t/2 (exit 1)
     "gen-fn-check --s 2.25 --t 2.25 --K 16",
+    # the generating function at s != t, where its two sides weigh the
+    # terms differently, and the other order-16 case above GEN_FN_TOL
+    "gen-fn-check --s 1.5 --t 0.8 --K 8",
+    "gen-fn-check --s 1.0 --t 1.9 --K 16",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
     # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
     "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
