@@ -127,10 +127,12 @@ def _recursion(k: int, first, left, right, sign: int) -> tuple:
 
 @dataclass(frozen=True)
 class TPoly:
-    """e^{prefactor_exp} * (polynomial in t), coefficients ascending.
+    """e^{prefactor_exp} * (polynomial in one variable), coefficients ascending.
 
-    The coefficients may be numbers (c_k), Fractions (varrho_k) or
-    trace polynomials in u (b_k); :meth:`eval` works for each.
+    The variable is t for c_k, b_k and varrho_k, and z for the Biane
+    series of :func:`freesb.transform.Pi_series`.  The coefficients may be
+    numbers (c_k), Fractions (varrho_k), arrays or trace polynomials in u
+    (b_k, p_k); :meth:`eval` and :meth:`deriv` work for each.
     """
 
     coeffs: tuple
@@ -144,10 +146,11 @@ class TPoly:
             acc = acc * t + c
         return acc if self.prefactor_exp == 0 else math.exp(self.prefactor_exp) * acc
 
-    def materialize(self) -> list:
-        """Coefficient list with the prefactor folded in."""
-        f = math.exp(self.prefactor_exp)
-        return [f * c for c in self.coeffs]
+    def deriv(self) -> "TPoly":
+        """The derivative in the variable, with the same prefactor; a
+        constant gives one zero of its coefficient type."""
+        return TPoly(tuple(j * c for j, c in enumerate(self.coeffs))[1:]
+                     or (0 * self.coeffs[0],), self.prefactor_exp)
 
 
 @lru_cache(maxsize=S_CACHE_SIZE)
@@ -178,7 +181,7 @@ def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
     # b_k's coefficients in t as complex arrays over u^0..u^k (k + 1 entries
     # in the cache); a b_j with j < k is padded to that length where it is read
     first = (np.arange(k + 1) == k).astype(complex)  # u^k
-    return _recursion(k, first, lambda j: c_poly(j, s).materialize(),
+    return _recursion(k, first, lambda j: [math.exp(-j * s / 2.0) * c for c in _c_hat(j, s)],
                       lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)], 1)
 
 

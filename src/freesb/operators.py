@@ -28,6 +28,7 @@ when large a truncated Taylor series of sparse products.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -156,7 +157,7 @@ def _apply_L(p: TracePoly) -> TracePoly:
 
 def apply_DN(p: TracePoly, N: int) -> TracePoly:
     """D_N = D - (1/N^2) L, the full Laplacian's trace-polynomial avatar."""
-    GeneratorSpec.DN(N)  # ValueError for N < 1
+    check_N(N)
     return apply_D(p) - (1.0 / (N * N)) * _apply_L(p)
 
 
@@ -181,8 +182,7 @@ class GeneratorSpec:
 
     @classmethod
     def DN(cls, N: int) -> "GeneratorSpec":
-        if N < 1:
-            raise ValueError(f"N must be a positive integer, got {N}")
+        check_N(N)
         return cls(cls.D().terms + (("L", -1.0 / (N * N)),))
 
     @classmethod
@@ -520,6 +520,13 @@ def check_times(**times: float) -> None:
     """ValueError ``non-finite time name=value, ...`` unless every time is finite."""
     if not all(math.isfinite(x) for x in times.values()):
         raise ValueError("non-finite time " + ", ".join(f"{k}={x!r}" for k, x in times.items()))
+
+
+def check_N(N: int) -> None:
+    """ValueError ``N must be a positive integer, got N`` unless N is an
+    integer >= 1, a Python or numpy integer."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
 
 
 def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:

@@ -8,21 +8,20 @@ closed form, of the implicit generating-function identity
 
 and of the quasilinear PDEs satisfied by the generating functions psi^s,
 phi^{s,u} and varrho.  Both expand e^{xw/(1-w)} exactly over the rationals.
-The PDE check reads c_k, b_k and varrho_k from :mod:`freesb.moments`, each
-a polynomial in t (a ``TPoly``), and differentiates all three in t with one
-Horner rule.
+Series data lives on one polynomial type, :class:`freesb.moments.TPoly`:
+``Pi_series`` is one in z, and the PDE check reads c_k, b_k and varrho_k
+from :mod:`freesb.moments`, each one in t, and checks all three PDEs by
+one rule on their values and ``TPoly.deriv``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .moments import (_nu_hat_exact, b_poly, c_poly, pi_eval, varrho,
-                      varrho_coeffs)
+from .moments import TPoly, _b_table, _nu_hat_exact, c_poly, pi_eval, varrho_coeffs
 from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly
 
@@ -64,18 +63,6 @@ def biane(k: int, s: float, t: float) -> TracePoly:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TPolySeries:
-    """Power series in z to order K; coefficients are Laurent in u."""
-
-    order: int
-    coeffs: tuple[TracePoly, ...]  # length order + 1, index = power of z
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coeffs must have length order + 1")
-
-
 def _check_order(K: int) -> None:
     if not 1 <= K <= MAX_SERIES_ORDER:
         raise ValueError(f"series order K must be in 1..{MAX_SERIES_ORDER}, got {K}")
@@ -93,11 +80,11 @@ def _a(M: int, x: Fraction) -> list[tuple[int, int]]:
     return [(A[m], math.factorial(m) * q ** m) for m in range(M + 1)]
 
 
-def Pi_series(s: float, t: float, K: int) -> TPolySeries:
-    """Pi(s,t,u,z) = sum_{k>=1} p_k^{s,t}(u) z^k, truncated at order K."""
+def Pi_series(s: float, t: float, K: int) -> TPoly:
+    """Pi(s,t,u,z) = sum_{k>=1} p_k^{s,t}(u) z^k, truncated at order K: a
+    ``TPoly`` in z whose coefficient k is p_k^{s,t} (a zero at k = 0)."""
     _check_order(K)
-    return TPolySeries(K, (TracePoly.zero(),) + tuple(
-        biane(k, s, t) for k in range(1, K + 1)))
+    return TPoly((TracePoly.zero(),) + tuple(biane(k, s, t) for k in range(1, K + 1)))
 
 
 def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
@@ -134,62 +121,44 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
 # ----------------------------------------------------------------------
 
 
-def _deriv(cs, x):
-    # d/dx sum_j cs[j] x^j by Horner's rule, for numbers, Fractions (exact)
-    # and trace polynomials alike
-    acc = 0 * cs[0]
-    for j in range(len(cs) - 1, 0, -1):
-        acc = acc * x + j * cs[j]
-    return acc
+def _pde_gap(x: list, y: list, sign: int, at) -> float:
+    # max over k of |x_k' - sign sum_{m+j=k} y_m j x_j| at `at`, in complex
+    # floats, where x[k - 1], y[k - 1] are the TPolys of x_k, y_k; Fraction
+    # coefficients at a Fraction `at` evaluate exactly before they round
+    xv, yv, dx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
+                  for ps in (x, y, [p.deriv() for p in x]))
+    return max(float(np.abs(dx[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1])
+                                                  for m in range(i))).max())
+               for i in range(len(x)))
 
 
 def pde_residual(s: float, K: int = 8) -> float:
     """Max coefficientwise residual of the quasilinear PDE system.
 
-    Checks, at t = 0.3 and t = 0.7 and to order K:
-      - d(psi)/dt   = z psi d(psi)/dz        (t-derivatives exact from TPoly)
-      - d(phi)/dt   = z psi d(phi)/dz
-      - d(varrho)/ds = -z varrho d(varrho)/dz   (at s = 0.3 and s = 0.7)
-    plus the initial-condition identities
-      - varrho(0,z) = z/(1-z)               (all coefficients 1)
-      - phi^{s,u}(0,z) = uz/(1-uz)          (coefficient k is u^k)
-      - psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w)   (implicit level-curve form,
-        checked exactly over the rationals)
+    Checks, to order K, the coefficients of
+      - d(psi)/dt   = z psi d(psi)/dz,         c_k' = sum_{m+j=k} c_m j c_j,
+      - d(phi)/dt   = z psi d(phi)/dz,         b_k' = sum_{m+j=k} c_m j b_j,
+      - d(varrho)/ds = -z varrho d(varrho)/dz, varrho_k' = -sum_{m+j=k} varrho_m j varrho_j,
+    the first two at t = 0.3 and t = 0.7, the third at s = 0.3 and s = 0.7,
+    by one rule: each x_k is a ``TPoly`` in its time, differentiated by
+    ``TPoly.deriv``.  b_k is read as arrays over u^0..u^K, so no
+    ``TracePoly`` sum rounds it; varrho_k is evaluated exactly at a
+    Fraction.  Also checks the initial condition
+    psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its implicit level-curve
+    form, exactly over the rationals.  The initial conditions of varrho
+    and phi are not checked: varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold
+    by construction, as the recursions start there.
     """
     _check_order(K)
-    resid = 0.0
-    cps = [c_poly(k, s) for k in range(1, K + 1)]
-    bps = [b_poly(k, s) for k in range(1, K + 1)]  # prefactor 0
-    for t in (0.3, 0.7):
-        c = [0j] + [cp.eval(t) for cp in cps]
-        c_dt = [0j] + [math.exp(cp.prefactor_exp) * _deriv(cp.coeffs, t) for cp in cps]
-        b = [TracePoly.zero()] + [bp.eval(t) for bp in bps]
-        b_dt = [TracePoly.zero()] + [_deriv(bp.coeffs, t) for bp in bps]
-        vr = [0.0] + [varrho(k, t) for k in range(1, K + 1)]
-        vr_ds = [0.0] + [float(_deriv(varrho_coeffs(k), Fraction(float(t))))
-                         for k in range(1, K + 1)]
-        for k in range(1, K + 1):
-            # psi: d/dt c_k = sum_{m+j=k} c_m j c_j
-            rhs = sum(c[m] * ((k - m) * c[k - m]) for m in range(1, k))
-            resid = max(resid, abs(c_dt[k] - rhs))
-            # phi: d/dt b_k = sum_{m+j=k} c_m j b_j
-            rhs_b = sum((c[m] * float(k - m) * b[k - m] for m in range(1, k)),
-                        TracePoly.zero())
-            resid = max(resid, (b_dt[k] - rhs_b).coeff_max())
-            # varrho (in the s variable): d/ds vr_k = -sum_{m+j=k} vr_m j vr_j
-            rhs_v = -sum(vr[m] * ((k - m) * vr[k - m]) for m in range(1, k))
-            resid = max(resid, abs(vr_ds[k] - rhs_v))
-
-    # varrho(0, z) = z/(1-z): all coefficients exactly 1
-    for k in range(1, K + 1):
-        resid = max(resid, abs(float(sum(varrho_coeffs(k)[:1])) - 1.0))
-    # phi(0, z) coefficients are u^k
-    for k, bp in enumerate(bps, 1):
-        resid = max(resid, (bp.eval(0.0) - TracePoly.u(k)).coeff_max())
+    s = float(s)
+    c = [c_poly(k, s) for k in range(1, K + 1)]
+    b = [TPoly(tuple(np.pad(x, (0, K - k)) for x in _b_table(k, s))) for k in range(1, K + 1)]
+    vr = [TPoly(varrho_coeffs(k)) for k in range(1, K + 1)]
+    resid = max(max(_pde_gap(c, c, 1, t), _pde_gap(b, c, 1, t),
+                    _pde_gap(vr, vr, -1, Fraction(t))) for t in (0.3, 0.7))
     # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w), exactly over the rationals:
     # nu_k z^k = nu_hat_k(s) w^k e^{ksw/(1-w)}, so the w^n coefficient is
     # sum_k nu_hat_k(s) a_{n-k}(ks)
-    s = float(s)
     a = [None] + [_a(K - k, k * Fraction(s)) for k in range(1, K + 1)]
     for n in range(1, K + 1):
         coeff = sum(_nu_hat_exact(k, s) * Fraction(*a[k][n - k]) for k in range(1, n + 1))

@@ -26,12 +26,11 @@ Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .operators import MAX_DEGREE, check_times, exp_series
+from .operators import MAX_DEGREE, check_N, check_times, exp_series
 from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_factors,
                         second_partials)
 
@@ -352,10 +351,10 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
 class Measure:
     """A heat-kernel measure: rho_s^N on U_N (t = 0) or mu_{s,t}^N on GL_N.
 
-    ValueError unless N is an integer >= 1 (a Python or numpy integer), the
-    times are finite, s >= 0 for rho and s > t/2 > 0 for mu.  This is the
-    one statement of that rule: every expectation, norm and sampler checks
-    its input through it.
+    ValueError unless N is an integer >= 1 (``operators.check_N``, as for
+    D_N), the times are finite, s >= 0 for rho and s > t/2 > 0 for mu.
+    This is the one statement of that rule: every expectation, norm and
+    sampler checks its input through it.
     """
 
     N: int
@@ -363,8 +362,7 @@ class Measure:
     t: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+        check_N(self.N)
         check_times(s=self.s, t=self.t)
         if self.t != 0 and not 0 < self.t / 2.0 < self.s:
             raise ValueError(f"mu requires s > t/2 > 0, got s={self.s}, t={self.t}")

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (_b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan, nu,
-                            pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
+from freesb.moments import (TPoly, _b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan,
+                            nu, pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
 
@@ -133,6 +133,26 @@ def test_pi_eval_example():
     q = pi_eval(p, s)
     assert abs(q.coeff((2, ())) - nu(1, s)) < 1e-14
     assert abs(q.coeff((0, ())) - nu(2, s)) < 1e-14
+
+
+# ---------------------------------------------------------------- TPoly
+
+
+def test_tpoly_deriv():
+    # d/dt (1 + 2t + 3t^2) = 2 + 6t, keeping the prefactor, on numbers,
+    # Fractions (exact) and arrays alike
+    assert TPoly((1.0, 2.0, 3.0), prefactor_exp=-0.5).deriv() == TPoly((2.0, 6.0), -0.5)
+    q = TPoly((Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4))).deriv()
+    assert q.coeffs == (Fraction(2, 5), Fraction(-7, 2))
+    assert q.eval(Fraction(3, 7)) == Fraction(2, 5) - Fraction(3, 2)
+    a = TPoly((np.array([1.0, 2.0]), np.array([0.0, 3.0]), np.array([5.0, -1.0]))).deriv()
+    assert len(a.coeffs) == 2
+    assert a.coeffs[0].tolist() == [0.0, 3.0] and a.coeffs[1].tolist() == [10.0, -2.0]
+    # a constant gives one zero of its coefficient type
+    for c in (2.5, 1 + 2j, Fraction(7, 3), np.array([1.0, -4.0]), TracePoly.u(2)):
+        (zero,) = TPoly((c,), prefactor_exp=0.25).deriv().coeffs
+        assert type(zero) is type(c) and not np.any(zero != 0 * c)
+    assert TPoly((TracePoly.u(2),)).deriv().coeffs == (TracePoly.zero(),)
 
 
 # ---------------------------------------------------------------- c and b

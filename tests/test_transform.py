@@ -2,6 +2,7 @@
 generating-function identity, and the characteristic PDEs."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ import freesb.transform as transform
 from freesb.tracepoly import TracePoly, mono, parse
 from freesb.cli import GEN_FN_TOL, PDE_TOL
 from freesb.moments import nu
-from freesb.transform import (MAX_SERIES_ORDER, G, H, Pi_series, TPolySeries, _a,
-                              biane, pde_residual, verify_gen_fn)
+from freesb.transform import (MAX_SERIES_ORDER, G, H, Pi_series, _a, biane, pde_residual,
+                              verify_gen_fn)
 
 u = TracePoly.u
 
@@ -74,8 +75,15 @@ def test_series_guards():
                       lambda: pde_residual(1.0, K=K)):
             with pytest.raises(ValueError, match=f"1..{MAX_SERIES_ORDER}"):
                 check()
-    with pytest.raises(ValueError):
-        TPolySeries(2, (TracePoly.zero(),))                 # coeffs too short
+
+
+def test_pi_series_holds_the_biane_polynomials():
+    # a polynomial in z whose coefficient k is p_k^{s,t}, bit for bit
+    s, t, K = 1.5, 0.8, 6
+    series = Pi_series(s, t, K)
+    assert len(series.coeffs) == K + 1 and series.coeffs[0] == TracePoly.zero()
+    for k in range(1, K + 1):
+        assert series.coeffs[k].terms == biane(k, s, t).terms, k
 
 
 def test_a_matches_closed_form():
@@ -138,7 +146,33 @@ def test_generating_function_s_equals_t_direct(s_eq_t_series):
 def test_pde_residuals():
     assert pde_residual(1.0, K=8) < 1e-9
     assert pde_residual(0.7, K=6) < 1e-9
-    # the largest orders the CLI accepts; 1.9e-9 at s = 1.9, K = 16
+    # the largest orders the CLI accepts; the worst is 1.75e-10, at s = 0.3
+    # and K = 16 (1.75e-14 at s = 1.9, K = 16)
     for s in (0.3, 0.7, 1.0, 1.9):
         for K in (12, 16):
-            assert pde_residual(s, K=K) < PDE_TOL, (s, K)
+            assert pde_residual(s, K=K) < 1e-9, (s, K)
+
+
+@pytest.mark.parametrize("name, n, delta", [("c_poly", 3, 1e-6), ("c_poly", 8, 1e-6),
+                                            ("_b_table", 3, 1e-6),
+                                            ("varrho_coeffs", 3, Fraction(1, 10**6))],
+                         ids=["c_3", "c_8", "b_3", "varrho_3"])
+def test_pde_residual_detects_a_wrong_coefficient(monkeypatch, name, n, delta):
+    # c_n, b_n or varrho_n with its t-coefficient off by 1e-6 must fail the
+    # check; at s = 0.7 none of them is zero, and only x_n moves, since the
+    # recursions behind the others read the unpatched names in freesb.moments.
+    # At K = 8, c_8 enters no right side of the phi PDE, so psi's check alone
+    # sees it
+    exact = getattr(transform, name)
+
+    def bump(cs):
+        return (cs[0], cs[1] + delta) + cs[2:]
+
+    def wrong(k, *s):
+        x = exact(k, *s)
+        if k != n:
+            return x
+        return replace(x, coeffs=bump(x.coeffs)) if name == "c_poly" else bump(x)
+
+    monkeypatch.setattr(transform, name, wrong)
+    assert pde_residual(0.7, K=8) >= PDE_TOL

@@ -347,9 +347,15 @@ def test_nan_generators_raise():
     (1.0, 0.0, float("nan"), "N must be a positive integer, got nan"),
 ], ids=["rho s<0", "mu s<t/2", "mu t<0", "N=0", "N=2.5", "N=4.0", "N=nan"])
 def test_expectation_refuses_what_measure_refuses(monkeypatch, s, t, N, message):
-    # times and sizes of no measure: Measure's error, before any closure
+    # times and sizes of no measure: Measure's error, before any closure;
+    # a size of no measure is none of D_N either
     with pytest.raises(ValueError, match=message):
         Measure(N, s, t)
+    if message.startswith("N must"):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.DN(N)
+        with pytest.raises(ValueError, match=message):
+            operators.apply_DN(parse("u^2 + v1"), N)
     monkeypatch.setattr(words, "exp_series", None)
     with pytest.raises(ValueError, match=message):
         expectation(WordPoly.var("a"), s, t, N)
@@ -358,6 +364,7 @@ def test_expectation_refuses_what_measure_refuses(monkeypatch, s, t, N, message)
 def test_measure_takes_numpy_integers():
     N = np.arange(5)[4]
     assert Measure(N, 1.5, 0.8).N == 4
+    assert GeneratorSpec.DN(N) == GeneratorSpec.DN(4)
     assert expectation(iota(v(1)), 1.0, 0.0, N) == expectation(iota(v(1)), 1.0, 0.0, 4)
 
 

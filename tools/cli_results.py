@@ -10,9 +10,10 @@ cached closure, a few inputs for the word engine, one of them again at a
 second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
 concentration, the generating-function check at s != t and two failing
-ones, a refused sampler time, a refused mu time, and Monte Carlo of an
-observable with inverse and repeated factors and of the concentration of
-a p with u-powers, and the explicit u(N) basis at its limit N = 36) and
+ones, the PDE check at order 16 for s = 0.3 (its largest residual) and
+s = 1.9, a refused sampler time, a refused mu time, and Monte Carlo of
+an observable with inverse and repeated factors and of the concentration
+of a p with u-powers, and the explicit u(N) basis at its limit N = 36) and
 writes one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR, which defaults to
 ``src`` beside this script's parent, so one copy of the script can run
@@ -85,6 +86,10 @@ COMMANDS = [
     # terms differently, and the other order-16 case above GEN_FN_TOL
     "gen-fn-check --s 1.5 --t 0.8 --K 8",
     "gen-fn-check --s 1.0 --t 1.9 --K 16",
+    # the PDE check at the largest order, where s = 0.3 gives its largest
+    # residual and s = 1.9 a small one
+    "pde-check --s 0.3 --K 16",
+    "pde-check --s 1.9 --K 16",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
     # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
     "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
