@@ -177,14 +177,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_heat_apply(a, seed):
-    f = parse(a.f)
-    if a.gen == "DN":
-        if a.N is None:
-            raise ValueError("--gen DN requires --N")
-        gen = GeneratorSpec.DN(a.N)
-    else:
-        gen = GeneratorSpec.D()
-    out = exp_apply(gen, a.t / 2.0, f)
+    if (a.gen == "DN") != (a.N is not None):
+        raise ValueError("--gen DN requires --N" if a.gen == "DN" else "--gen D takes no --N")
+    gen = GeneratorSpec.DN(a.N) if a.gen == "DN" else GeneratorSpec.D()
+    out = exp_apply(gen, a.t / 2.0, parse(a.f))
     return {"poly": _poly_json(out)}
 
 
@@ -282,9 +278,10 @@ def _cmd_mc(a, seed):
 
 
 def _cmd_norm(a, seed):
-    if a.measure == "rho" and a.t != 0.0:
-        raise ValueError("--measure rho takes no --t (it is the t=0 case)")
     meas = Measure(a.N, a.s, a.t)
+    if meas.kind != a.measure:
+        raise ValueError("--measure rho takes no --t (it is the t=0 case)" if a.measure == "rho"
+                         else "--measure mu requires a nonzero --t (t=0 is rho)")
     return {"value": l2_norm_sq(parse(a.p), meas), "measure": a.measure}
 
 

@@ -20,9 +20,9 @@ e^{theta D} is a finite sum; so is the semigroup of PI_GEN.  A closure is
 *graded* when the off-diagonal entries form a graph without cycles and each
 joins two equal diagonal entries; then e^A x = e^{diag} sum_k M^k x / k!
 ends at the first zero term.  Other closures (D_N, the finite-N word
-generators of :mod:`freesb.words`) take, when small, the dense degree-12
-Taylor kernel that the sampler in :mod:`freesb.matrixlab` also uses, and
-when large a truncated Taylor series of sparse products.
+generators of :mod:`freesb.words`) take the dense degree-12 Taylor kernel
+that the sampler in :mod:`freesb.matrixlab` also uses or a truncated Taylor
+series of sparse products, by the rule of ``exp_series``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ MAX_TERMS = 500  # Taylor terms of one stage
 TAYLOR_TOL = 1e-13  # the Taylor kernel stops at this bound on its relative tail
 STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
-MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one exp_series call
-DENSE_COST = 1200  # units of n^3 in the dense kernel's cost that match one unit of work
-DENSE_MAX_N = 256  # largest closure the dense kernel takes: its peak is 130 n^2 B, 8.1 MiB
+MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one sparse Taylor run
+DENSE_MAX_N = 128  # largest dense closure: the float64 crossover; peak 64 n^2 B, 1 MiB
 DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff can exceed the Taylor kernel's
 MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
@@ -346,16 +345,14 @@ def exp_series(column, p, theta, terms):
     theta^{0, 1, ...} @ Y, at any theta, where Y holds the rows M^k x / k!
     of :func:`_graded_rows`, built without theta and kept in ``closure[5]``
     under the weights and x's bytes: a new theta on the same seed runs no
-    sparse product, and a hit runs a cold call's arithmetic.  Otherwise, with
-    m = ceil(||theta A||_1 / STEP_NORM) Taylor stages and s =
-    :func:`_squarings` of ||theta A||_1, :func:`_expm_dense` runs when
-    n <= DENSE_MAX_N, s <= DENSE_MAX_SQUARINGS and (4 + s) n^3 <=
-    DENSE_COST * m * (nnz + STAGE_COST), and :func:`_taylor_sparse` otherwise.
-    ValueError: a ``p`` of trace degree above 2 * MAX_DEGREE, before the
-    closure is looked up; more than ``MAX_CLOSURE`` monomials, while it is
-    built; work m * (nnz + STAGE_COST) above ``MAX_WORK`` (a non-finite
-    theta A included), before a kernel other than the graded sum runs.
-    Overflow in any kernel raises FloatingPointError.
+    sparse product, and a hit runs a cold call's arithmetic.  Otherwise
+    :func:`_expm_dense` runs when n <= DENSE_MAX_N and :func:`_squarings` of
+    ||theta A||_1 is at most DENSE_MAX_SQUARINGS, and :func:`_taylor_sparse`
+    otherwise.  ValueError: a ``p`` of trace degree above 2 * MAX_DEGREE,
+    before the closure is looked up; more than ``MAX_CLOSURE`` monomials,
+    while it is built; Taylor work above ``MAX_WORK`` (a non-finite theta A
+    included), before the first stage.  Overflow in any kernel raises
+    FloatingPointError.
     """
     if not p.terms:
         return p
@@ -382,13 +379,7 @@ def exp_series(column, p, theta, terms):
         return type(p)(dict(zip(basis, x.tolist())))
     vals = theta * vals
     norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
-    if not norm / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
-        raise ValueError(f"the generator's 1-norm on the {n}-monomial closure is "
-                         f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
-    stages = max(1, math.ceil(norm / STEP_NORM))
-    squarings = _squarings(norm)
-    dense = n <= DENSE_MAX_N and squarings <= DENSE_MAX_SQUARINGS and \
-        (4 + squarings) * n ** 3 <= DENSE_COST * stages * (len(vals) + STAGE_COST)
+    dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
     with np.errstate(over="raise", invalid="raise"):
         x = (_expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
@@ -495,8 +486,13 @@ def _taylor_sparse(rows, cols, vals, x, norm):
     the tail after term k by ||term_k||_1 r / (1 - r), r = ||A/m||_1 / (k + 1);
     summation stops once that bound is below (TAYLOR_TOL / m) * ||sum||_1.  The
     rule is relative only, so the result is homogeneous in x at any scale.
-    A stage that needs more than ``MAX_TERMS`` terms raises RuntimeError.
+    Work m * (nnz + STAGE_COST) above ``MAX_WORK``, a non-finite ``norm``
+    included, raises ValueError before the first stage; a stage that needs
+    more than ``MAX_TERMS`` terms raises RuntimeError.
     """
+    if not float(norm) / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
+        raise ValueError(f"the generator's 1-norm on the {len(x)}-monomial closure is "
+                         f"{norm:.3g}: the series would exceed MAX_WORK={MAX_WORK}")
     m = max(1, math.ceil(norm / STEP_NORM))
     stage_norm = norm / m
     vals = vals / m

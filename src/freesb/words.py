@@ -81,7 +81,7 @@ def _canonical(raw: str) -> str:
     while len(w) >= 2 and w[0] == _INV[w[-1]]:
         w = _reduce(w[1:-1])
     ww, n = w + w, len(w)
-    return min([ww[i:i + n] for i in range(n)], default="")
+    return min((ww[i:i + n] for i in range(n)), default="")
 
 
 # ----------------------------------------------------------------------

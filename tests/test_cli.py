@@ -236,11 +236,11 @@ def test_no_measure_is_refused(capsys, argv, s_ok, message):
     ["mc", "--f", "v1", "--N", "4", "--s", "1", "--t", "-1", "--samples", "4", "--steps", "2"],
 ])
 def test_negative_mu_time_is_refused(capsys, argv):
-    # mu needs t/2 > 0, the variance of its second noise; t = 0 is rho and
-    # a tiny positive t is mu
+    # mu needs t/2 > 0, the variance of its second noise; t = 0 is rho
+    # (which norm refuses under --measure mu) and a tiny positive t is mu
     assert "mu requires s > t/2 > 0" in _refused(capsys, argv)
     i = argv.index("--t") + 1
-    for t_ok in ("0", "1e-12"):
+    for t_ok in ("1e-12",) if argv[0] == "norm" else ("0", "1e-12"):
         assert cli.main(argv[:i] + [t_ok] + argv[i + 1:]) == 0
 
 
@@ -496,12 +496,16 @@ def test_non_finite_report_exits_1(capsys):
     (["norm", "--p", "u", "--measure", "rho", "--s", "1", "--N", "0"],
      "N must be a positive integer, got 0"),
     (["mc", "--f", "v1", "--N", "0", "--s", "1"], "N must be a positive integer, got 0"),
+    (["norm", "--p", "u", "--measure", "mu", "--s", "1", "--N", "3"],
+     "--measure mu requires a nonzero --t"),
+    (["heat-apply", "--gen", "D", "--N", "5", "--t", "1", "--f", "u"], "--gen D takes no --N"),
 ])
 def test_out_of_range_counts_exit_1_at_once(capsys, argv, what):
     # each is refused before any work: nu_65 does not exist, zero trials
     # would pass vacuously, a thread count below 1 is no count, below
-    # degree 2 the drawn u-power alone exceeds --degree, and D_N and the
-    # measures need an N of at least 1
+    # degree 2 the drawn u-power alone exceeds --degree, D_N and the
+    # measures need an N of at least 1, mu at t = 0 would be rho under
+    # mu's name, and D has no N to echo
     t0 = time.perf_counter()
     assert cli.main(argv) == 1
     assert time.perf_counter() - t0 < 1.0

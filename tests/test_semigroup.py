@@ -109,6 +109,11 @@ def _closure(column, p):
     return rows, cols, vals, x, np.bincount(cols, np.abs(vals), len(basis)).max()
 
 
+def _dn4_theta(k, target):
+    """The theta at which ||theta D_4||_1 on the closure of u^k is ``target``."""
+    return target / _closure(_column(GeneratorSpec.DN(4)), u(k))[4]
+
+
 def _kernel_gap(rows, cols, vals, x, norm):
     """Largest gap between the dense and Taylor kernels, relative to the
     result's largest coefficient."""
@@ -129,7 +134,12 @@ KERNEL_CASES = (
      for k in range(-12, 13) for th in (0.4, -0.4)]
     + [("D_4 degree 12", _scaled(GeneratorSpec.DN(4), 0.4), DEG12),
        ("pi_gen", _scaled(GeneratorSpec.pi_gen(), -0.4), parse("v3 v4 v-5 + u^-2 v1")),
-       ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))])
+       ("word engine, N = 4", _word_gen, iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)))]
+    # D_4 on u^9 and u^10 (67 and 97 monomials) at the 1-norms where the dense
+    # kernel took over from the Taylor kernel when its size cap replaced a cost rule
+    + [(f"D_4 u^{k} 1-norm {target}", _scaled(GeneratorSpec.DN(4), _dn4_theta(k, target)), u(k))
+       for k, targets in ((9, (0.3, 1.0, 2.5)), (10, (0.3, 1.0, 2.5, 5.0, 10.0)))
+       for target in targets])
 
 
 @pytest.mark.parametrize("name, column, p", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
@@ -210,11 +220,20 @@ def test_kernel_choice(monkeypatch):
     # L lowers the factor count, so D_4's closures are not graded
     exp_apply(GeneratorSpec.DN(4), 0.4, u(6))
     assert calls == {"dense": [(1, 19, 19)], "taylor": []}
-    # the 846-monomial closure: the Taylor kernel is cheaper
+    # the 846-monomial closure is above the dense kernel's size cap
     exp_apply(GeneratorSpec.DN(4), 0.4, DEG12)
     # ||0.95 D_4||_1 = 95 on the closure of u^10 would take 9 squarings
     exp_apply(GeneratorSpec.DN(4), -0.95, u(10))
     assert calls == {"dense": [(1, 19, 19)], "taylor": [846, 97]}
+    # within the squaring cap the size alone decides, at any 1-norm: D_4 on
+    # u^9 (67 monomials) goes dense and on u^11 (139) sparse, and so do 128
+    # and 129 monomials that each map onto all of them, however many entries
+    for k, target in ((9, 0.3), (9, 2.5), (11, 0.3), (11, 19.0)):
+        exp_apply(GeneratorSpec.DN(4), _dn4_theta(k, target), u(k))
+    for n in (128, 129):
+        _exp(f"uniform {n}", lambda m: [(mono(j), 1.0 / n) for j in range(n)], TracePoly.one())
+    assert calls == {"dense": [(1, 19, 19), (1, 67, 67), (1, 67, 67), (1, 128, 128)],
+                     "taylor": [846, 97, 139, 139, 129]}
 
 
 def _word_mu_N1(m):

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +65,20 @@ def test_canonicalize_rotation_invariance():
         base = canonicalize(w)
         for r in range(1, len(w)):
             assert canonicalize(w[r:] + w[:r]) == base
+
+
+def test_canonicalize_takes_linear_memory():
+    # the minimal rotation of a 40,000-letter word is found without holding
+    # all its rotations at once (they would take 1.5 GiB)
+    word = "sa" * 19_999 + "a"
+    tracemalloc.start()
+    try:
+        got = canonicalize(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == "aa" + "sa" * 19_998 + "s"
+    assert peak < 8 * 2**20, peak
 
 
 def test_canonicalize_accepts_text_format():

@@ -5,8 +5,10 @@
 
 ``run`` calls ``freesb.cli.main`` in-process on each command of
 ``COMMANDS`` (every command of the README, the degree-8 and degree-12
-semigroups, a second degree-8 transform that reuses the first one's
-cached closure, a few inputs for the word engine, one of them again at a
+semigroups, ``D_4`` at t = 0.2 on ``u^9``, ``u^10`` and ``u^11`` (67, 97
+and 139 monomials, on both sides of the dense kernel's size cap), a
+second degree-8 transform that reuses the first one's cached closure, a
+few inputs for the word engine, one of them again at a
 second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
 concentration, the generating-function check at s != t and two failing
@@ -65,6 +67,11 @@ COMMANDS = [
     "biane --k 12 --s 1 --t 1",
     "heat-apply --gen D --t 0.7 --f u^12",
     "heat-apply --gen DN --N 4 --t 0.7 --f u^12",
+    # D_4 closures of 67, 97 and 139 monomials at 1-norms 8.1 to 12.1: the
+    # first two within the dense kernel's size cap, the third above it
+    "heat-apply --gen DN --N 4 --t 0.2 --f u^9",
+    "heat-apply --gen DN --N 4 --t 0.2 --f u^10",
+    "heat-apply --gen DN --N 4 --t 0.2 --f u^11",
     # longer words through both generator families of the word engine, the
     # b_k recursion at k = 32, and a D input whose terms M maps onto each other
     'norm --p "u^2 + v-1 u" --measure mu --s 1.5 --t 0.8 --N 4',
