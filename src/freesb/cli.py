@@ -14,7 +14,8 @@ above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, an N
 below 1, times of no measure for norm, concentration or mc (rho with
 s < 0, mu with t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS
 sampler steps, a semigroup closure of more than operators.MAX_CLOSURE
-monomials, a semigroup series that does not converge, a semigroup or
+monomials, an mc observable of trace degree above 2 * operators.MAX_DEGREE
+or a norm's p above MAX_DEGREE (B(p, p) doubles it), a semigroup or
 sampler path that overflows, a norm that comes out non-real, a
 non-finite time or any other NaN or infinity in the report, which JSON
 cannot hold, a --csv file that cannot be written, a stdout closed before

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch  # noqa: F401
+from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch, check_degree  # noqa: F401
 from .tracepoly import TracePoly
-from .words import Measure, WordPoly, l2_norm_sq
+from .words import Measure, WordPoly, _eps_word, l2_norm_sq
 from .moments import pi_eval
 
 RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
@@ -152,10 +152,6 @@ def _z_products(Z: np.ndarray, used) -> _Products:
     return _Products(np.eye(Z.shape[0], dtype=complex), letters, np.matmul)
 
 
-def _u_word(k: int) -> str:
-    return ("a" if k > 0 else "A") * abs(k)
-
-
 def _has_inverse(p: TracePoly) -> bool:
     return any(k0 < 0 or any(j < 0 for j, _ in ve) for k0, ve in p.terms)
 
@@ -166,7 +162,7 @@ def _trace_terms(p: TracePoly, Z: np.ndarray) -> tuple[_Products, list]:
     terms = []
     for (k0, ve), c in p.terms.items():
         for j, e in ve:
-            c *= (np.trace(zs[_u_word(j)]) / N) ** e
+            c *= (np.trace(zs[_eps_word(j, 0)]) / N) ** e
         terms.append((k0, c))
     return zs, terms
 
@@ -177,7 +173,7 @@ def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
     zs, terms = _trace_terms(p, Z)
     acc = np.zeros((len(Z), len(Z)), dtype=complex)
     for k0, c in terms:
-        acc += c * zs[_u_word(k0)]
+        acc += c * zs[_eps_word(k0, 0)]
     return acc
 
 
@@ -234,11 +230,11 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
         for (k0, ve), c in p.terms.items():
             s0, s1, s2 = complex(c), zero, zero
             for j, e in ve:
-                t0, t1, t2 = (np.trace(m, axis1=-2, axis2=-1) / N for m in jets[_u_word(j)])
+                t0, t1, t2 = (np.trace(m, axis1=-2, axis2=-1) / N for m in jets[_eps_word(j, 0)])
                 for _ in range(e):
                     s0, s1, s2 = (s0 * t0, s0 * t1 + s1 * t0,
                                   s0 * t2 + s1 * t1 + s2 * t0)
-            m0, m1, m2 = jets[_u_word(k0)]
+            m0, m1, m2 = jets[_eps_word(k0, 0)]
             acc += 2.0 * (m0 * s2.sum() + np.einsum("b,bij->ij", s1, m1) + s0 * m2.sum(axis=0))
     return acc
 
@@ -411,8 +407,10 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
     ``f`` is a u-free TracePoly or a WordPoly; samples come from rho_s^N
     when cfg.t == 0 and from mu_{s,t}^N otherwise.  Sample i always uses
     the stream derived from (seed, i): the result is independent of
-    ``threads`` and of chunk scheduling.
+    ``threads`` and of chunk scheduling.  ValueError, before any sample is
+    drawn, for an ``f`` of trace degree above 2 * MAX_DEGREE (``check_degree``).
     """
+    check_degree(f.trace_degree())
     return _map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads)
 
 

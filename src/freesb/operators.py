@@ -36,9 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tracepoly import Mono, TracePoly, first_partials, linear, mono, second_partials
+from .tracepoly import Mono, TracePoly, first_partials, linear, mono, mono_degree, second_partials
 
-MAX_TERMS = 500  # Taylor terms of one stage
 TAYLOR_TOL = 1e-13  # the Taylor kernel stops at this bound on its relative tail
 STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
@@ -78,10 +77,6 @@ _LOCK = threading.Lock()
 # of them, and D, D_N and PI_GEN are such sums.
 
 
-def _vdeg(m: Mono) -> int:
-    return sum(abs(j) * e for j, e in m[1])
-
-
 def _col_Y(m: Mono) -> list[tuple[Mono, float]]:
     """Y(u^n q(v)) = Y(u^n) q(v), where
 
@@ -119,10 +114,10 @@ def _col_L(m: Mono) -> list[tuple[Mono, float]]:
 
 
 _COLUMNS: dict[str, Callable[[Mono], list[tuple[Mono, float]]]] = {
-    "N0": lambda m: [(m, float(_vdeg(m)))],
+    "N0": lambda m: [(m, float(mono_degree((0, m[1]))))],
     "N1": lambda m: [(m, float(abs(m[0])))],
     # N0 + N1 as one diagonal entry, so theta * (trace degree) rounds once
-    "N": lambda m: [(m, float(_vdeg(m) + abs(m[0])))],
+    "N": lambda m: [(m, float(mono_degree(m)))],
     "Y": _col_Y,
     "Z": _col_Z,
     "L": _col_L,
@@ -348,17 +343,17 @@ def exp_series(column, p, theta, terms):
     sparse product, and a hit runs a cold call's arithmetic.  Otherwise
     :func:`_expm_dense` runs when n <= DENSE_MAX_N and :func:`_squarings` of
     ||theta A||_1 is at most DENSE_MAX_SQUARINGS, and :func:`_taylor_sparse`
-    otherwise.  ValueError: a ``p`` of trace degree above 2 * MAX_DEGREE,
-    before the closure is looked up; more than ``MAX_CLOSURE`` monomials,
-    while it is built; Taylor work above ``MAX_WORK`` (a non-finite theta A
+    otherwise.  ValueError: a non-finite theta (``check_times``), first; a
+    ``p`` of trace degree above 2 * MAX_DEGREE (``check_degree``), before
+    the closure is looked up; more than ``MAX_CLOSURE`` monomials, while it
+    is built; Taylor work above ``MAX_WORK`` (a non-finite theta A
     included), before the first stage.  Overflow in any kernel raises
     FloatingPointError.
     """
+    check_times(theta=theta)
     if not p.terms:
         return p
-    if p.trace_degree() > 2 * MAX_DEGREE:
-        raise ValueError(f"trace degree {p.trace_degree()} exceeds {2 * MAX_DEGREE}: "
-                         "the semigroup's closure would be too large")
+    check_degree(p.trace_degree())
     names, weights = zip(*terms)
     key = (names, tuple(p.terms))
     closure = _closures.get(key)
@@ -487,8 +482,10 @@ def _taylor_sparse(rows, cols, vals, x, norm):
     summation stops once that bound is below (TAYLOR_TOL / m) * ||sum||_1.  The
     rule is relative only, so the result is homogeneous in x at any scale.
     Work m * (nnz + STAGE_COST) above ``MAX_WORK``, a non-finite ``norm``
-    included, raises ValueError before the first stage; a stage that needs
-    more than ``MAX_TERMS`` terms raises RuntimeError.
+    included, raises ValueError before the first stage.  So m < 100,000, and a
+    stage ends within 26 terms: as ||term_k||_1 <= 2^k/k! ||x||_1 and ||sum||_1
+    >= e^-2 ||x||_1 less the tail (A/m = -2 I attains both), the k = 26 bound,
+    1.4e-20 ||x||_1, is below the least threshold, 1e-18 e^-2 ||x||_1.
     """
     if not float(norm) / STEP_NORM * (len(vals) + STAGE_COST) <= MAX_WORK:
         raise ValueError(f"the generator's 1-norm on the {len(x)}-monomial closure is "
@@ -498,16 +495,14 @@ def _taylor_sparse(rows, cols, vals, x, norm):
     vals = vals / m
     stage_tol = TAYLOR_TOL / m
     for _ in range(m):
-        acc, term = x.copy(), x
-        for k in range(1, MAX_TERMS + 1):
+        acc, term, k = x.copy(), x, 0
+        while True:
+            k += 1
             term = _matvec(rows, cols, vals, term) / k
             acc += term
             r = stage_norm / (k + 1)
             if r < 1.0 and np.abs(term).sum() * r / (1.0 - r) <= stage_tol * np.abs(acc).sum():
                 break
-        else:
-            raise RuntimeError("semigroup Taylor series did not converge within "
-                               f"{MAX_TERMS} terms")
         x = acc
     return x
 
@@ -516,6 +511,13 @@ def check_times(**times: float) -> None:
     """ValueError ``non-finite time name=value, ...`` unless every time is finite."""
     if not all(math.isfinite(x) for x in times.values()):
         raise ValueError("non-finite time " + ", ".join(f"{k}={x!r}" for k, x in times.items()))
+
+
+def check_degree(degree: int) -> None:
+    """ValueError ``trace degree d exceeds 24`` for a degree d above 2 * MAX_DEGREE:
+    the bound on the input of a semigroup, of the form B and of a sampler."""
+    if degree > 2 * MAX_DEGREE:
+        raise ValueError(f"trace degree {degree} exceeds {2 * MAX_DEGREE}")
 
 
 def check_N(N: int) -> None:
@@ -529,7 +531,6 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
     """e^{theta G} p for a GeneratorSpec G; theta may have either sign.  The
     terms of G are the parts of :func:`exp_series`, so a cache hit calls no
     column and looks up no operator of ``_COLUMNS``."""
-    check_times(theta=theta)
     if theta == 0.0:
         return p
     return exp_series(gen.parts, p, theta, gen.terms)

@@ -26,7 +26,7 @@ polynomials, and the partial-derivative iterators over sorted
 ``(variable, exponent)`` tuples, the shape of both a v-part and a word
 monomial.
 
-``format`` writes and ``parse`` reads the text grammar given beside them.
+``format_poly`` writes and ``parse`` reads the text grammar given beside them.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ def merge_factors(pairs: Iterable[tuple[Hashable, int]], unit: Hashable) -> Fact
         if e < 0:
             raise ValueError(f"negative exponent {e} for variable {x!r}")
     return tuple(sorted((x, e) for x, e in acc.items() if e))
+
+
+def factors_mul(a: Factors, b: Factors) -> Factors:
+    """The product of two normalized factor tuples: exponents of a shared
+    variable add, and the result is sorted, so normalized too."""
+    if not (a and b):
+        return a or b
+    acc = dict(a)
+    for x, e in b:
+        acc[x] = acc.get(x, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def first_partials(factors: Factors) -> Iterator[tuple[Hashable, int, Factors]]:
@@ -105,7 +116,7 @@ def mono_degree(m: Mono) -> int:
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     """Product of two monomial keys (u-exponents add, v-maps merge)."""
-    return mono(a[0] + b[0], a[1] + b[1])
+    return (a[0] + b[0], factors_mul(a[1], b[1]))
 
 
 def linear(column: Callable[[Hashable], Iterable[tuple[Hashable, Scalar]]],
@@ -335,10 +346,10 @@ class TracePoly(SparsePoly):
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
     def __str__(self) -> str:
-        return format(self)
+        return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"TracePoly({format(self)!r})"
+        return f"TracePoly({format_poly(self)!r})"
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +380,8 @@ def mono_factors(m: Mono) -> list[str]:
     return out + [f"v{j}" if e == 1 else f"v{j}^{e}" for j, e in ve]
 
 
-def format(p: TracePoly) -> str:  # noqa: A001 - module-level op name
-    """Canonical text form; ``parse(format(p))`` reproduces ``p`` exactly."""
+def format_poly(p: TracePoly) -> str:
+    """Canonical text form; ``parse(format_poly(p))`` reproduces ``p`` exactly."""
     if p.is_zero:
         return "0"
     pieces: list[str] = []
@@ -393,9 +404,6 @@ def format(p: TracePoly) -> str:  # noqa: A001 - module-level op name
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
-
-
-format_poly = format
 
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

@@ -18,8 +18,7 @@ give exact finite-N heat-kernel expectations: E[P_N] under mu_{s,t}^N is
 which lives on U_N, where Z^* = Z^-1: there every word is first rewritten
 as a power of Z, and the closure stays on those (on words in Z and Z^-1
 the beta_+ cuts make no starred letter, and beta_- has weight t/2 = 0).
-Canonical words, eps(j, k), the monomials of B and rewrites on U_N are
-FAMILY_CACHE_SIZE memos.
+Canonical words, B's monomials and rewrites on U_N are FAMILY_CACHE_SIZE memos.
 
 Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 """
@@ -30,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .operators import MAX_DEGREE, check_N, check_times, exp_series
-from .tracepoly import (SparsePoly, TracePoly, first_partials, linear, merge_factors,
-                        second_partials)
+from .operators import MAX_DEGREE, check_degree, check_N, check_times, exp_series
+from .tracepoly import (SparsePoly, TracePoly, factors_mul, first_partials, linear,
+                        merge_factors, second_partials)
 
 MAX_WORD_LEN = 2 * MAX_DEGREE
 FAMILY_CACHE_SIZE = 64  # entries per family cache or word memo; expectation reads each back soon
@@ -96,16 +95,6 @@ def wmono(pairs: Iterable[tuple[str, int]]) -> WordKey:
     return merge_factors(pairs, "")
 
 
-def _wmono_mul(a: WordKey, b: WordKey) -> WordKey:
-    # both keys are normalized: positive exponents, no empty word
-    if not (a and b):
-        return a or b
-    acc = dict(a)
-    for w, e in b:
-        acc[w] = acc.get(w, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def wmono_degree(m: WordKey) -> int:
     return sum(len(w) * e for w, e in m)
 
@@ -115,7 +104,7 @@ class WordPoly(SparsePoly):
 
     __slots__ = ()
     _UNIT = ()
-    _mono_mul = staticmethod(_wmono_mul)
+    _mono_mul = staticmethod(factors_mul)
     _degree = staticmethod(wmono_degree)
 
     @classmethod
@@ -150,12 +139,12 @@ class WordPoly(SparsePoly):
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _eps_word(j: int, k: int) -> str:
-    # eps(j,k): |j| plain letters with the sign of j, then |k| star letters with the sign of k
+    # eps(j,k): |j| plain letters with the sign of j, |k| star letters with the sign of k;
+    # the two families never reduce, so the least rotation starts with the smaller letter
     zpart = ("a" if j > 0 else "A") * abs(j)
     spart = ("s" if k > 0 else "S") * abs(k)
-    return canonicalize(zpart + spart)
+    return min(zpart + spart, spart + zpart)
 
 
 def _require_u_free(q: TracePoly, who: str) -> None:
@@ -179,8 +168,10 @@ def sesq_B(p: TracePoly, q: TracePoly) -> WordPoly:
     """The sesquilinear form with [B(P,Q)]_N(Z) = tr(P_N(Z) Q_N(Z)^*).
 
     On monomials B(u^k p, u^l q) = v_{eps(k,l)} iota(p) iota*(q);
-    conjugate-linear in the second argument.
+    conjugate-linear in the second argument.  ValueError, before any word is
+    built, for trace degrees of p and q that add up to more than 2 * MAX_DEGREE.
     """
+    check_degree(p.trace_degree() + q.trace_degree())
     acc: dict[WordKey, complex] = {}
     for (k, pve), cp in p.terms.items():
         for (l, qve), cq in q.terms.items():
@@ -280,9 +271,9 @@ def _leibniz(m: WordKey, first, second) -> list:
     where rest_a (rest_ab, rest_aa) is m with one v_a (one v_a and one
     v_b, two v_a) removed.
     """
-    return ([(_wmono_mul(q, rest), k, e * c)
+    return ([(factors_mul(q, rest), k, e * c)
              for a, e, rest in first_partials(m) for q, k, c in first(a)]
-            + [(_wmono_mul(q, rest), k, f * c)
+            + [(factors_mul(q, rest), k, f * c)
                for a, b, f, rest in second_partials(m) for q, k, c in second(a, b)])
 
 

@@ -254,6 +254,18 @@ def test_sampler_steps_bound(capsys):
         assert f"steps must be in [1, {bound}], got {steps}" in _refused(capsys, argv)
 
 
+@pytest.mark.parametrize("argv, degree", [
+    # the sampler would key a table by every prefix of the 20,000-letter word
+    (["mc", "--f", "v20000", "--N", "2", "--s", "1", "--samples", "2", "--steps", "1",
+      "--threads", "1"], 20000),
+    # B(p, p) would be a 40,000-letter word before rho collapses it to 1
+    (["norm", "--p", "u^20000", "--measure", "rho", "--s", "2.25", "--N", "3"], 40000),
+])
+def test_degree_is_refused_before_any_word(capsys, argv, degree):
+    line = _refused(capsys, argv, seconds=0.1)
+    assert f"trace degree {degree} exceeds 24" in line
+
+
 def test_closure_budget_refuses_at_once(capsys):
     # this closure has 53,040 monomials; the search stops at MAX_CLOSURE
     argv = ["heat-apply", "--gen", "DN", "--N", "8", "--t", "1", "--f", "u^12 v-12"]
@@ -304,16 +316,6 @@ def test_malformed_env_seed_exits_1(capsys, monkeypatch):
                      "--steps", "5", "--samples", "4"])
     assert code == 1
     assert "FREESB_SEED" in _one_line_error(capsys)
-
-
-def test_nonconvergent_series_exits_1(capsys, monkeypatch):
-    # the real exp_series with too few terms allowed per stage, on an
-    # 846-monomial closure that the Taylor kernel takes
-    monkeypatch.setattr(operators, "MAX_TERMS", 2)
-    code = cli.main(["heat-apply", "--gen", "DN", "--N", "4", "--t", "1.0", "--f",
-                     "u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7"])
-    assert code == 1
-    assert "did not converge" in _one_line_error(capsys)
 
 
 def test_nonreal_norm_exits_1(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 semigroup engine, and the finite-dimensional matrix representation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,17 +242,55 @@ def test_triangular_diagonal_action():
             assert abs(diag - want) < 1e-10, (k, sign)
 
 
-def test_exp_series_rejects_runaway(monkeypatch):
-    # an operator that scales every coefficient of a fixed set of monomials
-    # never converges termwise if we forbid enough terms; swapping u^k and
-    # u^-k makes cycles, so the closure is not graded, and the 423 monomials
-    # of C_6 are more than the dense kernel takes, so the Taylor kernel runs
-    monkeypatch.setattr(operators, "MAX_TERMS", 5)
-    p = TracePoly({m: 1.0 for m in monomial_basis(6)})
-    assert len(p.terms) > operators.DENSE_MAX_N
-    with pytest.raises(RuntimeError):
-        exp_series(lambda m: [(m, 0, 40.0), (mono(-m[0], m[1]), 0, 1.0)], p, 1.0,
-                   (("40 I + (u^k <-> u^-k)", 1.0),))
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_exp_series_refuses_a_non_finite_theta_first(theta):
+    # check_times, the rule of every time, refuses it before theta meets a value
+    gen = GeneratorSpec.DN(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite time theta="):
+            exp_series(gen.parts, u(3), theta, gen.terms)
+
+
+class _Term(np.ndarray):
+    """Marks what _matvec returns: a stage's first product takes a plain array."""
+
+
+def _stage_terms(monkeypatch, run):
+    """The terms of each _taylor_sparse stage that ``run`` makes."""
+    stages, matvec = [], operators._matvec
+
+    def spy(rows, cols, vals, y):
+        if type(y) is not _Term:
+            stages.append(0)
+        stages[-1] += 1
+        return matvec(rows, cols, vals, y).view(_Term)
+    monkeypatch.setattr(operators, "_matvec", spy)
+    run()
+    monkeypatch.undo()
+    return stages
+
+
+def test_taylor_stages_end_within_26_terms(monkeypatch):
+    # a stage of -2 I is the worst case of the bound: its terms are 2^k / k!
+    # and its sum e^-2; x starts at 1e300 so that most stages run before the
+    # value underflows (a zero vector ends a stage at its first term)
+    one = np.zeros(1, dtype=np.intp)
+    stages = _stage_terms(monkeypatch, lambda: operators._taylor_sparse(
+        one, one, np.array([-2000.0 + 0j]), np.array([1e300 + 0j]), 2000.0))
+    assert len(stages) == 1000 and max(stages) == stages[0] <= 26, stages[:3]
+    # the 846-monomial closure of D_4 at 1-norm 19, in ten stages
+    gen, p = GeneratorSpec.DN(4), parse("u^2 v3^2 v-4 + 2 v1^4 v-2^2 v4 - v5 v-7")
+    norms = []
+    taylor = operators._taylor_sparse
+    monkeypatch.setattr(operators, "_taylor_sparse",
+                        lambda *a: norms.append((len(a[3]), a[4])) or taylor(*a))
+    exp_series(gen.parts, p, 1.0, gen.terms)
+    (n, norm), = norms
+    assert n == 846
+    theta = 19.0 / norm
+    stages = _stage_terms(monkeypatch, lambda: exp_series(gen.parts, p, theta, gen.terms))
+    assert len(stages) == 10 and max(stages) <= 26, stages
 
 
 # ---------------------------------------------------------------- matrices

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesb.tracepoly import (CLEANUP_EPS, EQ_EPS, TracePoly, format_poly,
-                              mono, mono_degree, parse)
+from freesb.tracepoly import (CLEANUP_EPS, EQ_EPS, TracePoly, factors_mul, format_poly,
+                              merge_factors, mono, mono_degree, parse)
 
 
 def _vslots():
@@ -198,6 +198,24 @@ def test_trace_degree_additive_on_products(a, b):
     p, q = TracePoly({ma: 1.0}), TracePoly({mb: 1.0})
     if ma[0] * mb[0] >= 0:
         assert (p * q).trace_degree() == p.trace_degree() + q.trace_degree()
+
+
+def _factors(variables):
+    # a normalized factor tuple: sorted variables, positive exponents
+    pairs = st.dictionaries(variables, st.integers(min_value=1, max_value=3), max_size=4)
+    return pairs.map(lambda d: tuple(sorted(d.items())))
+
+
+@pytest.mark.parametrize("variables, unit", [
+    (st.integers(min_value=-4, max_value=4).filter(bool), 0),  # a Mono's v-part
+    (st.text(alphabet="aAsS", min_size=1, max_size=3), ""),  # a word monomial
+])
+def test_factors_mul_is_merge_factors(variables, unit):
+    @given(_factors(variables), _factors(variables))
+    @settings(max_examples=60, deadline=None)
+    def check(a, b):
+        assert factors_mul(a, b) == merge_factors(a + b, unit)
+    check()
 
 
 @given(tracepolys(), tracepolys())

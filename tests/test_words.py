@@ -92,16 +92,23 @@ def test_canonicalize_accepts_text_format():
 
 
 def test_word_memos_are_bounded_and_keep_errors():
-    # the canonical form, eps(j, k) and the rho rewrite of a monomial are
-    # memos of the family caches' size; errors are raised on every call, and
-    # the type check stands before the memo, which would raise TypeError on a list
-    for memo in (words._canonical, words._eps_word, words._unitary):
+    # the canonical form and the rho rewrite of a monomial are memos of the
+    # family caches' size; errors are raised on every call, and the type
+    # check stands before the memo, which would raise TypeError on a list
+    for memo in (words._canonical, words._unitary):
         assert memo.cache_info().maxsize == words.FAMILY_CACHE_SIZE
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown word letters"):
             canonicalize("aQsQ")
     with pytest.raises(ValueError, match="got list"):
         canonicalize(["a"])
+
+
+def test_eps_word_is_canonical_by_construction():
+    # Z^j Z^*k is built canonical, without canonicalize
+    for j, k in itertools.product(range(-12, 13), repeat=2):
+        raw = ("a" if j > 0 else "A") * abs(j) + ("s" if k > 0 else "S") * abs(k)
+        assert words._eps_word(j, k) == canonicalize(raw), (j, k)
 
 
 @given(st.text(alphabet="aAsS", min_size=0, max_size=10))

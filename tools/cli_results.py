@@ -15,7 +15,8 @@ concentration, the generating-function check at s != t and two failing
 ones, the PDE check at order 16 for s = 0.3 (its largest residual) and
 s = 1.9, a refused sampler time, a refused mu time, and Monte Carlo of
 an observable with inverse and repeated factors and of the concentration
-of a p with u-powers, and the explicit u(N) basis at its limit N = 36) and
+of a p with u-powers, an ``mc`` observable and a ``norm`` input of trace
+degree far above the limit, and the explicit u(N) basis at its limit N = 36) and
 writes one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR, which defaults to
 ``src`` beside this script's parent, so one copy of the script can run
@@ -105,6 +106,10 @@ COMMANDS = [
     # under mu, and the Monte Carlo concentration of a p with u-powers
     'mc --f "v1 v-2 + 2 v3^2" --N 4 --s 1.0 --t 0.5 --steps 20 --samples 256 --seed 1 --threads 1',
     'concentration --p "u^2 + v1 u^-1" --s 1.0 --Ns 2,3,4 --mode mc --samples 200 --steps 20 --seed 1 --threads 1',
+    # inputs of trace degree far above 2 * MAX_DEGREE, refused (exit 1) before
+    # the sampler builds its word table and before B(p, p) builds its word
+    "mc --f v20000 --N 2 --s 1 --samples 2 --steps 1 --threads 1",
+    "norm --p u^20000 --measure rho --s 2.25 --N 3",
     # the largest explicit basis, which laplacian_eval and verify_magic sum in
     # several batches
     "intertwine-check --N 36 --degree 3 --trials 1 --seed 0",
