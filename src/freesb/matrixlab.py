@@ -168,7 +168,9 @@ def _trace_terms(p: TracePoly, Z: np.ndarray) -> tuple[_Products, list]:
 
 
 def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
-    """P_N(Z): substitute u = Z and v_k = tr(Z^k) (normalized trace)."""
+    """P_N(Z): substitute u = Z and v_k = tr(Z^k) (normalized trace).
+    ValueError first for a ``p`` that ``check_degree`` refuses."""
+    check_degree(p.trace_degree())
     Z = np.asarray(Z, dtype=complex)
     zs, terms = _trace_terms(p, Z)
     acc = np.zeros((len(Z), len(Z)), dtype=complex)
@@ -214,7 +216,9 @@ def _jet_mul(a, b):
 
 
 def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
-    """sum_{X in beta_N} d^2/deps^2 P_N(U e^{eps X}): the U_N Laplacian of P_N."""
+    """sum_{X in beta_N} d^2/deps^2 P_N(U e^{eps X}): the U_N Laplacian of P_N.
+    ValueError first for a ``p`` that ``check_degree`` refuses."""
+    check_degree(p.trace_degree())
     U = np.asarray(U, dtype=complex)
     if U.shape != (N, N):
         raise ValueError(f"U has shape {U.shape}, expected ({N}, {N})")
@@ -423,7 +427,10 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
     With t == 0 the deviation ||p - pi_s p||^2 is taken in L^2(rho_s^N);
     otherwise pi_{s-t} is subtracted and the norm is over mu_{s,t}^N.
     The concentration theorems give slope -2 (variance order 1/N^2).
+    ValueError first, in both modes, for a ``p`` whose B(p, p) ``check_degree``
+    refuses, as ``sesq_B`` does.
     """
+    check_degree(2 * p.trace_degree())
     if len(Ns) < 3 or any(a >= b for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly ascending with at least 3 entries")
     if mode not in ("symbolic", "mc"):

@@ -346,9 +346,8 @@ def exp_series(column, p, theta, terms):
     otherwise.  ValueError: a non-finite theta (``check_times``), first; a
     ``p`` of trace degree above 2 * MAX_DEGREE (``check_degree``), before
     the closure is looked up; more than ``MAX_CLOSURE`` monomials, while it
-    is built; Taylor work above ``MAX_WORK`` (a non-finite theta A
-    included), before the first stage.  Overflow in any kernel raises
-    FloatingPointError.
+    is built; Taylor work above ``MAX_WORK``, before the first stage.
+    Overflow in theta A or in any kernel raises FloatingPointError.
     """
     check_times(theta=theta)
     if not p.terms:
@@ -372,10 +371,10 @@ def exp_series(column, p, theta, terms):
                 kept = closure[5] = (seed, _graded_rows(rows[off], cols[off], vals[off], x))
             x = np.exp(theta * diag) * (theta ** np.arange(len(kept[1])) @ kept[1])
         return type(p)(dict(zip(basis, x.tolist())))
-    vals = theta * vals
-    norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
-    dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
     with np.errstate(over="raise", invalid="raise"):
+        vals = theta * vals
+        norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
+        dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
         x = (_expm_dense(rows, cols, vals, x) if dense
              else _taylor_sparse(rows, cols, vals, x, norm))
     return type(p)(dict(zip(basis, x.tolist())))

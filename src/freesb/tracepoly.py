@@ -15,8 +15,8 @@ this package preserves.
 
 Representation: a polynomial is a map from monomial keys to complex
 coefficients.  A key is ``(u_exp, v_exps)`` where ``v_exps`` is a tuple of
-``(index, exponent)`` pairs sorted by index.  Coefficients of magnitude
-below ``CLEANUP_EPS`` are pruned after every operation; equality is
+``(index, exponent)`` pairs sorted by index.  Only exact zeros are
+dropped, so no term is lost to its scale short of underflow; equality is
 termwise within relative tolerance ``EQ_EPS`` (on the larger magnitude).
 
 The word engine (:mod:`freesb.words`) shares this module's core: the
@@ -35,7 +35,6 @@ import cmath
 import re
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
-CLEANUP_EPS = 1e-14
 EQ_EPS = 1e-12
 
 #: monomial key: (u_exp, ((j, e_j), ...)) with v-factors sorted by index
@@ -137,7 +136,7 @@ class SparsePoly:
     A subclass fixes its keys: ``_UNIT`` is the key of the constant
     monomial, ``_mono_mul`` multiplies two keys and ``_degree`` gives a
     key's trace degree.  A coefficient that is not finite raises
-    ValueError; one below ``CLEANUP_EPS`` in magnitude is dropped.  Every
+    ValueError; an exact zero (``0j`` or ``-0j``) is dropped.  Every
     operation returns a new instance, so values can be shared freely
     (including across threads).
     """
@@ -154,7 +153,7 @@ class SparsePoly:
                 c = complex(c)
                 if not cmath.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r} for monomial {m!r}")
-                if abs(c) >= CLEANUP_EPS:
+                if c:
                     cleaned[m] = c
         object.__setattr__(self, "terms", cleaned)
 
@@ -224,13 +223,11 @@ class SparsePoly:
         return self.const(other) + (-self)
 
     def allclose(self, other: "SparsePoly", rel: float = EQ_EPS) -> bool:
-        """Termwise comparison, relative on the larger coefficient magnitude.
-
-        Differences below CLEANUP_EPS (the storage floor) always pass.
-        """
+        """Termwise comparison, relative on the larger coefficient magnitude,
+        with no absolute floor: a term on one side only never passes."""
         for m in set(self.terms) | set(other.terms):
             ca, cb = self.coeff(m), other.coeff(m)
-            if abs(ca - cb) > max(CLEANUP_EPS, rel * max(abs(ca), abs(cb))):
+            if abs(ca - cb) > rel * max(abs(ca), abs(cb)):
                 return False
         return True
 

@@ -98,8 +98,8 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     P[k, j] the coefficient of u^j in p_k and W_l[n, k], W_r[n, k] those
     weights for c = s - t and c = s, returns the largest absolute entry of
     W_l P - W_r, the coefficient residual over w^1..w^K and u^0..u^K, for
-    1 <= K <= MAX_SERIES_ORDER; one array product, so no ``TracePoly``
-    rounds it to zero below its 1e-14 floor.  ValueError if some p_k has a
+    1 <= K <= MAX_SERIES_ORDER, from one array product rather than
+    ``TracePoly`` sums.  ValueError if some p_k has a
     v-factor or a power of u outside 0..K.
     """
     p = Pi_series(s, t, K).coeffs
@@ -141,9 +141,9 @@ def pde_residual(s: float, K: int = 8) -> float:
       - d(varrho)/ds = -z varrho d(varrho)/dz, varrho_k' = -sum_{m+j=k} varrho_m j varrho_j,
     the first two at t = 0.3 and t = 0.7, the third at s = 0.3 and s = 0.7,
     by one rule: each x_k is a ``TPoly`` in its time, differentiated by
-    ``TPoly.deriv``.  b_k is read as arrays over u^0..u^K, so no
-    ``TracePoly`` sum rounds it; varrho_k is evaluated exactly at a
-    Fraction.  Also checks the initial condition
+    ``TPoly.deriv``.  b_k is read as arrays over u^0..u^K, so each gap is
+    one array expression; varrho_k is evaluated exactly at a Fraction.
+    Also checks the initial condition
     psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its implicit level-curve
     form, exactly over the rationals.  The initial conditions of varrho
     and phi are not checked: varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold

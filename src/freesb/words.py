@@ -306,8 +306,9 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     """E[P_N(Z)] under mu_{s,t}^N (t = 0: the heat kernel rho_s^N on U_N).
 
     ValueError, before any work, for an (N, s, t) that ``Measure(N, s, t)``
-    refuses.  Computed exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P
-    with every v_eps then set to 1.  Under rho, P is first rewritten on U_N
+    refuses, then for a ``p`` that ``check_degree`` refuses.  Computed
+    exactly (up to Taylor tolerance) as e^{Dt + Lt/N^2} P with every v_eps
+    then set to 1.  Under rho, P is first rewritten on U_N
     (Z^* -> Z^-1, Z^-* -> Z, equal words merged).  The generator is
     (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
     beta_- alone: four parts (two under rho) that ``exp_series`` caches
@@ -317,6 +318,7 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     ``exp_series`` holds.
     """
     rho = Measure(N, s, t).kind == "rho"
+    check_degree(p.trace_degree())
     if rho and any(c in w for m in p.terms for w, _ in m for c in "sS"):
         # Z is unitary: every word becomes a power of Z
         p = linear(lambda m: [(_unitary(m), 1.0)], p)

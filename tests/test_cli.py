@@ -260,6 +260,10 @@ def test_sampler_steps_bound(capsys):
       "--threads", "1"], 20000),
     # B(p, p) would be a 40,000-letter word before rho collapses it to 1
     (["norm", "--p", "u^20000", "--measure", "rho", "--s", "2.25", "--N", "3"], 40000),
+    # the Monte Carlo mode checks B(p, p) as the symbolic mode does, before
+    # evaluate keys a table by every prefix of the word
+    (["concentration", "--p", "u^20000 v1", "--s", "1", "--mode", "mc", "--Ns", "2,3,4",
+      "--samples", "2", "--steps", "1", "--threads", "1"], 40002),
 ])
 def test_degree_is_refused_before_any_word(capsys, argv, degree):
     line = _refused(capsys, argv, seconds=0.1)
@@ -541,6 +545,8 @@ def test_closure_search_is_bounded(capsys):
     ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f", "1e308*u^3"],
     ["heat-apply", "--gen", "DN", "--N", "4", "--t", "-4", "--f",
      "1e307 u^2 v3^2 v-4 + 1e307 v1^4 v-2^2 v4 - 1e307 v5 v-7"],
+    # theta * A itself overflows, before either kernel
+    ["heat-apply", "--gen", "DN", "--N", "4", "--t", "1e308", "--f", "u^3"],
 ])
 def test_semigroup_overflow_exits_1(capsys, argv):
     with warnings.catch_warnings():

@@ -269,6 +269,15 @@ def test_evaluate_singular_guard():
     assert abs(evaluate_word(WordPoly.var("a"), Z) - 1.0) < 1e-15
 
 
+def test_evaluation_refuses_the_degree_at_entry(monkeypatch):
+    # before any power of Z is built: the table would key every prefix of u^20000
+    monkeypatch.setattr(matrixlab, "_z_products", None)
+    eye = np.eye(2, dtype=complex)
+    for call in (lambda p: evaluate(p, eye), lambda p: laplacian_eval(p, eye, 2)):
+        with pytest.raises(ValueError, match="trace degree 20001 exceeds 24"):
+            call(parse("u^20000 v1"))
+
+
 def test_word_products_build_each_prefix_once():
     # a word's product is its prefix's product times its last letter, kept:
     # aa, aas and aaS take one product each, where a loop per word takes 5

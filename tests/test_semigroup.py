@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import freesb.operators as operators
 from freesb import cli
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
-from freesb.tracepoly import CLEANUP_EPS, TracePoly, mono, parse
+from freesb.tracepoly import TracePoly, mono, parse
 from freesb.transform import G, H
 from freesb.words import WordPoly, apply_tilde, expectation, iota, iota_star
 
@@ -449,7 +449,7 @@ def test_compile_matches_polynomial_columns(gen, p):
 # ---------------------------------------------------------------- homogeneity
 
 
-@pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-12, 1e-30, 1e30])
 def test_G_is_homogeneous_at_small_scale(c):
     ref = G(u(3), 1.5, 0.8)
     got = G(c * u(3), 1.5, 0.8) / c
@@ -457,10 +457,27 @@ def test_G_is_homogeneous_at_small_scale(c):
     assert (got - ref).coeff_max() <= 1e-12 * ref.coeff_max()
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(-8.0, 8.0), st.floats(-0.5, 0.5),
+@pytest.mark.parametrize("c", [1e-30, 1e-20, 1e20, 1e30])
+def test_semigroups_keep_their_terms_at_any_scale(c):
+    # storage drops exact zeros only, so each result at c * f, over c, has
+    # the monomials of the result at f; an absolute floor once zeroed all
+    # of them at c <= 1e-20
+    f, q = parse("u^3 + 1e-13 v1 u^2"), parse("u^2 v-1 + 2 v1 v2 - u^-1 v3")
+    pairs = [(G(c * f, 1.5, 0.8) / c, G(f, 1.5, 0.8))] + [
+        (exp_apply(gen, 0.5, c * q) / c, exp_apply(gen, 0.5, q))
+        for gen in (GeneratorSpec.D(), GeneratorSpec.DN(4), GeneratorSpec.pi_gen())]
+    for got, ref in pairs:
+        assert set(got.terms) == set(ref.terms)
+        assert got.allclose(ref, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-30.0, 30.0), st.floats(-0.5, 0.5),
        st.sampled_from(sorted(GENS)))
+@example(1, -30.0, 0.5, "DN3")
+@example(2, 30.0, -0.5, "pi")
 @settings(max_examples=40, deadline=None)
 def test_exp_apply_is_homogeneous(seed, log_c, theta, name):
+    # storage drops exact zeros only, so no scale loses a term
     c = 10.0 ** log_c
     p = _rand_poly(np.random.default_rng(seed), 4)
     lhs = exp_apply(GENS[name], theta, c * p)
@@ -468,11 +485,6 @@ def test_exp_apply_is_homogeneous(seed, log_c, theta, name):
     scale = rhs.coeff_max()
     for m in set(lhs.terms) | set(rhs.terms):
         a, b = lhs.coeff(m), rhs.coeff(m)
-        # the only exemption: a coefficient the TracePoly constructor
-        # dropped below its absolute floor on one side
-        if (m not in lhs.terms and abs(c * b) < CLEANUP_EPS) or \
-                (m not in rhs.terms and abs(a / c) < CLEANUP_EPS):
-            continue
         assert abs(a / c - b) <= 1e-12 * scale, (m, a / c, b)
 
 

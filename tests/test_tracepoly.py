@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesb.tracepoly import (CLEANUP_EPS, EQ_EPS, TracePoly, factors_mul, format_poly,
+from freesb.tracepoly import (EQ_EPS, TracePoly, factors_mul, format_poly,
                               merge_factors, mono, mono_degree, parse)
 
 
@@ -54,9 +54,25 @@ def test_add_sub_cancellation_is_exact():
     p = parse("2 u^2 v1 + 3 v-1")
     q = p - p
     assert q.is_zero
-    # near-cancellation is pruned at CLEANUP_EPS
-    r = p + (-1.0 + 1e-16) * p
-    assert r.is_zero or all(abs(c) > CLEANUP_EPS for c in r.terms.values())
+    # storage drops exact zeros only: near-cancellation keeps its residue,
+    # 2 * 2^-53 and the rounding of 3 * (1 - 2^-53) here
+    c = -1.0 + 1e-16
+    r = p + c * p
+    assert r.terms == {m: a + c * a for m, a in p.terms.items()}
+    assert sorted(abs(a) for a in r.terms.values()) == [2.0 ** -52, 2.0 ** -51]
+
+
+def test_storage_drops_exact_zeros_only():
+    # any finite nonzero coefficient is kept, at any scale; 0j and -0j go
+    assert str(TracePoly.u(1) * 1e-15) == "1e-15*u"
+    assert (TracePoly.u(1) * 1e-300).terms == {mono(1): 1e-300 + 0j}
+    assert TracePoly({mono(1): 0j, mono(2): complex(-0.0, -0.0), mono(3): 5e-324}).terms \
+        == {mono(3): 5e-324 + 0j}
+    # comparison has no absolute floor either: a term on one side only fails
+    tiny = parse("u + v1") * 1e-20
+    assert not tiny.allclose(TracePoly.zero())
+    assert tiny.allclose(tiny * (1 + 1e-13))
+    assert not tiny.allclose(tiny * (1 + 1e-11))
 
 
 def test_scalar_ops_and_pow():
@@ -146,7 +162,7 @@ PARSE_EDGES = [
     ("(1.5 - 2i) u", "[((1, ()), (1.5-2j))]"),
     ("-(0+1i) u", "[((1, ()), (-0-1j))]"),
     ("u - (0+1i)", "[((0, ()), -1j), ((1, ()), (1+0j))]"),
-    ("1e-15 u + 1e-14 u", "[((1, ()), (1e-14+0j))]"),
+    ("1e-15 u + 1e-14 u", "[((1, ()), (1.1e-14+0j))]"),
     ("-0 u + v1", "[((0, ((1, 1),)), (1+0j))]"),
     ("u*", None), ("2*", None), ("", None),
     ("v0", None), ("u^", None), ("v", None), ("2 +", None), ("q3", None),

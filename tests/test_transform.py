@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import freesb.transform as transform
 from freesb.tracepoly import TracePoly, mono, parse
@@ -46,6 +47,20 @@ def test_inverse_pair_small():
         assert (back - u(k)).coeff_max() < 1e-9, k
         fwd = H(G(u(k), s, t), s, t)
         assert (fwd - u(k)).coeff_max() < 1e-9, k
+
+
+@given(st.dictionaries(st.integers(-6, 6),
+                       st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)),
+                       min_size=1, max_size=5).filter(lambda d: any(d.values())),
+       st.floats(-30.0, 30.0), st.floats(0.2, 3.0), st.floats(0.05, 1.9))
+@example({3: 1 + 0j, -2: 2j, 0: -4 + 0j}, -30.0, 1.5, 0.5)
+@example({6: 9 + 9j, 1: 0.5 + 0j}, 30.0, 0.2, 1.9)
+@settings(max_examples=40, deadline=None)
+def test_H_inverts_G_at_any_scale(coeffs, log_c, s, t_over_s):
+    # on Laurent f of degree <= 6 at s > t/2, within 140x the worst of 300
+    # random draws; storage drops exact zeros only, so c * f keeps its terms
+    f, c, t = TracePoly({mono(k): a for k, a in coeffs.items()}), 10.0 ** log_c, t_over_s * s
+    assert (H(G(c * f, s, t), s, t) / c - f).coeff_max() <= 1e-11 * f.coeff_max()
 
 
 def test_G_diagonal_action():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import freesb.operators as operators
 import freesb.words as words
@@ -396,6 +396,35 @@ def test_expectation_linear():
     lhs = expectation(p + 2j * q, s, t, N)
     rhs = expectation(p, s, t, N) + 2j * expectation(q, s, t, N)
     assert abs(lhs - rhs) < 1e-12
+
+
+_LINEAR_WORDS = [iota(v(1)), WordPoly.var("as"), iota(v(2) * v(-1)), WordPoly.var("aS"),
+                 WordPoly.var("aa") * WordPoly.var("s"), iota(parse("v1^2 - 2 v-1"))]
+
+
+@given(st.sampled_from(_LINEAR_WORDS), st.sampled_from(_LINEAR_WORDS),
+       st.floats(-30.0, 30.0), st.sampled_from([1, -1, 1j]), st.floats(0.3, 3.0),
+       st.floats(0.0, 1.9), st.integers(1, 5))
+@example(_LINEAR_WORDS[1], _LINEAR_WORDS[0], -30.0, 1j, 1.5, 0.5, 3)
+@example(_LINEAR_WORDS[5], _LINEAR_WORDS[4], 30.0, -1, 1.0, 0.0, 2)
+@settings(max_examples=40, deadline=None)
+def test_expectation_is_linear_at_any_scale(x, y, log_c, phase, s, t_over_s, N):
+    # storage drops exact zeros only, so c * x keeps every term at any |c|;
+    # t_over_s = 0 is rho; the bounds are 20x and 50x the worst of 5,000
+    # random draws
+    c, t = phase * 10.0 ** log_c, t_over_s * s
+    ex, ey = expectation(x, s, t, N), expectation(y, s, t, N)
+    assert abs(expectation(c * x, s, t, N) / c - ex) <= 1e-12 * abs(ex)
+    assert abs(expectation(c * x + y, s, t, N) - (c * ex + ey)) <= 1e-11 * (abs(c * ex) + abs(ey))
+
+
+def test_expectation_refuses_the_degree_before_the_rho_rewrite(monkeypatch):
+    # under rho the rewrite would collapse this word (trace degree 40,000) to 1
+    word = WordPoly.var("sa" * 20000)
+    monkeypatch.setattr(words, "_unitary", None)
+    for t in (0.0, 0.5):
+        with pytest.raises(ValueError, match="trace degree 40000 exceeds 24"):
+            expectation(word, 1.0, t, 2)
 
 
 def test_expectation_matches_trace_route_at_t0():

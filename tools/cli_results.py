@@ -15,8 +15,10 @@ concentration, the generating-function check at s != t and two failing
 ones, the PDE check at order 16 for s = 0.3 (its largest residual) and
 s = 1.9, a refused sampler time, a refused mu time, and Monte Carlo of
 an observable with inverse and repeated factors and of the concentration
-of a p with u-powers, an ``mc`` observable and a ``norm`` input of trace
-degree far above the limit, and the explicit u(N) basis at its limit N = 36) and
+of a p with u-powers, an ``mc`` observable, a ``norm`` input and a Monte
+Carlo ``concentration`` input of trace degree far above the limit, a
+semigroup input of size 1e-20 and a transform input with a 1e-13 term,
+and the explicit u(N) basis at its limit N = 36) and
 writes one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR, which defaults to
 ``src`` beside this script's parent, so one copy of the script can run
@@ -110,6 +112,13 @@ COMMANDS = [
     # the sampler builds its word table and before B(p, p) builds its word
     "mc --f v20000 --N 2 --s 1 --samples 2 --steps 1 --threads 1",
     "norm --p u^20000 --measure rho --s 2.25 --N 3",
+    # the same refusal for the Monte Carlo concentration, whose B(p, p) has
+    # trace degree 40,002
+    'concentration --p "u^20000 v1" --s 1 --mode mc --Ns 2,3,4 --samples 2 --steps 1 --threads 1',
+    # inputs far below 1 that storage keeps term for term: a semigroup
+    # result of size 1e-20, and a transform whose v1 term is 1e-13
+    'heat-apply --gen DN --N 4 --t 0.7 --f "1e-20 u^3"',
+    'transform --s 1.5 --t 0.8 --f "u^3 + 1e-13 v1 u^2" --dir G',
     # the largest explicit basis, which laplacian_eval and verify_magic sum in
     # several batches
     "intertwine-check --N 36 --degree 3 --trials 1 --seed 0",
