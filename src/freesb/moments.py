@@ -31,6 +31,8 @@ from .tracepoly import TracePoly, mono
 
 MAX_MOMENT = 64  # largest |k| of nu_k
 S_CACHE_SIZE = 256  # entries of each s-keyed cache, which a fresh s per call would grow
+#: ln of the least normal double and of the greatest double
+_EXP_MIN, _EXP_MAX = -708.3964185322641, 709.782712893384
 
 # ----------------------------------------------------------------------
 # Catalan numbers and nu_k
@@ -44,19 +46,40 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+@cache
+def _nu_hat_coeffs(k: int) -> tuple[int, ...]:
+    # a_j = binom(k, j+1) (k-1)!/j! for j = k-1 down to 0, the s-independent
+    # integers of e^{ks/2} nu_k(s) = sum_j a_j (-ks)^j / k!
+    return tuple(math.comb(k, j + 1) * math.perm(k - 1, k - 1 - j) for j in reversed(range(k)))
+
+
 @lru_cache(maxsize=S_CACHE_SIZE)
-def _nu_hat_exact(k: int, s: float) -> Fraction:
+def _nu_hat_exact(k: int, s: float) -> tuple[int, int]:
     # e^{ks/2} nu_k(s) = sum_{j=0}^{k-1} ((-s)^j / j!) k^{j-1} binom(k, j+1),
     # summed exactly over the rationals: the terms alternate in sign and the
     # cancellation for large k, s is far beyond what compensated floating
     # summation can absorb.  Every route to nu_k and c_k passes here.  With
-    # -s = p/q, the sum is over one denominator k q^{k-1} (k-1)!, so it takes
-    # integers only and one normalizing Fraction at the end.
+    # -s = p/q, q = 2^e (the ratio of a float), it is sum_j a_j (pk)^j q^{k-1-j}
+    # over k! q^{k-1}: one Horner sum on integers, returned as the pair
+    # (numerator, denominator), not reduced.  Python's int division rounds
+    # correctly, so num / den is the float of the exact value.
     check_times(s=s)
     p, q = (-s).as_integer_ratio()
-    return Fraction(sum((p * k) ** j * q ** (k - 1 - j) * math.comb(k, j + 1)
-                        * math.perm(k - 1, k - 1 - j) for j in range(k)),
-                    k * q ** (k - 1) * math.factorial(k - 1))
+    x, e, num = p * k, q.bit_length() - 1, 0
+    for i, a in enumerate(_nu_hat_coeffs(k)):
+        num = num * x + (a << e * i)
+    return num, math.factorial(k) << e * (k - 1)
+
+
+def _exp_times(x: float, num: int, den: int) -> float:
+    # e^x num/den: the product of the floats e^x and num / den where both are
+    # normal doubles.  Otherwise num/den = m 2^b with 1 < |m| < 4 and 2^b is
+    # folded into the exponential, so e^x overflows only where the product
+    # does (then inf) and underflows only where it does.
+    b = num.bit_length() - den.bit_length() - 1  # 2^b < |num/den| < 2^(b+2)
+    if num and not (x > _EXP_MIN and -1023 < b < 1022):
+        x, num, den = x + b * math.log(2.0), num << max(-b, 0), den << max(b, 0)
+    return math.exp(x) * (num / den) if x <= _EXP_MAX else math.inf
 
 
 def nu(k: int, s: float) -> float:
@@ -66,14 +89,22 @@ def nu(k: int, s: float) -> float:
 
         nu_k(s) = e^{-|k|s/2} sum_{j=0}^{|k|-1} ((-s)^j/j!) |k|^{j-1} binom(|k|, j+1),
 
-    with nu_{-k} = nu_k.  Entire in s.
+    with nu_{-k} = nu_k.  Entire in s.  The sum is exact and rounds once;
+    where it and e^{-|k|s/2} are both normal doubles, nu_k is their product.
+    Where either alone would leave the normal range, the sum's binary
+    exponent is folded into the exponential first, so a moment that is a
+    normal double keeps its relative accuracy.  For s >= 0, |nu_k(s)| <= 1
+    and a value is always returned (zero where it underflows); for s < 0, a
+    moment past the float range raises ValueError.
     """
     k = abs(k)
     if k == 0:
         return 1.0
     if k > MAX_MOMENT:
         raise ValueError(f"nu(k, s) supports |k| <= {MAX_MOMENT}, got {k}")
-    return math.exp(-k * s / 2.0) * float(_nu_hat_exact(k, float(s)))
+    if math.isinf(value := _exp_times(-k * s / 2.0, *_nu_hat_exact(k, float(s)))):
+        raise ValueError(f"nu_k(s) for k = {k} at s = {s!r} is beyond the float range")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +114,8 @@ def nu(k: int, s: float) -> float:
 
 def pi_eval(p: TracePoly, s: float) -> TracePoly:
     """pi_s by direct substitution v_j -> nu_j(s); lands in C[u, u^-1]."""
-    return p.substitute_v(cache(lambda j: nu(j, s)))  # each nu_j once per call
+    nus: dict[int, float] = {}  # each nu_j once per call
+    return p.substitute_v(lambda j: nus[j] if j in nus else nus.setdefault(j, nu(j, s)))
 
 
 def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:
@@ -159,8 +191,11 @@ def _c_hat(k: int, s: float) -> tuple[float, ...]:
     # of every product c_{k-m} c_m combine to the same e^{-ks/2}, so the
     # deflated recursion never touches an exponential:
     #   chat_k = nuhat_k(s) + sum_m m * int_0^t chat_{k-m} chat_m
-    return _recursion(k, float(_nu_hat_exact(k, s)),
-                      lambda j: _c_hat(j, s), lambda j: _c_hat(j, s), 1)
+    first = _exp_times(0.0, *_nu_hat_exact(k, s))  # num / den, or inf past the range
+    out = _recursion(k, first, lambda j: _c_hat(j, s), lambda j: _c_hat(j, s), 1)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"c_k(s, t) for k = {k} at s = {s!r} is beyond the float range")
+    return out
 
 
 def c_poly(k: int, s: float) -> TPoly:

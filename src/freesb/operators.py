@@ -364,20 +364,19 @@ def exp_series(column, p, theta, terms):
     n = len(basis)
     x = np.zeros(n, dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
-    if graded:
-        seed = (weights, x.tobytes())
-        with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):  # so every kernel's x is finite
+        if graded:
+            seed = (weights, x.tobytes())
             if (kept := closure[5]) is None or kept[0] != seed:
                 kept = closure[5] = (seed, _graded_rows(rows[off], cols[off], vals[off], x))
             x = np.exp(theta * diag) * (theta ** np.arange(len(kept[1])) @ kept[1])
-        return type(p)(dict(zip(basis, x.tolist())))
-    with np.errstate(over="raise", invalid="raise"):
-        vals = theta * vals
-        norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
-        dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
-        x = (_expm_dense(rows, cols, vals, x) if dense
-             else _taylor_sparse(rows, cols, vals, x, norm))
-    return type(p)(dict(zip(basis, x.tolist())))
+        else:
+            vals = theta * vals
+            norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
+            dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
+            x = (_expm_dense(rows, cols, vals, x) if dense
+                 else _taylor_sparse(rows, cols, vals, x, norm))
+    return type(p)._from_finite(basis, x.tolist())
 
 
 def _classify(closure, weights, nseed):
@@ -508,7 +507,7 @@ def _taylor_sparse(rows, cols, vals, x, norm):
 
 def check_times(**times: float) -> None:
     """ValueError ``non-finite time name=value, ...`` unless every time is finite."""
-    if not all(math.isfinite(x) for x in times.values()):
+    if not all(map(math.isfinite, times.values())):
         raise ValueError("non-finite time " + ", ".join(f"{k}={x!r}" for k, x in times.items()))
 
 

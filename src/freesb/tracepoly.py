@@ -148,14 +148,22 @@ class SparsePoly:
 
     def __init__(self, terms: Mapping[Hashable, Scalar] | None = None):
         cleaned: dict = {}
-        if terms:
-            for m, c in terms.items():
-                c = complex(c)
-                if not cmath.isfinite(c):
-                    raise ValueError(f"non-finite coefficient {c!r} for monomial {m!r}")
-                if c:
-                    cleaned[m] = c
+        for m, c in (terms or {}).items():
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r} for monomial {m!r}")
+            if c:
+                cleaned[m] = c
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _from_finite(cls, keys: Iterable[Hashable], values: Iterable[complex]):
+        """The polynomial with coefficient ``values[i]`` on ``keys[i]``, for
+        distinct keys and complex values already known to be finite: only
+        exact zeros are dropped, so it equals ``cls(dict(zip(keys, values)))``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", {m: c for m, c in zip(keys, values) if c})
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -311,15 +319,16 @@ class TracePoly(SparsePoly):
     def substitute_v(self, assign: Callable[[int], Scalar]) -> "TracePoly":
         """Substitute numbers for every v_j; returns a Laurent polynomial in u.
 
-        ``assign`` maps each v-index present to its value.
+        ``assign`` maps each v-index present to its value; each power
+        ``complex(assign(j)) ** e`` is taken once per call.
         """
         acc: dict[Mono, complex] = {}
+        pw: dict[tuple[int, int], complex] = {}
         for (k0, ve), c in self.terms.items():
             val = c
-            for j, e in ve:
-                val *= complex(assign(j)) ** e
-            m = (k0, ())
-            acc[m] = acc.get(m, 0j) + val
+            for je in ve:
+                val *= pw[je] if je in pw else pw.setdefault(je, complex(assign(je[0])) ** je[1])
+            acc[k0, ()] = acc.get((k0, ()), 0j) + val
         return TracePoly(acc)
 
     def invert_u(self) -> "TracePoly":

@@ -68,12 +68,13 @@ def _check_order(K: int) -> None:
         raise ValueError(f"series order K must be in 1..{MAX_SERIES_ORDER}, got {K}")
 
 
-def _a(M: int, x: Fraction) -> list[tuple[int, int]]:
+def _a(M: int, x: Fraction | tuple[int, int]) -> list[tuple[int, int]]:
     # the w^m coefficients a_m(x) of e^{xw/(1-w)}, m = 0..M, exact over the
     # rationals: with x = p/q, (1-w)^2 f' = x f makes A_m = m! q^m a_m(x) an
     # integer, A_0 = 1, A_1 = p, A_{m+1} = (2mq + p) A_m - (m-1) m q^2 A_{m-1};
-    # the pairs (A_m, m! q^m)
-    p, q = x.as_integer_ratio()
+    # the pairs (A_m, m! q^m).  x is a Fraction or a pair (p, q), q > 0, in
+    # lowest terms or not: (gp, gq) scales A_m and m! q^m by the same g^m
+    p, q = x if isinstance(x, tuple) else x.as_integer_ratio()
     A = [1, p]
     for m in range(1, M):
         A.append((2 * m * q + p) * A[m] - (m - 1) * m * q * q * A[m - 1])
@@ -109,10 +110,11 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
             if ve or not 0 <= j <= K:
                 raise ValueError(f"p_{k} has the monomial {(j, ve)}, not one of u^0..u^{K}")
             P[k, j] = c
-    for k in range(1, K + 1):
-        for i, c in enumerate((s - t, s)):
-            # each a_{n-k} is exact (so is Fraction(c)) and rounded once, to float
-            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, k * Fraction(c))]
+    for i, c in enumerate((s - t, s)):
+        num, den = c.as_integer_ratio()
+        for k in range(1, K + 1):
+            # each a_{n-k}, at kc = k num / den, is exact and rounded once, to float
+            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * num, den))]
     return float(np.abs(W[0] @ P - W[1]).max())
 
 
@@ -161,6 +163,6 @@ def pde_residual(s: float, K: int = 8) -> float:
     # sum_k nu_hat_k(s) a_{n-k}(ks)
     a = [None] + [_a(K - k, k * Fraction(s)) for k in range(1, K + 1)]
     for n in range(1, K + 1):
-        coeff = sum(_nu_hat_exact(k, s) * Fraction(*a[k][n - k]) for k in range(1, n + 1))
+        coeff = sum(Fraction(*_nu_hat_exact(k, s)) * Fraction(*a[k][n - k]) for k in range(1, n + 1))
         resid = max(resid, abs(float(coeff - 1)))
     return resid

@@ -481,6 +481,16 @@ def test_huge_sampler_time_exits_1(capsys, argv, what):
     assert what in _one_line_error(capsys)
 
 
+def test_moments_at_the_edges_of_the_float_range(capsys):
+    # nu_32(45) is a normal double although e^{-720} underflows alone; at
+    # s = 1e10 the c_k coefficients overflow, which is refused by name, not
+    # with Python's bare integer-division message
+    code, rep = run(capsys, "moments", "--k", "32", "--s", "45")
+    assert code == 0 and 1e-300 < abs(rep["results"]["nu"]) < 1e-200
+    assert cli.main(["moments", "--k", "64", "--s", "1e10"]) == 1
+    assert "at s = 10000000000.0 is beyond the float range" in _one_line_error(capsys)
+
+
 def test_non_finite_report_exits_1(capsys):
     # biane p_0 = 1 at any time, so only the report holds the infinity,
     # which JSON cannot

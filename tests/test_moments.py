@@ -2,6 +2,8 @@
 routes to the evaluation map pi_s."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -90,18 +92,90 @@ def _nu_hat_by_fractions(k, s):
 
 
 def test_nu_hat_matches_termwise_fractions():
-    # one integer numerator over one denominator gives the same Fraction
+    # one integer numerator over one denominator, the pair unreduced, is the same rational
     rng = np.random.default_rng(12)
     for _ in range(400):
         k = int(rng.integers(1, 65))
         s = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(5e2)))
-        assert _nu_hat_exact.__wrapped__(k, s) == _nu_hat_by_fractions(k, s), (k, s)
+        assert Fraction(*_nu_hat_exact.__wrapped__(k, s)) == _nu_hat_by_fractions(k, s), (k, s)
     for s in (0.0, 1e-3, -1e-3, 2.25, 5e2, -5e2):
         for k in (1, 2, 12, 64):
-            assert _nu_hat_exact.__wrapped__(k, s) == _nu_hat_by_fractions(k, s), (k, s)
+            assert Fraction(*_nu_hat_exact.__wrapped__(k, s)) == _nu_hat_by_fractions(k, s), (k, s)
+
+
+def _bits(x):
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+def test_nu_is_the_rounded_sum_times_the_exponential():
+    # where both factors are normal doubles, nu_k is bit for bit
+    # e^{-|k|s/2} times the exact sum rounded once
+    for s in (-5.0, -1.0, -1e-3, 0.0, 1e-3, 0.3, 1.0, 2.25, 7.5, 20.0, 60.0, 150.0, 500.0):
+        for k in range(1, 65):
+            e, hat = math.exp(-k * s / 2.0), float(_nu_hat_by_fractions(k, s))
+            if e < sys.float_info.min or 0 < abs(hat) < sys.float_info.min:
+                continue
+            assert _bits(nu(k, s)) == _bits(nu(-k, s)) == _bits(e * hat), (k, s)
+
+
+def test_nu_keeps_its_accuracy_where_a_factor_leaves_the_range():
+    # e^{-ks/2} underflows and the exact sum overflows on their own; their
+    # product, against the exact sum and a 50-digit exponential, is within
+    # 1e-12 wherever it is a normal double, and a subnormal or zero beside one
+    mpmath = pytest.importorskip("mpmath")
+    normal = 0
+    with mpmath.workdps(50):
+        for s in [*np.geomspace(20.0, 1e4, 23), 25.0, 30.0]:
+            s = float(s)
+            for k in (1, 2, 3, 5, 8, 13, 21, 34, 48, 55, 63, 64):
+                hat = _nu_hat_by_fractions(k, s)
+                want = mpmath.exp(-k * mpmath.mpf(s) / 2) * hat.numerator / hat.denominator
+                got = nu(k, s)
+                if abs(want) >= sys.float_info.min:
+                    normal += 1
+                    assert abs(got - want) <= 1e-12 * abs(want), (k, s, got, want)
+                else:
+                    assert abs(got - want) <= 2.0 ** -1070, (k, s, got, want)
+    assert normal > 100
+    assert nu(64, 25.0) == pytest.approx(-1.5134448571956e-236, rel=1e-12)
+    assert nu(64, 30.0) == pytest.approx(-7.5537257448090e-301, rel=1e-12)
+
+
+def test_nu_past_the_float_range():
+    # for s >= 0, |nu_k| <= 1, so a value always comes back, a zero where it
+    # underflows; for s < 0 a moment beyond the largest double is refused
+    for s in (1e4, 1e10, 1e300, sys.float_info.max):
+        for k in (1, 2, 63, 64):
+            assert abs(nu(k, s)) < sys.float_info.min, (k, s)
+    assert _bits(nu(64, 1e10)) == _bits(-0.0)
+    assert nu(2, -400.0) == math.exp(400.0) * 401.0
+    for k, s in ((64, -20.0), (1, -1500.0), (64, -1e300), (2, -sys.float_info.max)):
+        with pytest.raises(ValueError, match=re.escape(f"nu_k(s) for k = {k} at s = {s!r} is beyond")):
+            nu(k, s)
+
+
+def test_c_k_past_the_float_range_is_refused():
+    with pytest.raises(ValueError, match=r"c_k\(s, t\) for k = \d+ at s = 10000000000.0 is beyond"):
+        c_poly(64, 1e10)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        b_poly(64, 1e10)
+    assert all(math.isfinite(abs(c)) for c in c_poly(64, 1e4).coeffs)
 
 
 # ---------------------------------------------------------------- pi routes
+
+
+def test_pi_eval_takes_each_nu_j_once_in_order_of_first_use(monkeypatch):
+    # one nu call per distinct index, as the moment cache's hit counts assume
+    import freesb.moments as moments
+    calls = []
+    monkeypatch.setattr(moments, "nu", lambda j, s: calls.append(j) or nu(j, s))
+    p = parse("v2 v1^2 u + v1 v-1 + v1^3 v2^2 u^-1 + v3")
+    out = pi_eval(p, 0.7)
+    assert calls == [1, 2, -1, 3]
+    want = nu(2, 0.7) * nu(1, 0.7) ** 2 * TracePoly.u(1) + nu(1, 0.7) ** 2 + nu(3, 0.7) \
+        + nu(1, 0.7) ** 3 * nu(2, 0.7) ** 2 * TracePoly.u(-1)
+    assert out.allclose(want, rel=1e-15)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 2.0]))

@@ -211,6 +211,40 @@ def _count_kernels(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("kernel", ["graded", "dense", "taylor"])
+def test_a_coefficient_that_cancels_to_zero_is_not_kept(monkeypatch, kernel):
+    # A maps u -> u^2 (and, off the graded case, u^3 <-> u^4): e^A (u - u^2 + ...)
+    # has u^2 coefficient -1 + 1 = 0 exactly in every kernel, and the result is
+    # what TracePoly.__init__ builds from its terms
+    monkeypatch.setattr(operators, "_closures", operators._Cache())
+    monkeypatch.setattr(operators, "_images", operators._Cache())
+    calls = _count_kernels(monkeypatch)
+    if kernel == "taylor":
+        monkeypatch.setattr(operators, "DENSE_MAX_N", 0)
+    edges = {1: [2]} if kernel == "graded" else {1: [2], 3: [4], 4: [3]}
+    p = u(1) - u(2) + (0 if kernel == "graded" else u(3))
+    out = _exp(f"cancel-{kernel}", lambda m: [(mono(j), 1.0) for j in edges.get(m[0], [])], p)
+    assert (len(calls["dense"]), len(calls["taylor"])) == {
+        "graded": (0, 0), "dense": (1, 0), "taylor": (0, 1)}[kernel]
+    assert mono(2) not in out.terms and out.coeff(mono(1)) == 1
+    assert type(out) is TracePoly and out.terms == TracePoly(dict(out.terms)).terms
+    assert all(type(c) is complex and c for c in out.terms.values())
+
+
+def test_kernels_raise_where_a_row_sum_overflows():
+    # _matvec sums each row by bincount, which sets no numpy error flag, but
+    # the complex division by k that follows turns an inf into an invalid
+    # operation: exp_series, which builds its result with no finite check,
+    # gets FloatingPointError from every kernel, never an inf
+    rows, cols = np.array([0, 0]), np.array([1, 2])
+    vals, x = np.ones(2, dtype=complex), np.array([0, 1.5e308, 1.5e308], dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            operators._graded_rows(rows, cols, vals, x)
+        with pytest.raises(FloatingPointError):
+            operators._taylor_sparse(rows, cols, vals, x, 1.0)
+
+
 def test_kernel_choice(monkeypatch):
     calls = _count_kernels(monkeypatch)
     # graded closures take the terminating sum and neither kernel

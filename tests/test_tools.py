@@ -1,8 +1,11 @@
-"""The scripts under tools/: the result comparison of cli_results.py and
-the line counts of srcstats.py, each loaded from its path."""
+"""The scripts under tools/: the result comparison of cli_results.py, the
+line counts of srcstats.py and the pair summary of bench_pairs.py, each
+loaded from its path."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -14,6 +17,7 @@ def _load(name):
     return module
 
 
+bench_pairs = _load("bench_pairs")
 cli_results = _load("cli_results")
 srcstats = _load("srcstats")
 
@@ -70,3 +74,27 @@ def test_srcstats_counts_a_tiny_package(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "physical lines: 16", "code lines: 10", "parameters with defaults: 2",
         "numeric constants: 3"]
+
+
+def test_bench_pairs_summary_claims_a_gain_by_the_pairs_rule():
+    parent = [10.0, 10.4, 9.8, 10.1, 10.2, 9.9, 10.3, 10.0, 10.1, 9.9]
+    change = [x - 1.0 for x in parent]
+    s = bench_pairs.summarize(parent, change, "lower")
+    assert s["parent"] == pytest.approx((9.925, 10.05, 10.175)) and s["wins"] == 10 and s["gain"]
+    # the same runs for a metric where higher is better: no wins, no gain
+    s = bench_pairs.summarize(parent, change, "higher")
+    assert s["wins"] == 0 and not s["gain"]
+    assert bench_pairs.summarize(change, parent, "higher")["gain"]
+
+
+def test_bench_pairs_summary_needs_nine_tenths_and_a_lead_past_the_spread():
+    parent = [10.0, 10.4, 9.8, 10.1, 10.2, 9.9, 10.3, 10.0, 10.1, 9.9]
+    # two lost pairs out of ten: 8 wins is below nine tenths
+    change = [x - 1.0 for x in parent[:8]] + [x + 1.0 for x in parent[8:]]
+    assert bench_pairs.summarize(parent, change, "lower")["wins"] == 8
+    assert not bench_pairs.summarize(parent, change, "lower")["gain"]
+    # every pair won, but by less than the parent's interquartile range (0.25)
+    s = bench_pairs.summarize(parent, [x - 0.2 for x in parent], "lower")
+    assert s["wins"] == 10 and not s["gain"]
+    # a tie counts for neither side
+    assert bench_pairs.summarize([1.0, 2.0], [1.0, 1.0], "lower")["wins"] == 1

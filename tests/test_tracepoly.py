@@ -114,6 +114,36 @@ def test_substitute_v():
     assert q == parse("-4 u^2 + 4 u")
 
 
+def _substitute_v_by_factor(p, assign):
+    # the reference: each factor's power taken where it occurs, in term order
+    acc = {}
+    for (k0, ve), c in p.terms.items():
+        for j, e in ve:
+            c *= complex(assign(j)) ** e
+        acc[k0, ()] = acc.get((k0, ()), 0j) + c
+    return acc
+
+
+@given(tracepolys(max_terms=8), st.lists(st.floats(-3, 3).map(lambda x: x or -0.0), min_size=7,
+                                         max_size=7), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_substitute_v_takes_each_power_once_bit_for_bit(p, values, imag):
+    # each power complex(assign(j)) ** e is taken once per call, and the
+    # result is bitwise the term-by-term product, signed zeros included
+    calls = []
+
+    def assign(j):
+        calls.append(j)
+        x = values[j + 3]
+        return complex(x, -x) if imag else x
+
+    got = p.substitute_v(assign)
+    assert len(calls) == len({je for _, ve in p.terms for je in ve})
+    want = TracePoly(_substitute_v_by_factor(p, assign))
+    bits = lambda q: {m: (c.real.hex(), c.imag.hex()) for m, c in q.terms.items()}
+    assert bits(got) == bits(want)
+
+
 def test_is_laurent_is_scalar():
     assert parse("u^2 - u^-1").is_laurent()
     assert not parse("u v1").is_laurent()

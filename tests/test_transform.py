@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -120,6 +121,33 @@ def test_exp_curve_numeric():
     series_val = sum(math.exp(a) * (A / d) * w**k for k, (A, d) in enumerate(_a(K, 2 * Fraction(a))))
     exact = math.exp(a * (1 + w) / (1 - w))
     assert abs(series_val - exact) < 1e-10
+
+
+def _gen_fn_by_fractions(s, t, K):
+    # verify_gen_fn with each weight's a_{n-k}(kc) taken at the Fraction k * Fraction(c):
+    # the W tables and the residual
+    P, W = np.zeros((K + 1, K + 1), dtype=complex), np.zeros((2, K + 1, K + 1))
+    for k, pk in enumerate(Pi_series(s, t, K).coeffs):
+        for (j, _), c in pk.terms.items():
+            P[k, j] = c
+    for k in range(1, K + 1):
+        for i, c in enumerate((s - t, s)):
+            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, k * Fraction(c))]
+    return W, float(np.abs(W[0] @ P - W[1]).max())
+
+
+def test_gen_fn_weights_from_unreduced_pairs_are_bitwise_the_fraction_ones():
+    # the pair (kp, q) for kc = kp/q scales A_m and m! q^m by the same power
+    # of the common factor, so each weight rounds from the same rational
+    for s, t, K in ((1.0, 1.0, 8), (1.5, 0.8, 16), (0.3, 0.45, 4), (2.25, -0.5, 8),
+                    (-0.7, 0.1, 1), (6.0, 0.2, 12)):
+        W, resid = _gen_fn_by_fractions(s, t, K)
+        for i, c in enumerate((s - t, s)):
+            p, q = c.as_integer_ratio()
+            for k in range(1, K + 1):
+                got = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * p, q))]
+                assert got == list(W[i, k:, k]), (s, t, K, k)
+        assert verify_gen_fn(s, t, K) == resid, (s, t, K)
 
 
 # ---------------------------------------------------------------- identities
