@@ -16,7 +16,9 @@ step together: G is written from one N x N standard-normal block per
 noise (N^2 normals, the dimension of u(N)), which every stream fills in
 place, a block of steps at a time, and the batched exponential
 (``operators._expm_batch``, the semigroups' dense kernel) runs in buffers
-the chunk allocates once.  RNG_NAME names this draw layout.
+the chunk allocates once.  At N <= ``operators._REAL_GEMM_MAX_N`` its
+products and the step's U E each run as one real GEMM per sample
+(``operators._real_gemm``).  RNG_NAME names this draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _EXPM_MAX_SQUARINGS, _EXPM_THETA, _expm_batch, check_degree  # noqa: F401
+from .operators import _expm_batch, _real_gemm, check_degree
 from .tracepoly import TracePoly
 from .words import Measure, WordPoly, _eps_word, l2_norm_sq
 from .moments import pi_eval
@@ -254,7 +256,8 @@ def expm(M: CMatrix) -> CMatrix:
     M is scaled by the least power 2^-s (s >= 0) that brings its 1-norm to
     at most 0.31, where the Taylor tail is below 4.0e-17 relative; the
     polynomial takes four matrix products (Bader-Blanes-Casas) and s
-    squarings follow.  Anti-Hermitian M yields a unitary result to
+    squarings follow, at small N each as one real GEMM (see
+    ``operators._expm_batch``).  Anti-Hermitian M yields a unitary result to
     roundoff.  M must be a square 2-D array (ValueError otherwise); 0 x 0
     gives 0 x 0; a 1-norm of 0.31 * 2^26 (about 2.1e7) or more, ValueError.
     """
@@ -303,7 +306,9 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     requires, and the diagonal is 2i z_jj; so N^2 normals per noise.  The
     step sqrt(d)(sqrt(a) G1 + i sqrt(b) G2), with (a, b) = (1, 0) for rho,
     is built in real arithmetic with sqrt(d a / 4N) and sqrt(d b / 4N)
-    folded in.  G, the exponential and U E run in buffers made once per chunk.
+    folded in.  G, the exponential and U E run in buffers made once per chunk;
+    U E is ``_real_gemm``, with E's form in work slots 3 and 4, which
+    ``_expm_batch`` leaves free.
     """
     N, steps = cfg.N, cfg.steps
     is_mu = cfg.kind == "mu"
@@ -340,7 +345,7 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
                     z = noise[:, step, 1]
                     A.real -= np.multiply(wb, np.add(z, np.swapaxes(z, -1, -2), out=R), out=R)
                     A.imag += np.multiply(wb, np.subtract(z, np.swapaxes(z, -1, -2), out=R), out=R)
-                np.matmul(U, _expm_batch(A, work), out=U_next)
+                _real_gemm(U, _expm_batch(A, work), U_next, work, 3)
                 U, U_next = U_next, U
     return U
 

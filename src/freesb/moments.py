@@ -216,8 +216,13 @@ def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
     # b_k's coefficients in t as complex arrays over u^0..u^k (k + 1 entries
     # in the cache); a b_j with j < k is padded to that length where it is read
     first = (np.arange(k + 1) == k).astype(complex)  # u^k
-    return _recursion(k, first, lambda j: [math.exp(-j * s / 2.0) * c for c in _c_hat(j, s)],
-                      lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)], 1)
+    if (1 - k) * s / 2.0 <= _EXP_MAX:  # the largest e^{-js/2} below is finite
+        with np.errstate(over="ignore", invalid="ignore"):  # and a non-finite entry is refused
+            out = _recursion(k, first, lambda j: [math.exp(-j * s / 2.0) * c for c in _c_hat(j, s)],
+                             lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)], 1)
+        if all(np.isfinite(b).all() for b in out):
+            return out
+    raise ValueError(f"b_k(s, t) for k = {k} at s = {s!r} is beyond the float range")
 
 
 def b_poly(k: int, s: float) -> TPoly:

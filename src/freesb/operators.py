@@ -43,6 +43,7 @@ STEP_NORM = 2.0  # largest 1-norm of a stage's generator
 STAGE_COST = 400  # a stage's fixed numpy cost, counted in nonzeros
 MAX_WORK = 40_000_000  # stages x (nonzeros + STAGE_COST) of one sparse Taylor run
 DENSE_MAX_N = 128  # largest dense closure: the float64 crossover; peak 64 n^2 B, 1 MiB
+_REAL_GEMM_MAX_N = 8  # the measured crossover: complex N x N products up to here as real GEMMs
 DENSE_MAX_SQUARINGS = 6  # from 7 on, the dense kernel's roundoff can exceed the Taylor kernel's
 MAX_DEGREE = 12
 MAX_CLOSURE = 4096  # monomials of one compiled closure; tests and benchmark need <= 846
@@ -221,6 +222,25 @@ def _squarings(norm):
     return _SQUARING_NORMS.searchsorted(norm, side="right")
 
 
+def _real_gemm(a, b, out, work, slot, built=False):
+    """a @ b into ``out`` for complex (n, N, N) stacks.  Up to N =
+    _REAL_GEMM_MAX_N, one real product per slice: a.view(float), shaped
+    (n, N, 2N), times b's real (2N, 2N) form, whose rows are b[j] and (i b)[j]
+    interleaved, written into the free slots ``slot`` and ``slot + 1`` of
+    ``work`` unless ``built`` says they hold b's form already.  That is the
+    complex product's flops without numpy's fixed cost per complex slice,
+    which dominates at small N; past the crossover, ``np.matmul``."""
+    n, N = b.shape[:2]
+    if N > _REAL_GEMM_MAX_N:
+        return np.matmul(a, b, out=out)
+    form = work[slot:slot + 2].reshape(-1)[:2 * b.size].reshape(n, N, 2, N)
+    if not built:
+        form[:, :, 0] = b
+        np.multiply(b, 1j, out=form[:, :, 1])
+    np.matmul(a.view(float), form.view(float).reshape(n, 2 * N, 2 * N), out=out.view(float))
+    return out
+
+
 def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     """Batched e^M over the leading axis.
 
@@ -230,13 +250,16 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     see ``_EXPM_W``), its cubics B_r one real product of the coefficient
     table with (A, A^2, A^3).  The truncation tail is below 4.0e-17
     relative, under half a unit roundoff; s squarings undo the scaling, each
-    only on the slices that need it.  Every operation is per slice or per
-    entry, so a slice gets bitwise the same arithmetic however the batch is
-    assembled.  Non-finite input or more than 26 squarings (1-norm
-    0.31 * 2^26 ~ 2.1e7 or more): ValueError, first.  ``work``, one
-    C-contiguous array shaped (7,) + Ms.shape (fresh if not given), float64
-    for a real stack and complex otherwise, holds every intermediate; the
-    result is one of its slices."""
+    only on the slices that need it.  A complex stack takes every product
+    as :func:`_real_gemm`, which puts the form of the right factor in two
+    free slots of ``work``; a real stack takes ``np.matmul`` alone.  Every
+    operation is per slice or per entry, so a slice gets bitwise the same
+    arithmetic however the batch is assembled.  Non-finite input or more
+    than 26 squarings (1-norm 0.31 * 2^26 ~ 2.1e7 or more): ValueError,
+    first.  ``work``, one C-contiguous array shaped (7,) + Ms.shape (fresh
+    if not given), float64 for a real stack and complex otherwise, holds
+    every intermediate; the result is its slice 1 or 2, so slots 3 to 6 are
+    free after it."""
     Ms = np.asarray(Ms, dtype=complex if np.iscomplexobj(Ms) else float)
     if Ms.shape[0] == 0:
         return Ms.copy()
@@ -246,25 +269,28 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
     P = work[0] if work else np.empty((7,) + Ms.shape, dtype=Ms.dtype)
+    mul = (_real_gemm if Ms.dtype == complex
+           else lambda a, b, out, work, slot, built=False: np.matmul(a, b, out=out))
     A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=P[0])
-    np.matmul(A, A, out=P[1])
-    np.matmul(P[1], A, out=P[2])
-    np.dot(_EXPM_W[:, 1:], P[:3].view(float).reshape(3, -1), out=P[3:].view(float).reshape(4, -1))
+    mul(A, A, P[1], P, 5)
+    mul(P[1], A, P[2], P, 5, built=True)  # A's form is still in P[5:]
+    X = P.view(float).reshape(7, -1)  # one row per slot, for the cubics' real product
+    np.matmul(_EXPM_W[:, 1:], X[:3], out=X[3:])
     Ba, Bb, Bc, Bd = P[3:]
     for Br, w in ((Ba, _EXPM_W[0, 0]), (Bb, _EXPM_W[1, 0])):  # B_c, B_d have none
         np.einsum("nii->ni", Br)[...] += w  # a view of the diagonals
-    A6 = np.matmul(Bd, Bd, out=P[0])
+    A6 = mul(Bd, Bd, P[0], P, 1)
     A6 += Bc
     Bb += A6
-    E, T = np.matmul(Bb, A6, out=P[1]), P[2]
+    E, T = mul(Bb, A6, P[1], P, 5), P[2]
     E += Ba
     low = nsq.min()  # every slice takes the first ``low`` squarings
     for r in range(int(nsq.max())):
         if r < low:
-            E, T = np.matmul(E, E, out=T), E
+            E, T = mul(E, E, T, P, 3), E
         else:
-            live = nsq > r
-            E[live] = E[live] @ E[live]
+            Elive = E[(live := nsq > r)]
+            E[live] = mul(Elive, Elive, P[0, :len(Elive)], P, 3)
     return E
 
 

@@ -357,7 +357,7 @@ class Measure:
     def __post_init__(self):
         check_N(self.N)
         check_times(s=self.s, t=self.t)
-        if self.t != 0 and not 0 < self.t / 2.0 < self.s:
+        if self.t != 0 and not 0 < self.t < 2.0 * self.s:  # t / 2 underflows at 5e-324
             raise ValueError(f"mu requires s > t/2 > 0, got s={self.s}, t={self.t}")
         if self.t == 0 and self.s < 0:
             raise ValueError(f"rho requires s >= 0, got s={self.s}")

@@ -489,6 +489,11 @@ def test_moments_at_the_edges_of_the_float_range(capsys):
     assert code == 0 and 1e-300 < abs(rep["results"]["nu"]) < 1e-200
     assert cli.main(["moments", "--k", "64", "--s", "1e10"]) == 1
     assert "at s = 10000000000.0 is beyond the float range" in _one_line_error(capsys)
+    # e^{-js/2} in b_k overflows at s = -1500: refused by name, not with
+    # Python's bare "math range error"
+    assert cli.main(["moments", "--k", "2", "--s", "-1500"]) == 1
+    assert _one_line_error(capsys).endswith(
+        "b_k(s, t) for k = 2 at s = -1500.0 is beyond the float range")
 
 
 def test_non_finite_report_exits_1(capsys):

@@ -110,7 +110,7 @@ def test_expm_batch_matches_scipy_across_theta():
     # 1-norms over (0, 1], either side of the scaling threshold 0.31
     la = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(5)
-    theta = matrixlab._EXPM_THETA
+    theta = operators._EXPM_THETA
     norms = (1e-3, 0.1, theta * (1 - 1e-12), theta * (1 + 1e-12), 0.5, 0.9, 1.0)
     for N in (2, 5, 8, 16):
         for norm in norms:
@@ -133,13 +133,81 @@ def test_expm_batch_keeps_real_input_real():
 
 
 def test_expm_batch_slices_are_independent():
-    # slices needing 0, 1 and 3 squarings: batched bits equal lone bits
+    # slices needing 1, 2 and 5 squarings, so every squaring past the first
+    # is partial: batched bits equal lone bits, complex at N = 2 and 8 (the
+    # real GEMM) and at N = 12 (numpy's complex product, past the crossover)
     rng = np.random.default_rng(6)
-    Ms = np.array([_with_norm(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), r)
-                   for r in (0.5, 1.2, 5.0, 0.7, 4.0)])
-    batch = matrixlab._expm_batch(Ms)
-    for M, E in zip(Ms, batch):
-        assert np.array_equal(matrixlab._expm_batch(M[np.newaxis])[0], E)
+    assert list(operators._squarings([0.5, 1.2, 5.0])) == [1, 2, 5]
+    for N in (2, 8, 12):
+        Ms = np.array([_with_norm(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), r)
+                       for r in (0.5, 1.2, 5.0, 0.7, 4.0)])
+        batch = matrixlab._expm_batch(Ms)
+        for M, E in zip(Ms, batch):
+            assert np.array_equal(matrixlab._expm_batch(M[np.newaxis])[0], E)
+
+
+def test_real_gemm_matches_matmul(monkeypatch):
+    # the real form of the right factor, at every N the crossover could
+    # take, gives numpy's complex product to 4 N u of its largest entry and
+    # leaves both factors alone
+    monkeypatch.setattr(operators, "_REAL_GEMM_MAX_N", 16)
+    rng = np.random.default_rng(21)
+    for N in range(1, 17):
+        a, b = rng.normal(size=(2, 5, N, N)) + 1j * rng.normal(size=(2, 5, N, N))
+        keep, out = (a.copy(), b.copy()), np.full_like(a, np.nan)
+        work = np.full((2,) + a.shape, np.nan, dtype=complex)
+        want = np.matmul(a, b)
+        assert operators._real_gemm(a, b, out, work, 0) is out
+        assert np.abs(out - want).max() <= 4 * N * 2.0 ** -53 * np.abs(want).max()
+        assert np.array_equal(a, keep[0]) and np.array_equal(b, keep[1])
+
+
+def test_real_gemm_takes_the_real_form_to_the_crossover_only():
+    # up to _REAL_GEMM_MAX_N the form of b lands in the two work slots
+    # named; past it, they stay untouched and the product is numpy's, bit
+    # for bit
+    rng = np.random.default_rng(23)
+    cross = operators._REAL_GEMM_MAX_N
+    for N in (1, cross, cross + 1, 16):
+        a, b = rng.normal(size=(2, 3, N, N)) + 1j * rng.normal(size=(2, 3, N, N))
+        out, work = np.empty_like(a), np.full((4,) + a.shape, np.nan, dtype=complex)
+        operators._real_gemm(a, b, out, work, 1)
+        form = work[1:3].reshape(3, N, 2, N)
+        assert np.isnan(work[0]).all() and np.isnan(work[3]).all()
+        if N <= cross:
+            assert np.array_equal(form[:, :, 0], b) and np.array_equal(form[:, :, 1], 1j * b)
+        else:
+            assert np.isnan(work).all() and np.array_equal(out, np.matmul(a, b))
+
+
+def test_real_stacks_never_reach_the_real_gemm(monkeypatch):
+    # every product of a complex stack, and the sampler's U E, go through
+    # _real_gemm; a real stack, as every D_N and word closure is, keeps
+    # np.matmul alone
+    calls, gemm = [], operators._real_gemm
+    monkeypatch.setattr(operators, "_real_gemm", lambda a, *rest, **kw: calls.append(
+        a.shape[-1]) or gemm(a, *rest, **kw))
+    monkeypatch.setattr(matrixlab, "_real_gemm", operators._real_gemm)
+    rng = np.random.default_rng(22)
+    for N in (1, 3, operators._REAL_GEMM_MAX_N, 16):
+        M = np.array([_with_norm(X, 3.0) for X in rng.normal(size=(2, N, N))])
+        matrixlab._expm_batch(M)
+        assert calls == []
+        matrixlab._expm_batch(M.astype(complex))
+        assert calls == [N] * (4 + operators._squarings(3.0))  # four products, the squarings
+        calls.clear()
+    exp_apply(GeneratorSpec.DN(3), 0.7, parse("u^2 v-1 + v1^2"))  # a real dense closure
+    assert calls == []
+    _sample_batch(SamplerCfg(N=4, s=1.0, steps=2, seed=1), [0, 1])
+    assert len(calls) > 2 and set(calls) == {4}
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_rho_path_stays_unitary(N):
+    # 200 steps of U <- U e^{sqrt(d) G} at the sizes the real GEMM runs
+    U = _sample_batch(SamplerCfg(N=N, s=1.0, steps=200, seed=3), list(range(16)))
+    drift = np.abs(U @ np.swapaxes(U.conj(), -1, -2) - np.eye(N)).max()
+    assert drift <= 1e-13
 
 
 def test_expm_batch_in_buffers_matches_fresh():
@@ -181,7 +249,7 @@ def test_expm_coefficients_expand_to_taylor():
         for k, coeff in enumerate(T12):
             assert abs(coeff * mp.factorial(k) - 1) <= 1e-15, k
         # the forward tail at theta is below half a unit roundoff
-        theta = mp.mpf(matrixlab._EXPM_THETA)
+        theta = mp.mpf(operators._EXPM_THETA)
         assert theta ** 13 / mp.factorial(13) / (1 - theta / 14) <= 2.0 ** -54
 
 
@@ -189,7 +257,7 @@ def test_expm_batch_matches_scipy_at_its_theta():
     # either side of the scaling threshold, where the Taylor tail is largest
     la = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(15)
-    theta = matrixlab._EXPM_THETA
+    theta = operators._EXPM_THETA
     for N in (1, 2, 5, 8, 16):
         for norm in (theta * (1 - 1e-12), theta * (1 + 1e-12)):
             X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
@@ -238,7 +306,7 @@ def test_expm_batch_bounds_squarings():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     X = X - X.conj().T
-    limit = matrixlab._EXPM_THETA * 2.0 ** matrixlab._EXPM_MAX_SQUARINGS
+    limit = operators._EXPM_THETA * 2.0 ** operators._EXPM_MAX_SQUARINGS
     U = expm(_with_norm(X, limit * (1 - 1e-12)))
     assert np.max(np.abs(U @ U.conj().T - np.eye(4))) < 1e-6
     for norm in (limit, 1e150):

@@ -1,8 +1,10 @@
 """The scripts under tools/: the result comparison of cli_results.py, the
-line counts of srcstats.py and the pair summary of bench_pairs.py, each
-loaded from its path."""
+line counts of srcstats.py and the pair summary of bench_pairs.py with its
+raw times, each loaded from its path."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,34 @@ def test_bench_pairs_summary_needs_nine_tenths_and_a_lead_past_the_spread():
     assert s["wins"] == 10 and not s["gain"]
     # a tie counts for neither side
     assert bench_pairs.summarize([1.0, 2.0], [1.0, 1.0], "lower")["wins"] == 1
+
+
+def test_bench_pairs_reads_raw_times_from_the_report(tmp_path, monkeypatch):
+    # the run's last stdout line gives the scaled metrics; its report under
+    # perfbench/out/ gives the raw times beside them
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "monte_carlo-seed3-trace0.json").write_text(
+        json.dumps({"raw_times": {"wall_s": 2.0, "op_p50_ms": 150.0}}))
+    line = {"correct": True, "attempted": 36, "failed": 0,
+            "metrics": {"wall_s": {"value": 2.5, "unit": "s"}}}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(
+        a, 0, stdout="workload monte_carlo\n" + json.dumps(line) + "\n", stderr=""))
+    res = bench_pairs.run_once(str(tmp_path), "monte_carlo", 3, 19)
+    assert res["metrics"] == line["metrics"]
+    assert res["raw_times"] == {"wall_s": 2.0, "op_p50_ms": 150.0}
+
+
+def test_bench_pairs_summary_prints_raw_medians_beside_scaled_ones():
+    # scaled op_p50_ms falls 2% while the raw one falls 4%: the reference
+    # kernel ran faster on the change's side; peak RSS is never scaled
+    def run(scaled, raw, rss):
+        return {"metrics": {"op_p50_ms": {"value": scaled}, "peak_rss_mb": {"value": rss}},
+                "raw_times": {"op_p50_ms": raw}}
+
+    runs = {"parent": [run(100.0, 80.0, 40.0), run(102.0, 82.0, 40.0), run(101.0, 81.0, 40.0)],
+            "change": [run(98.0, 77.0, 40.0), run(100.0, 79.0, 40.0), run(99.0, 78.0, 40.0)]}
+    line = bench_pairs.summary_line({"name": "op_p50_ms", "better": "lower"}, runs)
+    assert "change/parent 0.980" in line and "wins 3/3" in line
+    assert line.endswith("raw parent 81 change 78 change/parent 0.963")
+    assert "raw" not in bench_pairs.summary_line({"name": "peak_rss_mb", "better": "lower"}, runs)

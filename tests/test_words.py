@@ -407,6 +407,7 @@ _LINEAR_WORDS = [iota(v(1)), WordPoly.var("as"), iota(v(2) * v(-1)), WordPoly.va
        st.floats(0.0, 1.9), st.integers(1, 5))
 @example(_LINEAR_WORDS[1], _LINEAR_WORDS[0], -30.0, 1j, 1.5, 0.5, 3)
 @example(_LINEAR_WORDS[5], _LINEAR_WORDS[4], 30.0, -1, 1.0, 0.0, 2)
+@example(_LINEAR_WORDS[0], _LINEAR_WORDS[1], 0.0, 1, 1.0, 5e-324, 1)  # t / 2 underflows
 @settings(max_examples=40, deadline=None)
 def test_expectation_is_linear_at_any_scale(x, y, log_c, phase, s, t_over_s, N):
     # storage drops exact zeros only, so c * x keeps every term at any |c|;
@@ -747,4 +748,5 @@ def test_measure_constructors():
         with pytest.raises(ValueError, match="mu requires s > t/2 > 0"):
             Measure.mu(1.0, t, 4)
     assert Measure.mu(1.0, 1e-12, 4).kind == "mu"
+    assert Measure.mu(1.0, 5e-324, 1).kind == "mu"  # the least positive t, whose half is 0
     assert Measure.mu(1.0, 0.0, 4).kind == "rho"

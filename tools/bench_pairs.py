@@ -17,7 +17,12 @@ the change's median over the parent's, the pairs the change won (ties
 count for neither side) and whether a gain holds: the change wins at
 least nine tenths of the pairs, and the medians differ, in the metric's
 better direction, by more than the distance between the parent's
-quartiles.
+quartiles.  A time metric's line also gives each side's median raw time,
+read from ``raw_times`` in the run's report
+(``perfbench/out/<workload>-seed<S>-trace0.json`` in its export): the
+scaled times divide by the speed of a reference kernel measured during
+the run (perfbench/speed.py), and a change of that kernel's own speed
+between the two sides moves the scaled medians alone.
 
 Standard library, git and tar only.
 """
@@ -58,14 +63,35 @@ def export(rev: str, dest: str) -> None:
 
 
 def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in the checkout ``root``: its last output line."""
+    """One untraced benchmark run in the checkout ``root``: its last output
+    line, with ``raw_times`` from the report the run wrote."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py in {root} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    report = Path(root, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]),
+            "raw_times": json.loads(report.read_text())["raw_times"]}
+
+
+def summary_line(metric: dict, runs: dict[str, list[dict]]) -> str:
+    """The summary of one end-to-end metric over the paired ``runs`` of each
+    side (see the module docstring), with the raw medians where the runs'
+    ``raw_times`` hold the metric."""
+    name = metric["name"]
+    s = summarize(*([r["metrics"][name]["value"] for r in runs[side]]
+                    for side in ("parent", "change")), metric["better"])
+    (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+    line = (f"  {name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change/parent {cm / pm:.3f}  "
+            f"wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+    if all(name in r["raw_times"] for side in runs.values() for r in side):
+        rp, rc = (statistics.median(r["raw_times"][name] for r in runs[side])
+                  for side in ("parent", "change"))
+        line += f"  raw parent {rp:.6g} change {rc:.6g} change/parent {rc / rp:.3f}"
+    return line
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,13 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     print(f"\n{args.workload} seed {args.seed}: median [q1, q3] over {args.pairs} pairs")
     for metric in bench["end_to_end"]:
-        name = metric["name"]
-        s = summarize(*([r["metrics"][name]["value"] for r in runs[side]]
-                        for side in ("parent", "change")), metric["better"])
-        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
-        print(f"  {name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
-              f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change/parent {cm / pm:.3f}  "
-              f"wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+        print(summary_line(metric, runs))
     return 0
 
 
