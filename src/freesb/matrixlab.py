@@ -12,13 +12,7 @@ Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
 with G drawn from the Gaussian measure on u(N) determined by the basis;
 the scheme is weak order 1 and the Ito drift is produced automatically by
 the exponential because sum_X X^2 = -I.  A chunk of samples takes each
-step together: G is written from one N x N standard-normal block per
-noise (N^2 normals, the dimension of u(N)), which every stream fills in
-place, a block of steps at a time, and the batched exponential
-(``operators._expm_batch``, the semigroups' dense kernel) runs in buffers
-the chunk allocates once.  At N <= ``operators._REAL_GEMM_MAX_N`` its
-products and the step's U E each run as one real GEMM per sample
-(``operators._real_gemm``).  RNG_NAME names this draw layout.
+step together (``_sample_batch``); RNG_NAME names its draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
 """
@@ -251,15 +245,12 @@ def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
 
 
 def expm(M: CMatrix) -> CMatrix:
-    """e^M by scaling and squaring around a degree-12 Taylor polynomial.
+    """e^M by scaling and squaring around a degree-12 Taylor polynomial
+    (``operators._expm_batch`` on one slice).
 
-    M is scaled by the least power 2^-s (s >= 0) that brings its 1-norm to
-    at most 0.31, where the Taylor tail is below 4.0e-17 relative; the
-    polynomial takes four matrix products (Bader-Blanes-Casas) and s
-    squarings follow, at small N each as one real GEMM (see
-    ``operators._expm_batch``).  Anti-Hermitian M yields a unitary result to
-    roundoff.  M must be a square 2-D array (ValueError otherwise); 0 x 0
-    gives 0 x 0; a 1-norm of 0.31 * 2^26 (about 2.1e7) or more, ValueError.
+    Anti-Hermitian M yields a unitary result to roundoff.  M must be a
+    square 2-D array (ValueError otherwise); 0 x 0 gives 0 x 0; a 1-norm of
+    0.31 * 2^26 (about 2.1e7) or more, ValueError.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

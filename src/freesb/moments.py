@@ -147,13 +147,13 @@ def _poly_int(a: list) -> list:
     return [0 * a[0]] + [a[j] / (j + 1) for j in range(len(a))]
 
 
-def _recursion(k: int, first, left, right, sign: int) -> tuple:
-    # coefficients in t of first + sign sum_{m=1}^{k-1} m int_0^t left(k-m) right(m),
+def _recursion(k: int, first, left, right) -> tuple:
+    # coefficients in t of first + sum_{m=1}^{k-1} m int_0^t left(k-m) right(m),
     # where left, right give coefficient lists (numbers or arrays)
     acc = [first] + [first - first] * (k - 1)  # a zero of first's type, never -0.0
     for m in range(1, k):
         for j, pj in enumerate(_poly_int(_poly_mul(left(k - m), right(m)))):
-            acc[j] = acc[j] + sign * m * pj
+            acc[j] = acc[j] + m * pj
     return tuple(acc)
 
 
@@ -192,7 +192,7 @@ def _c_hat(k: int, s: float) -> tuple[float, ...]:
     # deflated recursion never touches an exponential:
     #   chat_k = nuhat_k(s) + sum_m m * int_0^t chat_{k-m} chat_m
     first = _exp_times(0.0, *_nu_hat_exact(k, s))  # num / den, or inf past the range
-    out = _recursion(k, first, lambda j: _c_hat(j, s), lambda j: _c_hat(j, s), 1)
+    out = _recursion(k, first, lambda j: _c_hat(j, s), lambda j: _c_hat(j, s))
     if not all(map(math.isfinite, out)):
         raise ValueError(f"c_k(s, t) for k = {k} at s = {s!r} is beyond the float range")
     return out
@@ -219,7 +219,7 @@ def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
     if (1 - k) * s / 2.0 <= _EXP_MAX:  # the largest e^{-js/2} below is finite
         with np.errstate(over="ignore", invalid="ignore"):  # and a non-finite entry is refused
             out = _recursion(k, first, lambda j: [math.exp(-j * s / 2.0) * c for c in _c_hat(j, s)],
-                             lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)], 1)
+                             lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)])
         if all(np.isfinite(b).all() for b in out):
             return out
     raise ValueError(f"b_k(s, t) for k = {k} at s = {s!r} is beyond the float range")

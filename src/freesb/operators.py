@@ -13,16 +13,14 @@ filtration C_n[u, u^-1; v].
 
 All operators preserve the filtration (trace degree can only stay or
 drop), so the monomials reachable from p span a finite-dimensional
-invariant subspace, which ``exp_series`` compiles to sparse (COO) values
-and caches.  On trace degree n, D = -n I + M with M = -2(Y + Z): M adds one
-trace factor, so it is nilpotent and commutes with the diagonal, and
-e^{theta D} is a finite sum; so is the semigroup of PI_GEN.  A closure is
-*graded* when the off-diagonal entries form a graph without cycles and each
-joins two equal diagonal entries; then e^A x = e^{diag} sum_k M^k x / k!
-ends at the first zero term.  Other closures (D_N, the finite-N word
-generators of :mod:`freesb.words`) take the dense degree-12 Taylor kernel
-that the sampler in :mod:`freesb.matrixlab` also uses or a truncated Taylor
-series of sparse products, by the rule of ``exp_series``.
+invariant subspace, which ``exp_series`` compiles.  On trace degree n,
+D = -n I + M with M = -2(Y + Z): M adds one trace factor, so it is
+nilpotent and commutes with the diagonal, and e^{theta D} is a finite sum;
+so is the semigroup of PI_GEN.  A closure is *graded* when the off-diagonal
+entries form a graph without cycles and each joins two equal diagonal
+entries; then e^A x = e^{diag} sum_k M^k x / k! ends at the first zero
+term.  Other closures (D_N, the finite-N word generators) take a Taylor
+kernel, dense or sparse.
 """
 
 from __future__ import annotations
@@ -59,11 +57,8 @@ class _Cache(dict):
         self.held = 0
 
 
-# dicts in least to most recently used order, written by _keep under _LOCK:
-# (part names, p's monomials in order) -> [basis, rows, cols, part values, the
-# classification of the last weights, a graded closure's rows M^k x / k! for
-# the last weights and seed], and (part names, monomial) -> its merged image,
-# the (monomial, per-part values) pairs that are not zero in every part
+# least recently used first, written by _keep (keys: exp_series); a closure is
+# [basis, rows, cols, part values, _classify's last result, graded rows]
 _closures = _Cache()
 _images = _Cache()
 _LOCK = threading.Lock()
@@ -223,16 +218,16 @@ def _squarings(norm):
 
 
 def _real_gemm(a, b, out, work, slot, built=False):
-    """a @ b into ``out`` for complex (n, N, N) stacks.  Up to N =
-    _REAL_GEMM_MAX_N, one real product per slice: a.view(float), shaped
+    """a @ b into ``out`` for (n, N, N) stacks.  A complex stack up to N =
+    _REAL_GEMM_MAX_N takes one real product per slice: a.view(float), shaped
     (n, N, 2N), times b's real (2N, 2N) form, whose rows are b[j] and (i b)[j]
     interleaved, written into the free slots ``slot`` and ``slot + 1`` of
     ``work`` unless ``built`` says they hold b's form already.  That is the
     complex product's flops without numpy's fixed cost per complex slice,
-    which dominates at small N; past the crossover, ``np.matmul``."""
-    n, N = b.shape[:2]
-    if N > _REAL_GEMM_MAX_N:
+    which dominates at small N.  Any other stack takes ``np.matmul``."""
+    if b.dtype != complex or b.shape[1] > _REAL_GEMM_MAX_N:
         return np.matmul(a, b, out=out)
+    n, N = b.shape[:2]
     form = work[slot:slot + 2].reshape(-1)[:2 * b.size].reshape(n, N, 2, N)
     if not built:
         form[:, :, 0] = b
@@ -250,16 +245,15 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     see ``_EXPM_W``), its cubics B_r one real product of the coefficient
     table with (A, A^2, A^3).  The truncation tail is below 4.0e-17
     relative, under half a unit roundoff; s squarings undo the scaling, each
-    only on the slices that need it.  A complex stack takes every product
-    as :func:`_real_gemm`, which puts the form of the right factor in two
-    free slots of ``work``; a real stack takes ``np.matmul`` alone.  Every
-    operation is per slice or per entry, so a slice gets bitwise the same
-    arithmetic however the batch is assembled.  Non-finite input or more
-    than 26 squarings (1-norm 0.31 * 2^26 ~ 2.1e7 or more): ValueError,
-    first.  ``work``, one C-contiguous array shaped (7,) + Ms.shape (fresh
-    if not given), float64 for a real stack and complex otherwise, holds
-    every intermediate; the result is its slice 1 or 2, so slots 3 to 6 are
-    free after it."""
+    only on the slices that need it.  Every product is :func:`_real_gemm`,
+    which for a complex stack puts the form of the right factor in two free
+    slots of ``work``.  Every operation is per slice or per entry, so a
+    slice gets bitwise the same arithmetic however the batch is assembled.
+    Non-finite input or more than 26 squarings (1-norm 0.31 * 2^26 ~ 2.1e7
+    or more): ValueError, first.  ``work``, one C-contiguous array shaped
+    (7,) + Ms.shape (fresh if not given), float64 for a real stack and
+    complex otherwise, holds every intermediate; the result is its slice 1
+    or 2, so slots 3 to 6 are free after it."""
     Ms = np.asarray(Ms, dtype=complex if np.iscomplexobj(Ms) else float)
     if Ms.shape[0] == 0:
         return Ms.copy()
@@ -269,28 +263,26 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential needs a finite 1-norm below "
                          f"{_EXPM_THETA * 2.0 ** _EXPM_MAX_SQUARINGS:.3g}")
     P = work[0] if work else np.empty((7,) + Ms.shape, dtype=Ms.dtype)
-    mul = (_real_gemm if Ms.dtype == complex
-           else lambda a, b, out, work, slot, built=False: np.matmul(a, b, out=out))
     A = np.multiply(Ms, np.ldexp(1.0, -nsq)[:, None, None], out=P[0])
-    mul(A, A, P[1], P, 5)
-    mul(P[1], A, P[2], P, 5, built=True)  # A's form is still in P[5:]
+    _real_gemm(A, A, P[1], P, 5)
+    _real_gemm(P[1], A, P[2], P, 5, built=True)  # A's form is still in P[5:]
     X = P.view(float).reshape(7, -1)  # one row per slot, for the cubics' real product
     np.matmul(_EXPM_W[:, 1:], X[:3], out=X[3:])
     Ba, Bb, Bc, Bd = P[3:]
     for Br, w in ((Ba, _EXPM_W[0, 0]), (Bb, _EXPM_W[1, 0])):  # B_c, B_d have none
         np.einsum("nii->ni", Br)[...] += w  # a view of the diagonals
-    A6 = mul(Bd, Bd, P[0], P, 1)
+    A6 = _real_gemm(Bd, Bd, P[0], P, 1)
     A6 += Bc
     Bb += A6
-    E, T = mul(Bb, A6, P[1], P, 5), P[2]
+    E, T = _real_gemm(Bb, A6, P[1], P, 5), P[2]
     E += Ba
     low = nsq.min()  # every slice takes the first ``low`` squarings
     for r in range(int(nsq.max())):
         if r < low:
-            E, T = mul(E, E, T, P, 3), E
+            E, T = _real_gemm(E, E, T, P, 3), E
         else:
             Elive = E[(live := nsq > r)]
-            E[live] = mul(Elive, Elive, P[0, :len(Elive)], P, 3)
+            E[live] = _real_gemm(Elive, Elive, P[0, :len(Elive)], P, 3)
     return E
 
 

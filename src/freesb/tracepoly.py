@@ -19,12 +19,9 @@ coefficients.  A key is ``(u_exp, v_exps)`` where ``v_exps`` is a tuple of
 dropped, so no term is lost to its scale short of underflow; equality is
 termwise within relative tolerance ``EQ_EPS`` (on the larger magnitude).
 
-The word engine (:mod:`freesb.words`) shares this module's core: the
-base class ``SparsePoly`` (construction, ring operations, comparison),
-``linear``, which extends an operator given one monomial at a time to
-polynomials, and the partial-derivative iterators over sorted
-``(variable, exponent)`` tuples, the shape of both a v-part and a word
-monomial.
+The word engine (:mod:`freesb.words`) shares this module's core:
+``SparsePoly``, ``linear`` and the partial-derivative iterators over sorted
+``(variable, exponent)`` tuples, the shape of both a v-part and a word monomial.
 
 ``format_poly`` writes and ``parse`` reads the text grammar given beside them.
 """
@@ -118,6 +115,13 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return (a[0] + b[0], factors_mul(a[1], b[1]))
 
 
+def mono_factors(m: Mono) -> list[str]:
+    """The factors of a monomial as text: ``u``, ``u^k``, ``vj``, ``vj^e``."""
+    k0, ve = m
+    out = [] if k0 == 0 else ["u" if k0 == 1 else f"u^{k0}"]
+    return out + [f"v{j}" if e == 1 else f"v{j}^{e}" for j, e in ve]
+
+
 def linear(column: Callable[[Hashable], Iterable[tuple[Hashable, Scalar]]],
            p: "SparsePoly") -> "SparsePoly":
     """The linear extension to ``p`` of ``column``, which maps one
@@ -134,8 +138,9 @@ class SparsePoly:
     coefficients.
 
     A subclass fixes its keys: ``_UNIT`` is the key of the constant
-    monomial, ``_mono_mul`` multiplies two keys and ``_degree`` gives a
-    key's trace degree.  A coefficient that is not finite raises
+    monomial, ``_mono_mul`` multiplies two keys, ``_degree`` gives a
+    key's trace degree and ``_factor_text`` a key's factors as text
+    (``format_poly``).  A coefficient that is not finite raises
     ValueError; an exact zero (``0j`` or ``-0j``) is dropped.  Every
     operation returns a new instance, so values can be shared freely
     (including across threads).
@@ -145,6 +150,7 @@ class SparsePoly:
     _UNIT: Hashable
     _mono_mul: Callable[[Hashable, Hashable], Hashable]
     _degree: Callable[[Hashable], int]
+    _factor_text: Callable[[Hashable], list[str]]
 
     def __init__(self, terms: Mapping[Hashable, Scalar] | None = None):
         cleaned: dict = {}
@@ -239,6 +245,12 @@ class SparsePoly:
                 return False
         return True
 
+    def __str__(self) -> str:
+        return format_poly(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_poly(self)!r})"
+
 
 class TracePoly(SparsePoly):
     """Immutable sparse trace polynomial in C[u, u^-1; v]."""
@@ -247,6 +259,7 @@ class TracePoly(SparsePoly):
     _UNIT = mono()
     _mono_mul = staticmethod(mono_mul)
     _degree = staticmethod(mono_degree)
+    _factor_text = staticmethod(mono_factors)
 
     @classmethod
     def u(cls, k: int = 1) -> "TracePoly":
@@ -262,11 +275,6 @@ class TracePoly(SparsePoly):
 
     # ------------------------------------------------------------------
     # basic queries
-
-    def iter_terms(self) -> Iterator[tuple[Mono, complex]]:
-        """Terms in canonical order: ascending u_exp, then v-factor tuples."""
-        for m in sorted(self.terms):
-            yield m, self.terms[m]
 
     def is_laurent(self) -> bool:
         """True when no v-variable occurs (pure Laurent polynomial in u)."""
@@ -340,7 +348,7 @@ class TracePoly(SparsePoly):
         return TracePoly({(-k0, ()): c for (k0, _), c in self.terms.items()})
 
     # ------------------------------------------------------------------
-    # comparison / display
+    # comparison
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, float, complex)):
@@ -350,12 +358,6 @@ class TracePoly(SparsePoly):
         return self.allclose(other)
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"TracePoly({format_poly(self)!r})"
 
 
 # ----------------------------------------------------------------------
@@ -379,37 +381,21 @@ def _signed_num_str(x: float) -> str:
     return _num_str(x) if x < 0 else "+" + _num_str(x)
 
 
-def mono_factors(m: Mono) -> list[str]:
-    """The factors of a monomial as text: ``u``, ``u^k``, ``vj``, ``vj^e``."""
-    k0, ve = m
-    out = [] if k0 == 0 else ["u" if k0 == 1 else f"u^{k0}"]
-    return out + [f"v{j}" if e == 1 else f"v{j}^{e}" for j, e in ve]
-
-
-def format_poly(p: TracePoly) -> str:
-    """Canonical text form; ``parse(format_poly(p))`` reproduces ``p`` exactly."""
+def format_poly(p: SparsePoly) -> str:
+    """Canonical text form, terms in key order; for a ``TracePoly``,
+    ``parse(format_poly(p))`` reproduces ``p`` exactly."""
     if p.is_zero:
         return "0"
-    pieces: list[str] = []
-    for m, c in p.iter_terms():
-        factors = mono_factors(m)
-        if c.imag == 0.0:
-            sign = "-" if c.real < 0 else "+"
-            mag = abs(c.real)
-            if factors and mag == 1.0:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_num_str(mag)] + factors)
+    text = ""
+    for m, c in sorted(p.terms.items()):
+        factors = p._factor_text(m)
+        if c.imag != 0.0:
+            text += " + " + "*".join([f"({_num_str(c.real)}{_signed_num_str(c.imag)}i)"] + factors)
         else:
-            sign = "+"
-            cs = f"({_num_str(c.real)}{_signed_num_str(c.imag)}i)"
-            body = "*".join([cs] + factors)
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            mag = abs(c.real)
+            text += (" - " if c.real < 0 else " + ") + "*".join(
+                factors if factors and mag == 1.0 else [_num_str(mag)] + factors)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

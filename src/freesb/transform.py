@@ -100,8 +100,8 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     weights for c = s - t and c = s, returns the largest absolute entry of
     W_l P - W_r, the coefficient residual over w^1..w^K and u^0..u^K, for
     1 <= K <= MAX_SERIES_ORDER, from one array product rather than
-    ``TracePoly`` sums.  ValueError if some p_k has a
-    v-factor or a power of u outside 0..K.
+    ``TracePoly`` sums.  ValueError if some p_k has a v-factor or a power of
+    u outside 0..K, or if a weight is beyond the float range.
     """
     p = Pi_series(s, t, K).coeffs
     P, W = np.zeros((K + 1, K + 1), dtype=complex), np.zeros((2, K + 1, K + 1))
@@ -114,7 +114,14 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
         num, den = c.as_integer_ratio()
         for k in range(1, K + 1):
             # each a_{n-k}, at kc = k num / den, is exact and rounded once, to float
-            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * num, den))]
+            try:
+                row = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * num, den))]
+            except OverflowError:  # e^{kc/2} or an a_{n-k}(kc) alone
+                row = [math.inf]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"the weights e^(kc/2) a_(n-k)(kc) for k = {k} at c = {c!r} "
+                                 "are beyond the float range")
+            W[i, k:, k] = row
     return float(np.abs(W[0] @ P - W[1]).max())
 
 

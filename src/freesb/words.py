@@ -12,13 +12,11 @@ operators
     Dt_{s,t} = (1/2) sum_eps Q_eps d/dv_eps
     Lt_{s,t} = (1/2) sum_{eps,delta} R_{eps,delta} d^2/dv_eps dv_delta
 
-give exact finite-N heat-kernel expectations: E[P_N] under mu_{s,t}^N is
-(e^{Dt + Lt/N^2} P) evaluated at all v_eps = 1, for the (N, s, t) that
-``Measure`` accepts and no other.  At t = 0 this is rho_s^N,
-which lives on U_N, where Z^* = Z^-1: there every word is first rewritten
-as a power of Z, and the closure stays on those (on words in Z and Z^-1
-the beta_+ cuts make no starred letter, and beta_- has weight t/2 = 0).
-Canonical words, B's monomials and rewrites on U_N are FAMILY_CACHE_SIZE memos.
+give exact finite-N heat-kernel expectations (``expectation``).  Under
+rho_s^N (t = 0) the closure of a word rewritten on U_N stays on powers of
+Z: on words in Z and Z^-1 the beta_+ cuts make no starred letter, and
+beta_- has weight t/2 = 0.  Canonical words, B's monomials and rewrites on
+U_N are FAMILY_CACHE_SIZE memos.
 
 Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 """
@@ -106,6 +104,7 @@ class WordPoly(SparsePoly):
     _UNIT = ()
     _mono_mul = staticmethod(factors_mul)
     _degree = staticmethod(wmono_degree)
+    _factor_text = staticmethod(lambda m: [f"v[{w}]" if e == 1 else f"v[{w}]^{e}" for w, e in m])
 
     @classmethod
     def var(cls, word, exp: int = 1) -> "WordPoly":
@@ -122,16 +121,6 @@ class WordPoly(SparsePoly):
         return self._mul(other)
 
     __radd__, __rmul__ = __add__, __mul__
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WordPoly(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            mono_s = "*".join(f"v[{w}]" + (f"^{e}" if e > 1 else "")
-                              for w, e in m) or "1"
-            bits.append(f"({c:.6g})*{mono_s}")
-        return "WordPoly(" + " + ".join(bits) + ")"
 
 
 # ----------------------------------------------------------------------

@@ -496,6 +496,19 @@ def test_moments_at_the_edges_of_the_float_range(capsys):
         "b_k(s, t) for k = 2 at s = -1500.0 is beyond the float range")
 
 
+@pytest.mark.parametrize("argv, k, c", [
+    (["--s", "700", "--t", "1", "--K", "3"], 3, "699.0"),  # e^{kc/2} alone overflows
+    (["--s", "1e300", "--t", "0.8", "--K", "3"], 1, "1e+300"),
+    (["--s", "460", "--t", "1", "--K", "16"], 3, "459.0"),  # e^{kc/2} a_13(kc) does
+])
+def test_gen_fn_weights_at_the_edge_of_the_float_range(capsys, argv, k, c):
+    # refused by name, not with Python's bare "math range error" or a
+    # residual that no JSON report can hold
+    assert cli.main(["gen-fn-check", *argv]) == 1
+    assert _one_line_error(capsys).endswith(
+        f"for k = {k} at c = {c} are beyond the float range")
+
+
 def test_non_finite_report_exits_1(capsys):
     # biane p_0 = 1 at any time, so only the report holds the infinity,
     # which JSON cannot
@@ -578,3 +591,53 @@ def test_too_much_taylor_work_exits_1(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert "MAX_WORK" in _one_line_error(capsys)
+
+
+# ---------------------------------------------------------------- boundary sweep
+
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "5e-324"]
+_SMALL_MC = ["--samples", "4", "--steps", "2", "--threads", "1"]
+_RHO, _MU = {"--s": "1", "--t": "0"}, {"--s": "1.5", "--t": "0.8"}
+
+
+@pytest.mark.parametrize("argv, floats", [
+    (["heat-apply", "--gen", "D", "--f", "u^2"], {"--t": "0.7"}),
+    (["heat-apply", "--gen", "DN", "--N", "2", "--f", "u^2"], {"--t": "0.7"}),
+    (["transform", "--f", "u^2", "--dir", "G"], _MU),
+    (["transform", "--f", "u^2", "--dir", "H"], _MU),
+    (["biane", "--k", "3"], {"--s": "1", "--t": "1"}),
+    (["moments", "--k", "3"], {"--s": "0.5"}),
+    (["gen-fn-check"], {"--s": "1", "--t": "0.5"}),
+    (["pde-check"], {"--s": "0.7"}),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "symbolic"], _RHO),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "symbolic"], _MU),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "mc", *_SMALL_MC], _RHO),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "mc", *_SMALL_MC], _MU),
+    (["mc", "--f", "v1", "--N", "2", *_SMALL_MC], _RHO),
+    (["mc", "--f", "v1", "--N", "2", *_SMALL_MC], _MU),
+    (["norm", "--p", "u", "--measure", "rho", "--N", "2"], {"--s": "1"}),
+    (["norm", "--p", "u", "--measure", "mu", "--N", "2"], _MU),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else ",".join(x.values()))
+def test_float_options_at_the_edges(capsys, argv, floats):
+    # each float option of each subcommand (verify-magic and intertwine-check
+    # have none) set to every edge value, the others at their base value and
+    # every work size small: an exit of 0 or 2 prints a JSON report and
+    # nothing on stderr, an exit of 1 one error line that is not Python's bare
+    # "math range error", and no warning escapes
+    for opt in floats:
+        for value in _EDGE_VALUES:
+            case = argv + [x for o, base in floats.items()
+                           for x in (o, value if o == opt else base)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(case)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), case
+            if code == 1:
+                lines = captured.err.splitlines()
+                assert captured.out == "" and len(lines) == 1, (case, captured.err)
+                assert lines[0].startswith("freesb: error: "), case
+                assert "math range error" not in lines[0], case
+            else:
+                json.loads(captured.out)
+                assert captured.err == "", (case, captured.err)

@@ -180,26 +180,36 @@ def test_real_gemm_takes_the_real_form_to_the_crossover_only():
             assert np.isnan(work).all() and np.array_equal(out, np.matmul(a, b))
 
 
-def test_real_stacks_never_reach_the_real_gemm(monkeypatch):
-    # every product of a complex stack, and the sampler's U E, go through
-    # _real_gemm; a real stack, as every D_N and word closure is, keeps
-    # np.matmul alone
+def test_real_stacks_keep_numpy_products_bit_for_bit(monkeypatch):
+    # every product of _expm_batch, four and the squarings per call, and the
+    # sampler's U E are _real_gemm; on a real stack, as every D_N and word
+    # closure is, each product is np.matmul's bit for bit and builds no
+    # complex form in the work slots it is given
     calls, gemm = [], operators._real_gemm
-    monkeypatch.setattr(operators, "_real_gemm", lambda a, *rest, **kw: calls.append(
-        a.shape[-1]) or gemm(a, *rest, **kw))
-    monkeypatch.setattr(matrixlab, "_real_gemm", operators._real_gemm)
+
+    def spy(a, b, out, work, slot, built=False):
+        slots = work[slot:slot + 2].copy()
+        gemm(a, b, out, work, slot, built)
+        if a.dtype == float:
+            assert np.array_equal(out, np.matmul(a, b))
+            assert np.array_equal(work[slot:slot + 2], slots, equal_nan=True)
+        calls.append((a.dtype, a.shape[-1]))
+        return out
+
+    monkeypatch.setattr(operators, "_real_gemm", spy)
+    monkeypatch.setattr(matrixlab, "_real_gemm", spy)
     rng = np.random.default_rng(22)
     for N in (1, 3, operators._REAL_GEMM_MAX_N, 16):
         M = np.array([_with_norm(X, 3.0) for X in rng.normal(size=(2, N, N))])
-        matrixlab._expm_batch(M)
-        assert calls == []
-        matrixlab._expm_batch(M.astype(complex))
-        assert calls == [N] * (4 + operators._squarings(3.0))  # four products, the squarings
-        calls.clear()
+        for dtype in (float, complex):
+            matrixlab._expm_batch(M.astype(dtype))
+            assert calls == [(np.dtype(dtype), N)] * (4 + operators._squarings(3.0))
+            calls.clear()
     exp_apply(GeneratorSpec.DN(3), 0.7, parse("u^2 v-1 + v1^2"))  # a real dense closure
-    assert calls == []
+    assert calls and {dtype for dtype, _ in calls} == {np.dtype(float)}
+    calls.clear()
     _sample_batch(SamplerCfg(N=4, s=1.0, steps=2, seed=1), [0, 1])
-    assert len(calls) > 2 and set(calls) == {4}
+    assert len(calls) > 2 and set(calls) == {(np.dtype(complex), 4)}
 
 
 @pytest.mark.parametrize("N", [4, 8])

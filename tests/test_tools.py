@@ -76,6 +76,12 @@ def test_srcstats_counts_a_tiny_package(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "physical lines: 16", "code lines: 10", "parameters with defaults: 2",
         "numeric constants: 3"]
+    # per file: one row per module, in name order, and the same totals
+    assert srcstats.main(["--per-file", str(tmp_path)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["file", "physical", "code", "defaults", "constants"],
+        ["a.py", "8", "2", "2", "0"], ["b.py", "2", "2", "0", "0"],
+        ["c.py", "6", "6", "0", "3"], ["total", "16", "10", "2", "3"]]
 
 
 def test_bench_pairs_summary_claims_a_gain_by_the_pairs_rule():

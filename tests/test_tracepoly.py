@@ -215,6 +215,37 @@ def test_format_parse_roundtrip(p):
     assert parse(format_poly(p)) == p
 
 
+# The exact text of format_poly: a -0.0 imaginary part prints as a real
+# number, a magnitude of 1 prints as its factors alone (and as "1" with
+# none), |c| >= 1e15 prints through repr, a leading minus takes no spaces
+FORMAT_EDGES = [
+    ({mono(1): complex(2, -0.0)}, "2*u"),
+    ({mono(0): complex(2, -0.0), mono(1): complex(-3, -0.0)}, "2 - 3*u"),
+    ({mono(1): 1 - 2j, mono(2): -0.5 - 1e-300j}, "(1-2i)*u + (-0.5-1e-300i)*u^2"),
+    ({mono(1): 1.0, mono(0, [(1, 1)]): -1.0, mono(-1, [(2, 2)]): 1.0}, "u^-1*v2^2 - v1 + u"),
+    ({mono(): 1.0}, "1"),
+    ({mono(): -1.0}, "-1"),
+    ({mono(): 1.0, mono(1): -1.0}, "1 - u"),
+    ({mono(): 1e15, mono(1): -1e16, mono(2): 1e-300, mono(3): 123456789012345.0,
+      mono(4): -2.5e15},
+     "1000000000000000.0 - 1e+16*u + 1e-300*u^2 + 123456789012345*u^3 - 2500000000000000.0*u^4"),
+    ({mono(2): -1.0, mono(3): 2.0}, "-u^2 + 2*u^3"),
+    ({mono(2): -1.0, mono(0, [(-1, 1)]): 0.25}, "0.25*v-1 - u^2"),
+    ({mono(): 1j, mono(1): -1 - 1j, mono(0, [(3, 2)]): 1e15 + 1e-300j, mono(-2): 2j},
+     "(0+2i)*u^-2 + (0+1i) + (1000000000000000.0+1e-300i)*v3^2 + (-1-1i)*u"),
+    ({mono(): complex(1e300, -1e300)}, "(1e+300-1e+300i)"),
+    ({}, "0"),
+]
+
+
+@pytest.mark.parametrize("terms,text", FORMAT_EDGES, ids=[e[1] for e in FORMAT_EDGES])
+def test_format_text(terms, text):
+    p = TracePoly(terms)
+    assert format_poly(p) == str(p) == text
+    assert repr(p) == f"TracePoly({text!r})"
+    assert parse(text) == p
+
+
 def test_format_is_deterministic_and_ordered():
     p = TracePoly({mono(2, [(1, 1)]): 1.0, mono(-1): 2.0, mono(0, [(1, 2)]): -1.0})
     assert format_poly(p) == format_poly(TracePoly(dict(reversed(list(p.terms.items())))))

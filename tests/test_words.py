@@ -132,6 +132,17 @@ def test_wordpoly_arithmetic():
     assert WordPoly.const(3.0).evaluate_ones() == 3.0
 
 
+def test_wordpoly_text_carries_exact_coefficients():
+    # the text of format_poly, with factors v[w]^e: every coefficient
+    # prints in full (repr), where %.6g would give 0.333333 and 1.23457e+07
+    p = (WordPoly.var("aas") * (1 / 3) - WordPoly.var("sA", 2) + (0.1 + 2j)
+         - WordPoly.var("a") * WordPoly.var("s") + 12345678.9 * WordPoly.var("S"))
+    text = ("(0.1+2i) - v[As]^2 + 12345678.9*v[S] - v[a]*v[s]"
+            " + 0.3333333333333333*v[aas]")
+    assert str(p) == text and repr(p) == f"WordPoly({text!r})"
+    assert repr(WordPoly.zero()) == "WordPoly('0')" and str(WordPoly.one()) == "1"
+
+
 # ---------------------------------------------------------------- iota and B
 
 

@@ -1,6 +1,6 @@
 """Size of the freesb package: lines, defaulted parameters, numeric constants.
 
-    python tools/srcstats.py [PACKAGE_DIR]
+    python tools/srcstats.py [--per-file] [PACKAGE_DIR]
 
 PACKAGE_DIR defaults to ``src/freesb`` beside this script's parent.  The
 four numbers, one per line, are:
@@ -14,6 +14,9 @@ four numbers, one per line, are:
 - numeric constants: module-level names bound to an expression of numeric
   literals alone, such as ``X = 0.78`` or ``Y = 2 << 20`` (not
   ``Z = 2 * Y``, which is derived from another name).
+
+With ``--per-file``, a table instead: the four numbers of each module, one
+row each, and a ``total`` row of the same four numbers as above.
 
 Standard library only.
 """
@@ -72,11 +75,16 @@ def file_stats(source: str) -> tuple[int, int, int, int]:
 
 
 def main(argv: list[str]) -> int:
+    per_file = "--per-file" in argv
+    argv = [a for a in argv if a != "--per-file"]
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "freesb"
-    totals = [0, 0, 0, 0]
-    for path in sorted(root.glob("*.py")):
-        for i, n in enumerate(file_stats(path.read_text())):
-            totals[i] += n
+    rows = [(path.name, file_stats(path.read_text())) for path in sorted(root.glob("*.py"))]
+    totals = [sum(stats[i] for _, stats in rows) for i in range(4)]
+    if per_file:
+        for name, stats in [("file", ("physical", "code", "defaults", "constants")),
+                            *rows, ("total", totals)]:
+            print(f"{name:<16}" + "".join(f"{x:>10}" for x in stats))
+        return 0
     print(f"physical lines: {totals[0]}")
     print(f"code lines: {totals[1]}")
     print(f"parameters with defaults: {totals[2]}")
