@@ -9,8 +9,9 @@ Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 exactly
 when ``results`` holds ``"pass": false`` (a verification command
 exceeded its asserted tolerance), 1 on usage errors and on computations
-that fail (a malformed FREESB_SEED, a series order K outside 1..16, an N
-above matrixlab.MAX_BASIS_N for verify-magic or intertwine-check, an N
+that fail (a malformed FREESB_SEED, a moment order k outside 1..64, a
+series order K outside 1..16, an N outside 1..matrixlab.MAX_BASIS_N for
+verify-magic or intertwine-check (checked before any N x N work), an N
 below 1, times of no measure for norm, concentration or mc (rho with
 s < 0, mu with t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS
 sampler steps, a semigroup closure of more than operators.MAX_CLOSURE
@@ -40,13 +41,12 @@ import numpy as np
 
 from . import __version__
 from .tracepoly import TracePoly, format_poly, mono_factors, parse
-from .operators import MAX_DEGREE, GeneratorSpec, exp_apply
-from .moments import MAX_MOMENT, b_poly, c_poly, nu, varrho_coeffs
+from .operators import MAX_DEGREE, GeneratorSpec, apply_DN, exp_apply
+from .moments import b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
 from .words import Measure, l2_norm_sq
-from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, concentration_experiment,
+from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, _check_basis_N, concentration_experiment,
                         evaluate, laplacian_eval, mc_expectation, verify_magic)
-from .operators import apply_DN
 
 INTERTWINE_TOL = 1e-8
 GEN_FN_TOL = 1e-8
@@ -196,14 +196,11 @@ def _cmd_biane(a, seed):
 
 
 def _cmd_moments(a, seed):
-    k = a.k
-    if not 1 <= k <= MAX_MOMENT:  # before the recursions, which take long at large k
-        raise ValueError(f"moments requires 1 <= --k <= {MAX_MOMENT}, got {k}")
-    c = c_poly(k, a.s)
-    b = b_poly(k, a.s)
+    c = c_poly(a.k, a.s)
+    b = b_poly(a.k, a.s)
     return {
-        "nu": nu(k, a.s),
-        "varrho_coeffs": [float(x) for x in varrho_coeffs(k)],
+        "nu": nu(a.k, a.s),
+        "varrho_coeffs": [float(x) for x in varrho_coeffs(a.k)],
         "c": {"prefactor_exp": c.prefactor_exp,
               "coeffs": [_cpair(z) for z in c.coeffs]},
         "b": [format_poly(q) for q in b.coeffs],
@@ -231,6 +228,7 @@ def _cmd_intertwine_check(a, seed):
         raise ValueError(f"intertwine-check requires --trials >= 1, got {a.trials}")
     if not 2 <= a.degree <= MAX_DEGREE:  # the u-power alone is drawn up to degree 2
         raise ValueError(f"intertwine-check requires 2 <= --degree <= {MAX_DEGREE}, got {a.degree}")
+    _check_basis_N(a.N)  # before U, an N x N draw
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(a.trials):

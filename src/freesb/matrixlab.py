@@ -54,6 +54,12 @@ class BasisUN:
     elements: tuple[np.ndarray, ...]
 
 
+def _check_basis_N(N: int) -> None:
+    # the explicit basis's bound, checked before any N x N work
+    if not 1 <= N <= MAX_BASIS_N:
+        raise ValueError(f"basis_uN supports 1 <= N <= {MAX_BASIS_N}, got {N}")
+
+
 def basis_uN(N: int) -> BasisUN:
     """Orthonormal basis of u(N) under <X,Y> = N Tr(Y^* X).
 
@@ -61,8 +67,7 @@ def basis_uN(N: int) -> BasisUN:
     plus {i E_jj / sqrt(N)}; N^2 anti-Hermitian matrices in total, the
     slices of one (N^2, N, N) array.
     """
-    if not 1 <= N <= MAX_BASIS_N:  # before allocating any of the N^2 matrices
-        raise ValueError(f"basis_uN supports 1 <= N <= {MAX_BASIS_N}, got {N}")
+    _check_basis_N(N)
     j, k = np.triu_indices(N, 1)
     pair, d, c = 2 * np.arange(len(j)), np.arange(N), 1.0 / math.sqrt(2 * N)
     X = np.zeros((N * N, N, N), dtype=complex)
@@ -84,11 +89,11 @@ def verify_magic(N: int) -> dict:
 
     sum X^2 = -I,  sum X A X = -tr(A) I,  sum tr(XA) X = -A/N^2,
     sum tr(XA) tr(XB) = -tr(AB)/N^2.  A and B are drawn with seed 7;
-    ``pass`` means every residual is below MAGIC_TOL.
+    ``pass`` means every residual is below MAGIC_TOL.  N is checked first.
     """
+    _check_basis_N(N)
     rng = np.random.default_rng(7)
-    A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    A, B = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)) for _ in range(2))
     s1 = s2 = s3 = s4 = 0
     for X in _basis_batches(N):
         trXA, trXB = (np.einsum("bij,ji->b", X, M) / N for M in (A, B))
@@ -213,8 +218,9 @@ def _jet_mul(a, b):
 
 def laplacian_eval(p: TracePoly, U: CMatrix, N: int) -> CMatrix:
     """sum_{X in beta_N} d^2/deps^2 P_N(U e^{eps X}): the U_N Laplacian of P_N.
-    ValueError first for a ``p`` that ``check_degree`` refuses."""
+    ValueError first for a ``p`` that ``check_degree`` refuses, then for N."""
     check_degree(p.trace_degree())
+    _check_basis_N(N)
     U = np.asarray(U, dtype=complex)
     if U.shape != (N, N):
         raise ValueError(f"U has shape {U.shape}, expected ({N}, {N})")

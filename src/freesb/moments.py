@@ -19,6 +19,7 @@ Laurent polynomials in u (b_k) or Fractions (varrho_k).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +30,23 @@ import numpy as np
 from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly, mono
 
-MAX_MOMENT = 64  # largest |k| of nu_k
+MAX_MOMENT = 64  # largest k of c_k, b_k and varrho_k, |k| of nu_k: their cost grows as a power of k
 S_CACHE_SIZE = 256  # entries of each s-keyed cache, which a fresh s per call would grow
 #: ln of the least normal double and of the greatest double
 _EXP_MIN, _EXP_MAX = -708.3964185322641, 709.782712893384
+
+
+def _check_moment(k: int, **times: float) -> None:
+    if not 1 <= k <= MAX_MOMENT:
+        raise ValueError(f"moment order k must be in 1..{MAX_MOMENT}, got {k}")
+    check_times(**times)
+
+
+def _check_finite(values, what: str, *args) -> None:
+    # the float-range rule: "<what formatted by args> beyond the float range" unless all are finite
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(what.format(*args) + " beyond the float range")
+
 
 # ----------------------------------------------------------------------
 # Catalan numbers and nu_k
@@ -95,15 +109,14 @@ def nu(k: int, s: float) -> float:
     exponent is folded into the exponential first, so a moment that is a
     normal double keeps its relative accuracy.  For s >= 0, |nu_k(s)| <= 1
     and a value is always returned (zero where it underflows); for s < 0, a
-    moment past the float range raises ValueError.
+    moment past the float range raises ValueError, as does |k| > MAX_MOMENT.
     """
-    k = abs(k)
-    if k == 0:
+    # both rules are called off the hot path only: pi_eval takes each nu_j it needs here
+    if not 0 < (k := abs(k)) <= MAX_MOMENT:
+        _check_moment(k or 1, s=s)  # nu_0 = 1 needs only a finite time
         return 1.0
-    if k > MAX_MOMENT:
-        raise ValueError(f"nu(k, s) supports |k| <= {MAX_MOMENT}, got {k}")
     if math.isinf(value := _exp_times(-k * s / 2.0, *_nu_hat_exact(k, float(s)))):
-        raise ValueError(f"nu_k(s) for k = {k} at s = {s!r} is beyond the float range")
+        _check_finite((value,), "nu_k(s) for k = {} at s = {!r} is", k, s)
     return value
 
 
@@ -193,8 +206,7 @@ def _c_hat(k: int, s: float) -> tuple[float, ...]:
     #   chat_k = nuhat_k(s) + sum_m m * int_0^t chat_{k-m} chat_m
     first = _exp_times(0.0, *_nu_hat_exact(k, s))  # num / den, or inf past the range
     out = _recursion(k, first, lambda j: _c_hat(j, s), lambda j: _c_hat(j, s))
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"c_k(s, t) for k = {k} at s = {s!r} is beyond the float range")
+    _check_finite(out, "c_k(s, t) for k = {} at s = {!r} is", k, s)
     return out
 
 
@@ -205,8 +217,7 @@ def c_poly(k: int, s: float) -> TPoly:
 
     Equals e^{-kt/2} nu_k(s-t); degree k-1 in t.
     """
-    if k < 1:
-        raise ValueError(f"c_poly needs k >= 1, got {k}")
+    _check_moment(k, s=s)
     return TPoly(coeffs=tuple(complex(c) for c in _c_hat(k, float(s))),
                  prefactor_exp=-k * float(s) / 2.0)
 
@@ -216,13 +227,13 @@ def _b_table(k: int, s: float) -> tuple[np.ndarray, ...]:
     # b_k's coefficients in t as complex arrays over u^0..u^k (k + 1 entries
     # in the cache); a b_j with j < k is padded to that length where it is read
     first = (np.arange(k + 1) == k).astype(complex)  # u^k
-    if (1 - k) * s / 2.0 <= _EXP_MAX:  # the largest e^{-js/2} below is finite
-        with np.errstate(over="ignore", invalid="ignore"):  # and a non-finite entry is refused
+    out = [math.inf]  # refused, unless the largest e^{-js/2} below is finite
+    if (1 - k) * s / 2.0 <= _EXP_MAX:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused
             out = _recursion(k, first, lambda j: [math.exp(-j * s / 2.0) * c for c in _c_hat(j, s)],
-                             lambda j: [np.pad(b, (0, k - j)) for b in _b_table(j, s)])
-        if all(np.isfinite(b).all() for b in out):
-            return out
-    raise ValueError(f"b_k(s, t) for k = {k} at s = {s!r} is beyond the float range")
+                             lambda j: np.pad(_b_table(j, s), ((0, 0), (0, k - j))))
+    _check_finite(np.ravel(out), "b_k(s, t) for k = {} at s = {!r} is", k, s)
+    return out
 
 
 def b_poly(k: int, s: float) -> TPoly:
@@ -233,9 +244,7 @@ def b_poly(k: int, s: float) -> TPoly:
     A TPoly with prefactor 0 whose coefficients are Laurent polynomials
     in u.  e^{kt/2} b_k(s,t,u) is the Biane polynomial p_k^{s,t}(u).
     """
-    if k < 1:
-        raise ValueError(f"b_poly needs k >= 1, got {k}")
-    check_times(s=s)
+    _check_moment(k, s=s)
     return TPoly(coeffs=tuple(TracePoly({mono(j): c for j, c in enumerate(b.tolist())})
                               for b in _b_table(k, float(s))))
 
@@ -243,8 +252,7 @@ def b_poly(k: int, s: float) -> TPoly:
 @lru_cache(maxsize=None)
 def varrho_coeffs(k: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients of varrho_k as a polynomial in t."""
-    if k < 1:
-        raise ValueError(f"varrho_coeffs needs k >= 1, got {k}")
+    _check_moment(k)
     # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m},
     # and (k/2) sum_m f_m f_{k-m} = sum_m m f_{k-m} f_m by the symmetry
     # m <-> k-m.  Summed on integers, as in _nu_hat_exact: with varrho_m =
@@ -266,7 +274,5 @@ def varrho_coeffs(k: int) -> tuple[Fraction, ...]:
 
 def varrho(k: int, t: float) -> float:
     """varrho_k(t) = e^{kt/2} nu_k(t), via its self-contained recursion."""
-    if k < 1:
-        raise ValueError(f"varrho needs k >= 1, got {k}")
-    check_times(t=t)
+    _check_moment(k, t=t)
     return float(TPoly(varrho_coeffs(k)).eval(Fraction(float(t))))

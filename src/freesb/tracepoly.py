@@ -382,8 +382,8 @@ def _signed_num_str(x: float) -> str:
 
 
 def format_poly(p: SparsePoly) -> str:
-    """Canonical text form, terms in key order; for a ``TracePoly``,
-    ``parse(format_poly(p))`` reproduces ``p`` exactly."""
+    """Canonical text form, terms in key order; for a ``TracePoly``, each
+    coefficient of ``parse(format_poly(p))`` equals p's, but a -0.0 reads back as 0.0."""
     if p.is_zero:
         return "0"
     text = ""

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import TPoly, _b_table, _nu_hat_exact, c_poly, pi_eval, varrho_coeffs
+from .moments import (TPoly, _b_table, _check_finite, _exp_times, _nu_hat_exact, c_poly,
+                      pi_eval, varrho_coeffs)
 from .operators import GeneratorSpec, check_times, exp_apply
 from .tracepoly import TracePoly
 
@@ -68,13 +69,12 @@ def _check_order(K: int) -> None:
         raise ValueError(f"series order K must be in 1..{MAX_SERIES_ORDER}, got {K}")
 
 
-def _a(M: int, x: Fraction | tuple[int, int]) -> list[tuple[int, int]]:
-    # the w^m coefficients a_m(x) of e^{xw/(1-w)}, m = 0..M, exact over the
-    # rationals: with x = p/q, (1-w)^2 f' = x f makes A_m = m! q^m a_m(x) an
+def _a(M: int, p: int, q: int) -> list[tuple[int, int]]:
+    # the w^m coefficients a_m(x) of e^{xw/(1-w)}, m = 0..M, at x = p/q, q > 0,
+    # exact over the rationals: (1-w)^2 f' = x f makes A_m = m! q^m a_m(x) an
     # integer, A_0 = 1, A_1 = p, A_{m+1} = (2mq + p) A_m - (m-1) m q^2 A_{m-1};
-    # the pairs (A_m, m! q^m).  x is a Fraction or a pair (p, q), q > 0, in
-    # lowest terms or not: (gp, gq) scales A_m and m! q^m by the same g^m
-    p, q = x if isinstance(x, tuple) else x.as_integer_ratio()
+    # the pairs (A_m, m! q^m).  p/q in lowest terms or not: (gp, gq) scales
+    # A_m and m! q^m by the same g^m
     A = [1, p]
     for m in range(1, M):
         A.append((2 * m * q + p) * A[m] - (m - 1) * m * q * q * A[m - 1])
@@ -113,14 +113,9 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     for i, c in enumerate((s - t, s)):
         num, den = c.as_integer_ratio()
         for k in range(1, K + 1):
-            # each a_{n-k}, at kc = k num / den, is exact and rounded once, to float
-            try:
-                row = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * num, den))]
-            except OverflowError:  # e^{kc/2} or an a_{n-k}(kc) alone
-                row = [math.inf]
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"the weights e^(kc/2) a_(n-k)(kc) for k = {k} at c = {c!r} "
-                                 "are beyond the float range")
+            # each a_{n-k}(kc), at kc = k num / den, exact until _exp_times's one product
+            row = [_exp_times(k * c / 2.0, A, d) for A, d in _a(K - k, k * num, den)]
+            _check_finite(row, "the weights e^(kc/2) a_(n-k)(kc) for k = {} at c = {!r} are", k, c)
             W[i, k:, k] = row
     return float(np.abs(W[0] @ P - W[1]).max())
 
@@ -168,7 +163,8 @@ def pde_residual(s: float, K: int = 8) -> float:
     # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w), exactly over the rationals:
     # nu_k z^k = nu_hat_k(s) w^k e^{ksw/(1-w)}, so the w^n coefficient is
     # sum_k nu_hat_k(s) a_{n-k}(ks)
-    a = [None] + [_a(K - k, k * Fraction(s)) for k in range(1, K + 1)]
+    p, q = s.as_integer_ratio()
+    a = [None] + [_a(K - k, k * p, q) for k in range(1, K + 1)]
     for n in range(1, K + 1):
         coeff = sum(Fraction(*_nu_hat_exact(k, s)) * Fraction(*a[k][n - k]) for k in range(1, n + 1))
         resid = max(resid, abs(float(coeff - 1)))

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .operators import MAX_DEGREE, check_degree, check_N, check_times, exp_series
+from .operators import check_degree, check_N, check_times, exp_series
 from .tracepoly import (SparsePoly, TracePoly, factors_mul, first_partials, linear,
                         merge_factors, second_partials)
 
-MAX_WORD_LEN = 2 * MAX_DEGREE
 FAMILY_CACHE_SIZE = 64  # entries per family cache or word memo; expectation reads each back soon
 
 _INV = {"a": "A", "A": "a", "s": "S", "S": "s"}
@@ -232,13 +231,11 @@ def derive_generators(eps, delta, s: float, t: float) -> WordPoly:
 
     Q satisfies A_{s,t} V_eps = Q_eps(V) for every N; R carries the
     cross term with its 1/N^2 prefactor extracted.  Both are homogeneous
-    of trace degree |eps| (resp. |eps| + |delta|).  The beta_+ family is
-    weighted by (s - t/2) and the beta_- family by t/2.
+    of trace degree |eps| (resp. |eps| + |delta|), which ``check_degree``
+    bounds; the beta_+ family is weighted by (s - t/2), the beta_- by t/2.
     """
     words = [canonicalize(w) for w in (eps, delta) if w is not None]
-    for w in words:
-        if len(w) > MAX_WORD_LEN:
-            raise ValueError(f"word length {len(w)} exceeds {MAX_WORD_LEN}")
+    check_degree(sum(map(len, words)))
     family = _q_family if delta is None else _r_family
     return (s - t / 2.0) * family(*words, +1) + (t / 2.0) * family(*words, -1)
 

@@ -1,8 +1,8 @@
 """Command-line interface: report schema, exit codes, determinism,
 and the documented worked examples.
 
-All tests but the closed-pipe one drive main() in-process and parse the
-JSON report from captured stdout.
+All tests but the closed-pipe one and the explicit-basis sweep drive
+main() in-process and parse the JSON report from captured stdout.
 """
 
 import json
@@ -23,6 +23,7 @@ import freesb.operators as operators
 import freesb.words as words
 from freesb import __version__
 from freesb.matrixlab import RNG_NAME
+from freesb.moments import b_poly, c_poly, nu, varrho, varrho_coeffs
 
 
 def run(capsys, *argv):
@@ -517,7 +518,7 @@ def test_non_finite_report_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["moments", "--k", "65", "--s", "1"], "--k <= 64"),
+    (["moments", "--k", "65", "--s", "1"], "k must be in 1..64"),
     (["intertwine-check", "--N", "2", "--trials", "0"], "--trials >= 1"),
     (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "0"], "threads must be >= 1"),
     (["mc", "--f", "v1", "--N", "2", "--s", "1", "--threads", "-3"], "threads must be >= 1"),
@@ -641,3 +642,103 @@ def test_float_options_at_the_edges(capsys, argv, floats):
             else:
                 json.loads(captured.out)
                 assert captured.err == "", (case, captured.err)
+
+
+_BIG = str(2**31)
+_MC_N2 = ["--N", "2", "--s", "1", *_SMALL_MC]
+
+
+def _check_exit(case, code, seconds, out, err):
+    # exit 0 or 2: a JSON report and nothing on stderr; exit 1: one error
+    # line within 0.1 s and nothing on stdout
+    assert code in (0, 1, 2), case
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1, (case, err)
+        assert err.startswith("freesb: error: ") and seconds < 0.1, (case, err, seconds)
+    else:
+        json.loads(out)
+        assert err == "", (case, err)
+
+
+@pytest.mark.parametrize("argv, opt, values", [
+    # 0, -1, each documented limit and one past it, 2**31
+    (["moments", "--s", "0.5"], "--k", ["0", "-1", "64", "65", _BIG]),
+    (["biane", "--s", "1", "--t", "1"], "--k", ["0", "-1", "12", "13", _BIG]),  # trace degree
+    (["gen-fn-check", "--s", "1", "--t", "0.5"], "--K", ["0", "-1", "16", "17", _BIG]),
+    (["pde-check", "--s", "0.7"], "--K", ["0", "-1", "16", "17", _BIG]),
+    (["heat-apply", "--gen", "DN", "--t", "0.7", "--f", "u^2"], "--N", ["0", "-1", "1", _BIG]),
+    (["norm", "--p", "u", "--measure", "rho", "--s", "1"], "--N", ["0", "-1", "1", _BIG]),
+    (["mc", "--f", "v1", "--s", "1", *_SMALL_MC], "--N", ["0", "-1", "128", "129", _BIG]),
+    (["intertwine-check", "--N", "2", "--trials", "1"], "--degree",
+     ["0", "-1", "2", "12", "13", _BIG]),
+    (["intertwine-check", "--N", "2", "--trials", "1"], "--seed", ["0", "-1", _BIG]),
+    (["mc", "--f", "v1", *_MC_N2], "--seed", ["0", "-1", _BIG]),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "mc", "--s", "1", *_SMALL_MC],
+     "--seed", ["0", "-1", _BIG]),
+    # work sizes: small values only
+    (["mc", "--f", "v1", *_MC_N2], "--samples", ["0", "-1", "1", "2"]),
+    (["concentration", "--p", "v1", "--Ns", "2,3,4", "--mode", "mc", "--s", "1", *_SMALL_MC],
+     "--samples", ["0", "-1", "1", "2"]),
+    (["intertwine-check", "--N", "2"], "--trials", ["0", "-1", "1", "2"]),
+    (["mc", "--f", "v1", *_MC_N2], "--steps", ["0", "-1", "1", "2", "10001"]),
+    (["mc", "--f", "v1", *_MC_N2], "--threads", ["0", "-1", "1", "2"]),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_integer_options_at_the_edges(capsys, argv, opt, values):
+    # a repeated option takes its last value
+    for value in values:
+        case = [*argv, opt, value]
+        t0 = time.perf_counter()
+        code = cli.main(case)
+        seconds = time.perf_counter() - t0
+        _check_exit(case, code, seconds, *capsys.readouterr())
+
+
+def test_moment_order_rule_at_the_edges():
+    # the library calls behind moments --k: one rule refuses k = 0 and 65
+    # within 1 ms and computes k = 64, here at the s of the sweep above,
+    # whose b_64 is cached; nu takes |k|, and nu_0 = 1 at any finite time
+    cases = [(f, (k, 0.5), k) for f in (c_poly, b_poly, varrho) for k in (0, -1, 65)]
+    cases += [(varrho_coeffs, (k,), k) for k in (0, -1, 65)]
+    cases += [(nu, (k, 0.5), 65) for k in (65, -65)]
+    for f, args, named in cases:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"moment order k must be in 1\.\.64, got {named}$"):
+            f(*args)
+        assert time.perf_counter() - t0 < 1e-3, (f.__name__, args)
+    assert len(c_poly(64, 0.5).coeffs) == len(b_poly(64, 0.5).coeffs) == len(varrho_coeffs(64))
+    assert math.isfinite(varrho(64, 0.5)) and math.isfinite(nu(64, 0.5))
+    assert nu(0, 0.5) == 1.0
+    with pytest.raises(ValueError, match="non-finite time s=nan"):
+        nu(0, math.nan)
+
+
+_BASIS_RUNS = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from freesb import cli
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    rows.append((argv, code, time.perf_counter() - t0, out.getvalue(), err.getvalue()))
+print(json.dumps(rows))
+"""
+
+
+def test_explicit_basis_N_at_the_edges():
+    # one child process under a 512 MiB address-space limit, so an N past
+    # the bound that reached N x N work would fail there, not here; at
+    # N = 3000 that work took 1 s and 433 MB before the bound was checked
+    cases = [[*argv, "--N", N] for argv in (["verify-magic"], ["intertwine-check", "--trials", "1"])
+             for N in ("0", "-1", "36", "37", "3000", _BIG)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _BASIS_RUNS, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [row[0] for row in rows] == cases
+    for row in rows:
+        _check_exit(*row)

@@ -84,6 +84,35 @@ def test_srcstats_counts_a_tiny_package(tmp_path, capsys):
         ["c.py", "6", "6", "0", "3"], ["total", "16", "10", "2", "3"]]
 
 
+def test_srcstats_counts_a_package_at_a_git_revision(tmp_path, capsys):
+    # the package as each commit holds it, whatever the working tree holds
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("X = 1\n")
+    (pkg / "notes.txt").write_text("not python\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one module")
+    (pkg / "b.py").write_text("def f(y=2):\n    return y\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "two modules")
+    (pkg / "a.py").write_text("X = 1\nY = 2\n")  # uncommitted
+    assert srcstats.main(["--per-file", "--rev", "HEAD~1", str(pkg)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["file", "physical", "code", "defaults", "constants"],
+        ["a.py", "1", "1", "0", "1"], ["total", "1", "1", "0", "1"]]
+    assert srcstats.main(["--rev", "HEAD", str(pkg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "physical lines: 3", "code lines: 3", "parameters with defaults: 1",
+        "numeric constants: 1"]
+    assert srcstats.main(["--rev", "no-such-rev", str(pkg)]) == 1
+    assert capsys.readouterr().err.startswith("srcstats: git archive failed: ")
+
+
 def test_bench_pairs_summary_claims_a_gain_by_the_pairs_rule():
     parent = [10.0, 10.4, 9.8, 10.1, 10.2, 9.9, 10.3, 10.0, 10.1, 9.9]
     change = [x - 1.0 for x in parent]

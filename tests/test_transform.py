@@ -107,18 +107,19 @@ def test_a_matches_closed_form():
     # a_m(x) = sum_{j=1}^m C(m-1, j-1) x^j / j!, the w^m coefficient of e^{xw/(1-w)}
     for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2),
               Fraction(9, 4), Fraction(0.45), Fraction(-1.9), 16 * Fraction(2.25)):
-        pairs = _a(16, x)
+        pairs = _a(16, *x.as_integer_ratio())
         assert len(pairs) == 17 and pairs[0] == (1, 1)
         for m, (A, d) in enumerate(pairs[1:], 1):
             want = sum(math.comb(m - 1, j - 1) * x ** j / math.factorial(j) for j in range(1, m + 1))
             assert Fraction(A, d) == want, (m, x)
-    assert _a(0, Fraction(3, 7)) == [(1, 1)]
+    assert _a(0, 3, 7) == [(1, 1)]
 
 
 def test_exp_curve_numeric():
     # e^{a(1+w)/(1-w)} = e^a e^{2aw/(1-w)} = e^a sum_m a_m(2a) w^m
     a, K, w = 0.45, 12, 0.08
-    series_val = sum(math.exp(a) * (A / d) * w**k for k, (A, d) in enumerate(_a(K, 2 * Fraction(a))))
+    pairs = _a(K, *(2 * a).as_integer_ratio())
+    series_val = sum(math.exp(a) * (A / d) * w**k for k, (A, d) in enumerate(pairs))
     exact = math.exp(a * (1 + w) / (1 - w))
     assert abs(series_val - exact) < 1e-10
 
@@ -132,7 +133,8 @@ def _gen_fn_by_fractions(s, t, K):
             P[k, j] = c
     for k in range(1, K + 1):
         for i, c in enumerate((s - t, s)):
-            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, k * Fraction(c))]
+            pairs = _a(K - k, *(k * Fraction(c)).as_integer_ratio())
+            W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in pairs]
     return W, float(np.abs(W[0] @ P - W[1]).max())
 
 
@@ -145,7 +147,7 @@ def test_gen_fn_weights_from_unreduced_pairs_are_bitwise_the_fraction_ones():
         for i, c in enumerate((s - t, s)):
             p, q = c.as_integer_ratio()
             for k in range(1, K + 1):
-                got = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, (k * p, q))]
+                got = [math.exp(k * c / 2.0) * (A / d) for A, d in _a(K - k, k * p, q)]
                 assert got == list(W[i, k:, k]), (s, t, K, k)
         assert verify_gen_fn(s, t, K) == resid, (s, t, K)
 

@@ -25,9 +25,9 @@ from hypothesis import example, given, settings, strategies as st
 import freesb.operators as operators
 import freesb.words as words
 from freesb.tracepoly import TracePoly, parse
-from freesb.operators import GeneratorSpec, exp_apply, exp_series
+from freesb.operators import MAX_DEGREE, GeneratorSpec, exp_apply, exp_series
 from freesb.moments import nu, pi_eval
-from freesb.words import (MAX_WORD_LEN, Measure, WordPoly, apply_tilde,
+from freesb.words import (Measure, WordPoly, apply_tilde,
                           canonicalize, derive_generators, expectation, iota,
                           iota_star, l2_norm_sq, sesq_B, wmono)
 from freesb.matrixlab import basis_uN, evaluate, evaluate_word, expm
@@ -204,8 +204,14 @@ def test_generator_degree_bounds():
 
 
 def test_generator_word_cap():
-    with pytest.raises(ValueError):
-        derive_generators("a" * (MAX_WORD_LEN + 1), None, 1.0, 0.5)
+    # the cap is the trace-degree rule: Q_eps has degree |eps|, R_{eps,delta}
+    # degree |eps| + |delta|
+    cap = 2 * MAX_DEGREE
+    assert not derive_generators("a" * cap, None, 1.0, 0.5).is_zero
+    with pytest.raises(ValueError, match=f"trace degree {cap + 1} exceeds {cap}"):
+        derive_generators("a" * (cap + 1), None, 1.0, 0.5)
+    with pytest.raises(ValueError, match=f"trace degree {cap + 1} exceeds {cap}"):
+        derive_generators("a" * (cap // 2), "s" * (cap // 2 + 1), 1.0, 0.5)
 
 
 def test_apply_tilde_knows_two_generators():

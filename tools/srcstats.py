@@ -1,9 +1,12 @@
 """Size of the freesb package: lines, defaulted parameters, numeric constants.
 
-    python tools/srcstats.py [--per-file] [PACKAGE_DIR]
+    python tools/srcstats.py [--per-file] [--rev REV] [PACKAGE_DIR]
 
-PACKAGE_DIR defaults to ``src/freesb`` beside this script's parent.  The
-four numbers, one per line, are:
+PACKAGE_DIR defaults to ``src/freesb`` beside this script's parent.  With
+``--rev``, the package is counted as git revision REV holds it, exported
+with ``git archive`` from the repository around PACKAGE_DIR, so one
+command quotes a revision's numbers beside those of the working tree.
+The four numbers, one per line, are:
 
 - physical lines: what ``wc -l`` counts over the package's ``*.py``;
 - code lines: lines that hold a token other than a comment, and are not
@@ -18,14 +21,17 @@ four numbers, one per line, are:
 With ``--per-file``, a table instead: the four numbers of each module, one
 row each, and a ``total`` row of the same four numbers as above.
 
-Standard library only.
+Standard library and git only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tarfile
 import tokenize
 from pathlib import Path
 
@@ -74,13 +80,33 @@ def file_stats(source: str) -> tuple[int, int, int, int]:
     return source.count("\n"), len(code - docs), defaults, constants
 
 
+def sources(root: Path, rev: str | None) -> list[tuple[str, str]]:
+    """(file name, text) of each ``*.py`` directly in ``root``, in name
+    order: from the working tree, or as revision ``rev`` holds them."""
+    if rev is None:
+        return [(path.name, path.read_text()) for path in sorted(root.glob("*.py"))]
+    # run in root, git archive holds root's subtree alone, named relative to root
+    tar = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        return sorted((m.name, archive.extractfile(m).read().decode()) for m in archive
+                      if m.isfile() and "/" not in m.name and m.name.endswith(".py"))
+
+
 def main(argv: list[str]) -> int:
-    per_file = "--per-file" in argv
-    argv = [a for a in argv if a != "--per-file"]
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "freesb"
-    rows = [(path.name, file_stats(path.read_text())) for path in sorted(root.glob("*.py"))]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--per-file", action="store_true", help="one row per module")
+    ap.add_argument("--rev", help="count the package as this git revision holds it")
+    ap.add_argument("package_dir", nargs="?",
+                    default=Path(__file__).resolve().parent.parent / "src" / "freesb")
+    args = ap.parse_args(argv)
+    try:
+        rows = [(name, file_stats(text)) for name, text in sources(Path(args.package_dir), args.rev)]
+    except subprocess.CalledProcessError as e:
+        print(f"srcstats: git archive failed: {e.stderr.decode().strip()}", file=sys.stderr)
+        return 1
     totals = [sum(stats[i] for _, stats in rows) for i in range(4)]
-    if per_file:
+    if args.per_file:
         for name, stats in [("file", ("physical", "code", "defaults", "constants")),
                             *rows, ("total", totals)]:
             print(f"{name:<16}" + "".join(f"{x:>10}" for x in stats))
