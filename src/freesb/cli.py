@@ -16,8 +16,9 @@ below 1, times of no measure for norm, concentration or mc (rho with
 s < 0, mu with t < 0 or s <= t/2), more than matrixlab.MAX_SAMPLER_STEPS
 sampler steps, a semigroup closure of more than operators.MAX_CLOSURE
 monomials, an mc observable of trace degree above 2 * operators.MAX_DEGREE
-or a norm's p above MAX_DEGREE (B(p, p) doubles it), a semigroup or
-sampler path that overflows, a norm that comes out non-real, a
+or with a power of u (both before any sample), a norm's p above
+MAX_DEGREE (B(p, p) doubles it), a negative intertwine-check seed, a
+semigroup or sampler path that overflows, a norm that comes out non-real, a
 non-finite time or any other NaN or infinity in the report, which JSON
 cannot hold, a --csv file that cannot be written, a stdout closed before
 the report is written; the last prints nothing).
@@ -224,6 +225,8 @@ def _cmd_verify_magic(a, seed):
 
 
 def _cmd_intertwine_check(a, seed):
+    if seed < 0:  # default_rng takes none; mc and concentration hash theirs
+        raise ValueError(f"intertwine-check requires --seed >= 0 (or FREESB_SEED), got {seed}")
     if a.trials < 1:  # zero trials would pass having checked nothing
         raise ValueError(f"intertwine-check requires --trials >= 1, got {a.trials}")
     if not 2 <= a.degree <= MAX_DEGREE:  # the u-power alone is drawn up to degree 2

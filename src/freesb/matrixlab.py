@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import _expm_batch, _real_gemm, check_degree
 from .tracepoly import TracePoly
-from .words import Measure, WordPoly, _eps_word, l2_norm_sq
+from .words import Measure, WordPoly, _eps_word, _require_u_free, iota, l2_norm_sq
 from .moments import pi_eval
 
 RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
@@ -157,40 +157,23 @@ def _has_inverse(p: TracePoly) -> bool:
     return any(k0 < 0 or any(j < 0 for j, _ in ve) for k0, ve in p.terms)
 
 
-def _trace_terms(p: TracePoly, Z: np.ndarray) -> tuple[_Products, list]:
-    """The Z table, and (k0, c prod_j tr(Z^j)^e_j) per monomial c u^k0 prod_j v_j^e_j."""
-    zs, N = _z_products(Z, "A" if _has_inverse(p) else ""), Z.shape[0]
-    terms = []
-    for (k0, ve), c in p.terms.items():
-        for j, e in ve:
-            c *= (np.trace(zs[_eps_word(j, 0)]) / N) ** e
-        terms.append((k0, c))
-    return zs, terms
-
-
 def evaluate(p: TracePoly, Z: CMatrix) -> CMatrix:
     """P_N(Z): substitute u = Z and v_k = tr(Z^k) (normalized trace).
     ValueError first for a ``p`` that ``check_degree`` refuses."""
     check_degree(p.trace_degree())
     Z = np.asarray(Z, dtype=complex)
-    zs, terms = _trace_terms(p, Z)
-    acc = np.zeros((len(Z), len(Z)), dtype=complex)
-    for k0, c in terms:
+    zs, N = _z_products(Z, "A" if _has_inverse(p) else ""), len(Z)
+    acc = np.zeros((N, N), dtype=complex)
+    for (k0, ve), c in p.terms.items():
+        for j, e in ve:
+            c *= (np.trace(zs[_eps_word(j, 0)]) / N) ** e
         acc += c * zs[_eps_word(k0, 0)]
     return acc
 
 
 def evaluate_word(pw: WordPoly, Z: CMatrix) -> complex:
-    """Value of a word polynomial at Z, using tr(Z^eps1 ... Z^epsn)."""
-    Z = np.asarray(Z, dtype=complex)
-    zs = _z_products(Z, {ch for m in pw.terms for w, _ in m for ch in w})
-    tot = 0j
-    for m, c in pw.terms.items():
-        val = complex(c)
-        for w, e in m:
-            val *= complex(np.trace(zs[w]) / Z.shape[0]) ** e
-        tot += val
-    return tot
+    """Value of a word polynomial at Z, using tr(Z^eps1 ... Z^epsn) (``_eval_scalar``)."""
+    return _eval_scalar(pw, Z)
 
 
 # ----------------------------------------------------------------------
@@ -366,14 +349,17 @@ def sample_mu(cfg: SamplerCfg, index: int = 0) -> CMatrix:
 # ----------------------------------------------------------------------
 
 
-def _eval_scalar(f, Z: np.ndarray) -> complex:
-    if isinstance(f, WordPoly):
-        return evaluate_word(f, Z)
-    if isinstance(f, TracePoly):
-        if not f.is_scalar():
-            raise ValueError("mc scalar evaluation needs a u-free polynomial")
-        return sum((c for _, c in _trace_terms(f, Z)[1]), 0j)
-    raise TypeError(f"cannot evaluate {type(f).__name__} as a scalar observable")
+def _eval_scalar(pw: WordPoly, Z: CMatrix) -> complex:
+    # the word evaluator: each word's product built once, from the letters pw uses
+    Z = np.asarray(Z, dtype=complex)
+    zs = _z_products(Z, {ch for m in pw.terms for w, _ in m for ch in w})
+    tot = 0j
+    for m, c in pw.terms.items():
+        val = complex(c)
+        for w, e in m:
+            val *= complex(np.trace(zs[w]) / Z.shape[0]) ** e
+        tot += val
+    return tot
 
 
 def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
@@ -410,13 +396,19 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
                    threads: int | None = None) -> tuple[complex, float]:
     """Monte Carlo mean and standard error of a scalar observable.
 
-    ``f`` is a u-free TracePoly or a WordPoly; samples come from rho_s^N
-    when cfg.t == 0 and from mu_{s,t}^N otherwise.  Sample i always uses
-    the stream derived from (seed, i): the result is independent of
-    ``threads`` and of chunk scheduling.  ValueError, before any sample is
-    drawn, for an ``f`` of trace degree above 2 * MAX_DEGREE (``check_degree``).
+    ``f`` is a WordPoly or a u-free TracePoly q, evaluated as iota(q);
+    samples come from rho_s^N when cfg.t == 0 and from mu_{s,t}^N otherwise.
+    Sample i always uses the stream derived from (seed, i): the result is
+    independent of ``threads`` and of chunk scheduling.  Before any sample:
+    TypeError for any other ``f``, then ValueError for a trace degree above
+    2 * MAX_DEGREE (``check_degree``) or a power of u.
     """
+    if not isinstance(f, (TracePoly, WordPoly)):
+        raise TypeError(f"mc_expectation needs a TracePoly or WordPoly, got {type(f).__name__}")
     check_degree(f.trace_degree())
+    if isinstance(f, TracePoly):
+        _require_u_free(f, "mc_expectation")
+        f = iota(f)
     return _map_samples(cfg, nsamples, lambda Z: _eval_scalar(f, Z), threads)
 
 

@@ -255,8 +255,6 @@ def _expm_batch(Ms: np.ndarray, *work: np.ndarray) -> np.ndarray:
     complex otherwise, holds every intermediate; the result is its slice 1
     or 2, so slots 3 to 6 are free after it."""
     Ms = np.asarray(Ms, dtype=complex if np.iscomplexobj(Ms) else float)
-    if Ms.shape[0] == 0:
-        return Ms.copy()
     norms = np.einsum("nij->nj", np.abs(Ms)).max(axis=-1)
     nsq = _squarings(norms)
     if nsq.max() > _EXPM_MAX_SQUARINGS:
@@ -398,18 +396,18 @@ def exp_series(column, p, theta, terms):
 
 
 def _classify(closure, weights, nseed):
-    """A = sum_k weights[k] G_k on a compiled closure and whether it is graded:
-    basis, rows, cols, vals, the diagonal, the off-diagonal mask and the
-    graded flag, kept in ``closure[4]`` for the next call with the same
-    weights.  Weights that cancel (the word engine at s = t) leave exact
-    zeros; those entries are dropped, with the monomials that only they reach
-    from the first ``nseed``, so A's closure, graded test and kernel choice
-    are those of A compiled alone."""
+    """A = sum_k weights[k] G_k over the parts of nonzero weight on a compiled
+    closure and whether it is graded: basis, rows, cols, vals, the diagonal,
+    the off-diagonal mask and the graded flag, kept in ``closure[4]`` for the
+    next call with the same weights.  Weights that cancel (the word engine at
+    s = t) leave exact zeros; those entries are dropped, with the monomials
+    that only they reach from the first ``nseed``, so A's closure, graded
+    test and kernel choice are those of A compiled alone."""
     last = closure[4]
     if last is not None and last[0] == weights:
         return last[1:]
     basis, rows, cols, parts = closure[:4]
-    vals = sum(w * part for w, part in zip(weights, parts.T))
+    vals = sum((w * part for w, part in zip(weights, parts.T) if w), np.zeros(len(rows), complex))
     keep = vals != 0
     if not keep.all():
         rows, cols, vals = rows[keep], cols[keep], vals[keep]

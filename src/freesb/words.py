@@ -14,9 +14,9 @@ operators
 
 give exact finite-N heat-kernel expectations (``expectation``).  Under
 rho_s^N (t = 0) the closure of a word rewritten on U_N stays on powers of
-Z: on words in Z and Z^-1 the beta_+ cuts make no starred letter, and
-beta_- has weight t/2 = 0.  Canonical words, B's monomials and rewrites on
-U_N are FAMILY_CACHE_SIZE memos.
+Z: on words in Z and Z^-1 the cuts make no starred letter, and beta_-'s
+images, -beta_+'s, have weight t/2 = 0.  Canonical words, B's monomials
+and rewrites on U_N are FAMILY_CACHE_SIZE memos.
 
 Compact text form for words: a = Z, A = Z^-1, s = Z^*, S = Z^-*.
 """
@@ -297,32 +297,30 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     then set to 1.  Under rho, P is first rewritten on U_N
     (Z^* -> Z^-1, Z^-* -> Z, equal words merged).  The generator is
     (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
-    beta_- alone: four parts (two under rho) that ``exp_series`` caches
-    for every s, t and N.  A part's column is the Leibniz form (``_leibniz``)
-    over Dt(v_a) and Lt(v_a v_b), one ``apply_tilde`` call per family at
-    (s, t) = (1, 0) or (1, 2), made only for a column that neither cache of
-    ``exp_series`` holds.
+    beta_- alone: four parts that ``exp_series`` caches for every s, t and
+    N; under rho, t/2 = 0 drops the beta_- parts from the sum.  A part's
+    column is the Leibniz form (``_leibniz``) over Dt(v_a) and Lt(v_a v_b),
+    one ``apply_tilde`` call per family at (s, t) = (1, 0) and (1, 2), made
+    only for a column that neither cache of ``exp_series`` holds.
     """
     rho = Measure(N, s, t).kind == "rho"
     check_degree(p.trace_degree())
     if rho and any(c in w for m in p.terms for w, _ in m for c in "sS"):
         # Z is unitary: every word becomes a power of Z
         p = linear(lambda m: [(_unitary(m), 1.0)], p)
-    # (s, t) of the beta_+ family alone and of the beta_- family alone
-    families = ((1.0, 0.0),) if rho else ((1.0, 0.0), (1.0, 2.0))
     images: dict = {}  # the triples of Dt(v_a) by (a,), of Lt(v_a v_b) by (a, b)
 
     def image(*words):
         if words not in images:
             gen, k = ("Dst", 0) if len(words) == 1 else ("Lst", 1)
             unit = WordPoly({wmono((a, 1) for a in words): 1.0})
-            images[words] = [(q, 2 * f + k, c) for f, st in enumerate(families)
+            # (s, t) of the beta_+ family alone and of the beta_- family alone
+            images[words] = [(q, 2 * f + k, c) for f, st in enumerate(((1.0, 0.0), (1.0, 2.0)))
                              for q, c in apply_tilde(gen, unit, *st).terms.items()]
         return images[words]
 
     a, b = s - t / 2.0, t / 2.0
     terms = (("Dst+", a), ("Lst+", a / (N * N)), ("Dst-", b), ("Lst-", b / (N * N)))
-    terms = terms[:2 * len(families)]  # the part indices of image()
     return exp_series(lambda m: _leibniz(m, image, image), p, 1.0, terms).evaluate_ones()
 
 

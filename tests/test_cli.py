@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freesb.cli as cli
@@ -691,6 +692,53 @@ def test_integer_options_at_the_edges(capsys, argv, opt, values):
         code = cli.main(case)
         seconds = time.perf_counter() - t0
         _check_exit(case, code, seconds, *capsys.readouterr())
+
+
+def test_negative_intertwine_seed_is_refused_by_name(capsys, monkeypatch):
+    # numpy's default_rng takes no negative seed and its message names neither
+    # --seed nor the bound; FREESB_SEED takes the same check
+    argv = ["intertwine-check", "--N", "2", "--trials", "1", "--seed"]
+    assert cli.main([*argv, "-1"]) == 1
+    assert capsys.readouterr().err == \
+        "freesb: error: intertwine-check requires --seed >= 0 (or FREESB_SEED), got -1\n"
+    monkeypatch.setenv("FREESB_SEED", "-3")
+    assert cli.main([*argv, "0"]) == 1
+    assert capsys.readouterr().err.endswith("requires --seed >= 0 (or FREESB_SEED), got -3\n")
+
+
+# an empty text, parse errors, a zero v exponent, a non-finite coefficient,
+# exponents and indices far past the limit, trace degree 25 and 2,001 terms;
+# semigroup inputs of trace degree 13 to 24 are left out: the closure budget
+# refuses u^12 v12 only after 0.2-0.4 s of search (ROADMAP item 13)
+_POLY_TEXTS = ["", "u^", "v0", "v1^0", "(1+i)", "(1+2i", "1e999", "nan", "u^99999999999",
+               "v99999999999", "u^13 v12", " + ".join(["u"] * 2001)]
+_U_POWERS = ["u", "u^13", "u^12 v12", "1e-320 u"]
+_TWO_SAMPLES = ["--samples", "2", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, opt, more", [
+    (["norm", "--measure", "rho", "--s", "1", "--N", "2"], "--p", []),
+    (["concentration", "--Ns", "2,3,4", "--s", "1"], "--p", []),
+    (["heat-apply", "--gen", "D", "--t", "0.7"], "--f", []),
+    (["transform", "--s", "1.5", "--t", "0.8"], "--f", []),
+    # a power of u too is refused before any sample, at the most steps and the largest N
+    (["mc", "--N", "8", "--s", "1", "--steps", "10000", *_TWO_SAMPLES], "--f", _U_POWERS),
+    (["mc", "--N", "128", "--s", "1", "--steps", "500", *_TWO_SAMPLES], "--f", _U_POWERS),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_polynomial_texts_at_the_edges(capsys, argv, opt, more):
+    for text in _POLY_TEXTS + more:
+        case = [*argv, opt, text]
+        t0 = time.perf_counter()
+        code = cli.main(case)
+        seconds = time.perf_counter() - t0
+        _check_exit(case, code, seconds, *capsys.readouterr())
+
+
+def test_mc_refuses_a_non_polynomial_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(TypeError, match="mc_expectation needs a TracePoly or WordPoly, got ndarray"):
+        matrixlab.mc_expectation(np.eye(2), matrixlab.SamplerCfg(N=2, s=1.0), 2)
+    assert time.perf_counter() - t0 < 1e-3
 
 
 def test_moment_order_rule_at_the_edges():

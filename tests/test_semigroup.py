@@ -698,13 +698,13 @@ def test_checks_run_on_a_cache_hit(closures):
 
 
 def test_word_engine_keys_by_its_parts(closures):
-    # mu compiles the four parts, rho the two of beta_+ on the unitary words
+    # mu and rho compile the same four parts, rho on the unitary words
     Z2 = iota(TracePoly.v(2)) * iota_star(TracePoly.v(2))
     expectation(Z2, 1.5, 0.8, 4)
     expectation(Z2, 1.2, 0.0, 4)
     unitary = iota(TracePoly.v(2) * TracePoly.v(-2))
-    assert list(closures) == [(("Dst+", "Lst+", "Dst-", "Lst-"), tuple(Z2.terms)),
-                              (("Dst+", "Lst+"), tuple(unitary.terms))]
+    parts = ("Dst+", "Lst+", "Dst-", "Lst-")
+    assert list(closures) == [(parts, tuple(Z2.terms)), (parts, tuple(unitary.terms))]
 
 
 def test_concentration_compiles_once(closures, monkeypatch, capsys):

@@ -1,19 +1,22 @@
 """The scripts under tools/: the result comparison of cli_results.py, the
 line counts of srcstats.py and the pair summary of bench_pairs.py with its
-raw times, each loaded from its path."""
+raw times, each loaded from its path; and the package names that the
+benchmark's tracer pins."""
 
 import importlib.util
+import inspect
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(name, directory=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -166,3 +169,13 @@ def test_bench_pairs_summary_prints_raw_medians_beside_scaled_ones():
     assert "change/parent 0.980" in line and "wins 3/3" in line
     assert line.endswith("raw parent 81 change 78 change/parent 0.963")
     assert "raw" not in bench_pairs.summary_line({"name": "peak_rss_mb", "better": "lower"}, runs)
+
+
+def test_benchmark_tracer_pins_resolve():
+    # perfbench/tracer.py wraps each TARGETS entry by its owner and attribute
+    # and reads each cache's cache_info(): a rename of a pinned name fails here
+    tracer = _load("tracer", ROOT / "perfbench")
+    for name, owner, attr in tracer.TARGETS:
+        assert inspect.isfunction(vars(owner).get(attr)), (name, owner, attr)
+    for cache in tracer.CACHES:
+        assert callable(getattr(cache, "cache_info", None)), cache

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import freesb.cli as cli
 import freesb.operators as operators
 import freesb.words as words
 from freesb.tracepoly import TracePoly, parse
@@ -561,15 +562,17 @@ def test_expectation_call_paths(monkeypatch):
     columns, calls = _spy_exp_series(monkeypatch)
     expectation(Z4, 1.0, 0.0, 8)
     assert set(gens) == {"Dst", "Lst"}
-    # once per distinct word (Q) or unordered pair of words (R) in one call
-    keys = [(eps,) if delta is None else tuple(sorted((eps, delta))) for eps, delta, *_ in derived]
-    assert keys and len(keys) == len(set(keys))
+    # once per distinct word (Q) or unordered pair of words (R) and family
+    # ((s, t) = (1, 0) or (1, 2)) in one call: rho compiles beta_- too
+    keys = [((eps,) if delta is None else tuple(sorted((eps, delta))), s, t)
+            for eps, delta, s, t in derived]
+    assert len(keys) == len(set(keys)) == 64
     # under rho, Z^* = Z^-1: |tr Z^4|^2 is computed as tr(Z^4) tr(Z^-4)
     (column, terms), = columns
-    assert [name for name, _ in terms] == ["Dst+", "Lst+"]
-    basis = operators._compile(column, iota(v(4) * v(-4)).terms, 2)[0]
+    assert [name for name, _ in terms] == ["Dst+", "Lst+", "Dst-", "Lst-"]
+    basis = operators._compile(column, iota(v(4) * v(-4)).terms, 4)[0]
     assert sorted(calls) == sorted(basis)
-    assert len(basis) < len(operators._compile(column, Z4.terms, 2)[0]) / 3
+    assert len(basis) < len(operators._compile(column, Z4.terms, 4)[0]) / 3
     # a hit, at another s and N, compiles nothing
     del gens[:], derived[:], calls[:]
     expectation(Z4, 1.3, 0.0, 5)
@@ -753,6 +756,22 @@ def test_l2_norm_nonnegative_and_real():
     val = l2_norm_sq(p, Measure.mu(1.5, 0.8, 4))
     assert isinstance(val, float)
     assert val >= 0.0
+
+
+def test_l2_norm_guards(monkeypatch, capsys):
+    # roundoff below -1e-10 clips to 0; a larger negative or an imaginary part
+    # above 1e-8 relative is refused, on the command line as one error line
+    for val, want in ((-1e-12, None), (-1e-9, "negative"), (1 + 1e-6j, "non-real")):
+        monkeypatch.setattr(words, "expectation", lambda *a, val=val: complex(val))
+        if want is None:
+            assert l2_norm_sq(u(1), Measure.rho(1.0, 2)) == 0.0
+            continue
+        with pytest.raises(ArithmeticError, match=f"norm came out {want}"):
+            l2_norm_sq(u(1), Measure.rho(1.0, 2))
+        assert cli.main(["norm", "--p", "u", "--measure", "rho", "--s", "1", "--N", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"freesb: error: norm came out {want}: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_measure_constructors():
