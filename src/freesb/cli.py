@@ -9,7 +9,7 @@ Complex numbers serialize as [re, im].  Identical argv and seed produce a
 byte-identical ``results`` field.  Exit codes: 0 success, 2 exactly
 when ``results`` holds ``"pass": false`` (a verification command
 exceeded its asserted tolerance), 1 on usage errors and on computations
-that fail (a malformed FREESB_SEED, a moment order k outside 1..64, a
+that fail (a malformed FREESB_SEED or --Ns, a moment order k outside 1..64, a
 series order K outside 1..16, an N outside 1..matrixlab.MAX_BASIS_N for
 verify-magic or intertwine-check (checked before any N x N work), an N
 below 1, times of no measure for norm, concentration or mc (rho with
@@ -256,7 +256,10 @@ def _cmd_intertwine_check(a, seed):
 
 
 def _cmd_concentration(a, seed):
-    Ns = [int(x) for x in a.Ns.split(",")]
+    try:
+        Ns = [int(x) for x in a.Ns.split(",")]
+    except ValueError:
+        raise ValueError(f"--Ns takes comma-separated integers, got {a.Ns!r}") from None
     rep = concentration_experiment(parse(a.p), a.s, a.t, Ns, mode=a.mode,
                                    steps=a.steps, samples=a.samples, seed=seed,
                                    threads=a.threads)

@@ -9,9 +9,10 @@ for the heat kernel measures rho_s^N on U_N and mu_{s,t}^N on GL_N (a
 SamplerCfg is a Measure with steps and a seed), and concentration experiments.
 
 Sampling uses a right-increment geodesic Euler scheme U <- U exp(sqrt(d) G)
-with G drawn from the Gaussian measure on u(N) determined by the basis;
-the scheme is weak order 1 and the Ito drift is produced automatically by
-the exponential because sum_X X^2 = -I.  A chunk of samples takes each
+to unit time, d = 1/steps, with G = sqrt(s - t/2) G1 + i sqrt(t/2) G2 for
+independent Gaussians on u(N) determined by the basis (rho is t = 0: G1
+alone); the scheme is weak order 1 and the Ito drift comes from the
+exponential because sum_X X^2 = -I.  A chunk of samples takes each
 step together (``_sample_batch``); RNG_NAME names its draw layout.
 Every sample index gets its own counter-based RNG stream derived from
 (seed, index), so results do not depend on thread count or scheduling.
@@ -284,23 +285,16 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
     for j < k, (z_jk - z_kj, z_jk + z_kj) is sqrt(2) times a 45-degree
     rotation of the iid pair (z_jk, z_kj), so iid N(0, 2) as the basis sum
     requires, and the diagonal is 2i z_jj; so N^2 normals per noise.  The
-    step sqrt(d)(sqrt(a) G1 + i sqrt(b) G2), with (a, b) = (1, 0) for rho,
-    is built in real arithmetic with sqrt(d a / 4N) and sqrt(d b / 4N)
-    folded in.  G, the exponential and U E run in buffers made once per chunk;
-    U E is ``_real_gemm``, with E's form in work slots 3 and 4, which
-    ``_expm_batch`` leaves free.
+    step sqrt(d)(sqrt(a) G1 + i sqrt(b) G2), d = 1/steps, runs at unit time
+    with (a, b) = (s - t/2, t/2), so rho has b = 0 and draws one noise; it
+    is real arithmetic with sqrt(a d / 4N) and sqrt(b d / 4N) folded in, in
+    buffers made once per chunk, and U E is ``_real_gemm``, with E's form in
+    work slots 3 and 4, which ``_expm_batch`` leaves free.
     """
     N, steps = cfg.N, cfg.steps
-    is_mu = cfg.kind == "mu"
-    if is_mu:
-        delta = 1.0 / steps
-        n_noise = 2
-        weights = (cfg.s - cfg.t / 2.0, cfg.t / 2.0)
-    else:
-        delta = cfg.s / steps
-        n_noise = 1
-        weights = (1.0, 0.0)
-    wa, wb = (math.sqrt(delta * w / (4.0 * N)) for w in weights)
+    # the noise count follows the measure, not wb: t/2 may underflow to 0
+    n_noise = 2 if cfg.kind == "mu" else 1
+    wa, wb = (math.sqrt(w / steps / (4.0 * N)) for w in (cfg.s - cfg.t / 2.0, cfg.t / 2.0))
     # each sample's stream fills its slice of one noise block in order, so
     # drawing a block of steps at a time gives the same numbers as drawing
     # all steps at once
@@ -321,7 +315,7 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
                 z = noise[:, step, 0]
                 np.multiply(wa, np.subtract(z, np.swapaxes(z, -1, -2), out=R), out=A.real)
                 np.multiply(wa, np.add(z, np.swapaxes(z, -1, -2), out=R), out=A.imag)
-                if is_mu:
+                if n_noise == 2:
                     z = noise[:, step, 1]
                     A.real -= np.multiply(wb, np.add(z, np.swapaxes(z, -1, -2), out=R), out=R)
                     A.imag += np.multiply(wb, np.subtract(z, np.swapaxes(z, -1, -2), out=R), out=R)
@@ -331,14 +325,14 @@ def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
 
 
 def sample_rho(cfg: SamplerCfg, index: int = 0) -> CMatrix:
-    """One sample of the heat kernel measure rho_s^N on U_N (cfg.t must be 0)."""
+    """One sample of rho_s^N on U_N, the sampler at t = 0 (cfg.t must be 0)."""
     if cfg.kind != "rho":
         raise ValueError("sample_rho requires cfg.t == 0")
     return _sample_batch(cfg, [index])[0]
 
 
 def sample_mu(cfg: SamplerCfg, index: int = 0) -> CMatrix:
-    """One sample of mu_{s,t}^N on GL_N (total diffusion time 1)."""
+    """One sample of mu_{s,t}^N on GL_N, the sampler at t > 0 (two noises)."""
     if cfg.kind != "mu":
         raise ValueError("sample_mu requires t > 0 (use sample_rho for t = 0)")
     return _sample_batch(cfg, [index])[0]

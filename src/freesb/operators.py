@@ -29,7 +29,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -555,33 +555,21 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
 # ======================================================================
 
 
-def _v_packs(idx: int, budget: int):
-    """All v-factor tuples over indices {-idx..-1, 1..idx} of weight <= budget."""
-    if idx == 0:
-        yield ()
-        return
-    for em in range(budget // idx + 1):
-        for ep in range((budget - idx * em) // idx + 1):
-            head = []
-            if em:
-                head.append((-idx, em))
-            if ep:
-                head.append((idx, ep))
-            for rest in _v_packs(idx - 1, budget - idx * (em + ep)):
-                yield tuple(head) + rest
-
-
 def monomial_basis(n: int) -> list[Mono]:
-    """Canonically ordered monomial basis of {trace degree <= n}."""
+    """Canonically ordered monomial basis of {trace degree <= n}: each u^k0,
+    |k0| <= n, times each multiset of nonzero indices j, one v_j per element,
+    with |k0| + sum |j| <= n."""
     if n > MAX_DEGREE:
         raise ValueError(f"degree cutoff {n} exceeds MAX_DEGREE={MAX_DEGREE}")
-    out: list[Mono] = []
-    for k0 in range(-n, n + 1):
-        budget = n - abs(k0)
-        for pack in _v_packs(budget, budget):
-            out.append(mono(k0, pack))
-    out.sort()
-    return out
+    js = [*range(-n, 0), *range(1, n + 1)]
+
+    @cache
+    def packs(budget: int, i: int) -> list[tuple]:
+        # the multisets of js[i:] of weight <= budget, each in nondecreasing order
+        return [()] + [((js[k], 1),) + rest for k in range(i, len(js)) if abs(js[k]) <= budget
+                       for rest in packs(budget - abs(js[k]), k)]
+
+    return sorted(mono(k0, pack) for k0 in range(-n, n + 1) for pack in packs(n - abs(k0), 0))
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,10 @@ def test_mc_csv(capsys, tmp_path):
     # a standard error needs two samples
     (["concentration", "--p", "v1", "--s", "1", "--mode", "mc", "--samples", "1",
       "--Ns", "2,3,4", "--steps", "5", "--threads", "1"], "nsamples must be >= 2"),
+    # a list that is not comma-separated integers is refused by the option's name
+    (["concentration", "--p", "v1", "--s", "1", "--Ns", "4,8,x"], "--Ns"),
+    (["concentration", "--p", "v1", "--s", "1", "--Ns", ","], "--Ns"),
+    (["concentration", "--p", "v1", "--s", "1", "--Ns", "4.5,8,16"], "--Ns"),
 ])
 def test_concentration_bad_inputs_exit_1(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(matrixlab, "_sample_batch", None)  # refused before any sampling

@@ -529,13 +529,18 @@ def test_sampler_stream_layout():
     assert matrixlab.RNG_NAME == "philox4x64-2"
     N, index = 2, 5
     herm = lambda z: z - z.T + 1j * (z + z.T)
-    # (sampler, cfg, a, b): step weights s for rho, (s - t/2, t/2) for mu
+    # (sampler, cfg, a, b): step weights (s - t/2, t/2), so (s, 0) for rho
     cases = ((sample_rho, SamplerCfg(N=N, s=0.7, steps=1, seed=4), 0.7, 0.0),
-             (sample_mu, SamplerCfg(N=N, s=1.3, t=0.8, steps=1, seed=4), 1.3 - 0.4, 0.4))
+             (sample_mu, SamplerCfg(N=N, s=1.3, t=0.8, steps=1, seed=4), 1.3 - 0.4, 0.4),
+             # t/2 underflows to 0, yet mu still draws two blocks per step: at
+             # two steps, the second step's first block is z[1, 0], not z[0, 1]
+             (sample_mu, SamplerCfg(N=N, s=1.3, t=5e-324, steps=2, seed=4), 1.3, 0.0))
     for sample, cfg, a, b in cases:
-        z = matrixlab._stream(cfg.seed, index).standard_normal((2, N, N))
-        wa, wb = math.sqrt(a / (4 * N)), math.sqrt(b / (4 * N))
-        want = expm(wa * herm(z[0]) + 1j * wb * herm(z[1]))
+        z = matrixlab._stream(cfg.seed, index).standard_normal((cfg.steps, 2, N, N))
+        wa, wb = (math.sqrt(w / cfg.steps / (4 * N)) for w in (a, b))
+        want = np.eye(N)
+        for zk in z:  # indexed by (step, noise)
+            want = want @ expm(wa * herm(zk[0]) + 1j * wb * herm(zk[1]))
         assert np.max(np.abs(sample(cfg, index) - want)) < 1e-14
 
 

@@ -303,6 +303,24 @@ def test_monomial_basis_degree_2():
     assert all(len(b) == 2 for b in basis)
 
 
+def test_monomial_basis_matches_a_search_by_multiplication():
+    # an independent enumeration: from the monomial 1, multiply by u, u^-1
+    # and each v_j (0 < |j| <= n) while the trace degree stays <= n; a state
+    # is (k0, sorted tuple of v-indices with repeats)
+    for n in range(10):
+        steps = [(1, ()), (-1, ())] + [(0, (j,)) for j in range(-n, n + 1) if j]
+        found, todo = {(0, ())}, [(0, ())]
+        while todo:
+            k0, js = todo.pop()
+            for dk, dj in steps:
+                nxt = (k0 + dk, tuple(sorted(js + dj)))
+                if abs(nxt[0]) + sum(map(abs, nxt[1])) <= n and nxt not in found:
+                    found.add(nxt)
+                    todo.append(nxt)
+        want = sorted((k0, tuple(sorted({j: js.count(j) for j in js}.items()))) for k0, js in found)
+        assert monomial_basis(n) == want, n
+
+
 def test_monomial_basis_size_at_the_degree_limit():
     # the largest basis is bounded by MAX_DEGREE alone
     assert len(monomial_basis(operators.MAX_DEGREE)) == 12_892

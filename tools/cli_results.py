@@ -13,13 +13,14 @@ second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
 concentration, the generating-function check at s != t and two failing
 ones, the PDE check at order 16 for s = 0.3 (its largest residual) and
-s = 1.9, a refused sampler time, a refused mu time, and Monte Carlo of
-an observable with inverse and repeated factors and of the concentration
-of a p with u-powers, an ``mc`` observable, a ``norm`` input and a Monte
-Carlo ``concentration`` input of trace degree far above the limit, a
-semigroup input of size 1e-20 and a transform input with a 1e-13 term,
-and the explicit u(N) basis at its limit N = 36) and
-writes one JSON object that maps each command line to its exit code and
+s = 1.9, a refused sampler time, a refused mu time, mu at 7 steps (whose
+step weights show how they are rounded), a refused ``--Ns`` text, and
+Monte Carlo of an observable with inverse and repeated factors and of the
+concentration of a p with u-powers, an ``mc`` observable, a ``norm``
+input and a Monte Carlo ``concentration`` input of trace degree far above
+the limit, a semigroup input of size 1e-20 and a transform input with a
+1e-13 term, and the explicit u(N) basis at its limit N = 36) and writes
+one JSON object that maps each command line to its exit code and
 its ``results``.  ``freesb`` is imported from SRC_DIR, which defaults to
 ``src`` beside this script's parent, so one copy of the script can run
 any checkout.
@@ -101,6 +102,10 @@ COMMANDS = [
     "pde-check --s 0.3 --K 16",
     "pde-check --s 1.9 --K 16",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
+    # mu at 7 steps, where both step weights w / steps round otherwise than
+    # (1 / steps) * w, and a --Ns that is not comma-separated integers (exit 1)
+    "mc --f v1 --N 4 --s 1.5 --t 0.8 --steps 7 --samples 64 --seed 1 --threads 1",
+    "concentration --p v1 --s 1 --Ns 4,8,x",
     # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
     "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
     "norm --p u --measure mu --s 1.5 --t -8e-1 --N 3",
