@@ -85,6 +85,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops the "--" of --OPT=-- and hands a single-value option []
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(value, list):
+            raise argparse.ArgumentError(action, "expected one argument")
+        return value
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -14,14 +14,15 @@ independent Gaussians on u(N) determined by the basis (rho is t = 0: G1
 alone); the scheme is weak order 1 and the Ito drift comes from the
 exponential because sum_X X^2 = -I.  A chunk of samples takes each
 step together (``_sample_batch``); RNG_NAME names its draw layout.
-Every sample index gets its own counter-based RNG stream derived from
-(seed, index), so results do not depend on thread count or scheduling.
+Every sample index gets its own SFC64 stream seeded from blake2b(seed:index),
+so results do not depend on thread count or scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .tracepoly import TracePoly
 from .words import Measure, WordPoly, _eps_word, _require_u_free, iota, l2_norm_sq
 from .moments import pi_eval
 
-RNG_NAME = "philox4x64-2"  # -2: one N x N normal block per noise per step
+RNG_NAME = "sfc64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
 MAX_SAMPLER_STEPS = 10_000  # Euler bias of E tr Z at N = 8, about 0.024 / steps: 2.4e-6 here
 MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check: 9-10 s, 67 MB RSS at 36
@@ -274,7 +275,7 @@ class SamplerCfg(Measure):
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     key = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
+    return np.random.Generator(np.random.SFC64(int.from_bytes(key, "little")))
 
 
 def _sample_batch(cfg: SamplerCfg, indices: list[int]) -> np.ndarray:
@@ -361,9 +362,10 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
     """Mean and standard error of fn(Z_0), ..., fn(Z_{nsamples-1}) over
     sampled endpoints.
 
-    Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a thread
-    pool when ``threads`` > 1; neither changes any value.  ValueError:
-    fewer than two samples (no standard error) or ``threads`` below 1.
+    Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a pool of
+    min(``threads``, chunks, cores) threads when that is above 1; neither
+    changes any value.  ValueError: fewer than two samples (no standard
+    error) or ``threads`` below 1.
     """
     if nsamples < 2:
         raise ValueError("nsamples must be >= 2")
@@ -375,8 +377,9 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
     def run(chunk: list[int]) -> list:
         return [fn(Z) for Z in _sample_batch(cfg, chunk)]
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or 1, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, chunks))
     else:
         results = [run(chunk) for chunk in chunks]

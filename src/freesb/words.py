@@ -301,7 +301,8 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     N; under rho, t/2 = 0 drops the beta_- parts from the sum.  A part's
     column is the Leibniz form (``_leibniz``) over Dt(v_a) and Lt(v_a v_b),
     one ``apply_tilde`` call per family at (s, t) = (1, 0) and (1, 2), made
-    only for a column that neither cache of ``exp_series`` holds.
+    only for a column that neither cache of ``exp_series`` holds; words with
+    no starred letter take beta_-'s image as beta_+'s negated, with no call.
     """
     rho = Measure(N, s, t).kind == "rho"
     check_degree(p.trace_degree())
@@ -314,9 +315,13 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
         if words not in images:
             gen, k = ("Dst", 0) if len(words) == 1 else ("Lst", 1)
             unit = WordPoly({wmono((a, 1) for a in words): 1.0})
-            # (s, t) of the beta_+ family alone and of the beta_- family alone
-            images[words] = [(q, 2 * f + k, c) for f, st in enumerate(((1.0, 0.0), (1.0, 2.0)))
-                             for q, c in apply_tilde(gen, unit, *st).terms.items()]
+            # (s, t) of the beta_+ family alone and of the beta_- family alone;
+            # on words with no starred letter, beta_-'s image is beta_+'s
+            # negated (0.0 - c has apply_tilde's signed zeros, -c not)
+            plus = list(apply_tilde(gen, unit, 1.0, 0.0).terms.items())
+            minus = (apply_tilde(gen, unit, 1.0, 2.0).terms.items()
+                     if any(c in w for w in words for c in "sS") else [(q, 0.0 - c) for q, c in plus])
+            images[words] = [(q, k, c) for q, c in plus] + [(q, 2 + k, c) for q, c in minus]
         return images[words]
 
     a, b = s - t / 2.0, t / 2.0

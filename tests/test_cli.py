@@ -296,6 +296,24 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, opt", [
+    (["concentration", "--p", "v1", "--s", "1", "--Ns=--"], "--Ns"),
+    (["norm", "--p=--", "--measure", "rho", "--s", "1", "--N", "2"], "--p"),
+    (["mc", "--f=--", "--N", "2", "--s", "1", "--samples", "4", "--steps", "2"], "--f"),
+    (["transform", "--s", "1", "--t", "1", "--f=--"], "--f"),
+    (["heat-apply", "--gen", "D", "--t=--", "--f", "u"], "--t"),
+    (["mc", "--f", "v1", "--N", "2", "--s", "1", "--samples", "4", "--steps", "2",
+      "--threads=--"], "--threads"),
+])
+def test_option_written_with_a_double_dash_is_refused(capsys, monkeypatch, argv, opt):
+    # argparse drops the "--" of --OPT=--, and the option would reach its command as []
+    monkeypatch.setattr(matrixlab, "_sample_batch", None)  # refused before any sampling
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {opt}: expected one argument")
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # the reader closes the pipe before the report is written
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -3,13 +3,16 @@ the finite-N Laplacian, the two diffusion samplers, and the Monte
 Carlo estimator with its determinism contract.
 """
 
+import contextlib
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 import freesb.matrixlab as matrixlab
 import freesb.operators as operators
@@ -526,7 +529,7 @@ def test_sampler_stream_layout():
     # the draw layout that RNG_NAME names: each step draws one N x N block z
     # per noise from the sample's stream, and the step generator is
     # wa (z - z^T + i(z + z^T)) + i wb (z2 - z2^T + i(z2 + z2^T))
-    assert matrixlab.RNG_NAME == "philox4x64-2"
+    assert matrixlab.RNG_NAME == "sfc64-2"
     N, index = 2, 5
     herm = lambda z: z - z.T + 1j * (z + z.T)
     # (sampler, cfg, a, b): step weights (s - t/2, t/2), so (s, 0) for rho
@@ -542,6 +545,20 @@ def test_sampler_stream_layout():
         for zk in z:  # indexed by (step, noise)
             want = want @ expm(wa * herm(zk[0]) + 1j * wb * herm(zk[1]))
         assert np.max(np.abs(sample(cfg, index) - want)) < 1e-14
+
+
+def test_streams_are_what_rng_name_names():
+    # SFC64 seeded from blake2b(seed:index): if numpy changes SFC64's seeding
+    # or standard_normal, these bytes move, and RNG_NAME must change with them
+    want = "2a7df4db008bcabf70cec1572936d2bf349793aa9b6afdbf8570fed42383dc3f"
+    assert matrixlab._stream(4, 5).standard_normal(4).tobytes().hex() == want
+    # the first 4,096 normals of 128 streams, at seed 0 and at a negative
+    # seed: each N(0, 1), and neighbouring streams uncorrelated
+    for seed in (0, -1):
+        z = np.array([matrixlab._stream(seed, i).standard_normal(4096) for i in range(128)])
+        assert min(scipy.stats.kstest(row, "norm").pvalue for row in z) > 1e-3
+        z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, keepdims=True)
+        assert np.abs((z[:-1] * z[1:]).mean(axis=1)).max() < 5 / math.sqrt(4096)
 
 
 class _FreshDraws:
@@ -594,6 +611,21 @@ def test_mc_thread_invariance():
     m4, e4 = mc_expectation(v(1), cfg, 300, threads=4)
     assert m1 == m4
     assert e1 == e4
+
+
+def test_mc_thread_pool_is_capped(monkeypatch):
+    # at most one thread per chunk and per core, whatever threads asks; the
+    # stand-in pool records its size and maps on the calling thread
+    sizes = []
+    monkeypatch.setattr(matrixlab, "ThreadPoolExecutor", lambda max_workers: sizes.append(
+        max_workers) or contextlib.nullcontext(types.SimpleNamespace(map=map)))
+    cfg = SamplerCfg(N=2, s=1.0, steps=2, seed=1)
+    for cores, chunks, want in ((3, 5, [3]), (3, 2, [2]), (3, 1, []), (None, 5, [])):
+        monkeypatch.setattr(matrixlab.os, "cpu_count", lambda: cores)
+        del sizes[:]
+        n = chunks * matrixlab._CHUNK
+        assert mc_expectation(v(1), cfg, n, threads=10**6) == mc_expectation(v(1), cfg, n, threads=1)
+        assert sizes == want
 
 
 def test_mc_rejects_matrix_valued_observable():

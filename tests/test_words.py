@@ -221,10 +221,13 @@ def test_apply_tilde_knows_two_generators():
 
 
 _RETAINED = """
-import gc, json, tracemalloc
+import collections, gc, itertools, json, tracemalloc
 import freesb.operators as operators, freesb.words as words
 from freesb.tracepoly import parse
-retained = []
+# derive_generators calls by (Q or R, t), all four keys made before tracing
+retained, calls = [], collections.Counter(dict.fromkeys(itertools.product((True, False), (0, 2)), 0))
+derive = words.derive_generators
+words.derive_generators = lambda *a: calls.update([(a[1] is None, a[3])]) or derive(*a)
 tracemalloc.start()
 base = tracemalloc.get_traced_memory()[0]
 for src in ("v4", "v-4"):
@@ -233,24 +236,30 @@ for src in ("v4", "v-4"):
     operators._images.clear()
     gc.collect()
     retained.append(tracemalloc.get_traced_memory()[0] - base)
-print(json.dumps([retained, [words._q_family.cache_info(), words._r_family.cache_info()]]))
+infos = [words._q_family.cache_info(), words._r_family.cache_info()]
+print(json.dumps([retained, infos, list(calls.values())]))
 """
 
 
 def test_family_caches_are_bounded():
-    # expectation reads each family entry back at the other family's (s, t)
-    # and then never again, so a second input must not retain more than the
-    # first; v-4 mirrors v4 letter for letter, so their entries weigh the same.
+    # expectation reads a family entry of a word with a starred letter back at
+    # the other family's (s, t), one of a word with none (whose beta_- image
+    # is beta_+'s negated) not at all, and then never again, so a second input
+    # must not retain more than the first; v-4 mirrors v4 letter for letter,
+    # so their entries weigh the same.
     # A fresh interpreter measures it: in this one, objects that v4 shares
     # with earlier tests' calls predate tracemalloc and would go uncounted
     env = {**os.environ, "PYTHONPATH": str(Path(words.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _RETAINED], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    retained, infos = json.loads(proc.stdout)
+    retained, infos, calls = json.loads(proc.stdout)
     assert retained[1] <= 1.1 * retained[0]
-    for hits, misses, maxsize, currsize in infos:
+    # each derive_generators call reads its family (Q, then R) at both signs:
+    # misses at beta_+'s (s, t) = (1, 0), hits at beta_-'s (1, 2), which only
+    # words with a starred letter reach
+    for (hits, misses, maxsize, currsize), (plus, minus) in zip(infos, (calls[:2], calls[2:])):
         assert maxsize == currsize == words.FAMILY_CACHE_SIZE
-        assert hits == misses
+        assert (hits, misses) == (2 * minus, 2 * plus) and 0 < minus < plus
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -562,11 +571,13 @@ def test_expectation_call_paths(monkeypatch):
     columns, calls = _spy_exp_series(monkeypatch)
     expectation(Z4, 1.0, 0.0, 8)
     assert set(gens) == {"Dst", "Lst"}
-    # once per distinct word (Q) or unordered pair of words (R) and family
-    # ((s, t) = (1, 0) or (1, 2)) in one call: rho compiles beta_- too
+    # once per distinct word (Q) or unordered pair of words (R) in one call,
+    # at beta_+'s (s, t) = (1, 0) alone: rho compiles beta_- too, but its
+    # unitary words have no starred letter, so beta_-'s images are beta_+'s negated
     keys = [((eps,) if delta is None else tuple(sorted((eps, delta))), s, t)
             for eps, delta, s, t in derived]
-    assert len(keys) == len(set(keys)) == 64
+    assert len(keys) == len(set(keys)) == 32
+    assert {(s, t) for *_, s, t in derived} == {(1.0, 0.0)}
     # under rho, Z^* = Z^-1: |tr Z^4|^2 is computed as tr(Z^4) tr(Z^-4)
     (column, terms), = columns
     assert [name for name, _ in terms] == ["Dst+", "Lst+", "Dst-", "Lst-"]
@@ -577,6 +588,37 @@ def test_expectation_call_paths(monkeypatch):
     del gens[:], derived[:], calls[:]
     expectation(Z4, 1.3, 0.0, 5)
     assert gens == derived == calls == []
+
+
+def _two_call_image(*words_):
+    # beta_+'s and beta_-'s images of v_a or v_a v_b, one apply_tilde call each
+    gen, k = ("Dst", 0) if len(words_) == 1 else ("Lst", 1)
+    unit = WordPoly({wmono((a, 1) for a in words_): 1.0})
+    return [(q, 2 * f + k, c) for f, st in enumerate(((1.0, 0.0), (1.0, 2.0)))
+            for q, c in apply_tilde(gen, unit, *st).terms.items()]
+
+
+def _bits(triples) -> list:
+    return [(q, k, np.complex128(c).tobytes()) for q, k, c in triples]
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 0.0), (1.5, 0.8)])
+def test_negated_beta_minus_images_are_bitwise_two_calls(monkeypatch, s, t):
+    # expectation takes beta_-'s image of words with no starred letter as
+    # beta_+'s negated: its column is bitwise the one of two apply_tilde calls
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        p = WordPoly({wmono(("".join(rng.choice(list("aA"), size=rng.integers(1, 4))), 1)
+                            for _ in range(2)): 1.0})
+        columns, _ = _spy_exp_series(monkeypatch)
+        expectation(p, s, t, 4)
+        [(column, terms)] = columns
+        for m in operators._compile(column, p.terms, len(terms))[0]:
+            assert _bits(column(m)) == _bits(words._leibniz(m, _two_call_image, _two_call_image)), m
+    # a starred letter breaks the rule, so those words keep their second call
+    for w in ("as", "aS", "sa", "aaS"):
+        image = _two_call_image(w)
+        assert [(q, c) for q, k, c in image if k == 0] != [(q, -c) for q, k, c in image if k == 2]
 
 
 # ---------------------------------------------------------------- rho on unitary words
