@@ -21,10 +21,13 @@ MAX_DEGREE (B(p, p) doubles it), a negative intertwine-check seed, a
 semigroup or sampler path that overflows, a norm that comes out non-real, a
 non-finite time or any other NaN or infinity in the report, which JSON
 cannot hold, a --csv file that cannot be written, a stdout closed before
-the report is written; the last prints nothing).
+the report is written; the last prints nothing), each other one on one
+stderr line "freesb: error: ...", argparse's naming their subcommand.
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
-N,value,stderr.
+N,value,stderr, and --threads, a cap on the sampling threads (one below N =
+matrixlab._POOL_MIN_N).  pde-check takes any real s, and its residual is
+relative to each gap's scale (transform.pde_residual).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, _check_basis_N, concent
 
 INTERTWINE_TOL = 1e-8
 GEN_FN_TOL = 1e-8
-PDE_TOL = 1e-8
+PDE_TOL = 32 * 2.0 ** -53  # 32 unit roundoffs of each gap's scale (transform.pde_residual)
 
 
 def _cpair(z) -> list:
@@ -79,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
     reads a word after a dash as a negative number only in the forms
     -<digits> and -<digits>.<digits>, and as an option name otherwise, so
     that --t -1e-3 and --s -inf fail; here a dash followed by a digit, a
-    point and a digit, inf or nan starts a value."""
+    point and a digit, inf or nan starts a value.  A refusal prints no
+    usage block: one line, ``freesb: error: <command>: <message>``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -92,9 +96,15 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, "expected one argument")
         return value
 
+    def parse_known_args(self, *args):
+        namespace, extra = super().parse_known_args(*args)
+        if extra and " " in self.prog:  # a subcommand's extra words: refused under its name
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        command = self.prog.split(" ", 1)[1:]  # [] for the top-level parser
+        self.exit(1, f"freesb: error: {': '.join(command + [message])}\n")
 
 
 @functools.cache  # parsing keeps no state between calls: build once per process
@@ -113,7 +123,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--steps", type=int, default=200)
         p.add_argument("--samples", type=int, default=samples)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count())
+        p.add_argument("--threads", type=int, help="cap on the sampling threads (default: cores)")
         p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
 
     p = add(_cmd_heat_apply, "apply the heat semigroup e^{(t/2) gen} to a polynomial")

@@ -38,6 +38,10 @@ MAX_SAMPLER_N = 128
 MAX_SAMPLER_STEPS = 10_000  # Euler bias of E tr Z at N = 8, about 0.024 / steps: 2.4e-6 here
 MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check: 9-10 s, 67 MB RSS at 36
 _CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
+# the least N that takes a thread pool: on 2 cores, 2 threads took 2.1x (N = 2),
+# 1.4x (6), 0.87x (8) and 0.62x (16) the time of one; small numpy calls hold
+# the GIL (mc --f v1 --s 1, 1,024 samples, 50 steps, min of 5 alternating runs)
+_POOL_MIN_N = 8
 _DRAW_BYTES = 2 << 20  # noise one chunk draws at once (whole steps, at least one)
 _BASIS_BYTES = 1 << 17  # one batch of basis elements, and each jet order laplacian_eval builds on it;
 # at N = 36, 2 MiB batches took 13% longer and 40 MB more peak RSS
@@ -362,10 +366,10 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
     """Mean and standard error of fn(Z_0), ..., fn(Z_{nsamples-1}) over
     sampled endpoints.
 
-    Samples are drawn in fixed chunks of ``_CHUNK`` indices, on a pool of
-    min(``threads``, chunks, cores) threads when that is above 1; neither
-    changes any value.  ValueError: fewer than two samples (no standard
-    error) or ``threads`` below 1.
+    Samples are drawn in fixed chunks of ``_CHUNK`` indices, from N =
+    ``_POOL_MIN_N`` on by a pool of min(``threads`` or cores, chunks, cores)
+    threads when that is above 1; neither changes any value.  ValueError:
+    fewer than two samples (no standard error) or ``threads`` below 1.
     """
     if nsamples < 2:
         raise ValueError("nsamples must be >= 2")
@@ -377,7 +381,8 @@ def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
     def run(chunk: list[int]) -> list:
         return [fn(Z) for Z in _sample_batch(cfg, chunk)]
 
-    workers = min(threads or 1, len(chunks), os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, len(chunks), cores) if cfg.N >= _POOL_MIN_N else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, chunks))
@@ -396,9 +401,9 @@ def mc_expectation(f, cfg: SamplerCfg, nsamples: int,
     ``f`` is a WordPoly or a u-free TracePoly q, evaluated as iota(q);
     samples come from rho_s^N when cfg.t == 0 and from mu_{s,t}^N otherwise.
     Sample i always uses the stream derived from (seed, i): the result is
-    independent of ``threads`` and of chunk scheduling.  Before any sample:
-    TypeError for any other ``f``, then ValueError for a trace degree above
-    2 * MAX_DEGREE (``check_degree``) or a power of u.
+    independent of ``threads``, a cap on the pool, and of chunk scheduling.
+    Before any sample: TypeError for any other ``f``, then ValueError for a
+    trace degree above 2 * MAX_DEGREE (``check_degree``) or a power of u.
     """
     if not isinstance(f, (TracePoly, WordPoly)):
         raise TypeError(f"mc_expectation needs a TracePoly or WordPoly, got {type(f).__name__}")
@@ -449,27 +454,8 @@ def concentration_experiment(p: TracePoly, s: float, t: float, Ns: list[int],
 
 
 # ----------------------------------------------------------------------
-# equivariance and the zero test
+# the zero test
 # ----------------------------------------------------------------------
-
-
-def _random_unitary(rng: np.random.Generator, N: int) -> np.ndarray:
-    A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    Q, R = np.linalg.qr(A)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def equivariance_check(p: TracePoly, N: int, seed: int = 0, trials: int = 5) -> float:
-    """max ||P_N(V U V^-1) - V P_N(U) V^-1|| over random unitary U, V."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        U = _random_unitary(rng, N)
-        V = _random_unitary(rng, N)
-        lhs = evaluate(p, V @ U @ V.conj().T)
-        rhs = V @ evaluate(p, U) @ V.conj().T
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
 
 
 def zero_test(p: TracePoly, N: int) -> float:

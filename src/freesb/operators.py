@@ -124,18 +124,6 @@ _COLUMNS: dict[str, Callable[[Mono], list[tuple[Mono, float]]]] = {
 }
 
 
-def _column(name: str):
-    try:
-        return _COLUMNS[name]
-    except KeyError:
-        raise ValueError(f"unknown operator name {name!r}") from None
-
-
-def apply_named(name: str, p: TracePoly) -> TracePoly:
-    """Apply the operator ``name`` of ``_COLUMNS``."""
-    return linear(_column(name), p)
-
-
 def apply_D(p: TracePoly) -> TracePoly:
     """D = -N0 - N1 - 2Z - 2Y (first order; preserves trace degree)."""
     return GeneratorSpec.D().apply(p)
@@ -162,9 +150,15 @@ class GeneratorSpec:
     weight) ``terms``: D = -N - 2Z - 2Y, D_N = D - L/N^2 and PI_GEN = N0 + 2Z,
     whose semigroup realizes pi_s.  ``parts``, their column, lists the images
     term by term, so the terms' order fixes the basis order of a closure.
+    A name outside ``_COLUMNS`` is refused at construction (ValueError).
     """
 
     terms: tuple[tuple[str, complex], ...]
+
+    def __post_init__(self):
+        for name, _ in self.terms:
+            if name not in _COLUMNS:
+                raise ValueError(f"unknown operator name {name!r}")
 
     @classmethod
     def D(cls) -> "GeneratorSpec":
@@ -183,7 +177,7 @@ class GeneratorSpec:
         """The images of m under the terms' operators, unweighted: (monomial,
         term index, weight) triples, the column form of :func:`exp_series`."""
         return [(mi, k, c) for k, (name, _) in enumerate(self.terms)
-                for mi, c in _column(name)(m)]
+                for mi, c in _COLUMNS[name](m)]
 
     def apply(self, p: TracePoly) -> TracePoly:
         return linear(lambda m: [(mi, self.terms[k][1] * c) for mi, k, c in self.parts(m)], p)

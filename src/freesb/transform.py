@@ -126,18 +126,28 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
 
 
 def _pde_gap(x: list, y: list, sign: int, at) -> float:
-    # max over k of |x_k' - sign sum_{m+j=k} y_m j x_j| at `at`, in complex
-    # floats, where x[k - 1], y[k - 1] are the TPolys of x_k, y_k; Fraction
-    # coefficients at a Fraction `at` evaluate exactly before they round
-    xv, yv, dx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
-                  for ps in (x, y, [p.deriv() for p in x]))
-    return max(float(np.abs(dx[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1])
-                                                  for m in range(i))).max())
-               for i in range(len(x)))
+    # max over k of |x_k' - sign sum_{m+j=k} y_m j x_j| / scale at `at`, in
+    # complex floats, where x[k - 1], y[k - 1] are the TPolys of x_k, y_k and
+    # the scale sums |x_k'| and |y_m| j |x_j|, each TPoly evaluated with its
+    # coefficients' absolute values (Horner's rounding where they cancel).
+    # Fraction coefficients at a Fraction `at` evaluate exactly
+    def mag(p):
+        return TPoly(tuple(abs(c) for c in p.coeffs), p.prefactor_exp)
+
+    dx = [p.deriv() for p in x]
+    xv, yv, dxv, ax, ay, adx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
+                                for ps in (x, y, dx, map(mag, x), map(mag, y), map(mag, dx)))
+    worst = 0.0
+    for i in range(len(x)):
+        gap = dxv[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1]) for m in range(i))
+        scale = np.abs(adx[i] + sum(ay[m] * ((i - m) * ax[i - m - 1]) for m in range(i)))
+        worst = max(worst, float((np.abs(gap) / np.where(scale > 0, scale, 1.0)).max()))
+    return worst
 
 
 def pde_residual(s: float, K: int = 8) -> float:
-    """Max coefficientwise residual of the quasilinear PDE system.
+    """Max coefficientwise residual of the quasilinear PDE system, each gap
+    over the sum of its terms' magnitudes: a few unit roundoffs when correct.
 
     Checks, to order K, the coefficients of
       - d(psi)/dt   = z psi d(psi)/dz,         c_k' = sum_{m+j=k} c_m j c_j,
@@ -149,7 +159,9 @@ def pde_residual(s: float, K: int = 8) -> float:
     one array expression; varrho_k is evaluated exactly at a Fraction.
     Also checks the initial condition
     psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its implicit level-curve
-    form, exactly over the rationals.  The initial conditions of varrho
+    form, exactly over the rationals (its right side's coefficients are 1).
+    Any real s is in the domain: psi^s and phi^{s,u} are entire in s.  The
+    initial conditions of varrho
     and phi are not checked: varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold
     by construction, as the recursions start there.
     """

@@ -1,7 +1,9 @@
 """Test fixtures shared across modules."""
 
+import numpy as np
 import pytest
 
+from freesb.matrixlab import evaluate
 from freesb.tracepoly import TracePoly
 
 
@@ -25,3 +27,25 @@ def s_eq_t_series():
                 for k in range(K + 1)]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def equivariance_check():
+    """``check(p, N, seed)``: max entrywise |P_N(V U V^-1) - V P_N(U) V^-1|
+    over ``trials`` pairs of Haar-random unitaries U, V (QR of a complex
+    Gaussian, phases fixed by R's diagonal) drawn with ``seed``."""
+    def unitary(rng, N):
+        Q, R = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+        return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+    def check(p, N, seed=0, trials=5):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(trials):
+            U, V = unitary(rng, N), unitary(rng, N)
+            lhs = evaluate(p, V @ U @ V.conj().T)
+            rhs = V @ evaluate(p, U) @ V.conj().T
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        return worst
+
+    return check

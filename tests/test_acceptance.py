@@ -11,14 +11,12 @@ import time
 import numpy as np
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.operators import (GeneratorSpec, apply_D, apply_DN, apply_named,
-                              exp_apply)
+from freesb.operators import GeneratorSpec, apply_D, apply_DN, exp_apply
 from freesb.moments import c_poly, nu, pi_eval, pi_via_semigroup, varrho
 from freesb.transform import G, H, Pi_series, verify_gen_fn
 from freesb.words import Measure, expectation, iota, iota_star, l2_norm_sq
-from freesb.matrixlab import (SamplerCfg, equivariance_check, evaluate,
-                              laplacian_eval, mc_expectation, verify_magic,
-                              zero_test)
+from freesb.matrixlab import (SamplerCfg, evaluate, laplacian_eval, mc_expectation,
+                              verify_magic, zero_test)
 
 u = TracePoly.u
 v = TracePoly.v
@@ -91,6 +89,7 @@ def test_ac3_heat_on_u_squared(capsys):
 def test_ac4_product_rule_and_tracing_commutator(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(44)
+    L = GeneratorSpec((("L", 1.0),))
     worst = 0.0
     for _ in range(50):
         P = _rand_poly(rng, deg=4)
@@ -98,7 +97,7 @@ def test_ac4_product_rule_and_tracing_commutator(capsys):
         Q = TracePoly({(0, ve): c for (k0, ve), c in Q.terms.items()})  # u-free
         r1 = apply_D(P * Q) - (apply_D(P) * Q + P * apply_D(Q))
         r2 = apply_D(P).tracing_map() - apply_D(P.tracing_map())
-        r3 = apply_named("L", P).tracing_map() - apply_named("L", P.tracing_map())
+        r3 = L.apply(P).tracing_map() - L.apply(P.tracing_map())
         for r in (r1, r2, r3):
             worst = max(worst, r.coeff_max())
     dt = time.perf_counter() - t0
@@ -224,7 +223,7 @@ def test_ac10_monte_carlo_cross_validation(capsys):
           f"mu gap {gap_z:.2e} vs {3 * se_z + 0.002:.2e}, {dt:.1f}s")
 
 
-def test_ac11_degeneracy_pair(capsys):
+def test_ac11_degeneracy_pair(capsys, equivariance_check):
     t0 = time.perf_counter()
     p = parse("u^2 - 2 u v1 + 2 v1^2 - v2")  # vanishes on U_2, not on U_3
     z2 = zero_test(p, 2)

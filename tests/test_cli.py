@@ -135,7 +135,8 @@ def test_env_seed_override(capsys, monkeypatch):
 
 
 def test_threads_do_not_change_results(capsys):
-    base = ("mc", "--f", "v1", "--N", "3", "--s", "1.0", "--steps", "10",
+    # N = 8 takes a pool (matrixlab._POOL_MIN_N)
+    base = ("mc", "--f", "v1", "--N", "8", "--s", "1.0", "--steps", "10",
             "--samples", "200", "--seed", "3")
     _, r1 = run(capsys, *base, "--threads", "1")
     _, r4 = run(capsys, *base, "--threads", "4")
@@ -179,6 +180,21 @@ def test_verification_failure_exits_2(capsys, monkeypatch, argv, patch, want):
     code, rep = run(capsys, *argv)
     assert code == want
     assert rep["results"]["pass"] is (want == 0)
+
+
+_SWEEP = ([("pde-check", "--s", s, "--K", K) for K in ("1", "4", "8", "12", "16")
+           for s in ("0", "0.01", "0.3", "1", "5", "10", "-0.1", "-0.5", "-1")]
+          + [("verify-magic", "--N", N) for N in ("1", "2", "8", "36")]
+          + [("intertwine-check", "--N", N, "--degree", str(d), "--trials", "2")
+             for N in ("1", "2", "8") for d in range(2, 13)])
+
+
+def test_verification_commands_pass_on_their_domain(capsys):
+    # exit 2 states a defect: correct code passes every check of the grid,
+    # including pde-check at K = 16 and s <= 0.01, whose absolute gaps
+    # reached 6e-8 to 0.25 among terms of up to 1.3e15
+    failed = [argv for argv in _SWEEP if run(capsys, *argv)[0] != 0]
+    assert failed == []
 
 
 @pytest.mark.parametrize("argv", [["verify-magic"], ["intertwine-check", "--trials", "1"]],
@@ -311,7 +327,24 @@ def test_option_written_with_a_double_dash_is_refused(capsys, monkeypatch, argv,
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.splitlines()[-1].endswith(f"error: argument {opt}: expected one argument")
+    assert captured.err == f"freesb: error: {argv[0]}: argument {opt}: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["norm", "--p", "v1", "--measure", "rho", "--s", "1"],
+     "norm: the following arguments are required: --N"),
+    (["heat-apply", "--gen", "Q", "--t", "1", "--f", "u"],
+     "heat-apply: argument --gen: invalid choice: 'Q' (choose from 'D', 'DN')"),
+    (["moments", "--k", "1", "--s", "1", "--bogus", "3"], "moments: unrecognized arguments: --bogus 3"),
+    (["moments", "--k", "x", "--s", "1"], "moments: argument --k: invalid int value: 'x'"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'heat-apply', "),
+    ([], "the following arguments are required: command"),
+], ids=["missing", "choice", "unknown", "type", "command", "empty"])
+def test_argparse_refusal_is_one_line(capsys, argv, line):
+    # no usage block: one line, like every other exit 1, naming the
+    # subcommand (--OPT=-- is test_option_written_with_a_double_dash_is_refused)
+    assert cli.main(argv) == 1
+    assert _one_line_error(capsys).startswith(f"freesb: error: {line}")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -20,10 +20,9 @@ from freesb.tracepoly import TracePoly, parse
 from freesb.operators import GeneratorSpec, apply_DN, exp_apply
 from freesb.words import Measure, WordPoly, expectation, iota, l2_norm_sq
 from freesb.matrixlab import (SamplerCfg, _sample_batch, basis_uN,
-                              concentration_experiment, equivariance_check,
-                              evaluate, evaluate_word, expm, laplacian_eval,
-                              mc_expectation, sample_mu, sample_rho,
-                              verify_magic, zero_test)
+                              concentration_experiment, evaluate, evaluate_word,
+                              expm, laplacian_eval, mc_expectation, sample_mu,
+                              sample_rho, verify_magic, zero_test)
 
 u = TracePoly.u
 v = TracePoly.v
@@ -606,7 +605,8 @@ def test_sampler_draws_blocks_of_steps(monkeypatch):
 
 
 def test_mc_thread_invariance():
-    cfg = SamplerCfg(N=3, s=1.0, steps=20, seed=13)
+    # at the least N that takes a pool, so threads=4 runs one
+    cfg = SamplerCfg(N=matrixlab._POOL_MIN_N, s=1.0, steps=20, seed=13)
     m1, e1 = mc_expectation(v(1), cfg, 300, threads=1)
     m4, e4 = mc_expectation(v(1), cfg, 300, threads=4)
     assert m1 == m4
@@ -614,18 +614,32 @@ def test_mc_thread_invariance():
 
 
 def test_mc_thread_pool_is_capped(monkeypatch):
-    # at most one thread per chunk and per core, whatever threads asks; the
-    # stand-in pool records its size and maps on the calling thread
+    # from N = _POOL_MIN_N on, at most one thread per chunk and per core,
+    # whatever threads asks (None asks for no cap); below it no pool at all.
+    # The stand-in pool records its size and maps on the calling thread
     sizes = []
     monkeypatch.setattr(matrixlab, "ThreadPoolExecutor", lambda max_workers: sizes.append(
         max_workers) or contextlib.nullcontext(types.SimpleNamespace(map=map)))
-    cfg = SamplerCfg(N=2, s=1.0, steps=2, seed=1)
-    for cores, chunks, want in ((3, 5, [3]), (3, 2, [2]), (3, 1, []), (None, 5, [])):
+    big = matrixlab._POOL_MIN_N
+    for N, threads, cores, chunks, want in ((big, 10**6, 3, 5, [3]), (big, 10**6, 3, 2, [2]),
+                                            (big, None, 3, 5, [3]), (big, 2, 3, 5, [2]),
+                                            (big, 10**6, 3, 1, []), (big, 10**6, None, 5, []),
+                                            (big - 1, 10**6, 3, 5, []), (2, None, 3, 5, [])):
+        cfg = SamplerCfg(N=N, s=1.0, steps=2, seed=1)
         monkeypatch.setattr(matrixlab.os, "cpu_count", lambda: cores)
         del sizes[:]
         n = chunks * matrixlab._CHUNK
-        assert mc_expectation(v(1), cfg, n, threads=10**6) == mc_expectation(v(1), cfg, n, threads=1)
-        assert sizes == want
+        assert mc_expectation(v(1), cfg, n, threads=threads) == mc_expectation(v(1), cfg, n, threads=1)
+        assert sizes == want, (N, threads, cores, chunks)
+
+
+@pytest.mark.parametrize("N", [2, 16])
+def test_mc_values_do_not_depend_on_the_pool(N):
+    # three chunks, on one thread (N = 2) or a real pool (N = 16, 2+ cores)
+    cfg = SamplerCfg(N=N, s=1.0, t=0.5, steps=2, seed=4)
+    n = 3 * matrixlab._CHUNK
+    means = {threads: mc_expectation(v(1), cfg, n, threads=threads) for threads in (None, 1, 2)}
+    assert means[None] == means[1] == means[2]
 
 
 def test_mc_rejects_matrix_valued_observable():
@@ -686,7 +700,7 @@ def test_concentration_guards():
         concentration_experiment(v(1), 1.0, 0.0, [3, 4, 6], mode="x")
 
 
-def test_equivariance_and_zero_test():
+def test_equivariance_and_zero_test(equivariance_check):
     p = parse("u^2 - 2 u v1 + 2 v1^2 - v2")  # Cayley-Hamilton at N=2
     assert equivariance_check(p, 4, seed=1) < 1e-10
     assert zero_test(p, 2) < 1e-12

@@ -10,10 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import freesb.operators as operators
-from freesb.tracepoly import TracePoly, mono, parse
-from freesb.operators import (GeneratorSpec, apply_D, apply_DN, apply_named,
-                              exp_apply, exp_series, monomial_basis,
-                              operator_matrix)
+from freesb.tracepoly import TracePoly, linear, mono, parse
+from freesb.operators import (GeneratorSpec, apply_D, apply_DN, exp_apply,
+                              exp_series, monomial_basis, operator_matrix)
 
 u = TracePoly.u
 v = TracePoly.v
@@ -35,51 +34,56 @@ def _rand_poly(rng, deg, nterms=3, u_free=False):
     return TracePoly(terms)
 
 
+def named(name, p):
+    """The operator ``name`` of the table on p, as a one-term spec."""
+    return GeneratorSpec(((name, 1.0),)).apply(p)
+
+
 # ---------------------------------------------------------------- hand oracles
 
 
 def test_diagonal_operators():
     p = parse("u^2 v1 + u^-1 v-2")
     # N0 counts traced powers (the v-part), N1 the bare matrix power
-    assert apply_named("N0", p) == parse("u^2 v1 + 2 u^-1 v-2")
-    assert apply_named("N1", p) == parse("2 u^2 v1 + u^-1 v-2")
+    assert named("N0", p) == parse("u^2 v1 + 2 u^-1 v-2")
+    assert named("N1", p) == parse("2 u^2 v1 + u^-1 v-2")
     mixed = parse("u^2 + u^-1 + v1")
-    assert apply_named("Aplus", mixed) == parse("u^2 + v1")
-    assert apply_named("Aminus", mixed) == parse("u^-1")
-    assert apply_named("sgn", mixed) == parse("u^2 - u^-1 + v1")
+    assert named("Aplus", mixed) == parse("u^2 + v1")
+    assert named("Aminus", mixed) == parse("u^-1")
+    assert named("sgn", mixed) == parse("u^2 - u^-1 + v1")
     assert parse("u + v1") * u(-2) == parse("u^-1 + u^-2 v1")
-    with pytest.raises(ValueError):
-        apply_named("Q", p)
+    with pytest.raises(ValueError, match="unknown operator name 'Q'"):
+        GeneratorSpec((("Q", 1.0),))
 
 
 def test_Y_closed_forms():
-    assert apply_named("Y", u(4)) == parse("3 v1 u^3 + 2 v2 u^2 + v3 u")
-    assert apply_named("Y", u(2)) == parse("v1 u")
-    assert apply_named("Y", u(-3)) == parse("v-2 u^-1 + 2 v-1 u^-2")
+    assert named("Y", u(4)) == parse("3 v1 u^3 + 2 v2 u^2 + v3 u")
+    assert named("Y", u(2)) == parse("v1 u")
+    assert named("Y", u(-3)) == parse("v-2 u^-1 + 2 v-1 u^-2")
     # u^-1, 1, u are annihilated
     for k in (-1, 0, 1):
-        assert apply_named("Y", u(k)).is_zero
+        assert named("Y", u(k)).is_zero
     # multiplicative over v-factors: Y(u^2 v3) = Y(u^2) v3
-    assert apply_named("Y", parse("u^2 v3")) == parse("v1 u v3")
+    assert named("Y", parse("u^2 v3")) == parse("v1 u v3")
 
 
 def test_Z_derivation_values():
-    assert apply_named("Z", v(1)).is_zero
-    assert apply_named("Z", v(-1)).is_zero
-    assert apply_named("Z", v(2)) == parse("v1^2")
-    assert apply_named("Z", v(3)) == parse("3 v1 v2")
-    assert apply_named("Z", v(-3)) == parse("3 v-1 v-2")
+    assert named("Z", v(1)).is_zero
+    assert named("Z", v(-1)).is_zero
+    assert named("Z", v(2)) == parse("v1^2")
+    assert named("Z", v(3)) == parse("3 v1 v2")
+    assert named("Z", v(-3)) == parse("3 v-1 v-2")
     # derivation over products of v's
-    assert apply_named("Z", parse("v2 v1")) == parse("v1^3")
-    assert apply_named("Z", parse("v2^2")) == parse("2 v1^2 v2")
+    assert named("Z", parse("v2 v1")) == parse("v1^3")
+    assert named("Z", parse("v2^2")) == parse("2 v1^2 v2")
 
 
 def test_L_hand_oracles():
-    assert apply_named("L", parse("u v1")) == parse("2 u^2")
-    assert apply_named("L", parse("v1 v-1")) == parse("-2")
-    assert apply_named("L", parse("v1^2")) == parse("2 v2")
-    assert apply_named("L", u(2)).is_zero
-    assert apply_named("L", parse("v1")).is_zero
+    assert named("L", parse("u v1")) == parse("2 u^2")
+    assert named("L", parse("v1 v-1")) == parse("-2")
+    assert named("L", parse("v1^2")) == parse("2 v2")
+    assert named("L", u(2)).is_zero
+    assert named("L", parse("v1")).is_zero
 
 
 def test_D_closed_forms():
@@ -92,7 +96,7 @@ def test_D_closed_forms():
 def test_DN_combines_D_and_L():
     p = parse("u v1")
     lhs = apply_DN(p, 5)
-    assert lhs.allclose(apply_D(p) - (1.0 / 25.0) * apply_named("L", p))
+    assert lhs.allclose(apply_D(p) - (1.0 / 25.0) * named("L", p))
 
 
 # ---------------------------------------------------------------- product rule
@@ -125,7 +129,7 @@ def test_exp_homomorphism_on_scalar_factors(seed):
 def test_tracing_map_commutes_with_D_and_L(seed):
     rng = np.random.default_rng(seed)
     p = _rand_poly(rng, 4)
-    for apply_fn in (apply_D, lambda q: apply_named("L", q)):
+    for apply_fn in (apply_D, lambda q: named("L", q)):
         lhs = apply_fn(p.tracing_map())
         rhs = apply_fn(p).tracing_map()
         assert (lhs - rhs).coeff_max() < 1e-12 * max(1.0, lhs.coeff_max())
@@ -138,7 +142,7 @@ def test_degree_preservation(seed):
     p = _rand_poly(rng, 5)
     d = p.trace_degree()
     for name in ("N0", "N1", "Y", "Z", "L", "Aplus", "Aminus", "sgn"):
-        q = apply_named(name, p)
+        q = named(name, p)
         if not q.is_zero:
             assert q.trace_degree() <= d, name
 
@@ -150,12 +154,13 @@ COMPOSITES = {"D": GeneratorSpec.D(), "DN3": GeneratorSpec.DN(3),
 
 @pytest.mark.parametrize("name", sorted(operators._COLUMNS) + list(COMPOSITES))
 def test_every_named_column(name):
-    # a spec's apply, the weighted sum of apply_named over its terms and the
-    # compiled matrix all read the same columns of the table
-    spec = COMPOSITES.get(name, GeneratorSpec(((name, 1.0),)))
+    # a spec's apply and its compiled matrix both match the weighted sum of
+    # the table's columns, each applied by ``linear`` outside any spec
+    spec = COMPOSITES[name] if name in COMPOSITES else GeneratorSpec(((name, 1.0),))
 
     def by_name(q):
-        return sum((w * apply_named(n, q) for n, w in spec.terms), TracePoly.zero())
+        return sum((w * linear(operators._COLUMNS[n], q) for n, w in spec.terms),
+                   TracePoly.zero())
 
     p = _rand_poly(np.random.default_rng(5), 4)
     assert spec.apply(p) == by_name(p)
@@ -189,17 +194,20 @@ def test_spec_sums_overlapping_images():
     spec = GeneratorSpec(tuple(weights.items()))
     for _ in range(10):
         q = _rand_poly(rng, 5)
-        p = q + sum((complex(rng.normal(), 1.0) * apply_named(name, q)
+        p = q + sum((complex(rng.normal(), 1.0) * linear(operators._COLUMNS[name], q)
                      for name in ("Y", "Z", "L")), TracePoly.zero())
-        images = [w * apply_named(name, p) for name, w in weights.items()]
+        images = [w * linear(operators._COLUMNS[name], p) for name, w in weights.items()]
         monos = [m for img in images for m in img.terms]
         assert len(monos) > len(set(monos))
         want = sum(images, TracePoly.zero())
         assert (spec.apply(p) - want).coeff_max() <= 1e-15 * want.coeff_max()
-    # the composites are sums of the table's names, not entries of it
+    # the composites are sums of the table's names, not entries of it: an
+    # unknown name is refused at construction, before any apply
     for bad in ("Q", "Mu", "D", "PI_GEN"):
-        with pytest.raises(ValueError):
-            GeneratorSpec(((bad, 1.0),)).apply(p)
+        with pytest.raises(ValueError, match=f"unknown operator name '{bad}'"):
+            GeneratorSpec(((bad, 1.0),))
+    with pytest.raises(ValueError, match="'Q'"):
+        GeneratorSpec((("N0", 1.0), ("Q", 1.0)))
 
 
 # ---------------------------------------------------------------- semigroups

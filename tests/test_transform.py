@@ -189,13 +189,14 @@ def test_generating_function_s_equals_t_direct(s_eq_t_series):
 
 
 def test_pde_residuals():
-    assert pde_residual(1.0, K=8) < 1e-9
-    assert pde_residual(0.7, K=6) < 1e-9
-    # the largest orders the CLI accepts; the worst is 1.75e-10, at s = 0.3
-    # and K = 16 (1.75e-14 at s = 1.9, K = 16)
+    # relative residuals: each gap over the sum of its terms' magnitudes
+    assert pde_residual(1.0, K=8) < PDE_TOL
+    assert pde_residual(0.7, K=6) < PDE_TOL
+    # the largest orders the CLI accepts; the worst here is 2.8 unit
+    # roundoffs, at s = 0.3 and K = 16, where the absolute gap was 1.75e-10
     for s in (0.3, 0.7, 1.0, 1.9):
         for K in (12, 16):
-            assert pde_residual(s, K=K) < 1e-9, (s, K)
+            assert pde_residual(s, K=K) < PDE_TOL, (s, K)
 
 
 @pytest.mark.parametrize("name, n, delta", [("c_poly", 3, 1e-6), ("c_poly", 8, 1e-6),
@@ -221,3 +222,26 @@ def test_pde_residual_detects_a_wrong_coefficient(monkeypatch, name, n, delta):
 
     monkeypatch.setattr(transform, name, wrong)
     assert pde_residual(0.7, K=8) >= PDE_TOL
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7, 2.25])
+@pytest.mark.parametrize("K", [8, 16])
+@pytest.mark.parametrize("name", ["c_poly", "_b_table"])
+def test_pde_residual_detects_a_relative_1e10_change(monkeypatch, name, K, s):
+    # c_3 or b_3 with its t-coefficient scaled by 1 + 1e-10: far below any
+    # absolute tolerance where the terms reach 1e15, far above 32 unit
+    # roundoffs of the gap's scale
+    exact = getattr(transform, name)
+
+    def bump(cs):
+        return (cs[0], cs[1] * (1 + 1e-10)) + cs[2:]
+
+    def wrong(k, *s):
+        x = exact(k, *s)
+        if k != 3:
+            return x
+        return replace(x, coeffs=bump(x.coeffs)) if name == "c_poly" else bump(x)
+
+    assert pde_residual(s, K=K) < PDE_TOL
+    monkeypatch.setattr(transform, name, wrong)
+    assert pde_residual(s, K=K) >= PDE_TOL

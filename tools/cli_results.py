@@ -12,9 +12,10 @@ few inputs for the word engine, one of them again at a
 second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
 concentration, the generating-function check at s != t and two failing
-ones, the PDE check at order 16 for s = 0.3 (its largest residual) and
-s = 1.9, a refused sampler time, a refused mu time, mu at 7 steps (whose
-step weights show how they are rounded), a refused ``--Ns`` text, and
+ones, the PDE check at order 16 for s = 0.3, 1.9 and 0 and at order 12
+for s = -0.5 (the last two once failed on roundoff), a refused sampler
+time, a refused mu time, mu at 7 steps (whose step weights show how they
+are rounded), a refused ``--Ns`` text, and
 Monte Carlo of an observable with inverse and repeated factors and of the
 concentration of a p with u-powers, an ``mc`` observable, a ``norm``
 input and a Monte Carlo ``concentration`` input of trace degree far above
@@ -97,10 +98,13 @@ COMMANDS = [
     # terms differently, and the other order-16 case above GEN_FN_TOL
     "gen-fn-check --s 1.5 --t 0.8 --K 8",
     "gen-fn-check --s 1.0 --t 1.9 --K 16",
-    # the PDE check at the largest order, where s = 0.3 gives its largest
-    # residual and s = 1.9 a small one
+    # the PDE check at the largest order, where s = 0.3 gave its largest
+    # absolute residual and s = 1.9 a small one, and two cases whose absolute
+    # gaps (6e-8) failed a fixed tolerance among terms of up to 1e15
     "pde-check --s 0.3 --K 16",
     "pde-check --s 1.9 --K 16",
+    "pde-check --s 0 --K 16",
+    "pde-check --s -0.5 --K 12",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
     # mu at 7 steps, where both step weights w / steps round otherwise than
     # (1 / steps) * w, and a --Ns that is not comma-separated integers (exit 1)
