@@ -13,7 +13,8 @@ to unit time, d = 1/steps, with G = sqrt(s - t/2) G1 + i sqrt(t/2) G2 for
 independent Gaussians on u(N) determined by the basis (rho is t = 0: G1
 alone); the scheme is weak order 1 and the Ito drift comes from the
 exponential because sum_X X^2 = -I.  A chunk of samples takes each
-step together (``_sample_batch``); RNG_NAME names its draw layout.
+step together (``_sample_batch``), chunks sized by N so that their buffers
+fit ``_CHUNK_BYTES``; RNG_NAME names its draw layout.
 Every sample index gets its own SFC64 stream seeded from blake2b(seed:index),
 so results do not depend on thread count or scheduling.
 """
@@ -37,7 +38,10 @@ RNG_NAME = "sfc64-2"  # -2: one N x N normal block per noise per step
 MAX_SAMPLER_N = 128
 MAX_SAMPLER_STEPS = 10_000  # Euler bias of E tr Z at N = 8, about 0.024 / steps: 2.4e-6 here
 MAX_BASIS_N = 36  # N^2 dense N x N matrices; default intertwine-check: 9-10 s, 67 MB RSS at 36
-_CHUNK = 128  # fixed MC batch size: chunk layout must not depend on threads
+_CHUNK = 128  # the most samples in a chunk: at N = 8, 256 to 1,024 took 3-33% longer per slice
+# a chunk's buffers, its noise aside (_chunks): 128 samples up to N = 8, 64 at 16 and
+# one at 128, where 128 held 390 MB; 2 MiB (48 + 48 + 32 at N = 16) read wall_s 10% higher
+_CHUNK_BYTES = 3 << 20
 # the least N that takes a thread pool: on 2 cores, 2 threads took 2.1x (N = 2),
 # 1.4x (6), 0.87x (8) and 0.62x (16) the time of one; small numpy calls hold
 # the GIL (mc --f v1 --s 1, 1,024 samples, 50 steps, min of 5 alternating runs)
@@ -361,22 +365,33 @@ def _eval_scalar(pw: WordPoly, Z: CMatrix) -> complex:
     return tot
 
 
+def _chunks(N: int, nsamples: int) -> list[list[int]]:
+    """Sample indices 0 .. nsamples - 1 in order, in the fewest chunks of at
+    most ``_CHUNK`` whose buffers fit ``_CHUNK_BYTES`` (one sample if none
+    fits), with sizes that differ by at most one."""
+    # _sample_batch's buffers per sample: 7 work slots, U, U_next and A
+    # complex, and R real; its noise block keeps its own bound, _DRAW_BYTES
+    size = max(1, min(_CHUNK, _CHUNK_BYTES // ((10 * 16 + 8) * N * N)))
+    k = -(-nsamples // size)
+    return [list(range(i * nsamples // k, (i + 1) * nsamples // k)) for i in range(k)]
+
+
 def _map_samples(cfg: SamplerCfg, nsamples: int, fn,
                  threads: int | None) -> tuple[complex, float]:
     """Mean and standard error of fn(Z_0), ..., fn(Z_{nsamples-1}) over
     sampled endpoints.
 
-    Samples are drawn in fixed chunks of ``_CHUNK`` indices, from N =
-    ``_POOL_MIN_N`` on by a pool of min(``threads`` or cores, chunks, cores)
-    threads when that is above 1; neither changes any value.  ValueError:
-    fewer than two samples (no standard error) or ``threads`` below 1.
+    Samples are drawn in the chunks of ``_chunks``, from N = ``_POOL_MIN_N``
+    on by a pool of min(``threads`` or cores, chunks, cores) threads when
+    that is above 1; neither changes any value, and the mean is summed in
+    index order.  ValueError: fewer than two samples (no standard error)
+    or ``threads`` below 1.
     """
     if nsamples < 2:
         raise ValueError("nsamples must be >= 2")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    chunks = [list(range(lo, min(lo + _CHUNK, nsamples)))
-              for lo in range(0, nsamples, _CHUNK)]
+    chunks = _chunks(cfg.N, nsamples)
 
     def run(chunk: list[int]) -> list:
         return [fn(Z) for Z in _sample_batch(cfg, chunk)]

@@ -635,11 +635,62 @@ def test_mc_thread_pool_is_capped(monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 16])
 def test_mc_values_do_not_depend_on_the_pool(N):
-    # three chunks, on one thread (N = 2) or a real pool (N = 16, 2+ cores)
+    # three chunks or more (three at N = 2, six at 16), on one thread (N = 2)
+    # or a real pool (N = 16, 2+ cores)
     cfg = SamplerCfg(N=N, s=1.0, t=0.5, steps=2, seed=4)
     n = 3 * matrixlab._CHUNK
+    assert len(matrixlab._chunks(N, n)) >= 3
     means = {threads: mc_expectation(v(1), cfg, n, threads=threads) for threads in (None, 1, 2)}
     assert means[None] == means[1] == means[2]
+
+
+def test_chunks_fit_the_byte_budget():
+    # 128 samples at the shipped budget: one chunk up to N = 8, then fewer
+    # samples per chunk as N grows, down to one at the sampler's limit
+    want = {4: [128], 8: [128], 16: [64, 64], 32: [16] * 8, 64: [4] * 32, 128: [1] * 128}
+    for N, sizes in want.items():
+        chunks = matrixlab._chunks(N, 128)
+        assert [len(c) for c in chunks] == sizes, N
+        assert [i for c in chunks for i in c] == list(range(128))
+    # the fewest chunks under the cap, sizes differing by at most one
+    assert [len(c) for c in matrixlab._chunks(8, 200)] == [100, 100]
+    assert [len(c) for c in matrixlab._chunks(16, 200)] == [66, 67, 67]
+
+
+def test_chunking_never_moves_a_value(monkeypatch):
+    # budgets of a whole number of samples at N = 16 (10 samples) and N = 2
+    # (9): every split gives the one-chunk run's mean and stderr bitwise,
+    # on one thread and on two, and the same concentration rows
+    per_sample = {N: (10 * 16 + 8) * N * N for N in (2, 16)}
+    cases = [(16, 10, [10, 5, 2]), (2, 9, [9, 3])]
+    for N, n, sizes in cases:
+        cfg = SamplerCfg(N=N, s=1.0, t=0.5, steps=3, seed=6)
+        got = []
+        for size in sizes:
+            monkeypatch.setattr(matrixlab, "_CHUNK_BYTES", size * per_sample[N])
+            assert len(matrixlab._chunks(N, n)) == n // size, (N, size)
+            got += [mc_expectation(v(1), cfg, n, threads=threads) for threads in (1, 2)]
+        assert all(g == got[0] for g in got), N
+    p = parse("u^2 + v1 u^-1")
+    rows = []
+    for size in (10, 5, 2):
+        monkeypatch.setattr(matrixlab, "_CHUNK_BYTES", size * per_sample[16])
+        rows.append(concentration_experiment(p, 1.0, 0.0, [2, 4, 16], mode="mc", steps=3,
+                                             samples=10, seed=2, threads=2)["rows"])
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_mc_memory_is_bounded_at_the_sampler_limit():
+    # at N = MAX_SAMPLER_N a chunk holds one sample: its buffers and one
+    # noise block, where 16 samples in one chunk held about 48 MB
+    cfg = SamplerCfg(N=matrixlab.MAX_SAMPLER_N, s=1.5, t=0.8, steps=1, seed=0)
+    tracemalloc.start()
+    try:
+        mc_expectation(v(1), cfg, 16, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrixlab._CHUNK_BYTES + matrixlab._DRAW_BYTES
 
 
 def test_mc_rejects_matrix_valued_observable():

@@ -1,6 +1,6 @@
 """The scripts under tools/: the result comparison of cli_results.py, the
 line counts of srcstats.py and the pair summary of bench_pairs.py with its
-raw times, each loaded from its path; and the package names that the
+raw times and its JSON form, each loaded from its path; and the package names that the
 benchmark's tracer pins."""
 
 import importlib.util
@@ -165,10 +165,56 @@ def test_bench_pairs_summary_prints_raw_medians_beside_scaled_ones():
 
     runs = {"parent": [run(100.0, 80.0, 40.0), run(102.0, 82.0, 40.0), run(101.0, 81.0, 40.0)],
             "change": [run(98.0, 77.0, 40.0), run(100.0, 79.0, 40.0), run(99.0, 78.0, 40.0)]}
-    line = bench_pairs.summary_line({"name": "op_p50_ms", "better": "lower"}, runs)
-    assert "change/parent 0.980" in line and "wins 3/3" in line
-    assert line.endswith("raw parent 81 change 78 change/parent 0.963")
-    assert "raw" not in bench_pairs.summary_line({"name": "peak_rss_mb", "better": "lower"}, runs)
+    def line(name):
+        return bench_pairs.summary_line(
+            name, bench_pairs.metric_summary({"name": name, "better": "lower"}, runs))
+
+    assert "change/parent 0.980" in line("op_p50_ms") and "wins 3/3" in line("op_p50_ms")
+    assert line("op_p50_ms").endswith("raw parent 81 change 78 change/parent 0.963")
+    assert "raw" not in line("peak_rss_mb")
+
+
+def test_bench_pairs_writes_its_summary_as_json(tmp_path, monkeypatch, capsys):
+    # canned runs in place of the exports and the benchmark: the change's
+    # peak_rss_mb is 4 MB lower in every pair, its wall_s the parent's
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    order = []
+
+    def run_once(root, workload, seed, seconds):
+        side = "parent" if root == roots[0] else "change"
+        i = sum(s == side for s in order)
+        order.append(side)
+        rss = 47.0 + 0.1 * i - (4.0 if side == "change" else 0.0)
+        return {"failed": 0, "attempted": 30,
+                "metrics": {m["name"]: {"value": rss if m["name"] == "peak_rss_mb" else 3.0 + i}
+                            for m in bench["end_to_end"]},
+                "raw_times": {"wall_s": 2.0 + i}}
+
+    roots = []
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: roots.append(dest))
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda rev: f"{rev}-commit")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["p0", "c1", "--workload", "monte_carlo", "--seed", "3",
+                             "--pairs", "4", "--json", str(out)]) == 0
+    assert order == ["parent", "change", "change", "parent"] * 2
+    got = json.loads(out.read_text())
+    assert {k: got[k] for k in ("parent", "change", "workload", "seed", "pairs")} == {
+        "parent": {"rev": "p0", "commit": "p0-commit"},
+        "change": {"rev": "c1", "commit": "c1-commit"},
+        "workload": "monte_carlo", "seed": 3, "pairs": 4}
+    assert list(got["metrics"]) == [m["name"] for m in bench["end_to_end"]]
+    rss = got["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == pytest.approx({"q1": 47.075, "median": 47.15, "q3": 47.225})
+    assert rss["change"] == pytest.approx({"q1": 43.075, "median": 43.15, "q3": 43.225})
+    assert rss["ratio"] == pytest.approx(43.15 / 47.15)
+    assert (rss["wins"], rss["pairs"], rss["gain"], rss["raw"]) == (4, 4, True, None)
+    wall = got["metrics"]["wall_s"]
+    assert (wall["wins"], wall["gain"], wall["ratio"]) == (0, False, 1.0)
+    assert wall["raw"] == {"parent": 3.5, "change": 3.5, "ratio": 1.0}
+    # the printed lines are the same summary
+    printed = capsys.readouterr().out.splitlines()
+    assert bench_pairs.summary_line("peak_rss_mb", rss) in printed
 
 
 def test_benchmark_tracer_pins_resolve():

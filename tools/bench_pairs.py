@@ -1,6 +1,6 @@
 """Alternating benchmark runs of two revisions, and whether a gain holds.
 
-    python tools/bench_pairs.py PARENT_REV CHANGE_REV --workload W --seed S --pairs 10
+    python tools/bench_pairs.py PARENT_REV CHANGE_REV --workload W --seed S --pairs 10 [--json PATH]
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so neither side runs with bytecode the other lacks: with
@@ -23,6 +23,12 @@ read from ``raw_times`` in the run's report
 scaled times divide by the speed of a reference kernel measured during
 the run (perfbench/speed.py), and a change of that kernel's own speed
 between the two sides moves the scaled medians alone.
+
+With ``--json PATH`` the same summary is also written to PATH as one JSON
+object: both revisions (as given and as the commits they name), the
+workload, the seed, the pair count and, per metric, each side's median
+and quartiles, the ratio, the wins, whether the gain holds and, for a
+time metric, the raw medians and their ratio.
 
 Standard library, git and tar only.
 """
@@ -76,22 +82,42 @@ def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
             "raw_times": json.loads(report.read_text())["raw_times"]}
 
 
-def summary_line(metric: dict, runs: dict[str, list[dict]]) -> str:
+def metric_summary(metric: dict, runs: dict[str, list[dict]]) -> dict:
     """The summary of one end-to-end metric over the paired ``runs`` of each
-    side (see the module docstring), with the raw medians where the runs'
-    ``raw_times`` hold the metric."""
+    side (see the module docstring): ``summarize``'s fields, each side's
+    quartiles as ``q1``, ``median`` and ``q3``, the ratio of the medians and,
+    where the runs' ``raw_times`` hold the metric, ``raw``, the medians of the
+    raw times and their ratio (None otherwise)."""
     name = metric["name"]
     s = summarize(*([r["metrics"][name]["value"] for r in runs[side]]
                     for side in ("parent", "change")), metric["better"])
-    (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
-    line = (f"  {name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
-            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change/parent {cm / pm:.3f}  "
-            f"wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+    for side in ("parent", "change"):
+        s[side] = dict(zip(("q1", "median", "q3"), s[side]))
+    s["ratio"] = s["change"]["median"] / s["parent"]["median"]
+    s["raw"] = None
     if all(name in r["raw_times"] for side in runs.values() for r in side):
         rp, rc = (statistics.median(r["raw_times"][name] for r in runs[side])
                   for side in ("parent", "change"))
-        line += f"  raw parent {rp:.6g} change {rc:.6g} change/parent {rc / rp:.3f}"
+        s["raw"] = {"parent": rp, "change": rc, "ratio": rc / rp}
+    return s
+
+
+def summary_line(name: str, s: dict) -> str:
+    """One printed line of a ``metric_summary``."""
+    (p1, pm, p3), (c1, cm, c3) = (s[side].values() for side in ("parent", "change"))
+    line = (f"  {name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change/parent {s['ratio']:.3f}  "
+            f"wins {s['wins']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+    if s["raw"]:
+        line += (f"  raw parent {s['raw']['parent']:.6g} change {s['raw']['change']:.6g} "
+                 f"change/parent {s['raw']['ratio']:.3f}")
     return line
+
+
+def commit_of(rev: str) -> str:
+    """The full hash of the commit that ``rev`` names."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, check=True).stdout.decode().strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,15 +129,18 @@ def main(argv: list[str] | None = None) -> int:
                     choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--json", metavar="PATH", help="also write the summary to PATH as JSON")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    revs = {"parent": {"rev": args.parent_rev}, "change": {"rev": args.change_rev}}
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         roots = {"parent": parent, "change": change}
         try:
-            for side, rev in (("parent", args.parent_rev), ("change", args.change_rev)):
-                export(rev, roots[side])
+            for side, rev in revs.items():
+                rev["commit"] = commit_of(rev["rev"])
+                export(rev["commit"], roots[side])
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     res = run_once(roots[side], args.workload, args.seed, bench["run_seconds"])
@@ -127,8 +156,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"bench_pairs: {e}", file=sys.stderr)
             return 1
     print(f"\n{args.workload} seed {args.seed}: median [q1, q3] over {args.pairs} pairs")
-    for metric in bench["end_to_end"]:
-        print(summary_line(metric, runs))
+    metrics = {m["name"]: metric_summary(m, runs) for m in bench["end_to_end"]}
+    for name, s in metrics.items():
+        print(summary_line(name, s))
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {**revs, "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+             "metrics": metrics}, indent=1) + "\n")
     return 0
 
 

@@ -15,7 +15,8 @@ concentration, the generating-function check at s != t and two failing
 ones, the PDE check at order 16 for s = 0.3, 1.9 and 0 and at order 12
 for s = -0.5 (the last two once failed on roundoff), a refused sampler
 time, a refused mu time, mu at 7 steps (whose step weights show how they
-are rounded), a refused ``--Ns`` text, and
+are rounded), mu at N = 32 in four chunks on a two-thread pool, a refused
+``--Ns`` text, and
 Monte Carlo of an observable with inverse and repeated factors and of the
 concentration of a p with u-powers, an ``mc`` observable, a ``norm``
 input and a Monte Carlo ``concentration`` input of trace degree far above
@@ -109,6 +110,8 @@ COMMANDS = [
     # mu at 7 steps, where both step weights w / steps round otherwise than
     # (1 / steps) * w, and a --Ns that is not comma-separated integers (exit 1)
     "mc --f v1 --N 4 --s 1.5 --t 0.8 --steps 7 --samples 64 --seed 1 --threads 1",
+    # mu at N = 32, where 64 samples run as four byte-sized chunks on a pool
+    "mc --f v1 --N 32 --s 1.0 --t 0.5 --steps 4 --samples 64 --seed 1 --threads 2",
     "concentration --p v1 --s 1 --Ns 4,8,x",
     # the Monte Carlo estimator of concentration, and mu with t < 0 (exit 1)
     "concentration --p v1 --s 1.0 --Ns 4,8,16 --mode mc --samples 200 --steps 20 --seed 1 --threads 1",
