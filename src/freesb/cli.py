@@ -26,8 +26,9 @@ stderr line "freesb: error: ...", argparse's naming their subcommand.
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr, and --threads, a cap on the sampling threads (one below N =
-matrixlab._POOL_MIN_N).  pde-check takes any real s, and its residual is
-relative to each gap's scale (transform.pde_residual).
+matrixlab._POOL_MIN_N).  pde-check takes any real s whose PDE terms are
+finite doubles (an s past that range exits 1, naming s), and its residual
+is relative to each gap's scale (transform.pde_residual).
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from .operators import MAX_DEGREE, GeneratorSpec, apply_DN, exp_apply
 from .moments import b_poly, c_poly, nu, varrho_coeffs
 from .transform import G, H, biane, pde_residual, verify_gen_fn
 from .words import Measure, l2_norm_sq
-from .matrixlab import (MAGIC_TOL, RNG_NAME, SamplerCfg, _check_basis_N, concentration_experiment,
-                        evaluate, laplacian_eval, mc_expectation, verify_magic)
+from .matrixlab import (_POOL_MIN_N, MAGIC_TOL, RNG_NAME, SamplerCfg, _check_basis_N,
+                        concentration_experiment, evaluate, laplacian_eval, mc_expectation,
+                        verify_magic)
 
 INTERTWINE_TOL = 1e-8
 GEN_FN_TOL = 1e-8
@@ -123,7 +125,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--steps", type=int, default=200)
         p.add_argument("--samples", type=int, default=samples)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, help="cap on the sampling threads (default: cores)")
+        p.add_argument("--threads", type=int, help="cap on the sampling threads (default: cores; "
+                       f"one below N = {_POOL_MIN_N}, and at most one per sample chunk)")
         p.add_argument("--csv", metavar="PATH", help="also write rows as CSV (N,value,stderr)")
 
     p = add(_cmd_heat_apply, "apply the heat semigroup e^{(t/2) gen} to a polynomial")

@@ -1,25 +1,26 @@
 """Moments of the heat kernel measures and their Biane-polynomial data.
 
-Closed-form nu_k(s), the trace evaluation maps pi_s (direct substitution
-and an independent semigroup route), and the exact-in-t recursions for
-the coefficient functions c_k(s,t), the Laurent polynomials b_k(s,t,u),
-and the normalized moments varrho_k(t).
+Closed-form nu_k(s) and the normalized moments varrho_k(t) = e^{kt/2} nu_k(t),
+both read from the same exact integers, the trace evaluation maps pi_s
+(direct substitution and an independent semigroup route), and the
+exact-in-t recursions for the coefficient functions c_k(s,t) and the
+Laurent polynomials b_k(s,t,u).
 
-Everything here keeps the time variable t symbolic.  The three sequences
-come from one quadratic recursion,
+Everything here keeps the time variable t symbolic.  c_k and b_k come
+from one quadratic recursion,
 
-    x_k = x_k(0) +- sum_{m=1}^{k-1} m int_0^t y_{k-m} x_m,   y = x (y = c for b),
+    x_k = x_k(0) + sum_{m=1}^{k-1} m int_0^t y_{k-m} x_m,   y = c,
 
 which only ever integrates polynomials in tau, so integration is an
-exact coefficient shift, never quadrature; :func:`_recursion` runs it
-for c_k and b_k, and varrho_k runs it on integer numerators.  Each result is a
-:class:`TPoly`, one container whose coefficients are numbers (c_k),
-Laurent polynomials in u (b_k) or Fractions (varrho_k).
+exact coefficient shift, never quadrature (:func:`_recursion`).  Each
+result is a :class:`TPoly`, one container whose coefficients are numbers
+(c_k), Laurent polynomials in u (b_k) or Fractions (varrho_k).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +143,7 @@ def pi_via_semigroup(p: TracePoly, s: float) -> TracePoly:
 
 
 # ----------------------------------------------------------------------
-# exact-in-t polynomials and the one recursion behind c_k, b_k, varrho_k
+# exact-in-t polynomials: the one recursion behind c_k and b_k, and varrho_k
 # ----------------------------------------------------------------------
 
 
@@ -185,11 +186,12 @@ class TPoly:
 
     def eval(self, t):
         """The value at t; with prefactor 0 it keeps the coefficients' type,
-        so Fraction coefficients at a Fraction t evaluate exactly."""
-        acc = self.coeffs[-1]
+        so Fraction coefficients at a Fraction t evaluate exactly.  A
+        prefactor past the float range multiplies by inf, never raises."""
+        acc, x = self.coeffs[-1], self.prefactor_exp
         for c in reversed(self.coeffs[:-1]):
             acc = acc * t + c
-        return acc if self.prefactor_exp == 0 else math.exp(self.prefactor_exp) * acc
+        return acc if x == 0 else (math.exp(x) if x <= _EXP_MAX else math.inf) * acc
 
     def deriv(self) -> "TPoly":
         """The derivative in the variable, with the same prefactor; a
@@ -249,30 +251,19 @@ def b_poly(k: int, s: float) -> TPoly:
                               for b in _b_table(k, float(s))))
 
 
-@lru_cache(maxsize=None)
 def varrho_coeffs(k: int) -> tuple[Fraction, ...]:
-    """Exact rational coefficients of varrho_k as a polynomial in t."""
+    """Exact rational coefficients of varrho_k as a polynomial in t: with
+    nu_hat's integers a_j, the coefficient of t^j is a_j (-k)^j / k!."""
     _check_moment(k)
-    # varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m},
-    # and (k/2) sum_m f_m f_{k-m} = sum_m m f_{k-m} f_m by the symmetry
-    # m <-> k-m.  Summed on integers, as in _nu_hat_exact: with varrho_m =
-    # n_m / d_m over one denominator and E = lcm_m d_{k-m} d_m, coefficient
-    # j >= 1 is -T_j / (E j), T_j = sum_m m E / (d_{k-m} d_m) (n_{k-m} n_m)_{j-1}
-    def over_one_denominator(cs):
-        d = math.lcm(*(c.denominator for c in cs))
-        return [c.numerator * (d // c.denominator) for c in cs], d
-
-    ints = [over_one_denominator(varrho_coeffs(m)) for m in range(1, k)]
-    E = math.lcm(*(ints[k - m - 1][1] * ints[m - 1][1] for m in range(1, k)))
-    T = [0] * (k - 1)
-    for m in range(1, k):
-        (left, d1), (right, d2) = ints[k - m - 1], ints[m - 1]
-        for j, x in enumerate(_poly_mul(left, right)):
-            T[j] += m * (E // (d1 * d2)) * x
-    return (Fraction(1),) + tuple(Fraction(-x, E * (j + 1)) for j, x in enumerate(T))
+    return tuple(Fraction(a * (-k) ** j, math.factorial(k))
+                 for j, a in enumerate(reversed(_nu_hat_coeffs(k))))
 
 
 def varrho(k: int, t: float) -> float:
-    """varrho_k(t) = e^{kt/2} nu_k(t), via its self-contained recursion."""
+    """varrho_k(t) = e^{kt/2} nu_k(t): the exact sum behind nu_k, rounded
+    once; ValueError past the float range."""
     _check_moment(k, t=t)
-    return float(TPoly(varrho_coeffs(k)).eval(Fraction(float(t))))
+    num, den = _nu_hat_exact(k, float(t))
+    with contextlib.suppress(OverflowError):  # int division raises past the float range
+        return num / den  # correctly rounded up to the largest double, unlike _exp_times's fold
+    _check_finite((math.inf,), "varrho_k(t) for k = {} at t = {!r} is", k, t)

@@ -125,23 +125,26 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
 # ----------------------------------------------------------------------
 
 
-def _pde_gap(x: list, y: list, sign: int, at) -> float:
+def _pde_gap(x: list, y: list, sign: int, at, s: float) -> float:
     # max over k of |x_k' - sign sum_{m+j=k} y_m j x_j| / scale at `at`, in
     # complex floats, where x[k - 1], y[k - 1] are the TPolys of x_k, y_k and
     # the scale sums |x_k'| and |y_m| j |x_j|, each TPoly evaluated with its
     # coefficients' absolute values (Horner's rounding where they cancel).
-    # Fraction coefficients at a Fraction `at` evaluate exactly
+    # Fraction coefficients at a Fraction `at` evaluate exactly.  A gap or
+    # scale past the float range is refused, naming s
     def mag(p):
         return TPoly(tuple(abs(c) for c in p.coeffs), p.prefactor_exp)
 
     dx = [p.deriv() for p in x]
-    xv, yv, dxv, ax, ay, adx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
-                                for ps in (x, y, dx, map(mag, x), map(mag, y), map(mag, dx)))
     worst = 0.0
-    for i in range(len(x)):
-        gap = dxv[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1]) for m in range(i))
-        scale = np.abs(adx[i] + sum(ay[m] * ((i - m) * ax[i - m - 1]) for m in range(i)))
-        worst = max(worst, float((np.abs(gap) / np.where(scale > 0, scale, 1.0)).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap or scale is refused
+        xv, yv, dxv, ax, ay, adx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
+                                    for ps in (x, y, dx, map(mag, x), map(mag, y), map(mag, dx)))
+        for i in range(len(x)):
+            gap = dxv[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1]) for m in range(i))
+            scale = np.abs(adx[i] + sum(ay[m] * ((i - m) * ax[i - m - 1]) for m in range(i)))
+            _check_finite(np.ravel([gap, scale]), "the PDE terms at s = {!r} are", s)
+            worst = max(worst, float((np.abs(gap) / np.where(scale > 0, scale, 1.0)).max()))
     return worst
 
 
@@ -156,22 +159,24 @@ def pde_residual(s: float, K: int = 8) -> float:
     the first two at t = 0.3 and t = 0.7, the third at s = 0.3 and s = 0.7,
     by one rule: each x_k is a ``TPoly`` in its time, differentiated by
     ``TPoly.deriv``.  b_k is read as arrays over u^0..u^K, so each gap is
-    one array expression; varrho_k is evaluated exactly at a Fraction.
-    Also checks the initial condition
-    psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its implicit level-curve
-    form, exactly over the rationals (its right side's coefficients are 1).
-    Any real s is in the domain: psi^s and phi^{s,u} are entire in s.  The
-    initial conditions of varrho
-    and phi are not checked: varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold
-    by construction, as the recursions start there.
+    one array expression; varrho_k, Biane's closed form, is evaluated
+    exactly at a Fraction, so its PDE tests that form.  Also checks the
+    initial condition psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its
+    implicit level-curve form, exactly over the rationals (its right
+    side's coefficients are 1).  Any real s whose terms are finite doubles
+    is in the domain (psi^s and phi^{s,u} are entire in s); past that
+    range, from s = -80 at K = 16 to s = -1420 at K = 1, ValueError names
+    s.  The initial conditions of varrho and phi are not checked:
+    varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold by construction, as the
+    closed form's and the recursion's constant terms.
     """
     _check_order(K)
     s = float(s)
     c = [c_poly(k, s) for k in range(1, K + 1)]
     b = [TPoly(tuple(np.pad(x, (0, K - k)) for x in _b_table(k, s))) for k in range(1, K + 1)]
     vr = [TPoly(varrho_coeffs(k)) for k in range(1, K + 1)]
-    resid = max(max(_pde_gap(c, c, 1, t), _pde_gap(b, c, 1, t),
-                    _pde_gap(vr, vr, -1, Fraction(t))) for t in (0.3, 0.7))
+    resid = max(max(_pde_gap(c, c, 1, t, s), _pde_gap(b, c, 1, t, s),
+                    _pde_gap(vr, vr, -1, Fraction(t), s)) for t in (0.3, 0.7))
     # psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w), exactly over the rationals:
     # nu_k z^k = nu_hat_k(s) w^k e^{ksw/(1-w)}, so the w^n coefficient is
     # sum_k nu_hat_k(s) a_{n-k}(ks)

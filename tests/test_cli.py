@@ -553,6 +553,21 @@ def test_moments_at_the_edges_of_the_float_range(capsys):
         "b_k(s, t) for k = 2 at s = -1500.0 is beyond the float range")
 
 
+@pytest.mark.parametrize("K, s", [
+    (16, "-80"), (16, "-84"),  # c_k(t) is inf, so each gap was NaN, which max() dropped: exit 0
+    (12, "-109"), (12, "-118"), (12, "-119"),  # ... and at -119 e^{-ks/2} alone overflowed
+    (8, "-170"), (8, "-177"), (8, "-178"), (8, "-190"),
+    (3, "-468"), (3, "-473"), (3, "-474"), (3, "-703"),
+    (1, "-1420"), (1, "-1e6"),  # c_1(t) = e^{-s/2}: Python's bare "math range error"
+])
+def test_pde_check_past_the_float_range(capsys, K, s):
+    # never a pass on NaN gaps, nor a bare error: one line that names s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["pde-check", "--s", s, "--K", str(K)]) == 1
+    assert _one_line_error(capsys).endswith(f"at s = {float(s)!r} are beyond the float range")
+
+
 @pytest.mark.parametrize("argv, k, c", [
     (["--s", "700", "--t", "1", "--K", "3"], 3, "699.0"),  # e^{kc/2} alone overflows
     (["--s", "1e300", "--t", "0.8", "--K", "3"], 1, "1e+300"),

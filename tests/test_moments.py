@@ -1,6 +1,7 @@
 """Free moments nu_k, the deflated c/b recursions, varrho, and the two
 routes to the evaluation map pi_s."""
 
+import functools
 import math
 import re
 import sys
@@ -304,16 +305,50 @@ def test_varrho_examples():
         assert varrho(k, 0.0) == 1.0
 
 
+@functools.cache
+def _varrho_recursion(k):
+    # the independent side: varrho_k = 1 - (k/2) sum_{m=1}^{k-1} int_0^t varrho_m varrho_{k-m},
+    # and (k/2) sum_m f_m f_{k-m} = sum_m m f_{k-m} f_m by the symmetry
+    # m <-> k-m, summed on integers: with varrho_m = n_m / d_m over one
+    # denominator and E = lcm_m d_{k-m} d_m, coefficient j >= 1 is
+    # -T_j / (E j), T_j = sum_m m E / (d_{k-m} d_m) (n_{k-m} n_m)_{j-1}
+    def over_one_denominator(cs):
+        d = math.lcm(*(c.denominator for c in cs))
+        return [c.numerator * (d // c.denominator) for c in cs], d
+
+    ints = [over_one_denominator(_varrho_recursion(m)) for m in range(1, k)]
+    E = math.lcm(*(ints[k - m - 1][1] * ints[m - 1][1] for m in range(1, k)))
+    T = [0] * (k - 1)
+    for m in range(1, k):
+        (left, d1), (right, d2) = ints[k - m - 1], ints[m - 1]
+        w = m * (E // (d1 * d2))
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                T[i + j] += w * x * y
+    return (Fraction(1),) + tuple(Fraction(-x, E * (j + 1)) for j, x in enumerate(T))
+
+
+def test_varrho_coeffs_match_the_recursion():
+    # nu_hat's closed form against the integrated PDE, to the largest order
+    for k in range(1, 65):
+        assert varrho_coeffs(k) == _varrho_recursion(k), k
+
+
 def test_varrho_closed_form():
-    # varrho_k(t) = e^{kt/2} nu_k(t)
-    for k in range(1, 11):
-        for t in np.linspace(-2.0, 2.0, 9):
-            want = math.exp(k * t / 2) * nu(k, t)
-            assert abs(varrho(k, t) - want) <= 1e-9 * max(1.0, abs(want)), (k, t)
+    # varrho_k(t) = e^{kt/2} nu_k(t) is the recursion's exact value rounded once
+    for k in range(1, 17):
+        for t in [*np.linspace(-2.0, 2.0, 9), 1e-300, -30.0, 25.0, 1e10]:
+            want = TPoly(_varrho_recursion(k)).eval(Fraction(float(t)))
+            assert varrho(k, t) == float(want), (k, t)
+
+
+def test_varrho_past_the_float_range():
+    # varrho_4(t) ~ -(8/3) t^3 is far past the largest double at t = 1e200
+    with pytest.raises(ValueError, match=r"k = 4 at t = 1e\+200 is beyond the float range"):
+        varrho(4, 1e200)
 
 
 def test_varrho_coeffs_exact():
-    from fractions import Fraction
     assert varrho_coeffs(1) == (Fraction(1),)
     assert varrho_coeffs(2) == (Fraction(1), Fraction(-1))
     with pytest.raises(ValueError):

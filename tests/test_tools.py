@@ -1,7 +1,7 @@
 """The scripts under tools/: the result comparison of cli_results.py, the
 line counts of srcstats.py and the pair summary of bench_pairs.py with its
-raw times and its JSON form, each loaded from its path; and the package names that the
-benchmark's tracer pins."""
+raw times, its reference speed and its JSON form, each loaded from its
+path; and the package names that the benchmark's tracer pins."""
 
 import importlib.util
 import inspect
@@ -142,11 +142,13 @@ def test_bench_pairs_summary_needs_nine_tenths_and_a_lead_past_the_spread():
 
 def test_bench_pairs_reads_raw_times_from_the_report(tmp_path, monkeypatch):
     # the run's last stdout line gives the scaled metrics; its report under
-    # perfbench/out/ gives the raw times beside them
+    # perfbench/out/ gives the raw times and the reference kernel's speed,
+    # the median of its passes' times, beside them
     out = tmp_path / "perfbench" / "out"
     out.mkdir(parents=True)
     (out / "monte_carlo-seed3-trace0.json").write_text(
-        json.dumps({"raw_times": {"wall_s": 2.0, "op_p50_ms": 150.0}}))
+        json.dumps({"raw_times": {"wall_s": 2.0, "op_p50_ms": 150.0},
+                    "speed": {"pass_matrices_s": [0.011, 0.013, 0.010]}}))
     line = {"correct": True, "attempted": 36, "failed": 0,
             "metrics": {"wall_s": {"value": 2.5, "unit": "s"}}}
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(
@@ -154,6 +156,7 @@ def test_bench_pairs_reads_raw_times_from_the_report(tmp_path, monkeypatch):
     res = bench_pairs.run_once(str(tmp_path), "monte_carlo", 3, 19)
     assert res["metrics"] == line["metrics"]
     assert res["raw_times"] == {"wall_s": 2.0, "op_p50_ms": 150.0}
+    assert res["speed_s"] == 0.011
 
 
 def test_bench_pairs_summary_prints_raw_medians_beside_scaled_ones():
@@ -188,7 +191,8 @@ def test_bench_pairs_writes_its_summary_as_json(tmp_path, monkeypatch, capsys):
         return {"failed": 0, "attempted": 30,
                 "metrics": {m["name"]: {"value": rss if m["name"] == "peak_rss_mb" else 3.0 + i}
                             for m in bench["end_to_end"]},
-                "raw_times": {"wall_s": 2.0 + i}}
+                "raw_times": {"wall_s": 2.0 + i},
+                "speed_s": (0.010 if side == "change" else 0.012) + 0.001 * i}
 
     roots = []
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: roots.append(dest))
@@ -212,9 +216,14 @@ def test_bench_pairs_writes_its_summary_as_json(tmp_path, monkeypatch, capsys):
     wall = got["metrics"]["wall_s"]
     assert (wall["wins"], wall["gain"], wall["ratio"]) == (0, False, 1.0)
     assert wall["raw"] == {"parent": 3.5, "change": 3.5, "ratio": 1.0}
+    # the reference kernel ran 2 ms faster on the change's side
+    assert got["speed"] == pytest.approx({"parent": 0.0135, "change": 0.0115,
+                                          "ratio": 0.0115 / 0.0135})
     # the printed lines are the same summary
     printed = capsys.readouterr().out.splitlines()
     assert bench_pairs.summary_line("peak_rss_mb", rss) in printed
+    assert printed[-1] == ("  reference kernel s  parent 0.0135  change 0.0115  "
+                           "change/parent 0.852")
 
 
 def test_benchmark_tracer_pins_resolve():

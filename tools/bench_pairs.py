@@ -22,13 +22,16 @@ read from ``raw_times`` in the run's report
 (``perfbench/out/<workload>-seed<S>-trace0.json`` in its export): the
 scaled times divide by the speed of a reference kernel measured during
 the run (perfbench/speed.py), and a change of that kernel's own speed
-between the two sides moves the scaled medians alone.
+between the two sides moves the scaled medians alone.  So a last line
+gives that speed: each side's median reference-kernel time (a run's time
+is the median of its passes' ``speed.pass_matrices_s``) and their ratio.
 
 With ``--json PATH`` the same summary is also written to PATH as one JSON
 object: both revisions (as given and as the commits they name), the
 workload, the seed, the pair count and, per metric, each side's median
 and quartiles, the ratio, the wins, whether the gain holds and, for a
-time metric, the raw medians and their ratio.
+time metric, the raw medians and their ratio, and under ``speed`` the
+reference-kernel medians and their ratio.
 
 Standard library, git and tar only.
 """
@@ -70,16 +73,18 @@ def export(rev: str, dest: str) -> None:
 
 def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run in the checkout ``root``: its last output
-    line, with ``raw_times`` from the report the run wrote."""
+    line, with ``raw_times`` and ``speed_s``, the median of the passes'
+    reference-kernel times, from the report the run wrote."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py in {root} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
-    report = Path(root, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]),
-            "raw_times": json.loads(report.read_text())["raw_times"]}
+    report = json.loads(Path(root, "perfbench", "out",
+                             f"{workload}-seed{seed}-trace0.json").read_text())
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "raw_times": report["raw_times"],
+            "speed_s": statistics.median(report["speed"]["pass_matrices_s"])}
 
 
 def metric_summary(metric: dict, runs: dict[str, list[dict]]) -> dict:
@@ -159,10 +164,14 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: metric_summary(m, runs) for m in bench["end_to_end"]}
     for name, s in metrics.items():
         print(summary_line(name, s))
+    speed = {side: statistics.median(r["speed_s"] for r in runs[side]) for side in runs}
+    speed["ratio"] = speed["change"] / speed["parent"]
+    print(f"  reference kernel s  parent {speed['parent']:.6g}  change {speed['change']:.6g}  "
+          f"change/parent {speed['ratio']:.3f}")
     if args.json:
         Path(args.json).write_text(json.dumps(
             {**revs, "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-             "metrics": metrics}, indent=1) + "\n")
+             "metrics": metrics, "speed": speed}, indent=1) + "\n")
     return 0
 
 

@@ -13,7 +13,9 @@ second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
 concentration, the generating-function check at s != t and two failing
 ones, the PDE check at order 16 for s = 0.3, 1.9 and 0 and at order 12
-for s = -0.5 (the last two once failed on roundoff), a refused sampler
+for s = -0.5 (the last two once failed on roundoff), the PDE check past
+the float range at order 8 for s = -170 and -190 and at order 1 for
+s = -1500 (once a pass on NaN gaps and a bare "math range error"), a refused sampler
 time, a refused mu time, mu at 7 steps (whose step weights show how they
 are rounded), mu at N = 32 in four chunks on a two-thread pool, a refused
 ``--Ns`` text, and
@@ -106,6 +108,11 @@ COMMANDS = [
     "pde-check --s 1.9 --K 16",
     "pde-check --s 0 --K 16",
     "pde-check --s -0.5 --K 12",
+    # past the float range, refused (exit 1): c_k(t) overflows to inf at s =
+    # -170 (whose NaN gaps once passed) and e^{-ks/2} alone at -190 and -1500
+    "pde-check --s -170 --K 8",
+    "pde-check --s -190 --K 8",
+    "pde-check --s -1500 --K 1",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
     # mu at 7 steps, where both step weights w / steps round otherwise than
     # (1 / steps) * w, and a --Ns that is not comma-separated integers (exit 1)
