@@ -26,9 +26,11 @@ stderr line "freesb: error: ...", argparse's naming their subcommand.
 The FREESB_SEED environment variable overrides --seed.  Tabular commands
 (concentration, mc) accept --csv PATH to also write their rows as
 N,value,stderr, and --threads, a cap on the sampling threads (one below N =
-matrixlab._POOL_MIN_N).  pde-check takes any real s whose PDE terms are
-finite doubles (an s past that range exits 1, naming s), and its residual
-is relative to each gap's scale (transform.pde_residual).
+matrixlab._POOL_MIN_N).  pde-check takes any real s whose nonzero PDE
+terms are normal doubles (an s past that range, where a term overflows or
+underflows, exits 1, naming s), and the residuals of gen-fn-check and
+pde-check are relative to each gap's scale (transform.verify_gen_fn,
+transform.pde_residual).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .matrixlab import (_POOL_MIN_N, MAGIC_TOL, RNG_NAME, SamplerCfg, _check_bas
                         verify_magic)
 
 INTERTWINE_TOL = 1e-8
-GEN_FN_TOL = 1e-8
+GEN_FN_TOL = 2048 * 2.0 ** -53  # 2048 unit roundoffs of each gap's scale (transform.verify_gen_fn)
 PDE_TOL = 32 * 2.0 ** -53  # 32 unit roundoffs of each gap's scale (transform.pde_residual)
 
 

@@ -35,6 +35,11 @@ MAX_MOMENT = 64  # largest k of c_k, b_k and varrho_k, |k| of nu_k: their cost g
 S_CACHE_SIZE = 256  # entries of each s-keyed cache, which a fresh s per call would grow
 #: ln of the least normal double and of the greatest double
 _EXP_MIN, _EXP_MAX = -708.3964185322641, 709.782712893384
+#: ln 2 = sum_n 1/(n 2^n) in two parts (Cody-Waite): its leading 32 bits, so that
+#: k * _LN2_HI is exact for |k| < 2^21, and the rest, to 2^-53 of itself
+_LN2 = sum(Fraction(1, n << n) for n in range(1, 128))
+_LN2_HI = math.ldexp(round(math.ldexp(_LN2, 32)), -32)
+_LN2_LO = float(_LN2 - Fraction(_LN2_HI))
 
 
 def _check_moment(k: int, **times: float) -> None:
@@ -88,13 +93,20 @@ def _nu_hat_exact(k: int, s: float) -> tuple[int, int]:
 
 def _exp_times(x: float, num: int, den: int) -> float:
     # e^x num/den: the product of the floats e^x and num / den where both are
-    # normal doubles.  Otherwise num/den = m 2^b with 1 < |m| < 4 and 2^b is
-    # folded into the exponential, so e^x overflows only where the product
-    # does (then inf) and underflows only where it does.
+    # normal doubles.  Otherwise num/den = m 2^b with 1 < |m| < 4 and x = k ln 2
+    # + r, |r| <= ln(2)/2, with r from the two parts of ln 2 to a unit
+    # roundoff of itself, and the result is the float e^r m scaled by
+    # 2^(k + b), exactly unless it is subnormal: so it overflows only where
+    # the product does (then inf) and underflows only where it does.
     b = num.bit_length() - den.bit_length() - 1  # 2^b < |num/den| < 2^(b+2)
-    if num and not (x > _EXP_MIN and -1023 < b < 1022):
-        x, num, den = x + b * math.log(2.0), num << max(-b, 0), den << max(b, 0)
-    return math.exp(x) * (num / den) if x <= _EXP_MAX else math.inf
+    if not num or (x > _EXP_MIN and -1023 < b < 1022):
+        return math.exp(x) * (num / den) if x <= _EXP_MAX else math.inf
+    x = min(max(x, -1e6), 1e6)  # the same 0 or inf from here on: |b| < 2^17 at every caller
+    k = round(x / _LN2_HI)
+    with contextlib.suppress(OverflowError):  # ldexp raises past the float range
+        return math.ldexp(math.exp(x - k * _LN2_HI - k * _LN2_LO)
+                          * ((num << max(-b, 0)) / (den << max(b, 0))), k + b)
+    return math.inf
 
 
 def nu(k: int, s: float) -> float:

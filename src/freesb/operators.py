@@ -58,7 +58,8 @@ class _Cache(dict):
 
 
 # least recently used first, written by _keep (keys: exp_series); a closure is
-# [basis, rows, cols, part values, _classify's last result, graded rows]
+# (basis, rows, cols, part values, {weights: _classify's list}), its classes
+# least recently used first too
 _closures = _Cache()
 _images = _Cache()
 _LOCK = threading.Lock()
@@ -340,66 +341,69 @@ def exp_series(column, p, theta, terms):
 
     ``terms`` pairs each part's name with its weight w_k; ``column`` is the
     parts' column (see :func:`_compile`); ``p`` is a ``TracePoly`` or
-    ``WordPoly`` whose closure G maps into itself; ``theta`` is real.
-    ``_closures`` keeps the compiled parts under (names, p's monomials in
-    order) and ``_images`` each monomial's merged image under (names,
-    monomial), both within ``CLOSURE_BUDGET`` monomials: keyed by the names,
-    not the weights, so the names must say what the parts are.  Every call,
-    hit or miss, sums the parts to A = G and classifies it (:func:`_classify`).
-    A graded A (see the module docstring) takes e^{theta diag} times
-    theta^{0, 1, ...} @ Y, at any theta, where Y holds the rows M^k x / k!
-    of :func:`_graded_rows`, built without theta and kept in ``closure[5]``
-    under the weights and x's bytes: a new theta on the same seed runs no
-    sparse product, and a hit runs a cold call's arithmetic.  Otherwise
-    :func:`_expm_dense` runs when n <= DENSE_MAX_N and :func:`_squarings` of
-    ||theta A||_1 is at most DENSE_MAX_SQUARINGS, and :func:`_taylor_sparse`
-    otherwise.  ValueError: a non-finite theta (``check_times``), first; a
-    ``p`` of trace degree above 2 * MAX_DEGREE (``check_degree``), before
-    the closure is looked up; more than ``MAX_CLOSURE`` monomials, while it
-    is built; Taylor work above ``MAX_WORK``, before the first stage.
-    Overflow in theta A or in any kernel raises FloatingPointError.
+    ``WordPoly`` whose closure G maps into itself; ``theta`` is real, and
+    theta = 0 returns p.  ``_closures`` keeps the compiled parts under
+    (names, p's monomials in order) with, per weights, their sum G as
+    :func:`_classify` leaves it, and ``_images`` each monomial's merged
+    image under (names, monomial), both within ``CLOSURE_BUDGET`` monomials
+    (a closure weighs its basis once per kept class, :func:`_held`, and a
+    new class drops its least recently used ones past the budget): keyed by
+    the names, so the names must say what the parts are.  Nothing kept
+    depends on theta, so a call at a new theta with kept weights runs only
+    its kernel, and a hit runs a cold call's arithmetic.  A graded G (see the module docstring) takes
+    e^{theta diag} times theta^{0, 1, ...} @ Y, where Y holds the rows
+    M^k x / k! of :func:`_graded_rows`, kept with the class for the last x.
+    Otherwise :func:`_expm_dense` runs on theta times the kept dense G when
+    n <= DENSE_MAX_N and :func:`_squarings` of ||theta G||_1 is at most
+    DENSE_MAX_SQUARINGS, and :func:`_taylor_sparse` otherwise.  ValueError:
+    a non-finite theta (``check_times``), first; a ``p`` of trace degree
+    above 2 * MAX_DEGREE (``check_degree``), before the closure is looked
+    up; more than ``MAX_CLOSURE`` monomials, while it is built; Taylor work
+    above ``MAX_WORK``, before the first stage.  Overflow in theta G or in
+    any kernel raises FloatingPointError.
     """
     check_times(theta=theta)
-    if not p.terms:
+    if not p.terms or theta == 0.0:
         return p
     check_degree(p.trace_degree())
     names, weights = zip(*terms)
     key = (names, tuple(p.terms))
-    closure = _closures.get(key)
-    if closure is None:
-        closure = [*_compile(column, p.terms, names), None, None]
-    if len(closure[0]) <= CLOSURE_BUDGET:  # a larger closure is not stored
-        _keep(_closures, {key: closure}, lambda c: len(c[0]))
-    basis, rows, cols, vals, diag, off, graded = _classify(closure, weights, len(p.terms))
-    n = len(basis)
-    x = np.zeros(n, dtype=complex)
+    closure = _closures.get(key) or (*_compile(column, p.terms, names), {})
+    kept = closure[4].get(weights)
+    if kept is None or next(reversed(closure[4])) != weights:  # a new closure moves them last
+        classes = {w: c for w, c in closure[4].items() if w != weights}
+        kept = classes[weights] = kept or _classify(closure, weights, len(p.terms))
+        closure = (*closure[:4], classes)
+        while _held(closure) > CLOSURE_BUDGET and len(classes) > 1:  # the least recent go
+            del classes[next(iter(classes))]
+    if _held(closure) <= CLOSURE_BUDGET:  # a larger closure is not stored
+        _keep(_closures, {key: closure}, _held)
+    basis, rows, cols, vals, diag, off, graded, norm, kernel = kept
+    x = np.zeros(len(basis), dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
     with np.errstate(over="raise", invalid="raise"):  # so every kernel's x is finite
         if graded:
-            seed = (weights, x.tobytes())
-            if (kept := closure[5]) is None or kept[0] != seed:
-                kept = closure[5] = (seed, _graded_rows(rows[off], cols[off], vals[off], x))
-            x = np.exp(theta * diag) * (theta ** np.arange(len(kept[1])) @ kept[1])
+            if kernel is None or kernel[0] != x.tobytes():
+                kernel = kept[8] = (x.tobytes(), _graded_rows(rows[off], cols[off], vals[off], x))
+            x = np.exp(theta * diag) * (theta ** np.arange(len(kernel[1])) @ kernel[1])
         else:
-            vals = theta * vals
-            norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
-            dense = n <= DENSE_MAX_N and _squarings(norm) <= DENSE_MAX_SQUARINGS
-            x = (_expm_dense(rows, cols, vals, x) if dense
-                 else _taylor_sparse(rows, cols, vals, x, norm))
+            norm = abs(theta) * norm
+            dense = kernel is not None and _squarings(norm) <= DENSE_MAX_SQUARINGS
+            x = (_expm_dense(theta * kernel, x) if dense
+                 else _taylor_sparse(rows, cols, theta * vals, x, norm))
     return type(p)._from_finite(basis, x.tolist())
 
 
 def _classify(closure, weights, nseed):
     """A = sum_k weights[k] G_k over the parts of nonzero weight on a compiled
-    closure and whether it is graded: basis, rows, cols, vals, the diagonal,
-    the off-diagonal mask and the graded flag, kept in ``closure[4]`` for the
-    next call with the same weights.  Weights that cancel (the word engine at
-    s = t) leave exact zeros; those entries are dropped, with the monomials
-    that only they reach from the first ``nseed``, so A's closure, graded
-    test and kernel choice are those of A compiled alone."""
-    last = closure[4]
-    if last is not None and last[0] == weights:
-        return last[1:]
+    closure, classified for every theta: the list [basis, rows, cols, vals,
+    diagonal, off-diagonal mask, graded flag, ||A||_1, kernel], where kernel
+    is A as a dense matrix (float64 if A is real) when A is not graded and
+    n <= DENSE_MAX_N, and otherwise None, the slot a graded A's kept rows
+    take.  Weights that cancel (the word engine at s = t) leave exact
+    zeros; those entries are dropped, with the monomials that only they
+    reach from the first ``nseed``, so A's closure, graded test and kernel
+    choice are those of A compiled alone."""
     basis, rows, cols, parts = closure[:4]
     vals = sum((w * part for w, part in zip(weights, parts.T) if w), np.zeros(len(rows), complex))
     keep = vals != 0
@@ -413,14 +417,25 @@ def _classify(closure, weights, nseed):
         index = np.cumsum(reached) - 1
         rows, cols, vals = index[rows[live]], index[cols[live]], vals[live]
         basis = [m for m, r in zip(basis, reached) if r]
+    n = len(basis)
     off = rows != cols
-    diag = np.zeros(len(basis), dtype=complex)
+    diag = np.zeros(n, dtype=complex)
     diag[rows[~off]] = vals[~off]
     off_rows, off_cols = rows[off], cols[off]
     graded = (diag[off_rows] == diag[off_cols]).all() and \
-        ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, len(basis)))
-    closure[4] = last = (weights, basis, rows, cols, vals, diag, off, graded)
-    return last[1:]
+        ((off_rows > off_cols).all() or _acyclic(off_rows, off_cols, n))
+    dense = None
+    if not graded and n <= DENSE_MAX_N:
+        real = not vals.imag.any()
+        dense = np.zeros((n, n), dtype=float if real else complex)
+        dense[rows, cols] = vals.real if real else vals
+    norm = np.bincount(cols, weights=np.abs(vals), minlength=n).max()
+    return [basis, rows, cols, vals, diag, off, graded, norm, dense]
+
+
+def _held(closure):
+    """The monomials a closure holds: its basis once per class it keeps."""
+    return len(closure[0]) * len(closure[4])
 
 
 def _keep(cache, entries, size):
@@ -470,14 +485,11 @@ def _graded_rows(rows, cols, vals, x):
     return np.array(out)
 
 
-def _expm_dense(rows, cols, vals, x):
-    """e^A x with A the n x n COO matrix (rows, cols, vals), n = len(x): one
-    :func:`_expm_batch` on the dense A, in float64 if A is real, times x."""
-    real = not vals.imag.any()
-    A = np.zeros((1, len(x), len(x)), dtype=float if real else complex)
-    A[0, rows, cols] = vals.real if real else vals
-    E = _expm_batch(A)[0]
-    return (E @ x.view(float).reshape(-1, 2)).view(complex)[:, 0] if real else E @ x
+def _expm_dense(A, x):
+    """e^A x for a dense n x n matrix A, float64 or complex, n = len(x): one
+    :func:`_expm_batch` on A, times x (a real E takes x as its real pairs)."""
+    E = _expm_batch(A[None])[0]
+    return (E @ x.view(float).reshape(-1, 2)).view(complex)[:, 0] if A.dtype == float else E @ x
 
 
 def _taylor_sparse(rows, cols, vals, x, norm):
@@ -539,8 +551,6 @@ def exp_apply(gen: GeneratorSpec, theta: float, p: TracePoly) -> TracePoly:
     """e^{theta G} p for a GeneratorSpec G; theta may have either sign.  The
     terms of G are the parts of :func:`exp_series`, so a cache hit calls no
     column and looks up no operator of ``_COLUMNS``."""
-    if theta == 0.0:
-        return p
     return exp_series(gen.parts, p, theta, gen.terms)
 
 

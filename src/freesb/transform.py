@@ -17,6 +17,7 @@ one rule on their values and ``TPoly.deriv``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -97,11 +98,15 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
     e^{kc/2} a_{n-k}(kc), where e^{xw/(1-w)} = sum_m a_m(x) w^m, so each
     coefficient of either side is a finite sum of n known terms.  With
     P[k, j] the coefficient of u^j in p_k and W_l[n, k], W_r[n, k] those
-    weights for c = s - t and c = s, returns the largest absolute entry of
-    W_l P - W_r, the coefficient residual over w^1..w^K and u^0..u^K, for
-    1 <= K <= MAX_SERIES_ORDER, from one array product rather than
-    ``TracePoly`` sums.  ValueError if some p_k has a v-factor or a power of
-    u outside 0..K, or if a weight is beyond the float range.
+    weights for c = s - t and c = s, returns the largest entry of
+    |W_l P - W_r| over its scale sum_k |W_l[n, k]| max_j' |P[k, j']| +
+    |W_r[n, j]|, the coefficient residual over w^1..w^K and u^0..u^K
+    relative to the terms it sums, for 1 <= K <= MAX_SERIES_ORDER, from
+    array products rather than ``TracePoly`` sums: a few hundred unit
+    roundoffs when correct, as the semigroup's p_k carry errors up to about
+    1e-14 of their largest coefficient.  ValueError if some p_k has a
+    v-factor or a power of u outside 0..K, or if a weight is beyond the
+    float range.
     """
     p = Pi_series(s, t, K).coeffs
     P, W = np.zeros((K + 1, K + 1), dtype=complex), np.zeros((2, K + 1, K + 1))
@@ -117,7 +122,8 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
             row = [_exp_times(k * c / 2.0, A, d) for A, d in _a(K - k, k * num, den)]
             _check_finite(row, "the weights e^(kc/2) a_(n-k)(kc) for k = {} at c = {!r} are", k, c)
             W[i, k:, k] = row
-    return float(np.abs(W[0] @ P - W[1]).max())
+    scale = np.abs(W[0]) @ np.abs(P).max(axis=1, keepdims=True) + np.abs(W[1])
+    return float((np.abs(W[0] @ P - W[1]) / np.where(scale > 0, scale, 1.0)).max())
 
 
 # ----------------------------------------------------------------------
@@ -128,22 +134,35 @@ def verify_gen_fn(s: float, t: float, K: int = 8) -> float:
 def _pde_gap(x: list, y: list, sign: int, at, s: float) -> float:
     # max over k of |x_k' - sign sum_{m+j=k} y_m j x_j| / scale at `at`, in
     # complex floats, where x[k - 1], y[k - 1] are the TPolys of x_k, y_k and
-    # the scale sums |x_k'| and |y_m| j |x_j|, each TPoly evaluated with its
-    # coefficients' absolute values (Horner's rounding where they cancel).
-    # Fraction coefficients at a Fraction `at` evaluate exactly.  A gap or
-    # scale past the float range is refused, naming s
+    # the scale sums the terms' magnitudes |x_k'| and |y_m| j |x_j|, each TPoly
+    # evaluated with its coefficients' absolute values (Horner's rounding
+    # where they cancel).  Fraction coefficients at a Fraction `at` evaluate
+    # exactly.  A gap or scale past the float range is refused, naming s, and
+    # so is a term with a nonzero coefficient in each factor whose magnitude,
+    # or a factor's exponential prefactor, is not a normal double (it lost
+    # digits or underflowed)
     def mag(p):
         return TPoly(tuple(abs(c) for c in p.coeffs), p.prefactor_exp)
 
+    def nonzero(p):  # where some coefficient of p is not 0, entrywise for arrays
+        return np.any([np.asarray(c) != 0 for c in p.coeffs], axis=0)
+
     dx = [p.deriv() for p in x]
+    nx, ny, ndx = ([nonzero(p) for p in ps] for ps in (x, y, dx))
+    lost = any(math.exp(min(p.prefactor_exp, 0.0)) < sys.float_info.min and nonzero(p).any()
+               for p in x + y)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap or scale is refused
         xv, yv, dxv, ax, ay, adx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
                                     for ps in (x, y, dx, map(mag, x), map(mag, y), map(mag, dx)))
         for i in range(len(x)):
             gap = dxv[i] - sign * sum(yv[m] * ((i - m) * xv[i - m - 1]) for m in range(i))
-            scale = np.abs(adx[i] + sum(ay[m] * ((i - m) * ax[i - m - 1]) for m in range(i)))
-            _check_finite(np.ravel([gap, scale]), "the PDE terms at s = {!r} are", s)
+            terms = [(adx[i], ndx[i])] + [(ay[m] * ((i - m) * ax[i - m - 1]), ny[m] & nx[i - m - 1])
+                                          for m in range(i)]
+            scale = np.abs(terms[0][0] + sum(term for term, _ in terms[1:]))
+            lost = lost or any((np.abs(term) < sys.float_info.min)[nz].any() for term, nz in terms)
+            _check_finite(np.append(np.ravel([gap, scale]), math.nan if lost else 0.0),
+                          "the PDE terms at s = {!r} are", s)
             worst = max(worst, float((np.abs(gap) / np.where(scale > 0, scale, 1.0)).max()))
     return worst
 
@@ -163,12 +182,14 @@ def pde_residual(s: float, K: int = 8) -> float:
     exactly at a Fraction, so its PDE tests that form.  Also checks the
     initial condition psi^s(0, w e^{(s/2)(1+w)/(1-w)}) = w/(1-w) in its
     implicit level-curve form, exactly over the rationals (its right
-    side's coefficients are 1).  Any real s whose terms are finite doubles
-    is in the domain (psi^s and phi^{s,u} are entire in s); past that
-    range, from s = -80 at K = 16 to s = -1420 at K = 1, ValueError names
-    s.  The initial conditions of varrho and phi are not checked:
-    varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold by construction, as the
-    closed form's and the recursion's constant terms.
+    side's coefficients are 1).  Any real s whose nonzero terms are normal
+    doubles is in the domain (psi^s and phi^{s,u} are entire in s); past
+    that range, below s = -80 at K = 16 to s = -1420 at K = 1, where a term
+    overflows, and above s = 88 at K = 16 to s = 1416 at K = 1, where some
+    e^{-ks/2} c_k term or its exponential alone is subnormal or 0,
+    ValueError names s.  The initial conditions of varrho and phi are not
+    checked: varrho_k(0) = 1 and b_k(s, 0, u) = u^k hold by construction,
+    as the closed form's and the recursion's constant terms.
     """
     _check_order(K)
     s = float(s)

@@ -297,8 +297,11 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
     then set to 1.  Under rho, P is first rewritten on U_N
     (Z^* -> Z^-1, Z^-* -> Z, equal words merged).  The generator is
     (s - t/2) (Dt + Lt/N^2) at beta_+ alone plus (t/2) (Dt + Lt/N^2) at
-    beta_- alone: four parts that ``exp_series`` caches for every s, t and
-    N; under rho, t/2 = 0 drops the beta_- parts from the sum.  A part's
+    beta_- alone, run by ``exp_series`` as the flow time theta = s - t/2
+    of four parts with weights (1, 1/N^2, r, r/N^2), r = (t/2) / theta: it
+    compiles them once for every s, t and N, and classifies their sum once
+    per weights, which under rho (r = 0, the beta_- parts dropped) depend
+    on N alone; at s = t, r = 1 exactly; rho's s = 0 is the identity.  A part's
     column is the Leibniz form (``_leibniz``) over Dt(v_a) and Lt(v_a v_b),
     one ``apply_tilde`` call per family at (s, t) = (1, 0) and (1, 2), made
     only for a column that neither cache of ``exp_series`` holds; words with
@@ -324,9 +327,10 @@ def expectation(p: WordPoly, s: float, t: float, N: int) -> complex:
             images[words] = [(q, k, c) for q, c in plus] + [(q, 2 + k, c) for q, c in minus]
         return images[words]
 
-    a, b = s - t / 2.0, t / 2.0
-    terms = (("Dst+", a), ("Lst+", a / (N * N)), ("Dst-", b), ("Lst-", b / (N * N)))
-    return exp_series(lambda m: _leibniz(m, image, image), p, 1.0, terms).evaluate_ones()
+    theta = s - t / 2.0
+    r = t / 2.0 / theta if t else 0.0  # 1 at s = t; rho's theta may be 0
+    terms = (("Dst+", 1.0), ("Lst+", 1.0 / (N * N)), ("Dst-", r), ("Lst-", r / (N * N)))
+    return exp_series(lambda m: _leibniz(m, image, image), p, theta, terms).evaluate_ones()
 
 
 @dataclass(frozen=True)

@@ -568,6 +568,22 @@ def test_pde_check_past_the_float_range(capsys, K, s):
     assert _one_line_error(capsys).endswith(f"at s = {float(s)!r} are beyond the float range")
 
 
+@pytest.mark.parametrize("K, s", [
+    # one s per window where some e^{-ks/2} c_k term was subnormal and the
+    # check failed on correct code (exit 2): K = 4, then K = 8, then K = 16
+    (4, "358"), (4, "490"), (4, "746"),
+    (8, "179"), (8, "213"), (8, "248"), (8, "296"), (8, "369"), (8, "490"), (8, "733"),
+    (16, "90"), (16, "175"), (16, "205"),
+    (8, "2000"), (1, "2000"),  # every term underflowed to 0, so the check passed on nothing
+])
+def test_pde_check_where_a_term_underflows(capsys, K, s):
+    # a nonzero PDE term that is not a normal double: one line that names s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["pde-check", "--s", s, "--K", str(K)]) == 1
+    assert _one_line_error(capsys).endswith(f"at s = {float(s)!r} are beyond the float range")
+
+
 @pytest.mark.parametrize("argv, k, c", [
     (["--s", "700", "--t", "1", "--K", "3"], 3, "699.0"),  # e^{kc/2} alone overflows
     (["--s", "1e300", "--t", "0.8", "--K", "3"], 1, "1e+300"),

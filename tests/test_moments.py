@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (TPoly, _b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan,
+from freesb.moments import (_EXP_MIN, TPoly, _b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan,
                             nu, pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
@@ -140,6 +140,26 @@ def test_nu_keeps_its_accuracy_where_a_factor_leaves_the_range():
     assert normal > 100
     assert nu(64, 25.0) == pytest.approx(-1.5134448571956e-236, rel=1e-12)
     assert nu(64, 30.0) == pytest.approx(-7.5537257448090e-301, rel=1e-12)
+
+
+def test_nu_on_the_folded_path_is_within_4_ulps():
+    # where e^{-ks/2} or the exact sum leaves the normal range alone, 2^b of
+    # the sum is applied exactly and e^{-ks/2} is reduced by a two-part ln 2:
+    # against a 60-digit value of the same exact pair, at most 4 units in the
+    # last place (x + b log 2 in one double cost 68 to 387 at the first four)
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(60):
+        points = [(32, 45.0), (40, 40.0), (64, 30.5), (64, 25.0)]
+        for k, s in points + [(k, s) for k in range(1, 65) for s in np.arange(0.0, 100.0, 0.5)]:
+            num, den = _nu_hat_exact(k, float(s))
+            b = num.bit_length() - den.bit_length() - 1
+            want = mpmath.exp(-k * mpmath.mpf(s) / 2) * num / den
+            if -k * s / 2.0 > _EXP_MIN and -1023 < b < 1022 or abs(want) < sys.float_info.min:
+                continue  # the unfolded path, or no normal double
+            checked += 1
+            assert abs(nu(k, s) - want) <= 4 * math.ulp(float(want)), (k, s)
+    assert checked > 400
 
 
 def test_nu_past_the_float_range():

@@ -17,7 +17,7 @@ from freesb import cli
 from freesb.operators import GeneratorSpec, exp_apply, operator_matrix
 from freesb.tracepoly import TracePoly, mono, parse
 from freesb.transform import G, H
-from freesb.words import WordPoly, apply_tilde, expectation, iota, iota_star
+from freesb.words import WordPoly, apply_tilde, expectation, iota, iota_star, sesq_B
 
 u = TracePoly.u
 
@@ -109,6 +109,15 @@ def _closure(column, p):
     return rows, cols, vals, x, np.bincount(cols, np.abs(vals), len(basis)).max()
 
 
+def _expm_dense(rows, cols, vals, x):
+    """``operators._expm_dense`` on the COO matrix (rows, cols, vals) made
+    dense as ``exp_series`` keeps it: float64 if real."""
+    real = not vals.imag.any()
+    A = np.zeros((len(x), len(x)), dtype=float if real else complex)
+    A[rows, cols] = vals.real if real else vals
+    return operators._expm_dense(A, x)
+
+
 def _dn4_theta(k, target):
     """The theta at which ||theta D_4||_1 on the closure of u^k is ``target``."""
     return target / _closure(_column(GeneratorSpec.DN(4)), u(k))[4]
@@ -118,7 +127,7 @@ def _kernel_gap(rows, cols, vals, x, norm):
     """Largest gap between the dense and Taylor kernels, relative to the
     result's largest coefficient."""
     with np.errstate(over="raise", invalid="raise"):
-        dense = operators._expm_dense(rows, cols, vals, x)
+        dense = _expm_dense(rows, cols, vals, x)
         taylor = operators._taylor_sparse(rows, cols, vals, x, norm)
     return np.abs(dense - taylor).max() / np.abs(taylor).max()
 
@@ -149,17 +158,15 @@ def test_dense_and_taylor_kernels_agree(name, column, p):
     # the third kernel: exp_series takes the terminating sum on the graded
     # closures (D and PI_GEN) and one of the other two elsewhere
     basis = _compile(column, p.terms)[0]
-    dense = operators._expm_dense(rows, cols, vals, x)
+    dense = _expm_dense(rows, cols, vals, x)
     got = _exp(name, column, p)
     gap = max(abs(got.coeff(m) - c) for m, c in zip(basis, dense))
     assert gap <= 1e-12 * np.abs(dense).max(), name
 
 
-def _complex_dense(rows, cols, vals, x):
+def _complex_dense(A, x):
     """The dense kernel in complex arithmetic, whatever the values."""
-    A = np.zeros((1, len(x), len(x)), dtype=complex)
-    A[0, rows, cols] = vals
-    return operators._expm_batch(A)[0] @ x
+    return operators._expm_batch(A[None].astype(complex))[0] @ x
 
 
 REAL_CASES = [("0.4 D_4 on u^4", _scaled(GeneratorSpec.DN(4), 0.4), u(4)),
@@ -310,7 +317,7 @@ def test_kernel_choice_follows_accuracy(monkeypatch, name, column, p):
         picked.append("dense" if calls["dense"] else "taylor")
         if calls["dense"]:
             want = _mp_exp(rows, cols, theta * vals, x)
-            dense = operators._expm_dense(rows, cols, theta * vals, x)
+            dense = _expm_dense(rows, cols, theta * vals, x)
             taylor = operators._taylor_sparse(rows, cols, theta * vals, x, target)
             gap = [np.abs(y - want).max() / np.abs(want).max() for y in (dense, taylor)]
             assert gap[0] <= max(2 * gap[1], 1e-14), (name, target, gap)
@@ -390,7 +397,7 @@ def _dense_exp(column, p):
     basis, rows, cols, vals = _compile(column, p.terms)
     x = np.zeros(len(basis), dtype=complex)
     x[:len(p.terms)] = list(p.terms.values())
-    return dict(zip(basis, operators._expm_dense(rows, cols, vals, x)))
+    return dict(zip(basis, _expm_dense(rows, cols, vals, x)))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-0.5, 0.5),
@@ -731,6 +738,66 @@ def test_word_engine_hit_is_bitwise_a_cold_call(closures, p):
     closures.clear()
     assert [expectation(p, *call) for call in calls] == cold
     assert len(closures) == 2
+
+
+# the graded closure of B(u + 2, u + 2) under rho, a dense one, a graded one under mu
+_FLOW_INPUTS = [sesq_B(parse("u + 2"), parse("u + 2")),
+                iota(TracePoly.v(2)) * iota_star(TracePoly.v(2)), iota(TracePoly.v(1))]
+
+
+@pytest.mark.parametrize("p", _FLOW_INPUTS, ids=["graded", "dense", "tr"])
+def test_word_engine_warm_calls_at_new_times_are_cold_calls(closures, p):
+    # expectation runs its flow for theta = s - t/2, which no kept weight
+    # holds: every warm call at a new s, t or N is bitwise a cold one, under
+    # rho and mu, at N = 6 and 8, at s = t and at rho's s = 0 (the identity)
+    calls = [(s, t, N) for s, t in ((0.0, 0.0), (0.7, 0.0), (1.3, 0.0), (1.5, 0.8), (1.1, 1.1),
+                                    (2.0, 0.4), (0.95, 0.0)) for N in (6, 8)]
+    cold = []
+    for call in calls:
+        closures.clear()
+        cold.append(expectation(p, *call))
+    closures.clear()
+    assert [expectation(p, *call) for call in calls * 2] == cold * 2
+    assert cold[0] == cold[1] == p.evaluate_ones()
+
+
+def test_word_engine_classifies_once_per_weights(closures, monkeypatch):
+    # under rho the weights are (1, 1/N^2, 0, 0): cycling N over 4, 8, 16,
+    # 32 at a fresh s each call classifies each (closure, weights) once and
+    # builds a graded closure's rows once per (closure, weights, x)
+    classified, built = [], []
+    classify, graded_rows = operators._classify, operators._graded_rows
+    monkeypatch.setattr(operators, "_classify", lambda closure, weights, nseed: classified.append(
+        (tuple(closure[0]), weights)) or classify(closure, weights, nseed))
+    monkeypatch.setattr(operators, "_graded_rows",
+                        lambda *a: built.append(a[3].tobytes()) or graded_rows(*a))
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        for N in (4, 8, 16, 32):
+            for p in _FLOW_INPUTS:
+                expectation(p, float(rng.uniform(0.5, 1.5)), 0.0, N)
+    assert len(classified) == len(set(classified)) == 4 * len(_FLOW_INPUTS)
+    # the graded input and tr Z, each at one x: once per N, not per call
+    assert len(built) == 4 * 2 and len(set(built)) == 2
+    assert len(closures) == len(_FLOW_INPUTS)
+
+
+def test_mu_sweep_keeps_its_closure_within_the_budget(closures, monkeypatch):
+    # 50 ratios t/s give 50 weights on one closure: its classes go least
+    # recently used first, so the closure is compiled once and the caches'
+    # held, the basis once per kept class, stays within CLOSURE_BUDGET
+    compiled, compile_ = [], operators._compile
+    monkeypatch.setattr(operators, "_compile", lambda *a: compiled.append(1) or compile_(*a))
+    Z3 = iota(TracePoly.v(3)) * iota_star(TracePoly.v(3))
+    held = []
+    for ratio in np.linspace(0.02, 1.98, 50):
+        expectation(Z3, 1.0, float(ratio), 4)
+        held.append((closures.held, operators._images.held,
+                     sum(map(operators._held, closures.values()))))
+    assert len(compiled) == 1
+    assert all(max(h) <= operators.CLOSURE_BUDGET and h[0] == h[2] for h in held)
+    [(basis, *_, classes)] = closures.values()
+    assert 1 < len(classes) < 50 and len(basis) * (len(classes) + 1) > operators.CLOSURE_BUDGET
 
 
 def _newest(closures):

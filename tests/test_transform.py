@@ -126,7 +126,7 @@ def test_exp_curve_numeric():
 
 def _gen_fn_by_fractions(s, t, K):
     # verify_gen_fn with each weight's a_{n-k}(kc) taken at the Fraction k * Fraction(c):
-    # the W tables and the residual
+    # the W tables and the residual, each gap over its scale
     P, W = np.zeros((K + 1, K + 1), dtype=complex), np.zeros((2, K + 1, K + 1))
     for k, pk in enumerate(Pi_series(s, t, K).coeffs):
         for (j, _), c in pk.terms.items():
@@ -135,7 +135,8 @@ def _gen_fn_by_fractions(s, t, K):
         for i, c in enumerate((s - t, s)):
             pairs = _a(K - k, *(k * Fraction(c)).as_integer_ratio())
             W[i, k:, k] = [math.exp(k * c / 2.0) * (A / d) for A, d in pairs]
-    return W, float(np.abs(W[0] @ P - W[1]).max())
+    scale = np.abs(W[0]) @ np.abs(P).max(axis=1, keepdims=True) + np.abs(W[1])
+    return W, float((np.abs(W[0] @ P - W[1]) / np.where(scale > 0, scale, 1.0)).max())
 
 
 def test_gen_fn_weights_from_unreduced_pairs_are_bitwise_the_fraction_ones():
@@ -157,6 +158,35 @@ def test_gen_fn_weights_from_unreduced_pairs_are_bitwise_the_fraction_ones():
 
 def test_generating_function_identity():
     assert verify_gen_fn(1.0, 1.0, K=8) < 1e-8
+
+
+def test_generating_function_passes_on_a_grid():
+    # s > t/2 > 0 with s in [0.05, 3] and K <= 16, and two points whose
+    # absolute residual once failed (4.3e-4 and 7.3e-4): each gap against
+    # its scale, whose worst on 1,500 such points was 274 unit roundoffs
+    rng = np.random.default_rng(18)
+    grid = [(2.25, 2.25, 16), (2.68, 0.973, 16)]
+    for _ in range(50):
+        s = float(rng.uniform(0.05, 3.0))
+        grid.append((s, float(rng.uniform(0.0, 2.0 * s)) or s, int(rng.integers(1, 17))))
+    failed = [(s, t, K) for s, t, K in grid if not verify_gen_fn(s, t, K) < GEN_FN_TOL]
+    assert failed == []
+
+
+@pytest.mark.parametrize("s, t", [(2.25, 2.25), (1.5, 0.8)])
+@pytest.mark.parametrize("K", [8, 16])
+def test_generating_function_detects_one_coefficient_off_by_1e_10(monkeypatch, s, t, K):
+    # the largest coefficient of one p_k scaled by 1 + 1e-10 fails the check
+    exact = transform.biane
+
+    def scaled(j, s, t, k):
+        p = exact(j, s, t)
+        m = max(p.terms, key=lambda m: abs(p.terms[m]))
+        return p + TracePoly({m: 1e-10 * p.terms[m]}) if j == k else p
+
+    for k in (1, K // 2, K):
+        monkeypatch.setattr(transform, "biane", lambda j, s, t: scaled(j, s, t, k))
+        assert verify_gen_fn(s, t, K) >= GEN_FN_TOL, k
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])

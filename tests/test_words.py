@@ -495,12 +495,13 @@ Z4 = iota(v(4)) * iota_star(v(4))  # |tr Z^4|^2
 
 def _spy_exp_series(monkeypatch):
     """Record each column ``expectation`` hands to ``exp_series`` with its
-    terms, and the monomials it is called on; the closure and image caches
-    start empty, so the first call compiles and calls the column."""
+    terms, each weight times the flow time theta, and the monomials it is
+    called on; the closure and image caches start empty, so the first call
+    compiles and calls the column."""
     columns, calls = [], []
 
     def spy(column, p, theta, terms):
-        columns.append((column, terms))
+        columns.append((column, tuple((name, theta * w) for name, w in terms)))
         return real(lambda m: calls.append(m) or column(m), p, theta, terms)
 
     real = words.exp_series

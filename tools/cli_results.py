@@ -11,11 +11,14 @@ second degree-8 transform that reuses the first one's cached closure, a
 few inputs for the word engine, one of them again at a
 second N from its cached closure, once under mu at s = t and under rho at
 two N, the b_k recursion and the graded test, the Monte Carlo
-concentration, the generating-function check at s != t and two failing
-ones, the PDE check at order 16 for s = 0.3, 1.9 and 0 and at order 12
-for s = -0.5 (the last two once failed on roundoff), the PDE check past
-the float range at order 8 for s = -170 and -190 and at order 1 for
-s = -1500 (once a pass on NaN gaps and a bare "math range error"), a refused sampler
+concentration, the generating-function check at s != t and at three
+order-16 points that once failed on roundoff (among them s = 2.68,
+t = 0.973), the PDE check at order 16 for s = 0.3, 1.9 and 0 and at
+order 12 for s = -0.5 (the last two once failed on roundoff), the PDE
+check past the float range at order 8 for s = -170 and -190 and at order
+1 for s = -1500 (once a pass on NaN gaps and a bare "math range error")
+and where its terms underflow at order 8 for s = 250 and 2000 (once exit
+2 and a pass on nothing), a refused sampler
 time, a refused mu time, mu at 7 steps (whose step weights show how they
 are rounded), mu at N = 32 in four chunks on a two-thread pool, a refused
 ``--Ns`` text, and
@@ -93,14 +96,16 @@ COMMANDS = [
     'norm --p "u^2 + v-1 u" --measure rho --s 1 --N 9',
     "moments --k 32 --s 1.7",
     'transform --s 1.5 --t 0.8 --f "v1^2 u + u^3" --dir G',
-    # exit codes: a verification that fails (exit 2; the residual at s = t =
-    # 2.25, K = 16 is above GEN_FN_TOL) and a sampler time of no measure,
+    # exit codes: a verification whose absolute residual at s = t = 2.25,
+    # K = 16 (4.3e-4) once failed (exit 2) and a sampler time of no measure,
     # s <= t/2 (exit 1)
     "gen-fn-check --s 2.25 --t 2.25 --K 16",
     # the generating function at s != t, where its two sides weigh the
-    # terms differently, and the other order-16 case above GEN_FN_TOL
+    # terms differently, and two more order-16 cases whose absolute residual
+    # once failed on roundoff (7.0e-6 and 7.3e-4)
     "gen-fn-check --s 1.5 --t 0.8 --K 8",
     "gen-fn-check --s 1.0 --t 1.9 --K 16",
+    "gen-fn-check --s 2.68 --t 0.973 --K 16",
     # the PDE check at the largest order, where s = 0.3 gave its largest
     # absolute residual and s = 1.9 a small one, and two cases whose absolute
     # gaps (6e-8) failed a fixed tolerance among terms of up to 1e15
@@ -113,6 +118,10 @@ COMMANDS = [
     "pde-check --s -170 --K 8",
     "pde-check --s -190 --K 8",
     "pde-check --s -1500 --K 1",
+    # refused (exit 1) where a term underflows: e^{-ks/2} c_k is subnormal at
+    # s = 250 (once exit 2 in windows from s = 179) and 0 at 2000 (once a pass)
+    "pde-check --s 250 --K 8",
+    "pde-check --s 2000 --K 8",
     "mc --f v1 --N 4 --s 0.5 --t 1.2 --samples 8",
     # mu at 7 steps, where both step weights w / steps round otherwise than
     # (1 / steps) * w, and a --Ns that is not comma-separated integers (exit 1)
