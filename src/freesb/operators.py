@@ -350,10 +350,10 @@ def exp_series(column, p, theta, terms):
     new class drops its least recently used ones past the budget): keyed by
     the names, so the names must say what the parts are.  Nothing kept
     depends on theta, so a call at a new theta with kept weights runs only
-    its kernel, and a hit runs a cold call's arithmetic.  A graded G (see the module docstring) takes
-    e^{theta diag} times theta^{0, 1, ...} @ Y, where Y holds the rows
-    M^k x / k! of :func:`_graded_rows`, kept with the class for the last x.
-    Otherwise :func:`_expm_dense` runs on theta times the kept dense G when
+    its kernel, and a hit runs a cold call's arithmetic.  A graded G (see
+    the module docstring) takes e^{theta diag} times theta^{0, 1, ...} @ Y,
+    where Y holds the rows M^k x / k! of :func:`_graded_rows`, kept with
+    the class for the last x.  Otherwise :func:`_expm_dense` runs on theta times the kept dense G when
     n <= DENSE_MAX_N and :func:`_squarings` of ||theta G||_1 is at most
     DENSE_MAX_SQUARINGS, and :func:`_taylor_sparse` otherwise.  ValueError:
     a non-finite theta (``check_times``), first; a ``p`` of trace degree
@@ -370,7 +370,7 @@ def exp_series(column, p, theta, terms):
     key = (names, tuple(p.terms))
     closure = _closures.get(key) or (*_compile(column, p.terms, names), {})
     kept = closure[4].get(weights)
-    if kept is None or next(reversed(closure[4])) != weights:  # a new closure moves them last
+    if kept is None or next(reversed(closure[4])) != weights:  # a new tuple puts these weights last
         classes = {w: c for w, c in closure[4].items() if w != weights}
         kept = classes[weights] = kept or _classify(closure, weights, len(p.terms))
         closure = (*closure[:4], classes)

@@ -149,8 +149,8 @@ def _pde_gap(x: list, y: list, sign: int, at, s: float) -> float:
 
     dx = [p.deriv() for p in x]
     nx, ny, ndx = ([nonzero(p) for p in ps] for ps in (x, y, dx))
-    lost = any(math.exp(min(p.prefactor_exp, 0.0)) < sys.float_info.min and nonzero(p).any()
-               for p in x + y)
+    lost = any(math.exp(min(p.prefactor_exp, 0.0)) < sys.float_info.min and nz.any()
+               for p, nz in zip(x + y, nx + ny))
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap or scale is refused
         xv, yv, dxv, ax, ay, adx = ([np.asarray(p.eval(at), dtype=complex) for p in ps]
@@ -161,7 +161,7 @@ def _pde_gap(x: list, y: list, sign: int, at, s: float) -> float:
                                           for m in range(i)]
             scale = np.abs(terms[0][0] + sum(term for term, _ in terms[1:]))
             lost = lost or any((np.abs(term) < sys.float_info.min)[nz].any() for term, nz in terms)
-            _check_finite(np.append(np.ravel([gap, scale]), math.nan if lost else 0.0),
+            _check_finite([math.nan] if lost else np.ravel([gap, scale]),
                           "the PDE terms at s = {!r} are", s)
             worst = max(worst, float((np.abs(gap) / np.where(scale > 0, scale, 1.0)).max()))
     return worst

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesb.tracepoly import TracePoly, parse
-from freesb.moments import (_EXP_MIN, TPoly, _b_table, _c_hat, _nu_hat_exact, b_poly, c_poly, catalan,
-                            nu, pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
+from freesb.moments import (_EXP_MIN, TPoly, _b_table, _c_hat, _nu_hat_exact, b_poly, c_poly,
+                            catalan, nu, pi_eval, pi_via_semigroup, varrho, varrho_coeffs)
 from freesb.transform import biane
 
 
